@@ -306,6 +306,7 @@ def solve_bnb(
     start = time.monotonic()
 
     root = nominal_solve(inst, bcosts)
+    calls = 1
     inc_obj = evaluate_wrp(mix, root.x)
     inc_lex = _lexset(root.x)
     inc_x = root.x
@@ -342,6 +343,7 @@ def solve_bnb(
             heap, (bound, next(counter), fin | {item}, fout, completion)
         )
         # exclude child: re-complete without the item
+        calls += 1
         try:
             child = nominal_solve(inst, bcosts, forced_in=fin, forced_out=fout | {item})
         except InfeasibleError:
@@ -361,6 +363,7 @@ def solve_bnb(
         "bnb",
         complete,
         nodes_explored=nodes,
+        oracle_calls=calls,
     )
 
 
@@ -383,9 +386,10 @@ def solve_brute_force(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> Sol
     )
 
 
-def _neighbors(inst: Instance, x: tuple[int, ...], bcosts: np.ndarray):
+def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
     """Deterministic neighborhood: single swap for selection, single-arc
-    detour (cheapest re-route through one excluded arc) for paths."""
+    detour (cheapest re-route through one excluded arc, found by
+    `oracle(forced_in)`) for paths."""
     chosen = set(_lexset(x))
     if inst.kind == "selection":
         for i in sorted(chosen):
@@ -399,7 +403,7 @@ def _neighbors(inst: Instance, x: tuple[int, ...], bcosts: np.ndarray):
         if arc in chosen:
             continue
         try:
-            sol = nominal_solve(inst, bcosts, forced_in={arc})
+            sol = oracle({arc})
         except InfeasibleError:
             continue
         if sol.x != x:
@@ -414,20 +418,23 @@ def solve_local_search(
     rng = np.random.default_rng(seed)
     best = None
     calls = 0
+
+    def detour(forced_in):
+        nonlocal calls
+        calls += 1
+        return nominal_solve(inst, bcosts, forced_in=forced_in)
+
     for r in range(restarts + 1):
         costs = bcosts if r == 0 else bcosts * rng.uniform(0.5, 1.5, size=inst.n)
-        try:
-            sol = nominal_solve(inst, np.maximum(costs, 0.0))
-        except InfeasibleError:
-            raise
         calls += 1
+        sol = nominal_solve(inst, np.maximum(costs, 0.0))
         cur_x = sol.x
         cur_obj = evaluate_wrp(mix, cur_x)
         improved = True
         while improved:
             improved = False
             best_nb = None
-            for y in _neighbors(inst, cur_x, bcosts):
+            for y in _neighbors(inst, cur_x, detour):
                 obj = evaluate_wrp(mix, y)
                 lex = _lexset(y)
                 if best_nb is None or _better(obj, lex, best_nb[0], best_nb[1]):

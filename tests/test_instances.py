@@ -12,7 +12,37 @@ from robustmix import (
     parse_graph,
     sample_st_pairs,
 )
-from robustmix.instances import enumerate_feasible
+from robustmix.instances import _spath_branching, enumerate_feasible
+
+
+def relabelled_grid(rng, width, height):
+    """A grid digraph with permuted node ids and arc order, plus the
+    relabelled top-left and bottom-right corners."""
+    grid, _ = gen_synthetic(width, height, 2, seed=0)
+    nodes = rng.permutation(grid.num_nodes)
+    arcs = tuple(
+        (int(nodes[grid.arcs[a][0]]), int(nodes[grid.arcs[a][1]]))
+        for a in rng.permutation(grid.n)
+    )
+    return Graph(grid.num_nodes, arcs), int(nodes[0]), int(nodes[-1])
+
+
+def reference_x(inst, costs, forced_in, forced_out):
+    """Incidence vector from the exhaustive search, or None if infeasible."""
+    res = _spath_branching(
+        inst.graph, np.asarray(costs, float), inst.source, inst.target,
+        frozenset(forced_in), frozenset(forced_out),
+    )
+    if res is None:
+        return None
+    return tuple(1 if a in res[1] else 0 for a in range(inst.n))
+
+
+def solve_or_none(inst, costs, forced_in, forced_out):
+    try:
+        return nominal_solve(inst, costs, forced_in, forced_out).x
+    except InfeasibleError:
+        return None
 
 
 class TestParseGraph:
@@ -122,6 +152,85 @@ class TestNominalSolve:
                 float(costs @ np.array(x)) for x in enumerate_feasible(inst)
             )
             assert sol.value == pytest.approx(best, abs=1e-9)
+
+
+class TestForcedArcOracle:
+    """The topological-pass oracle against the exhaustive reference."""
+
+    def test_matches_exhaustive_search_on_relabelled_grids(self, rng):
+        infeasible = 0
+        for _ in range(400):
+            graph, s, t = relabelled_grid(
+                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            )
+            assert graph.topological_order is not None
+            if rng.random() < 0.3:
+                s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+            inst = Instance.spath(graph, s, t)
+            costs = rng.integers(0, 3, graph.n).astype(float)  # ties and zeros
+            paths = list(enumerate_feasible(inst))
+            pool = np.arange(graph.n)
+            if paths and rng.random() < 0.7:  # mostly arcs of one feasible path
+                pool = np.flatnonzero(paths[rng.integers(len(paths))])
+            k = min(int(rng.integers(1, 4)), len(pool))
+            fin = {int(a) for a in rng.choice(pool, k, replace=False)}
+            rest = [a for a in range(graph.n) if a not in fin]
+            n_out = min(int(rng.integers(0, 3)), len(rest))
+            fout = {int(a) for a in rng.choice(rest, n_out, replace=False)}
+            expected = reference_x(inst, costs, fin, fout)
+            assert solve_or_none(inst, costs, fin, fout) == expected
+            infeasible += expected is None
+        assert 50 < infeasible < 350
+
+    def test_chain_order_violation_infeasible(self):
+        graph, _ = gen_synthetic(3, 3, 2, seed=0)
+        inst = Instance.spath(graph, 0, 8)
+        # (0,1) then (3,4): node 3 cannot follow node 1 on a right/down path
+        fin = {graph.arcs.index((0, 1)), graph.arcs.index((3, 4))}
+        with pytest.raises(InfeasibleError):
+            nominal_solve(inst, np.ones(graph.n), forced_in=fin)
+
+    def test_cyclic_graph_uses_exhaustive_search(self, rng):
+        graph = Graph(
+            5,
+            ((0, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 4), (0, 2), (3, 2), (2, 4)),
+        )
+        assert graph.topological_order is None
+        inst = Instance.spath(graph, 0, 4)
+        paths = list(enumerate_feasible(inst))
+        for _ in range(30):
+            costs = rng.integers(0, 3, graph.n).astype(float)
+            for fin in [{a} for a in range(graph.n)] + [{1, 5}, {2, 4}, {0, 8}]:
+                members = [x for x in paths if all(x[a] for a in fin)]
+                expected = min(
+                    members,
+                    key=lambda x: (costs @ x, np.flatnonzero(x).tolist()),
+                    default=None,
+                )
+                assert solve_or_none(inst, costs, fin, ()) == expected
+
+    def test_forced_index_out_of_range_rejected(self, diamond_inst):
+        with pytest.raises(ValueError, match="out of range"):
+            nominal_solve(diamond_inst, (1, 1, 1, 1), forced_in={-1})
+
+
+class TestGraphStructure:
+    def test_adjacency_is_cached_and_immutable(self, diamond):
+        out = diamond.out_arcs()
+        assert out is diamond.out_arcs()
+        assert out == (((0, 1), (2, 2)), ((1, 3),), ((3, 3),), ())
+        with pytest.raises(TypeError):
+            out[0][0] = (9, 9)
+
+    def test_topological_order(self, diamond):
+        order, position = diamond.topological_order
+        assert sorted(order) == [0, 1, 2, 3]
+        for tail, head in diamond.arcs:
+            assert position[tail] < position[head]
+        assert all(order[position[v]] == v for v in range(4))
+
+    def test_self_loop_is_a_cycle(self):
+        assert Graph(2, ((0, 1), (1, 1))).topological_order is None
 
 
 class TestEnumerateFeasible:

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import time
+
 from robustmix import (
     BudgetedSet,
     EllipsoidSet,
     HullSet,
+    InfeasibleError,
     Instance,
     IntervalSet,
     Mixture,
     UnsupportedError,
+    build_mixture,
     evaluate_wrp,
     gen_synthetic,
     solve_auto,
@@ -20,7 +24,38 @@ from robustmix import (
     solve_local_search,
     solve_midpoint_approx,
 )
+from robustmix import solvers
+from robustmix.instances import nominal_solve
 from robustmix.verify import random_hull_mixture, random_instance
+
+README_MIX = [
+    {"weight": 0.7502, "type": "hull", "lambda": 0.2234},
+    {"weight": 0.9796, "type": "ellipsoid", "lambda": 5.4609},
+]
+HULL_MIX = [{"weight": 1.0, "type": "hull", "lambda": 0.5}]
+
+
+def corner_to_corner(width, specs):
+    graph, data = gen_synthetic(width, width, 40, "two_block", seed=1)
+    inst = Instance.spath(graph, 0, graph.num_nodes - 1)
+    return inst, build_mixture(specs, data)
+
+
+@pytest.fixture
+def counted_oracle(monkeypatch):
+    """Counts every nominal_solve call the solvers make, failed ones too."""
+    count = {"calls": 0, "infeasible": 0}
+
+    def counting(*args, **kwargs):
+        count["calls"] += 1
+        try:
+            return nominal_solve(*args, **kwargs)
+        except InfeasibleError:
+            count["infeasible"] += 1
+            raise
+
+    monkeypatch.setattr(solvers, "nominal_solve", counting)
+    return count
 
 
 def interval(hi, lo=None):
@@ -207,6 +242,31 @@ class TestBnb:
         # the root incumbent is still feasible
         assert sum(report.solution.x) > 0
 
+    @pytest.mark.parametrize("width", [10, 12])
+    def test_hull_grid_proven_optimal(self, width):
+        inst, mix = corner_to_corner(width, HULL_MIX)
+        assert solve_bnb(inst, mix, time_limit=30).optimal
+
+    def test_mixed_grid_matches_brute_force(self):
+        inst, mix = corner_to_corner(8, README_MIX)
+        report = solve_bnb(inst, mix)
+        assert report.optimal
+        assert report.solution.x == solve_brute_force(inst, mix).solution.x
+
+    def test_time_limit_at_paper_scale(self):
+        inst, mix = corner_to_corner(23, HULL_MIX)
+        start = time.monotonic()
+        report = solve_bnb(inst, mix, time_limit=1.0)
+        assert not report.optimal
+        assert time.monotonic() - start < 6.0
+
+    def test_oracle_calls_counts_every_attempt(self, counted_oracle):
+        graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
+        inst = Instance.spath(graph, 5, 15)
+        report = solve_bnb(inst, build_mixture(README_MIX, data))
+        assert report.oracle_calls == counted_oracle["calls"] > 1
+        assert counted_oracle["infeasible"] > 0
+
     def test_rejects_polyhedral(self, diamond_inst):
         from robustmix import PolyhedronSet
 
@@ -247,6 +307,13 @@ class TestLocalSearch:
         report = solve_local_search(Instance.selection(3, 1), mix, restarts=0)
         assert report.oracle_calls == 1
         assert report.solution.x == (1, 0, 0)
+
+    def test_oracle_calls_counts_every_attempt(self, counted_oracle):
+        graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
+        inst = Instance.spath(graph, 5, 15)
+        report = solve_local_search(inst, build_mixture(HULL_MIX, data))
+        assert report.oracle_calls == counted_oracle["calls"] > 4
+        assert counted_oracle["infeasible"] > 0
 
     def test_never_reports_optimal(self, diamond_inst):
         mix = Mixture(((1.0, interval([1.0, 1.0, 1.0, 1.0])),))
