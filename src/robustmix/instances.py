@@ -6,8 +6,11 @@ cardinality selection (choose exactly p of n items).  Both expose the
 same nominal oracle `nominal_solve`, which every reduction in the solver
 module is built on.
 
-All ties are broken towards the lexicographically smallest chosen
-item-index set, which makes every downstream method deterministic.
+Ties are broken towards the lexicographically smallest chosen
+item-index set, which makes every downstream method deterministic.  The
+rule is exact for selection, and for paths on an acyclic graph or with
+strictly positive costs; on a graph with a directed cycle, a zero-cost
+tie may break to another equal-cost path.
 """
 
 from __future__ import annotations
@@ -190,8 +193,9 @@ def _lexkey(arcs) -> tuple[int, ...]:
 
 
 def _dijkstra(graph: Graph, costs, source: int, target: int, banned: frozenset):
-    """Label-setting shortest path; ties towards the lexicographically
-    smallest arc-index set.  Returns (cost, arcs) or None."""
+    """Label-setting shortest path, used on graphs with a directed cycle;
+    ties towards the lexicographically smallest arc-index set, which is
+    exact for strictly positive costs.  Returns (cost, arcs) or None."""
     out = graph.out_arcs()
     done = set()
     heap = [(0.0, (), source, ())]
@@ -213,54 +217,70 @@ def _dijkstra(graph: Graph, costs, source: int, target: int, banned: frozenset):
 
 
 def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
-    """Forced-arc shortest path on an acyclic graph in one topological pass.
+    """Shortest path on an acyclic graph in one topological pass.
 
     A path visits nodes in topological order, so it takes the forced arcs
     in the order of their tails and, between two of them, stays inside
     the segment of the order from one forced head to the next forced
-    tail.  A forced set that is not such a chain is infeasible.  Each
-    segment is relaxed node by node from its start; labels that land past
-    its end are never read.  Each node and arc is visited at most once,
-    at the cost of copying one path label.  Labels keep the
-    best (cost, lexicographic arc set) per node; this is exact for ties
-    because two distinct paths with the same endpoints are never subsets
-    of each other.  Returns (cost, arcs) or None.
+    tail.  A forced set that is not such a chain is infeasible; without
+    forced arcs the only segment is source -> target.  Each segment is
+    relaxed node by node from its start into a fresh distance list, so
+    labels that land past its end are never read; the predecessor arcs
+    are kept across segments and rebuild the whole path from the target.
+    Each node and arc is visited at most once.  A node's label is final
+    before its out-arcs are relaxed, so on an exact cost tie both
+    candidate paths are rebuilt from the predecessors and the smaller
+    sorted arc set wins; this is exact because two distinct paths with
+    the same endpoints are never subsets of each other.  Returns
+    (cost, arcs in path order) or None.
     """
     order, position = graph.topological_order
-    forced = sorted(forced_in, key=lambda a: position[graph.arcs[a][0]])
+    arcs = graph.arcs
+    forced = sorted(forced_in, key=lambda a: position[arcs[a][0]])
     # source, tail_1, head_1, ..., tail_k, head_k, target: pairs are segments
-    ends = [source, *(v for a in forced for v in graph.arcs[a]), target]
+    ends = [source, *(v for a in forced for v in arcs[a]), target]
     segments = list(zip(ends[::2], ends[1::2]))
     if any(position[a] > position[b] for a, b in segments):
         return None
 
     out = graph.out_arcs()
     c = costs.tolist()
-    label = (0.0, ())
+    inf = float("inf")
+    pred = [-1] * graph.num_nodes  # arc into each labelled node
+
+    def path_to(v):
+        path = []
+        while pred[v] >= 0:
+            path.append(pred[v])
+            v = arcs[pred[v]][0]
+        return path
+
+    reached = 0.0
     for i, (start, end) in enumerate(segments):
+        dist = [inf] * graph.num_nodes
         if i:
-            arc = forced[i - 1]
-            label = (label[0] + c[arc], label[1] + (arc,))
-        labels = {start: label}
+            pred[start] = forced[i - 1]
+            reached += c[forced[i - 1]]
+        dist[start] = reached
         for v in order[position[start] : position[end]]:
-            if v not in labels:
+            dv = dist[v]
+            if dv == inf:
                 continue
-            dist, arcs = labels[v]
             for arc_idx, head in out[v]:
                 if arc_idx in forced_out:
                     continue
-                cand = (dist + c[arc_idx], arcs + (arc_idx,))
-                old = labels.get(head)
-                if (
-                    old is None
-                    or cand[0] < old[0]
-                    or (cand[0] == old[0] and _lexkey(cand[1]) < _lexkey(old[1]))
+                nd = dv + c[arc_idx]
+                od = dist[head]
+                if nd < od or (
+                    nd == od
+                    and sorted(path_to(v) + [arc_idx]) < sorted(path_to(head))
                 ):
-                    labels[head] = cand
-        if end not in labels:
+                    dist[head] = nd
+                    pred[head] = arc_idx
+        reached = dist[end]
+        if reached == inf:
             return None
-        label = labels[end]
-    return label
+    return reached, path_to(target)[::-1]
 
 
 def _spath_branching(graph, costs, source, target, forced_in, forced_out):
@@ -311,11 +331,15 @@ def nominal_solve(
     forced_in items must appear in the solution, forced_out must not.
     Raises InfeasibleError when no feasible solution remains.
 
-    Cost per call: selection sorts the items once.  A path without
-    forced_in items is one Dijkstra run.  With forced_in items, an acyclic
-    graph takes one topological pass over its nodes and arcs; only a
-    graph with a directed cycle falls back to exhaustive simple-path
-    search, which is exponential in the graph size.
+    Ties break towards the lexicographically smallest item set: exactly
+    for selection, and for paths on an acyclic graph or with strictly
+    positive costs.
+
+    Cost per call: selection sorts the items once.  A path on an acyclic
+    graph, with or without forced_in items, takes one topological pass
+    over its nodes and arcs.  Only a graph with a directed cycle uses
+    Dijkstra without forced_in items, or exhaustive simple-path search
+    with them, which is exponential in the graph size.
     """
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (inst.n,):
@@ -343,15 +367,13 @@ def nominal_solve(
 
     if np.any(costs < 0):
         raise ValueError("spath oracle requires nonnegative costs")
-    if fin:
-        search = (
-            _spath_branching
-            if inst.graph.topological_order is None
-            else _spath_acyclic
-        )
-        res = search(inst.graph, costs, inst.source, inst.target, fin, fout)
+    graph, s, t = inst.graph, inst.source, inst.target
+    if graph.topological_order is not None:
+        res = _spath_acyclic(graph, costs, s, t, fin, fout)
+    elif fin:
+        res = _spath_branching(graph, costs, s, t, fin, fout)
     else:
-        res = _dijkstra(inst.graph, costs, inst.source, inst.target, fout)
+        res = _dijkstra(graph, costs, s, t, fout)
     if res is None:
         raise InfeasibleError(
             f"no path from {inst.source} to {inst.target} under restrictions"

@@ -109,7 +109,7 @@ def solve_budgeted_mix(
         )
 
     weights = [w for w, _ in mix.components]
-    best = None  # (reduced value, lexset, solution)
+    best = None  # (reduced value, solution)
     calls = 0
     for pis in itertools.product(*candidate_lists):
         costs = np.zeros(inst.n)
@@ -120,12 +120,14 @@ def solve_budgeted_mix(
         sol = nominal_solve(inst, costs)
         calls += 1
         value = sol.value + const
-        lex = _lexset(sol.x)
-        if best is None or _better(value, lex, best[0], best[1]):
-            best = (value, lex, sol)
-    obj = evaluate_wrp(mix, best[2].x)
+        # the choice _better makes, with lex keys built only for a tie
+        if best is None or value < best[0] - 1e-12:
+            best = (value, sol)
+        elif value <= best[0] + 1e-12 and _lexset(sol.x) < _lexset(best[1].x):
+            best = (value, sol)
+    obj = evaluate_wrp(mix, best[1].x)
     return SolveReport(
-        Solution(best[2].x, obj), obj, "budgeted-enum", True, oracle_calls=calls
+        Solution(best[1].x, obj), obj, "budgeted-enum", True, oracle_calls=calls
     )
 
 
@@ -158,7 +160,9 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     The objective is linear(x) + w sqrt(S(x)) with S linear in binary x,
     so the optimum sits on the lower-left hull of the (linear, S)
     projection; a recursive dichotomic scan over scalarization slopes
-    collects all supported solutions and picks the true best.
+    collects all supported solutions and picks the true best.  The
+    report says optimal=False when the 200-step theta push or the
+    depth-60 scan cap cut the search.
     """
     linear = np.zeros(inst.n)
     ell = None
@@ -209,7 +213,9 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     v_min = pair(sol_v)[1]
 
     # Push theta up until variance minimization dominates, so the
-    # (min-variance, min-linear) corner itself is collected.
+    # (min-variance, min-linear) corner itself is collected.  Either cap
+    # cutting the search leaves the result unproven.
+    proved = True
     theta = 1.0
     sol_r = sol_l
     for _ in range(200):
@@ -218,9 +224,13 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
         if pair(sol_r)[1] <= v_min + 1e-12:
             break
         theta *= 4.0
+    else:
+        proved = False
 
     def scan(left: Solution, right: Solution, depth: int = 0):
+        nonlocal proved
         if depth > 60:
+            proved = False
             return
         l_l, s_l = pair(left)
         l_r, s_r = pair(right)
@@ -250,7 +260,7 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
             best = (obj, lex, sol)
     obj = evaluate_wrp(mix, best[2].x)
     return SolveReport(
-        Solution(best[2].x, obj), obj, "parametric", True, oracle_calls=calls
+        Solution(best[2].x, obj), obj, "parametric", proved, oracle_calls=calls
     )
 
 

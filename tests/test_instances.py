@@ -12,7 +12,13 @@ from robustmix import (
     parse_graph,
     sample_st_pairs,
 )
+from robustmix import instances
 from robustmix.instances import _spath_branching, enumerate_feasible
+
+# Two equal-cost 0 -> 2 paths: {1} is found first, {0, 2} is
+# lexicographically smaller and reaches node 2 over a zero-cost arc.
+ZERO_TIE_ARCS = ((1, 2), (0, 2), (0, 1))
+ZERO_TIE_COSTS = (0.0, 1.0, 1.0)
 
 
 def relabelled_grid(rng, width, height):
@@ -25,6 +31,19 @@ def relabelled_grid(rng, width, height):
         for a in rng.permutation(grid.n)
     )
     return Graph(grid.num_nodes, arcs), int(nodes[0]), int(nodes[-1])
+
+
+def random_grid_case(rng):
+    """A relabelled grid of 2..4 x 2..4 nodes, corner to corner or (30%)
+    between two random nodes, with tie-heavy 0/1/2 costs."""
+    graph, s, t = relabelled_grid(
+        rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    )
+    assert graph.topological_order is not None
+    if rng.random() < 0.3:
+        s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+    inst = Instance.spath(graph, s, t)
+    return inst, rng.integers(0, 3, graph.n).astype(float)
 
 
 def reference_x(inst, costs, forced_in, forced_out):
@@ -160,14 +179,8 @@ class TestForcedArcOracle:
     def test_matches_exhaustive_search_on_relabelled_grids(self, rng):
         infeasible = 0
         for _ in range(400):
-            graph, s, t = relabelled_grid(
-                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))
-            )
-            assert graph.topological_order is not None
-            if rng.random() < 0.3:
-                s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
-            inst = Instance.spath(graph, s, t)
-            costs = rng.integers(0, 3, graph.n).astype(float)  # ties and zeros
+            inst, costs = random_grid_case(rng)
+            graph = inst.graph
             paths = list(enumerate_feasible(inst))
             pool = np.arange(graph.n)
             if paths and rng.random() < 0.7:  # mostly arcs of one feasible path
@@ -181,6 +194,48 @@ class TestForcedArcOracle:
             assert solve_or_none(inst, costs, fin, fout) == expected
             infeasible += expected is None
         assert 50 < infeasible < 350
+
+    def test_plain_calls_match_exhaustive_search_on_relabelled_grids(self, rng):
+        infeasible = 0
+        for _ in range(400):
+            inst, costs = random_grid_case(rng)
+            n_out = int(rng.integers(0, 4))
+            fout = {int(a) for a in rng.choice(inst.n, n_out, replace=False)}
+            expected = reference_x(inst, costs, (), fout)
+            assert solve_or_none(inst, costs, (), fout) == expected
+            infeasible += expected is None
+        assert 50 < infeasible < 350
+
+    def test_zero_cost_tie_on_acyclic_graph(self):
+        inst = Instance.spath(Graph(3, ZERO_TIE_ARCS), 0, 2)
+        assert nominal_solve(inst, ZERO_TIE_COSTS).items == (0, 2)
+
+    def test_dijkstra_only_on_cyclic_graphs(self, monkeypatch, diamond_inst, rng):
+        class DijkstraCalled(Exception):
+            pass
+
+        def refuse(*args):
+            raise DijkstraCalled
+
+        monkeypatch.setattr(instances, "_dijkstra", refuse)
+        assert nominal_solve(diamond_inst, (1, 1, 5, 5)).items == (0, 1)
+        for _ in range(20):
+            inst, costs = random_grid_case(rng)
+            solve_or_none(inst, costs, (), ())
+        cyclic = Instance.spath(Graph(3, ((0, 1), (1, 2), (2, 1))), 0, 2)
+        with pytest.raises(DijkstraCalled):
+            nominal_solve(cyclic, (1, 1, 1))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Dijkstra's per-node lexicographic label is exact only for "
+        "strictly positive costs",
+    )
+    def test_zero_cost_tie_on_cyclic_graph(self):
+        graph = Graph(5, ZERO_TIE_ARCS + ((3, 4), (4, 3)))
+        assert graph.topological_order is None
+        inst = Instance.spath(graph, 0, 2)
+        assert nominal_solve(inst, ZERO_TIE_COSTS + (1.0, 1.0)).items == (0, 2)
 
     def test_chain_order_violation_infeasible(self):
         graph, _ = gen_synthetic(3, 3, 2, seed=0)

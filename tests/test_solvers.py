@@ -207,6 +207,25 @@ class TestEllipsoidParametric:
         order = np.argsort(mu, kind="stable")
         assert report.solution.items == tuple(sorted(int(i) for i in order[:2]))
 
+    def test_theta_push_cap_is_not_a_proof(self, monkeypatch):
+        mu = np.array([1.0, 2.0])
+        mix = Mixture(((1.0, EllipsoidSet(mu, np.diag([9.0, 0.0]), 1.0)),))
+        inst = Instance.selection(2, 1)
+        assert solve_ellipsoid_parametric(inst, mix).optimal
+        calls = []
+
+        def stuck(inst_, costs, *args, **kwargs):
+            # theta = 0 and the variance minimum are answered; every
+            # theta of the push gets the high-variance item 0 back
+            calls.append(costs)
+            return nominal_solve(inst_, costs if len(calls) <= 2 else mu)
+
+        monkeypatch.setattr(solvers, "nominal_solve", stuck)
+        report = solve_ellipsoid_parametric(inst, mix)
+        assert len(calls) == 202
+        assert not report.optimal
+        assert report.solution.x == (0, 1)
+
     def test_rejects_non_diagonal(self):
         sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
         mix = Mixture(((1.0, EllipsoidSet(np.ones(2), sigma, 1.0)),))
