@@ -4,9 +4,6 @@ Every subcommand reads and writes plain files, prints a short summary
 and drops a run manifest next to its primary output so runs can be
 reproduced exactly.  Exit codes: 0 success, 2 invalid input, 3
 infeasible, 4 budget or timeout with partial output.
-
-The --threads flag sizes the worker pool; evaluation is currently
-sequential and results never depend on it.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     CapExceededError,
@@ -29,15 +24,12 @@ from .errors import (
     UnsupportedError,
 )
 from .evaluation import (
-    Metrics,
     export_tradeoffs,
-    scalarize,
     score,
     split_scenarios,
     weight_grid,
 )
 from .instances import (
-    Graph,
     Instance,
     Solution,
     gen_synthetic,
@@ -120,15 +112,16 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
     return w
 
 
+# --method name -> call(inst, mix, args); the sorted names are the choices.
 METHODS = {
-    "auto": None,
-    "brute": solve_brute_force,
-    "bnb": solve_bnb,
-    "budgeted-enum": solve_budgeted_mix,
-    "interval": solve_interval_mix,
-    "midpoint": solve_midpoint_approx,
-    "parametric": solve_ellipsoid_parametric,
-    "local": solve_local_search,
+    "auto": lambda inst, mix, args: solve_auto(inst, mix, max_nodes=args.max_nodes),
+    "brute": lambda inst, mix, args: solve_brute_force(inst, mix),
+    "bnb": lambda inst, mix, args: solve_bnb(inst, mix, max_nodes=args.max_nodes),
+    "budgeted-enum": lambda inst, mix, args: solve_budgeted_mix(inst, mix),
+    "interval": lambda inst, mix, args: solve_interval_mix(inst, mix),
+    "midpoint": lambda inst, mix, args: solve_midpoint_approx(inst, mix),
+    "parametric": lambda inst, mix, args: solve_ellipsoid_parametric(inst, mix),
+    "local": lambda inst, mix, args: solve_local_search(inst, mix, seed=args.seed),
 }
 
 
@@ -160,17 +153,6 @@ def _cmd_pairs(args, argv, started):
     return EXIT_OK
 
 
-def _run_method(inst, mix, args):
-    method = args.method
-    if method == "auto":
-        return solve_auto(inst, mix, max_nodes=args.max_nodes)
-    if method == "bnb":
-        return solve_bnb(inst, mix, max_nodes=args.max_nodes)
-    if method == "local":
-        return solve_local_search(inst, mix, seed=args.seed)
-    return METHODS[method](inst, mix)
-
-
 def _cmd_solve(args, argv, started):
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
@@ -187,14 +169,8 @@ def _cmd_solve(args, argv, started):
             raise ParseError("need --source/--target or --pairs")
         pairs = [(args.source, args.target)]
     records = []
-    budget_hit = False
     for s, t in pairs:
-        inst = Instance.spath(graph, s, t)
-        report = _run_method(inst, mix, args)
-        budget_hit = budget_hit or not report.optimal and args.method in (
-            "auto",
-            "bnb",
-        )
+        report = METHODS[args.method](Instance.spath(graph, s, t), mix, args)
         records.append(
             {
                 "source": s,
@@ -214,13 +190,22 @@ def _cmd_solve(args, argv, started):
     return EXIT_OK
 
 
+def _load_solutions(text: str) -> list[Solution]:
+    """Parse the solutions JSON that `solve --out` writes."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("solutions"), list):
+        raise ParseError("solutions JSON must be an object with a 'solutions' list")
+    solutions = []
+    for i, rec in enumerate(doc["solutions"]):
+        if not isinstance(rec, dict) or not isinstance(rec.get("x"), list):
+            raise ParseError(f"solution record {i} needs an 'x' list")
+        solutions.append(Solution(tuple(rec["x"]), float(rec.get("objective", 0.0))))
+    return solutions
+
+
 def _cmd_evaluate(args, argv, started):
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    doc = json.loads(_read(args.solutions))
-    solutions = [
-        Solution(tuple(rec["x"]), float(rec.get("objective", 0.0)))
-        for rec in doc["solutions"]
-    ]
+    solutions = _load_solutions(_read(args.solutions))
     metrics = score(solutions, scenarios, args.alpha)
     print(metrics.format_line())
     outputs = []
@@ -349,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--manifest", default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic grid instance")

@@ -7,6 +7,7 @@ the library cannot silently relax the gate.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_criterion_6_mip_emission(capsys, tmp_path):
         path = str(tmp_path / f"model_{trial}.lp")
         stats = emit_model(inst, mix, path)
         assert stats == expected_stats(inst, mix)
-        grammar = check_lp_grammar(open(path).read())
+        grammar = check_lp_grammar(Path(path).read_text())
         assert grammar == [], grammar
         best = solve_brute_force(inst, mix)
         check = check_emitted(inst, mix, best.solution, path)
@@ -350,11 +351,11 @@ def test_criterion_8_determinism(capsys, tmp_path):
                     if flag in argv:
                         primary = argv[argv.index(flag) + 1]
             manifest_path = primary + ".manifest.json"
-        manifest = json.load(open(manifest_path))
-        before = {p: open(p, "rb").read() for p in manifest["outputs"]}
+        manifest = json.loads(Path(manifest_path).read_text())
+        before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
         assert cli_main(manifest["argv"]) == 0, manifest["argv"]
         for p, blob in before.items():
-            assert open(p, "rb").read() == blob, f"{argv[0]} output {p} changed"
+            assert Path(p).read_bytes() == blob, f"{argv[0]} output {p} changed"
 
     elapsed = time.monotonic() - started
     report(

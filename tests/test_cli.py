@@ -1,8 +1,11 @@
+import argparse
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from robustmix import cli
 from robustmix.cli import main
 
 
@@ -70,7 +73,7 @@ class TestSolve:
         assert code == 0
         assert captured.out.startswith("objective=")
         assert "optimal=true" in captured.out
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert len(doc["solutions"]) == 1
         assert os.path.exists(out + ".manifest.json")
 
@@ -160,7 +163,53 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == 0
         assert captured.out.startswith("avg=")
-        assert open(out).read().strip() == captured.out.strip()
+        assert Path(out).read_text().strip() == captured.out.strip()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([{"x": [1, 0]}], "'solutions' list"),
+            ({"records": []}, "'solutions' list"),
+            ({"solutions": [{"objective": 1.0}]}, "record 0 needs an 'x' list"),
+        ],
+    )
+    def test_malformed_solutions_invalid(self, workdir, capsys, doc, message):
+        sol_path = workdir["dir"] / "sol.json"
+        sol_path.write_text(json.dumps(doc))
+        code = main(
+            [
+                "evaluate",
+                "--solutions", str(sol_path),
+                "--scenarios", workdir["scenarios"],
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+
+class TestMethods:
+    @pytest.mark.parametrize(
+        "method, solver, kwargs",
+        [
+            ("auto", "solve_auto", {"max_nodes": 7}),
+            ("brute", "solve_brute_force", {}),
+            ("bnb", "solve_bnb", {"max_nodes": 7}),
+            ("budgeted-enum", "solve_budgeted_mix", {}),
+            ("interval", "solve_interval_mix", {}),
+            ("midpoint", "solve_midpoint_approx", {}),
+            ("parametric", "solve_ellipsoid_parametric", {}),
+            ("local", "solve_local_search", {"seed": 3}),
+        ],
+    )
+    def test_method_table(self, monkeypatch, method, solver, kwargs):
+        """Each --method calls its solver with the options it takes."""
+        calls = []
+        monkeypatch.setattr(cli, solver, lambda *a, **k: calls.append((a, k)))
+        cli.METHODS[method]("inst", "mix", argparse.Namespace(max_nodes=7, seed=3))
+        assert calls == [(("inst", "mix"), kwargs)]
+
+    def test_threads_flag_gone(self, capsys):
+        assert main(["verify", "--trials", "1", "--threads", "2"]) == 2
 
 
 class TestBaselineAndTune:
@@ -179,7 +228,7 @@ class TestBaselineAndTune:
         )
         assert code == 0
         assert "rows=82" in capsys.readouterr().out
-        assert len(open(out).read().splitlines()) == 83
+        assert len(Path(out).read_text().splitlines()) == 83
 
     def test_tune_requires_weights(self, workdir, capsys):
         code = main(
@@ -212,9 +261,9 @@ class TestBaselineAndTune:
         )
         assert code == 0
         assert "budget=100" in capsys.readouterr().out
-        doc = json.load(open(out))
+        doc = json.loads(Path(out).read_text())
         assert doc["components"]
-        assert open(trace).read().splitlines()[0] == "generation,config_id,pairs,cost,params"
+        assert Path(trace).read_text().splitlines()[0] == "generation,config_id,pairs,cost,params"
 
 
 class TestEmitMip:
@@ -262,14 +311,14 @@ class TestVerify:
 
 class TestManifests:
     def test_manifest_records_argv(self, workdir):
-        manifest = json.load(open(workdir["graph"] + ".manifest.json"))
+        manifest = json.loads(Path(workdir["graph"] + ".manifest.json").read_text())
         assert manifest["command"] == "gen"
         assert "--seed" in manifest["argv"]
         assert manifest["outputs"] == [workdir["graph"], workdir["scenarios"]]
 
     def test_rerun_from_manifest_is_byte_identical(self, workdir):
-        manifest = json.load(open(workdir["graph"] + ".manifest.json"))
-        before = {p: open(p, "rb").read() for p in manifest["outputs"]}
+        manifest = json.loads(Path(workdir["graph"] + ".manifest.json").read_text())
+        before = {p: Path(p).read_bytes() for p in manifest["outputs"]}
         assert main(manifest["argv"]) == 0
         for p, blob in before.items():
-            assert open(p, "rb").read() == blob
+            assert Path(p).read_bytes() == blob

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,20 +145,20 @@ class TestExportTradeoffs:
         ]
         path = str(tmp_path / "tradeoffs.csv")
         assert export_tradeoffs(records, path) == 41
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "label,sample,avg,max,cvar"
         assert len(lines) == 83
 
     def test_empty_records(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         assert export_tradeoffs([], path) == 0
-        assert open(path).read().splitlines() == ["label,sample,avg,max,cvar"]
+        assert Path(path).read_text().splitlines() == ["label,sample,avg,max,cvar"]
 
     def test_round_trip(self, tmp_path):
         m_in, m_out = Metrics(1.234567, 5.0, 2.5), Metrics(2.0, 6.0, 3.0)
         path = str(tmp_path / "rt.csv")
         export_tradeoffs([("a", m_in, m_out)], path)
-        rows = parse_tradeoffs(open(path).read())
+        rows = parse_tradeoffs(Path(path).read_text())
         assert rows[0][0] == "a" and rows[0][1] == "in"
         assert rows[0][2].avg == pytest.approx(m_in.avg, abs=1e-6)
         assert rows[1][2].max == pytest.approx(m_out.max, abs=1e-6)

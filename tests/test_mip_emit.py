@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestEmitAndParse:
         inst, mix = budgeted_selection()
         path = str(tmp_path / "model.lp")
         stats = emit_model(inst, mix, path)
-        text = open(path).read()
+        text = Path(path).read_text()
         assert check_lp_grammar(text) == []
         model = parse_lp(text)
         assert len(model.general) == stats.num_binary
@@ -69,14 +71,14 @@ class TestEmitAndParse:
         inst, mix = hull_diamond(diamond)
         path = str(tmp_path / "model.lp")
         emit_model(inst, mix, path)
-        assert check_lp_grammar(open(path).read()) == []
+        assert check_lp_grammar(Path(path).read_text()) == []
 
     def test_emission_deterministic(self, tmp_path, diamond):
         inst, mix = hull_diamond(diamond)
         a, b = str(tmp_path / "a.lp"), str(tmp_path / "b.lp")
         emit_model(inst, mix, a)
         emit_model(inst, mix, b)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_parse_rejects_bad_section_order(self):
         with pytest.raises(ParseError, match="section"):
@@ -120,7 +122,7 @@ class TestCheckEmitted:
         inst, mix = budgeted_selection()
         path = str(tmp_path / "model.lp")
         emit_model(inst, mix, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         # drop the first dual row
         del lines[next(i for i, ln in enumerate(lines) if ln.startswith(" bud_"))]
         with open(path, "w") as fh:
@@ -135,7 +137,7 @@ class TestCheckEmitted:
         mix = Mixture(((1.0, PolyhedronSet(np.eye(2), np.array([3.0, 4.0]))),))
         path = str(tmp_path / "model.lp")
         emit_model(inst, mix, path)
-        assert check_lp_grammar(open(path).read()) == []
+        assert check_lp_grammar(Path(path).read_text()) == []
         from robustmix import Solution
 
         check = check_emitted(inst, mix, Solution((1, 0), 0.0), path)
@@ -152,7 +154,7 @@ class TestCheckEmitted:
             path = str(tmp_path / f"m{trial}.lp")
             stats = emit_model(inst, mix, path)
             assert stats == expected_stats(inst, mix)
-            assert check_lp_grammar(open(path).read()) == []
+            assert check_lp_grammar(Path(path).read_text()) == []
             best = solve_brute_force(inst, mix)
             check = check_emitted(inst, mix, best.solution, path)
             assert check.ok and check.objective_match, check.message

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -18,6 +20,7 @@ from robustmix import (
     center,
     worst_case,
 )
+from robustmix.instances import gen_synthetic
 from robustmix.uncertainty import mixture_spec_from_json, mixture_spec_to_json
 
 TWO_ROWS = ScenarioMatrix(np.array([[0.0, 0.0], [2.0, 4.0]]))
@@ -40,6 +43,62 @@ class TestScenarioMatrix:
     def test_non_numeric_rejected(self):
         with pytest.raises(ParseError, match="non-numeric"):
             ScenarioMatrix.from_csv("arc_0,arc_1\n1,x\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n",
+            "arc_0\rarc_1\n1,2\n",
+            'arc_0,"arc_1\n1,2\n',
+            "arc_0,arc_1\n",
+            "arc_0,arc_1\n\n\r\n",
+            "arc_0,arc_1\n1,2\n3,4,5\n",
+            "arc_0,arc_1\n1,2,\n",
+            "arc_0,arc_1\n1,\n",
+            "arc_0,arc_1\n1,2\n  \n",
+            "arc_0,arc_1\n1,2\n#3,4\n",
+            "arc_0,arc_1\n1,2\r3,4\n",
+        ],
+    )
+    def test_malformed_rejected(self, text):
+        """Each case raises ParseError; a parser warning fails the test."""
+        with pytest.raises(ParseError):
+            ScenarioMatrix.from_csv(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "arc_0,arc_1\n1.5,2\n3,4.25\n",
+            "\narc_0,arc_1\n\n1.5,2\n\n3,4.25\n\n",
+            "arc_0,arc_1\r\n1.5,2\r\n3,4.25\r\n",
+            '"arc_0","arc_1"\n"1.5",2\n3,"4.25"\n',
+            "arc_0,arc_1\n 1.5 ,\t2\n3 , 4.25\n",
+            "arc_0,arc_1\n1.5e0,+2\n3,4.25",
+        ],
+    )
+    def test_accepted_variants(self, text):
+        """Blank lines, CRLF, quotes, padding and no final newline."""
+        assert ScenarioMatrix.from_csv(text).costs.tolist() == [[1.5, 2.0], [3.0, 4.25]]
+
+    @pytest.mark.parametrize("source", ["paper-scale", "repr"])
+    def test_parse_bit_identical_to_float(self, source):
+        """The C parse gives the same bits as one float() per entry."""
+        if source == "paper-scale":
+            text = gen_synthetic(23, 23, 271, "two_block", seed=1)[1].to_csv()
+        else:
+            rng = np.random.default_rng(7)
+            values = rng.uniform(0, 1, (40, 9)) * 10.0 ** rng.integers(-8, 9, (40, 9))
+            text = "".join(
+                ",".join(items) + "\n"
+                for items in [[f"arc_{i}" for i in range(9)]]
+                + [[repr(float(v)) for v in row] for row in values]
+            )
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        reference = np.array([[float(v) for v in row] for row in rows])
+        parsed = ScenarioMatrix.from_csv(text).costs
+        assert parsed.shape == reference.shape
+        assert np.array_equal(parsed.view(np.int64), reference.view(np.int64))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +129,23 @@ class TestBuildSet:
         uset = build_set(TWO_ROWS, "hull", 1.0)
         assert uset.num_points == 2
         assert np.allclose(sorted(map(tuple, uset.points)), [[0, 0], [2, 4]])
+
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 1.0])
+    def test_hull_dedupe_keeps_first_seen_order(self, rng, lam):
+        """Same points, in the same order, as the pairwise array_equal scan."""
+        costs = rng.integers(0, 3, (60, 3)).astype(float)
+        costs[::7, 0] = -0.0
+        costs[::5, 0] = 0.0
+        data = ScenarioMatrix(costs)
+        points = data.costs.mean(axis=0) + lam * (data.costs - data.costs.mean(axis=0))
+        unique = []
+        for row in points:
+            if not any(np.array_equal(row, u) for u in unique):
+                unique.append(row)
+        uset = build_set(data, "hull", lam)
+        assert np.array_equal(uset.points, np.array(unique))
+        if lam == 0.0:
+            assert uset.num_points == 1
 
     def test_budgeted_needs_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
@@ -104,6 +180,45 @@ class TestBuildSet:
         ):
             values = [worst_case(build_set(data, set_type, lam), x)[0] for lam in lams]
             assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
+
+
+def _sigma_with_spectrum(eigenvalues, seed=0):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(5, 5)))
+    sigma = q @ np.diag(eigenvalues) @ q.T
+    return (sigma + sigma.T) / 2
+
+
+class TestEllipsoidPsdCheck:
+    @pytest.mark.parametrize(
+        "smallest, accepted",
+        [(1e-3, True), (0.0, True), (-5e-10, True), (-2e-9, False), (-1e-3, False)],
+    )
+    def test_boundary(self, smallest, accepted):
+        sigma = _sigma_with_spectrum([smallest, 0.5, 1.0, 2.0, 4.0])
+        assert (np.linalg.eigvalsh(sigma).min() >= -1e-9) == accepted
+        if accepted:
+            EllipsoidSet(np.ones(5), sigma, 1.0)
+        else:
+            with pytest.raises(ValueError, match="semidefinite"):
+                EllipsoidSet(np.ones(5), sigma, 1.0)
+
+    def test_exact_boundary(self):
+        """Cholesky of sigma + 1e-9 I fails here; eigvalsh decides."""
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.diag([0.0, 1.0, 2.0]))
+        EllipsoidSet(np.ones(3), np.diag([-1e-9, 1.0, 2.0]), 1.0)
+        with pytest.raises(ValueError, match="semidefinite"):
+            EllipsoidSet(np.ones(3), np.diag([-1.0000001e-9, 1.0, 2.0]), 1.0)
+
+    def test_singular_psd_accepted(self):
+        EllipsoidSet(np.ones(5), _sigma_with_spectrum([0.0, 0.0, 0.0, 1.0, 3.0]), 2.0)
+        EllipsoidSet(np.ones(3), np.zeros((3, 3)), 2.0)
+
+    def test_asymmetric_rejected(self):
+        sigma = np.eye(3)
+        sigma[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            EllipsoidSet(np.ones(3), sigma, 1.0)
 
 
 class TestWorstCase:
