@@ -30,6 +30,7 @@ from .instances import (
     gen_synthetic,
     graph_to_text,
     nominal_solve,
+    nominal_values,
     parse_graph,
     sample_st_pairs,
 )

@@ -3,7 +3,12 @@
 Every subcommand reads and writes plain files, prints a short summary
 and drops a run manifest next to its primary output so runs can be
 reproduced exactly.  Exit codes: 0 success, 2 invalid input, 3
-infeasible, 4 budget or timeout with partial output.
+infeasible, 4 budget or timeout with partial output: an enumeration cap
+was exceeded, `tune` did not evaluate a configuration on every pair, or
+a `solve` record comes from a branch-and-bound or parametric search
+that stopped before a proof (the solutions file is still written).
+The heuristic methods `midpoint` and `local` never prove optimality and
+exit 0.
 """
 
 from __future__ import annotations
@@ -169,8 +174,10 @@ def _cmd_solve(args, argv, started):
             raise ParseError("need --source/--target or --pairs")
         pairs = [(args.source, args.target)]
     records = []
+    cut_short = False
     for s, t in pairs:
         report = METHODS[args.method](Instance.spath(graph, s, t), mix, args)
+        cut_short |= report.method in ("bnb", "parametric") and not report.optimal
         records.append(
             {
                 "source": s,
@@ -187,7 +194,7 @@ def _cmd_solve(args, argv, started):
             json.dump({"solutions": records}, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _write_manifest(args, argv, [args.out], started)
-    return EXIT_OK
+    return EXIT_BUDGET if cut_short else EXIT_OK
 
 
 def _load_solutions(text: str) -> list[Solution]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -384,6 +384,60 @@ def nominal_solve(
         x[a] = 1
     value = float(sum(costs[a] for a in arcs))
     return Solution(tuple(x), value)
+
+
+def nominal_values(inst: Instance, block) -> np.ndarray:
+    """Optimal nominal value of every column of an (n, B) cost block.
+
+    Column j of the result equals `nominal_solve(inst, block[:, j]).value`
+    bit for bit; no solution is built.  The block is checked as
+    `nominal_solve` checks one cost vector, and a target that no path
+    reaches raises InfeasibleError with its message.
+
+    Cost: on an acyclic path instance, one topological pass from the
+    source to the target whose node labels are length-B vectors, so the
+    B columns share every Python step: each relaxed arc is one vector
+    addition and one in-place minimum, and a label is dropped once its
+    node's out-arcs are relaxed, so at most the open frontier of labels
+    is held.  Each column's value is the minimum over the same sums, in
+    the same order, as `_spath_acyclic`, hence the same bits.  Selection
+    and graphs with a directed cycle call `nominal_solve` once per
+    column.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] != inst.n:
+        raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
+    if not np.all(np.isfinite(block)):
+        raise ValueError("costs must be finite")
+    if inst.kind == "selection" or inst.graph.topological_order is None:
+        return np.array(
+            [nominal_solve(inst, block[:, j]).value for j in range(block.shape[1])]
+        )
+    if np.any(block < 0):
+        raise ValueError("spath oracle requires nonnegative costs")
+
+    graph, s, t = inst.graph, inst.source, inst.target
+    order, position = graph.topological_order
+    out = graph.out_arcs()
+    label: list[np.ndarray | None] = [None] * graph.num_nodes
+    label[s] = np.zeros(block.shape[1])
+    for v in order[position[s] : position[t]]:
+        dv = label[v]
+        if dv is None:
+            continue
+        label[v] = None
+        for arc_idx, head in out[v]:
+            nd = dv + block[arc_idx]
+            od = label[head]
+            if od is None:
+                label[head] = nd
+            else:
+                np.minimum(od, nd, out=od)
+    if label[t] is None:
+        raise InfeasibleError(
+            f"no path from {inst.source} to {inst.target} under restrictions"
+        )
+    return label[t]
 
 
 def enumerate_feasible(inst: Instance, cap: int | None = None):

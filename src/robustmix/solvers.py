@@ -14,13 +14,20 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, UnsupportedError
-from .instances import Instance, Solution, enumerate_feasible, nominal_solve
+from .instances import (
+    Instance,
+    Solution,
+    enumerate_feasible,
+    nominal_solve,
+    nominal_values,
+)
 from .uncertainty import (
     BudgetedSet,
     EllipsoidSet,
@@ -85,49 +92,83 @@ def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     return SolveReport(Solution(sol.x, obj), obj, "interval", True, oracle_calls=1)
 
 
+THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
+
+
+def _threshold_candidates(mix: Mixture) -> list[list[float]]:
+    """Per budgeted component, its dual thresholds {0} union {deviations},
+    sorted; the enumeration prices the product of these lists."""
+    lists = []
+    for _, uset in mix.components:
+        if not isinstance(uset, BudgetedSet):
+            raise UnsupportedError("solve_budgeted_mix needs budgeted components")
+        lists.append(sorted(set([0.0] + uset.deviations.tolist())))
+    return lists
+
+
 def solve_budgeted_mix(
     inst: Instance, mix: Mixture, cap: int = 10_000_000
 ) -> SolveReport:
     """Exact optimum for all-budgeted mixtures by enumerating the dual
-    threshold candidates {0} union {deviations} per component."""
-    sets = []
-    for _, uset in mix.components:
-        if not isinstance(uset, BudgetedSet):
-            raise UnsupportedError("solve_budgeted_mix needs budgeted components")
-        sets.append(uset)
+    threshold candidates {0} union {deviations} per component.
 
-    candidate_lists = []
-    for uset in sets:
-        cands = sorted(set([0.0] + [float(d) for d in uset.deviations]))
-        candidate_lists.append(cands)
-    total = 1
-    for cands in candidate_lists:
-        total *= len(cands)
+    Each threshold tuple pi gives the nominal costs
+    sum_j p_j (lo_j + max(dev_j - pi_j, 0)) plus the constant
+    sum_j p_j gamma_j pi_j.  The tuples are streamed in blocks of
+    THRESHOLD_BLOCK columns, never materialised whole, and each block is
+    priced by one `nominal_values` call: on an acyclic graph one
+    vector-label topological pass per block, elsewhere one oracle call
+    per column.  Values are replayed through the running-best rule of
+    `_better`; `nominal_solve` runs only where that rule needs a
+    solution: for both sides of a tie within 1e-12, and for the final
+    best.  oracle_calls counts the threshold columns priced plus those
+    `nominal_solve` calls.
+    """
+    candidate_lists = _threshold_candidates(mix)
+    total = math.prod(len(cands) for cands in candidate_lists)
     if total > cap:
         raise CapExceededError(
             f"{total} threshold candidates exceed cap {cap}; use solve_bnb"
         )
 
-    weights = [w for w, _ in mix.components]
-    best = None  # (reduced value, solution)
+    parts = [
+        (w, uset.lo[:, None], uset.deviations[:, None], w * uset.gamma)
+        for w, uset in mix.components
+    ]
     calls = 0
-    for pis in itertools.product(*candidate_lists):
-        costs = np.zeros(inst.n)
-        const = 0.0
-        for w, uset, pi in zip(weights, sets, pis):
-            costs += w * (uset.lo + np.maximum(uset.deviations - pi, 0.0))
-            const += w * uset.gamma * pi
-        sol = nominal_solve(inst, costs)
+
+    def solve(costs) -> Solution:
+        nonlocal calls
         calls += 1
-        value = sol.value + const
-        # the choice _better makes, with lex keys built only for a tie
-        if best is None or value < best[0] - 1e-12:
-            best = (value, sol)
-        elif value <= best[0] + 1e-12 and _lexset(sol.x) < _lexset(best[1].x):
-            best = (value, sol)
-    obj = evaluate_wrp(mix, best[1].x)
+        return nominal_solve(inst, costs)
+
+    # the best reduced value, its cost column and, once needed, its solution
+    best_value = best_costs = best_sol = None
+    tuples = itertools.product(*candidate_lists)
+    while chunk := list(itertools.islice(tuples, THRESHOLD_BLOCK)):
+        pis = np.array(chunk).T  # one row of thresholds per component
+        block = np.zeros((inst.n, pis.shape[1]))
+        const = np.zeros(pis.shape[1])
+        for (w, lo, dev, wg), pi in zip(parts, pis):
+            block += w * (lo + np.maximum(dev - pi, 0.0))
+            const += wg * pi
+        values = nominal_values(inst, block) + const
+        calls += pis.shape[1]
+        for j, value in enumerate(values.tolist()):
+            if best_value is None or value < best_value - 1e-12:
+                best_value, best_costs, best_sol = value, block[:, j].copy(), None
+            elif value <= best_value + 1e-12:
+                # a tie goes to the smaller item set: both solutions are needed
+                if best_sol is None:
+                    best_sol = solve(best_costs)
+                sol = solve(block[:, j])
+                if _lexset(sol.x) < _lexset(best_sol.x):
+                    best_value, best_sol = value, sol
+    if best_sol is None:
+        best_sol = solve(best_costs)
+    obj = evaluate_wrp(mix, best_sol.x)
     return SolveReport(
-        Solution(best[1].x, obj), obj, "budgeted-enum", True, oracle_calls=calls
+        Solution(best_sol.x, obj), obj, "budgeted-enum", True, oracle_calls=calls
     )
 
 
@@ -471,9 +512,7 @@ def solve_auto(
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)
     if types == {"budgeted"}:
-        total = 1
-        for _, uset in mix.components:
-            total *= len(set([0.0] + list(uset.deviations)))
+        total = math.prod(len(cands) for cands in _threshold_candidates(mix))
         if total <= enum_cap:
             return solve_budgeted_mix(inst, mix, cap=enum_cap)
         return solve_bnb(inst, mix, max_nodes=max_nodes)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import Metrics, Split, scalarize
-from .instances import Graph, Instance, Solution
+from .instances import Graph, Instance
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
 

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -217,6 +218,10 @@ class EllipsoidSet:
         return self.mu.shape[0]
 
     def is_diagonal(self) -> bool:
+        return self._is_diagonal
+
+    @cached_property
+    def _is_diagonal(self) -> bool:
         return bool(np.allclose(self.sigma, np.diag(np.diag(self.sigma)), atol=1e-12))
 
 

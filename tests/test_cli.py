@@ -135,6 +135,41 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out.count("objective=") == 2
 
+    @pytest.mark.parametrize(
+        "method, extra, expected",
+        [
+            ("bnb", ["--max-nodes", "0"], 4),
+            ("auto", ["--max-nodes", "0"], 4),
+            ("midpoint", [], 0),
+            ("local", [], 0),
+        ],
+    )
+    def test_unproven_search_exits_4(self, workdir, capsys, method, extra, expected):
+        """A search cut short before a proof exits 4 and still writes its
+        output; the heuristics never prove optimality and exit 0."""
+        mixture = write_mixture(
+            workdir["dir"], [{"weight": 1.0, "type": "hull", "lambda": 0.5}]
+        )
+        out = str(workdir["dir"] / "sol.json")
+        code = main(
+            [
+                "solve",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--pairs", workdir["pairs"],
+                "--method", method,
+                "--out", out,
+                *extra,
+            ]
+        )
+        assert code == expected
+        assert "optimal=false" in capsys.readouterr().out
+        records = json.loads(Path(out).read_text())["solutions"]
+        assert len(records) == 2
+        assert not any(rec["optimal"] for rec in records)
+        assert os.path.exists(out + ".manifest.json")
+
 
 class TestEvaluate:
     def test_scores_solution_file(self, workdir, capsys):

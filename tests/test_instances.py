@@ -9,6 +9,7 @@ from robustmix import (
     gen_synthetic,
     graph_to_text,
     nominal_solve,
+    nominal_values,
     parse_graph,
     sample_st_pairs,
 )
@@ -19,6 +20,10 @@ from robustmix.instances import _spath_branching, enumerate_feasible
 # lexicographically smaller and reaches node 2 over a zero-cost arc.
 ZERO_TIE_ARCS = ((1, 2), (0, 2), (0, 1))
 ZERO_TIE_COSTS = (0.0, 1.0, 1.0)
+# A 0 -> 4 graph with the directed cycle 1 -> 2 -> 1.
+CYCLIC = Graph(
+    5, ((0, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 4), (0, 2), (3, 2), (2, 4))
+)
 
 
 def relabelled_grid(rng, width, height):
@@ -246,10 +251,7 @@ class TestForcedArcOracle:
             nominal_solve(inst, np.ones(graph.n), forced_in=fin)
 
     def test_cyclic_graph_uses_exhaustive_search(self, rng):
-        graph = Graph(
-            5,
-            ((0, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 4), (0, 2), (3, 2), (2, 4)),
-        )
+        graph = CYCLIC
         assert graph.topological_order is None
         inst = Instance.spath(graph, 0, 4)
         paths = list(enumerate_feasible(inst))
@@ -267,6 +269,73 @@ class TestForcedArcOracle:
     def test_forced_index_out_of_range_rejected(self, diamond_inst):
         with pytest.raises(ValueError, match="out of range"):
             nominal_solve(diamond_inst, (1, 1, 1, 1), forced_in={-1})
+
+
+class TestNominalValues:
+    """The batched value oracle against nominal_solve, column by column."""
+
+    @staticmethod
+    def assert_columns_match(inst, block):
+        values = nominal_values(inst, block)
+        assert values.shape == (block.shape[1],)
+        for j in range(block.shape[1]):
+            assert values[j] == nominal_solve(inst, block[:, j]).value
+
+    def test_relabelled_grids(self, rng):
+        for trial in range(60):
+            inst, _ = random_grid_case(rng)
+            cols = int(rng.integers(1, 9))
+            if trial % 2:
+                block = rng.integers(0, 3, (inst.n, cols)).astype(float)
+            else:
+                block = rng.uniform(0.0, 10.0, (inst.n, cols))
+            try:
+                self.assert_columns_match(inst, block)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    nominal_solve(inst, block[:, 0])
+
+    def test_selection_and_cyclic_graph_per_column(self, monkeypatch, rng):
+        calls = []
+
+        def counting(inst, costs):
+            calls.append(costs)
+            return nominal_solve(inst, costs)
+
+        monkeypatch.setattr(instances, "nominal_solve", counting)
+        cases = [(Instance.selection(7, 3), 7), (Instance.spath(CYCLIC, 0, 4), 9)]
+        for inst, n in cases:
+            block = rng.integers(0, 3, (n, 5)).astype(float)
+            self.assert_columns_match(inst, block)
+        assert len(calls) == 10
+
+    def test_zero_columns(self, diamond_inst):
+        assert nominal_values(diamond_inst, np.ones((4, 0))).shape == (0,)
+
+    def test_unreachable_target(self, diamond):
+        inst = Instance.spath(diamond, 3, 0)
+        with pytest.raises(InfeasibleError, match="no path from 3 to 0"):
+            nominal_values(inst, np.ones((4, 3)))
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (np.ones(4), "shape"),
+            (np.ones((3, 2)), "shape"),
+            (np.array([[1.0], [np.inf], [1.0], [1.0]]), "finite"),
+            (np.array([[1.0], [np.nan], [1.0], [1.0]]), "finite"),
+            (np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]), "nonnegative"),
+        ],
+    )
+    def test_rejects_bad_blocks(self, diamond_inst, block, message):
+        with pytest.raises(ValueError, match=message):
+            nominal_values(diamond_inst, block)
+
+    def test_rejects_negative_block_on_cyclic_graph(self):
+        block = np.ones((CYCLIC.n, 2))
+        block[3, 1] = -1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            nominal_values(Instance.spath(CYCLIC, 0, 4), block)
 
 
 class TestGraphStructure:

@@ -1,7 +1,9 @@
+import itertools
+import math
+import time
+
 import numpy as np
 import pytest
-
-import time
 
 from robustmix import (
     BudgetedSet,
@@ -27,6 +29,7 @@ from robustmix import (
 from robustmix import solvers
 from robustmix.instances import nominal_solve
 from robustmix.verify import random_hull_mixture, random_instance
+from test_instances import CYCLIC, relabelled_grid
 
 README_MIX = [
     {"weight": 0.7502, "type": "hull", "lambda": 0.2234},
@@ -153,6 +156,111 @@ class TestBudgetedMix:
 
         with pytest.raises(CapExceededError):
             solve_budgeted_mix(Instance.selection(6, 2), mix, cap=100)
+
+
+def per_threshold_reference(inst, mix):
+    """The dual-threshold enumeration as one nominal_solve per threshold
+    tuple, with solve_budgeted_mix's running-best rule: (x, objective)."""
+    lists = [
+        sorted(set([0.0] + [float(d) for d in uset.deviations]))
+        for _, uset in mix.components
+    ]
+    best = None
+    for pis in itertools.product(*lists):
+        costs = np.zeros(inst.n)
+        const = 0.0
+        for (w, uset), pi in zip(mix.components, pis):
+            costs += w * (uset.lo + np.maximum(uset.deviations - pi, 0.0))
+            const += w * uset.gamma * pi
+        sol = nominal_solve(inst, costs)
+        value = sol.value + const
+        if best is None or value < best[0] - 1e-12:
+            best = (value, sol)
+        elif value <= best[0] + 1e-12 and sol.items < best[1].items:
+            best = (value, sol)
+    return best[1].x, evaluate_wrp(mix, best[1].x)
+
+
+def integer_budgeted_mixture(rng, n, components):
+    """Tie-heavy budgeted sets: integer 0..2 lower bounds and deviations."""
+    comps = []
+    for _ in range(components):
+        lo = rng.integers(0, 3, n).astype(float)
+        dev = rng.integers(0, 3, n).astype(float)
+        uset = BudgetedSet(lo, lo + dev, int(rng.integers(0, 4)))
+        comps.append((float(rng.choice([0.3, 0.5, 1.0])), uset))
+    return Mixture(tuple(comps))
+
+
+def threshold_columns(mix):
+    """Number of threshold tuples the enumeration prices."""
+    return math.prod(
+        len(set([0.0] + uset.deviations.tolist())) for _, uset in mix.components
+    )
+
+
+class TestBudgetedBatchedPricing:
+    """solve_budgeted_mix against the per-threshold reference loop: the
+    same x and the same objective bits."""
+
+    @staticmethod
+    def assert_matches_reference(inst, mix):
+        report = solve_budgeted_mix(inst, mix)
+        x, obj = per_threshold_reference(inst, mix)
+        assert report.solution.x == x
+        assert report.objective.hex() == obj.hex()
+
+    def test_relabelled_grids_tie_heavy(self, rng):
+        for trial in range(120):
+            size = rng.integers(2, 5, 2)
+            graph, s, t = relabelled_grid(rng, int(size[0]), int(size[1]))
+            mix = integer_budgeted_mixture(rng, graph.n, 1 + trial % 2)
+            self.assert_matches_reference(Instance.spath(graph, s, t), mix)
+
+    def test_product_spanning_several_blocks(self, rng):
+        graph, s, t = relabelled_grid(rng, 5, 4)  # 31 arcs
+        assert graph.n == 31
+        comps = []
+        for gamma in (2, 3):
+            lo = rng.integers(0, 3, graph.n).astype(float)
+            dev = rng.integers(0, 40, graph.n) / 4.0
+            comps.append((0.5, BudgetedSet(lo, lo + dev, gamma)))
+        mix = Mixture(tuple(comps))
+        assert threshold_columns(mix) > 2 * solvers.THRESHOLD_BLOCK
+        self.assert_matches_reference(Instance.spath(graph, s, t), mix)
+
+    def test_selection_and_cyclic_graph(self, rng):
+        for trial in range(40):
+            if trial % 2:
+                inst = Instance.selection(7, int(rng.integers(1, 5)))
+            else:
+                inst = Instance.spath(CYCLIC, 0, 4)
+            mix = integer_budgeted_mixture(rng, inst.n, 1 + trial // 2 % 2)
+            self.assert_matches_reference(inst, mix)
+
+    def test_unreachable_target(self, diamond):
+        mix = Mixture(((1.0, BudgetedSet(np.zeros(4), np.ones(4), 1)),))
+        with pytest.raises(InfeasibleError, match="no path from 3 to 0"):
+            solve_budgeted_mix(Instance.spath(diamond, 3, 0), mix)
+
+    def test_oracle_calls_are_columns_plus_solves(self, counted_oracle, rng):
+        """oracle_calls = threshold columns priced + nominal_solve calls."""
+        graph, s, t = relabelled_grid(rng, 4, 4)
+        for trial in range(20):
+            counted_oracle["calls"] = 0
+            mix = integer_budgeted_mixture(rng, graph.n, 1 + trial % 2)
+            columns = threshold_columns(mix)
+            report = solve_budgeted_mix(Instance.spath(graph, s, t), mix)
+            assert 1 <= counted_oracle["calls"] <= columns + 1
+            assert report.oracle_calls == columns + counted_oracle["calls"]
+
+    def test_no_tie_recovers_only_the_best(self, counted_oracle):
+        # thresholds {0, 2} give 2 and 1 + 2: no tie, one recovery
+        uset = BudgetedSet(np.array([1.0, 2.0, 3.0]), np.array([3.0, 2.0, 3.0]), 1)
+        report = solve_budgeted_mix(Instance.selection(3, 1), Mixture(((1.0, uset),)))
+        assert report.solution.x == (0, 1, 0)
+        assert counted_oracle["calls"] == 1
+        assert report.oracle_calls == 2 + 1
 
 
 class TestMidpointApprox:

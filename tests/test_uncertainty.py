@@ -221,6 +221,22 @@ class TestEllipsoidPsdCheck:
             EllipsoidSet(np.ones(3), sigma, 1.0)
 
 
+class TestIsDiagonal:
+    @pytest.mark.parametrize(
+        "sigma, diagonal",
+        [(np.diag([1.0, 2.0, 0.0]), True), (_sigma_with_spectrum([1.0] * 4 + [2.0]), False)],
+    )
+    def test_answer_is_computed_once(self, monkeypatch, sigma, diagonal):
+        uset = EllipsoidSet(np.ones(sigma.shape[0]), sigma, 1.0)
+        assert uset.is_diagonal() is diagonal
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_diagonal recomputed")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        assert uset.is_diagonal() is diagonal
+
+
 class TestWorstCase:
     def test_budgeted_two_largest_deviations(self):
         uset = BudgetedSet(np.zeros(3), np.array([5.0, 3.0, 1.0]), 2)
