@@ -26,7 +26,9 @@ from .uncertainty import (
 from .instances import (
     Graph,
     Instance,
+    OracleCosts,
     Solution,
+    check_costs,
     gen_synthetic,
     graph_to_text,
     nominal_solve,

@@ -54,6 +54,17 @@ def split_scenarios(K: int, ratio: float, seed: int = 0) -> Split:
     return Split(train, test)
 
 
+def pair_metrics(x: np.ndarray, costs: np.ndarray, tail: int) -> tuple[float, float, float]:
+    """Avg, Max and CVaR of one solution's scenario cost pool `costs @ x`;
+    CVaR averages the `tail` largest costs."""
+    pool = costs @ x
+    return (
+        float(pool.mean()),
+        float(pool.max()),
+        float(np.sort(pool)[::-1][:tail].mean()),
+    )
+
+
 def score(
     solutions: list[Solution],
     scenarios: ScenarioMatrix,
@@ -65,15 +76,13 @@ def score(
     if scenarios.K < 1:
         raise ValueError("empty scenario pool")
     tail = max(1, math.ceil(alpha * scenarios.K))
-    avgs, maxs, cvars = [], [], []
+    triples = []
     for sol in solutions:
         x = sol.as_array()
         if x.shape[0] != scenarios.n:
             raise ValueError("solution length does not match scenario columns")
-        pool = scenarios.costs @ x
-        avgs.append(pool.mean())
-        maxs.append(pool.max())
-        cvars.append(np.sort(pool)[::-1][:tail].mean())
+        triples.append(pair_metrics(x, scenarios.costs, tail))
+    avgs, maxs, cvars = zip(*triples)
     return Metrics(
         float(np.mean(avgs)), float(np.mean(maxs)), float(np.mean(cvars))
     )

@@ -188,6 +188,42 @@ class Solution:
         return np.asarray(self.x, dtype=float)
 
 
+_NEGATIVE_PATH_COSTS = "spath oracle requires nonnegative costs"
+
+
+@dataclass(frozen=True)
+class OracleCosts:
+    """A cost vector checked once for `nominal_solve`.
+
+    Built by `check_costs`: `values` holds the n finite costs as Python
+    floats, and `nonnegative` records whether none is negative, which
+    the path oracle requires.  A solver that calls the oracle many times
+    with one vector checks it once and passes this object to every call.
+    """
+
+    n: int
+    values: tuple[float, ...]
+    nonnegative: bool
+
+
+def _check_finite(costs: np.ndarray) -> bool:
+    """Raise unless every cost is finite; return whether none is negative."""
+    if not np.all(np.isfinite(costs)):
+        raise ValueError("costs must be finite")
+    return not np.any(costs < 0)
+
+
+def check_costs(costs, n: int) -> OracleCosts:
+    """Check a length-n cost vector as `nominal_solve` does and keep a
+    copy of it as Python floats; later changes to `costs` do not reach
+    the copy.  Negative costs are recorded, not rejected: selection
+    accepts them and the path oracle rejects them when it is called."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (n,):
+        raise ValueError(f"costs length {costs.shape} does not match n={n}")
+    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
+
+
 def _lexkey(arcs) -> tuple[int, ...]:
     return tuple(sorted(arcs))
 
@@ -244,7 +280,6 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
         return None
 
     out = graph.out_arcs()
-    c = costs.tolist()
     inf = float("inf")
     pred = [-1] * graph.num_nodes  # arc into each labelled node
 
@@ -260,7 +295,7 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
         dist = [inf] * graph.num_nodes
         if i:
             pred[start] = forced[i - 1]
-            reached += c[forced[i - 1]]
+            reached += costs[forced[i - 1]]
         dist[start] = reached
         for v in order[position[start] : position[end]]:
             dv = dist[v]
@@ -269,7 +304,7 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
             for arc_idx, head in out[v]:
                 if arc_idx in forced_out:
                     continue
-                nd = dv + c[arc_idx]
+                nd = dv + costs[arc_idx]
                 od = dist[head]
                 if nd < od or (
                     nd == od
@@ -328,8 +363,10 @@ def nominal_solve(
 ) -> Solution:
     """Minimize costs . x over the feasible set with forcing constraints.
 
-    forced_in items must appear in the solution, forced_out must not.
-    Raises InfeasibleError when no feasible solution remains.
+    `costs` is an `OracleCosts` from `check_costs`, or any length-n
+    array-like, which is checked and converted the same way on every
+    call.  forced_in items must appear in the solution, forced_out must
+    not.  Raises InfeasibleError when no feasible solution remains.
 
     Ties break towards the lexicographically smallest item set: exactly
     for selection, and for paths on an acyclic graph or with strictly
@@ -339,13 +376,18 @@ def nominal_solve(
     graph, with or without forced_in items, takes one topological pass
     over its nodes and arcs.  Only a graph with a directed cycle uses
     Dijkstra without forced_in items, or exhaustive simple-path search
-    with them, which is exponential in the graph size.
+    with them, which is exponential in the graph size.  On a 6x6 grid,
+    checking and converting an array-like costs about as much as the
+    rest of a forced call, so branch-and-bound and local search check
+    their cost vector once per solve and pass the `OracleCosts` to every
+    node or detour: a node then costs its forced-set checks, the pass
+    and building x.
     """
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (inst.n,):
-        raise ValueError(f"costs length {costs.shape} does not match n={inst.n}")
-    if not np.all(np.isfinite(costs)):
-        raise ValueError("costs must be finite")
+    if not isinstance(costs, OracleCosts):
+        costs = check_costs(costs, inst.n)
+    elif costs.n != inst.n:
+        raise ValueError(f"checked costs for n={costs.n} do not match n={inst.n}")
+    c = costs.values
     fin = frozenset(forced_in)
     fout = frozenset(forced_out)
     if fin & fout:
@@ -360,20 +402,22 @@ def nominal_solve(
         need = inst.p - len(fin)
         if need > len(allowed):
             raise InfeasibleError("not enough allowed items")
-        order = sorted(allowed, key=lambda i: (costs[i], i))
+        order = sorted(allowed, key=lambda i: (c[i], i))
         chosen = sorted(fin | set(order[:need]))
-        x = tuple(1 if i in set(chosen) else 0 for i in range(inst.n))
-        return Solution(x, float(sum(costs[i] for i in chosen)))
+        x = [0] * inst.n
+        for i in chosen:
+            x[i] = 1
+        return Solution(tuple(x), float(sum(c[i] for i in chosen)))
 
-    if np.any(costs < 0):
-        raise ValueError("spath oracle requires nonnegative costs")
+    if not costs.nonnegative:
+        raise ValueError(_NEGATIVE_PATH_COSTS)
     graph, s, t = inst.graph, inst.source, inst.target
     if graph.topological_order is not None:
-        res = _spath_acyclic(graph, costs, s, t, fin, fout)
+        res = _spath_acyclic(graph, c, s, t, fin, fout)
     elif fin:
-        res = _spath_branching(graph, costs, s, t, fin, fout)
+        res = _spath_branching(graph, c, s, t, fin, fout)
     else:
-        res = _dijkstra(graph, costs, s, t, fout)
+        res = _dijkstra(graph, c, s, t, fout)
     if res is None:
         raise InfeasibleError(
             f"no path from {inst.source} to {inst.target} under restrictions"
@@ -382,7 +426,7 @@ def nominal_solve(
     x = [0] * inst.n
     for a in arcs:
         x[a] = 1
-    value = float(sum(costs[a] for a in arcs))
+    value = float(sum(c[a] for a in arcs))
     return Solution(tuple(x), value)
 
 
@@ -407,14 +451,13 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
-    if not np.all(np.isfinite(block)):
-        raise ValueError("costs must be finite")
+    nonnegative = _check_finite(block)
     if inst.kind == "selection" or inst.graph.topological_order is None:
         return np.array(
             [nominal_solve(inst, block[:, j]).value for j in range(block.shape[1])]
         )
-    if np.any(block < 0):
-        raise ValueError("spath oracle requires nonnegative costs")
+    if not nonnegative:
+        raise ValueError(_NEGATIVE_PATH_COSTS)
 
     graph, s, t = inst.graph, inst.source, inst.target
     order, position = graph.topological_order

@@ -24,6 +24,7 @@ from .errors import CapExceededError, InfeasibleError, UnsupportedError
 from .instances import (
     Instance,
     Solution,
+    check_costs,
     enumerate_feasible,
     nominal_solve,
     nominal_values,
@@ -66,7 +67,7 @@ def evaluate_wrp(mix: Mixture, x) -> float:
 
 
 def _lexset(x) -> tuple[int, ...]:
-    return tuple(i for i, xi in enumerate(x) if xi)
+    return tuple(itertools.compress(range(len(x)), x))
 
 
 def _better(obj_a, lex_a, obj_b, lex_b) -> bool:
@@ -348,18 +349,28 @@ def solve_bnb(
     of every component; incumbents from the true objective of each
     completion.  Returns optimal=True iff the search ran to completion
     within the budgets.
+
+    The bound costs are checked once per solve (`check_costs`) and the
+    same `OracleCosts` goes to the root and every exclude child.  Heap
+    entries carry their completion's sorted item tuple, taken once when
+    the completion is found, so a node never scans x.
+
+    The objective returned is optimal when proven, but on an exact
+    objective tie the item set need not be the lexicographically
+    smallest optimum: a subtree whose bound equals the incumbent's
+    objective is pruned, and it may hold a smaller optimal item set.
     """
     for _, uset in mix.components:
         if isinstance(uset, PolyhedronSet):
             raise UnsupportedError("polyhedral components unsupported in solve_bnb")
-    bcosts = _bound_costs(mix, inst.n)
+    bcosts = check_costs(_bound_costs(mix, inst.n), inst.n)
     spread = _branch_spread(mix, inst.n)
     start = time.monotonic()
 
     root = nominal_solve(inst, bcosts)
     calls = 1
     inc_obj = evaluate_wrp(mix, root.x)
-    inc_lex = _lexset(root.x)
+    root_lex = inc_lex = _lexset(root.x)
     inc_x = root.x
     if warm_start is not None:
         w_obj = evaluate_wrp(mix, warm_start.x)
@@ -368,7 +379,8 @@ def solve_bnb(
             inc_obj, inc_lex, inc_x = w_obj, w_lex, warm_start.x
 
     counter = itertools.count()
-    heap = [(root.value, next(counter), frozenset(), frozenset(), root)]
+    # (bound, tie counter, forced in, forced out, completion's item set)
+    heap = [(root.value, next(counter), frozenset(), frozenset(), root_lex)]
     nodes = 0
     complete = True
 
@@ -379,20 +391,18 @@ def solve_bnb(
         if time_limit is not None and time.monotonic() - start > time_limit:
             complete = False
             break
-        bound, _, fin, fout, completion = heapq.heappop(heap)
+        bound, _, fin, fout, items = heapq.heappop(heap)
         if bound >= inc_obj - TOL:
             continue
         nodes += 1
 
-        undecided = [i for i in _lexset(completion.x) if i not in fin]
+        undecided = [i for i in items if i not in fin]
         if not undecided:
             continue  # completion is the unique member of this subspace
         item = max(undecided, key=lambda i: (spread[i], -i))
 
         # include child: completion stays optimal for the subspace
-        heapq.heappush(
-            heap, (bound, next(counter), fin | {item}, fout, completion)
-        )
+        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, items))
         # exclude child: re-complete without the item
         calls += 1
         try:
@@ -405,7 +415,7 @@ def solve_bnb(
             inc_obj, inc_lex, inc_x = c_obj, c_lex, child.x
         if child.value < inc_obj - TOL:
             heapq.heappush(
-                heap, (child.value, next(counter), fin, fout | {item}, child)
+                heap, (child.value, next(counter), fin, fout | {item}, c_lex)
             )
 
     return SolveReport(
@@ -464,8 +474,13 @@ def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
 def solve_local_search(
     inst: Instance, mix: Mixture, restarts: int = 3, seed: int = 0
 ) -> SolveReport:
-    """Steepest-descent local search from perturbed nominal starts."""
+    """Steepest-descent local search from perturbed nominal starts.
+
+    Every detour prices under the bound costs, checked once per solve
+    (`check_costs`); each restart's perturbed start is checked on its
+    own call."""
     bcosts = _bound_costs(mix, inst.n)
+    checked = check_costs(bcosts, inst.n)
     rng = np.random.default_rng(seed)
     best = None
     calls = 0
@@ -473,7 +488,7 @@ def solve_local_search(
     def detour(forced_in):
         nonlocal calls
         calls += 1
-        return nominal_solve(inst, bcosts, forced_in=forced_in)
+        return nominal_solve(inst, checked, forced_in=forced_in)
 
     for r in range(restarts + 1):
         costs = bcosts if r == 0 else bcosts * rng.uniform(0.5, 1.5, size=inst.n)

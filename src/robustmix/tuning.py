@@ -11,12 +11,13 @@ perturbation.  The scalarization weights themselves are never tuned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evaluation import Metrics, Split, scalarize
+from .evaluation import Metrics, Split, pair_metrics, scalarize
 from .instances import Graph, Instance
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
@@ -113,13 +114,18 @@ class TuneResult:
     evaluations: int
 
 
-def _pair_metric(x: np.ndarray, costs: np.ndarray, tail: int):
-    pool = costs @ x
-    return (
-        float(pool.mean()),
-        float(pool.max()),
-        float(np.sort(pool)[::-1][:tail].mean()),
-    )
+def _metric_memo(costs: np.ndarray, tail: int):
+    """`pair_metrics` on `costs`, computed once per distinct solution x.
+
+    Keyed by x alone: the metric depends on nothing else, and a path's
+    arcs also fix its pair, so this hits exactly when (pair, x) would.
+    """
+
+    @functools.cache
+    def metric(x: tuple[int, ...]) -> tuple[float, float, float]:
+        return pair_metrics(np.asarray(x, dtype=float), costs, tail)
+
+    return metric
 
 
 def solve_for_pair(
@@ -163,6 +169,7 @@ def tune(
         sample_config(space, rng) for _ in range(space.generation_size)
     ]
     mixtures: dict[int, Mixture] = {}
+    metric = _metric_memo(train.costs, tail)
     pair_cache: dict[tuple[int, int], tuple[float, float, float]] = {}
     alive = list(range(len(configs)))
     trace: list[TraceEntry] = []
@@ -196,9 +203,7 @@ def tune(
                 report = solve_for_pair(
                     graph, pairs[pair_idx], mixture_for(cfg_id), node_cap, seed
                 )
-                pair_cache[(cfg_id, pair_idx)] = _pair_metric(
-                    np.asarray(report.solution.x, dtype=float), train.costs, tail
-                )
+                pair_cache[(cfg_id, pair_idx)] = metric(report.solution.x)
                 evals += 1
 
         costs = {}
@@ -281,8 +286,8 @@ def baseline_grid(
     """Evaluate the pure single-set model over the 41-point lambda grid."""
     train = data.subset(split.train_idx)
     test = data.subset(split.test_idx)
-    tail_in = max(1, math.ceil(alpha * train.K))
-    tail_out = max(1, math.ceil(alpha * test.K))
+    metric_in = _metric_memo(train.costs, max(1, math.ceil(alpha * train.K)))
+    metric_out = _metric_memo(test.costs, max(1, math.ceil(alpha * test.K)))
     results = []
     for lam in baseline_lambdas(set_type):
         mix = build_mixture(
@@ -291,9 +296,8 @@ def baseline_grid(
         triples_in, triples_out = [], []
         for pair in pairs:
             report = solve_for_pair(graph, pair, mix, node_cap)
-            x = np.asarray(report.solution.x, dtype=float)
-            triples_in.append(_pair_metric(x, train.costs, tail_in))
-            triples_out.append(_pair_metric(x, test.costs, tail_out))
+            triples_in.append(metric_in(report.solution.x))
+            triples_out.append(metric_out(report.solution.x))
         m_in = Metrics(*np.array(triples_in).mean(axis=0))
         m_out = Metrics(*np.array(triples_out).mean(axis=0))
         results.append((lam, m_in, m_out))

@@ -38,9 +38,10 @@ from robustmix import (
 )
 from robustmix.analysis import SetFunctionSpec, check_ratio
 from robustmix.cli import main as cli_main
+from robustmix.evaluation import pair_metrics
 from robustmix.instances import Solution
 from robustmix.mip_emit import expected_stats
-from robustmix.tuning import ConfigSpace, _pair_metric, baseline_grid, solve_for_pair, tune
+from robustmix.tuning import ConfigSpace, baseline_grid, solve_for_pair, tune
 from robustmix.uncertainty import build_mixture
 from robustmix.verify import (
     random_budgeted_mixture,
@@ -264,7 +265,7 @@ def test_criterion_7_mixing_benefit(capsys):
     for pair in pairs:
         rep = solve_for_pair(graph, pair, mix, node_cap=150)
         triples.append(
-            _pair_metric(np.asarray(rep.solution.x, dtype=float), test_data.costs, tail_out)
+            pair_metrics(np.asarray(rep.solution.x, dtype=float), test_data.costs, tail_out)
         )
     tuned_out = scalarize(Metrics(*np.array(triples).mean(axis=0)), w)
 

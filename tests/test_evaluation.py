@@ -12,7 +12,7 @@ from robustmix import (
     split_scenarios,
     weight_grid,
 )
-from robustmix.evaluation import parse_tradeoffs
+from robustmix.evaluation import pair_metrics, parse_tradeoffs
 from robustmix.instances import Solution
 
 
@@ -85,6 +85,15 @@ class TestScore:
         a = score(*single_item_pool(values))
         b = score(*single_item_pool(rng.permutation(values)))
         assert a.as_tuple() == pytest.approx(b.as_tuple(), abs=1e-12)
+
+    def test_averages_the_per_pair_metrics(self, rng):
+        data = ScenarioMatrix(rng.uniform(0, 10, (25, 6)))
+        sols = [Solution(tuple(rng.integers(0, 2, 6)), 0.0) for _ in range(12)]
+        triples = [pair_metrics(s.as_array(), data.costs, 2) for s in sols]
+        expected = Metrics(*(float(np.mean(col)) for col in zip(*triples)))
+        assert score(sols, data, alpha=0.05) == expected
+        pools = np.arange(12.0).reshape(4, 3).T  # costs 18, 22, 26 for x = 1
+        assert pair_metrics(np.ones(4), pools, 2) == (22.0, 26.0, 24.0)
 
     def test_length_mismatch_rejected(self):
         data = ScenarioMatrix(np.ones((2, 2)))

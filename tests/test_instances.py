@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from robustmix import (
     Graph,
     InfeasibleError,
     Instance,
+    OracleCosts,
     ParseError,
+    check_costs,
     gen_synthetic,
     graph_to_text,
     nominal_solve,
@@ -269,6 +273,102 @@ class TestForcedArcOracle:
     def test_forced_index_out_of_range_rejected(self, diamond_inst):
         with pytest.raises(ValueError, match="out of range"):
             nominal_solve(diamond_inst, (1, 1, 1, 1), forced_in={-1})
+
+
+def solve_outcome(inst, costs, forced_in=(), forced_out=()):
+    """(x, value bits) of one oracle call, or None when infeasible."""
+    try:
+        sol = nominal_solve(inst, costs, forced_in, forced_out)
+    except InfeasibleError:
+        return None
+    return sol.x, sol.value.hex()
+
+
+class TestCheckedCosts:
+    """A vector checked once by check_costs answers like the raw array."""
+
+    def assert_same(self, inst, costs, forced_in=(), forced_out=()):
+        checked = check_costs(costs, inst.n)
+        expected = solve_outcome(inst, costs, forced_in, forced_out)
+        assert solve_outcome(inst, checked, forced_in, forced_out) == expected
+        return expected is None
+
+    def test_matches_raw_array_on_relabelled_grids(self, rng):
+        infeasible = 0
+        for _ in range(200):
+            inst, costs = random_grid_case(rng)
+            if rng.random() < 0.5:
+                costs = costs + rng.uniform(0.0, 1.0, inst.n)
+            k = int(rng.integers(0, 3))
+            fin = {int(a) for a in rng.choice(inst.n, k, replace=False)}
+            rest = [a for a in range(inst.n) if a not in fin]
+            fout = {int(a) for a in rng.choice(rest, int(rng.integers(0, 3)), replace=False)}
+            infeasible += self.assert_same(inst, costs)
+            infeasible += self.assert_same(inst, costs, fin, fout)
+        assert 20 < infeasible < 300
+
+    def test_matches_raw_array_on_selection_and_cyclic_graph(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            inst = Instance.selection(n, int(rng.integers(1, n + 1)))
+            costs = rng.integers(-2, 3, n).astype(float)  # selection takes negatives
+            fin = {int(a) for a in rng.choice(n, int(rng.integers(0, 3)), replace=False)}
+            self.assert_same(inst, costs, fin, ())
+            self.assert_same(inst, costs, (), fin)
+        inst = Instance.spath(CYCLIC, 0, 4)
+        for _ in range(40):
+            costs = rng.integers(0, 3, CYCLIC.n).astype(float)
+            a, b = (int(v) for v in rng.choice(CYCLIC.n, 2, replace=False))
+            self.assert_same(inst, costs)
+            self.assert_same(inst, costs, {a}, ())
+            self.assert_same(inst, costs, (), {a, b})
+
+    @pytest.mark.parametrize(
+        "costs, forced_in, forced_out, message",
+        [
+            ((1.0, 2.0, 3.0), (), (), r"costs length \(3,\) does not match n=4"),
+            ((np.inf, 1.0, 1.0), {0}, {0}, "costs length"),
+            ((1.0, np.inf, 1.0, 1.0), (), (), "costs must be finite"),
+            ((1.0, np.nan, 1.0, 1.0), {0}, {0}, "costs must be finite"),
+            ((-1.0, 1.0, 1.0, 1.0), {0}, {0}, "forced_in and forced_out overlap"),
+            ((-1.0, 1.0, 1.0, 1.0), {4}, (), "forced item index out of range"),
+            ((-1.0, 1.0, 1.0, 1.0), (), (), "spath oracle requires nonnegative costs"),
+        ],
+    )
+    def test_raw_input_errors_in_order(
+        self, diamond_inst, costs, forced_in, forced_out, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            nominal_solve(diamond_inst, costs, forced_in, forced_out)
+        # the same vector, checked first, fails at the same check
+        with pytest.raises(ValueError, match=message):
+            nominal_solve(diamond_inst, check_costs(costs, 4), forced_in, forced_out)
+
+    def test_negative_costs_are_recorded_not_rejected(self, diamond_inst):
+        checked = check_costs((0.0, -1.0, 2.0, 3.0), 4)
+        assert not checked.nonnegative
+        assert nominal_solve(Instance.selection(4, 2), checked).items == (0, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            nominal_solve(diamond_inst, checked)
+
+    def test_wrong_n_rejected(self, diamond_inst):
+        with pytest.raises(ValueError, match="checked costs for n=3 do not match n=4"):
+            nominal_solve(diamond_inst, check_costs(np.ones(3), 3))
+
+    def test_stores_python_floats_and_is_immutable(self):
+        checked = check_costs(np.array([1, 2, 3]), 3)
+        assert checked == OracleCosts(3, (1.0, 2.0, 3.0), True)
+        assert all(type(v) is float for v in checked.values)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            checked.n = 4
+
+    def test_source_mutation_does_not_change_answers(self, diamond_inst):
+        costs = np.array([1.0, 1.0, 5.0, 5.0])
+        checked = check_costs(costs, 4)
+        costs[:] = [5.0, 5.0, 1.0, 1.0]
+        assert nominal_solve(diamond_inst, checked).items == (0, 1)
+        assert nominal_solve(diamond_inst, checked, forced_out={3}).value == 2.0
+        assert nominal_solve(diamond_inst, costs).items == (2, 3)
 
 
 class TestNominalValues:

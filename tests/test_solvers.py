@@ -13,6 +13,8 @@ from robustmix import (
     Instance,
     IntervalSet,
     Mixture,
+    OracleCosts,
+    ScenarioMatrix,
     UnsupportedError,
     build_mixture,
     evaluate_wrp,
@@ -400,6 +402,102 @@ class TestBnb:
         mix = Mixture(((1.0, PolyhedronSet(np.eye(4), np.ones(4))),))
         with pytest.raises(UnsupportedError):
             solve_bnb(diamond_inst, mix)
+
+
+def bnb_sweep_cases(rng, count):
+    """Tie-heavy BnB instances: relabelled grids and selections under one
+    to three hull, ellipsoid and budgeted components."""
+    for _ in range(count):
+        if rng.random() < 0.25:
+            n = int(rng.integers(3, 8))
+            inst = Instance.selection(n, int(rng.integers(1, n)))
+        else:
+            graph, s, t = relabelled_grid(
+                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            )
+            inst = Instance.spath(graph, s, t)
+        data = ScenarioMatrix(rng.integers(0, 4, (5, inst.n)).astype(float))
+        comps = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind = ("hull", "ellipsoid", "budgeted")[int(rng.integers(3))]
+            if kind == "budgeted":
+                lo = rng.integers(0, 3, inst.n).astype(float)
+                hi = lo + rng.integers(0, 3, inst.n)
+                uset = BudgetedSet(lo, hi, int(rng.integers(0, 3)))
+            else:
+                spec = {"weight": 1.0, "type": kind, "lambda": float(rng.choice([0.5, 1.0]))}
+                uset = build_mixture([spec], data).components[0][1]
+            comps.append((float(rng.choice([0.25, 0.5, 1.0])), uset))
+        yield inst, Mixture(tuple(comps))
+
+
+# nodes_explored and oracle_calls of bnb_sweep_cases(default_rng(20261018), 60)
+SWEEP_NODES = [
+    34, 6, 3, 12, 31, 6, 30, 5, 20, 7, 13, 28, 15, 10, 6, 6, 35, 0, 26, 9,
+    32, 8, 12, 104, 18, 19, 19, 12, 14, 49, 15, 10, 8, 34, 28, 11, 11, 20, 3, 20,
+    11, 43, 34, 22, 40, 17, 12, 51, 10, 12, 17, 19, 28, 34, 6, 10, 26, 10, 34, 11,
+]
+SWEEP_CALLS = [
+    28, 5, 3, 10, 26, 5, 25, 5, 17, 6, 11, 24, 13, 9, 5, 5, 28, 1, 21, 8,
+    23, 6, 10, 70, 15, 16, 16, 10, 12, 35, 13, 9, 6, 28, 24, 9, 9, 17, 3, 17,
+    9, 35, 28, 19, 34, 14, 10, 42, 9, 10, 14, 16, 20, 28, 6, 9, 21, 9, 28, 9,
+]
+
+
+class TestBnbNodeLoop:
+    """The node loop's work: search shape pinned, one checked cost vector."""
+
+    def test_fixed_seed_sweep_pins_nodes_and_calls(self):
+        cases = bnb_sweep_cases(np.random.default_rng(20261018), 60)
+        reports = [solve_bnb(inst, mix) for inst, mix in cases]
+        assert all(r.optimal for r in reports)
+        assert [r.nodes_explored for r in reports] == SWEEP_NODES
+        assert [r.oracle_calls for r in reports] == SWEEP_CALLS
+
+    @staticmethod
+    def recording_oracle(monkeypatch):
+        """Every nominal_solve call's cost argument, failed calls too."""
+        seen = []
+
+        def recording(inst, costs, *args, **kwargs):
+            seen.append(costs)
+            return nominal_solve(inst, costs, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "nominal_solve", recording)
+        return seen
+
+    def test_bnb_passes_one_checked_vector_to_every_call(self, monkeypatch):
+        seen = self.recording_oracle(monkeypatch)
+        report = solve_bnb(*corner_to_corner(6, README_MIX))
+        assert report.oracle_calls == len(seen) > 10
+        assert isinstance(seen[0], OracleCosts)
+        assert all(costs is seen[0] for costs in seen)
+
+    def test_local_search_passes_one_checked_vector_to_every_detour(
+        self, monkeypatch
+    ):
+        seen = self.recording_oracle(monkeypatch)
+        graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
+        inst = Instance.spath(graph, 5, 15)
+        report = solve_local_search(inst, build_mixture(HULL_MIX, data), restarts=3)
+        assert report.oracle_calls == len(seen)
+        detours = [c for c in seen if isinstance(c, OracleCosts)]
+        assert len(detours) == len(seen) - 4  # one raw start per restart
+        assert all(costs is detours[0] for costs in detours)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="solve_bnb prunes a subtree whose bound equals the incumbent's "
+        "objective, which can hold a lexicographically smaller optimum",
+    )
+    def test_tie_breaks_to_smallest_item_set(self):
+        inst = Instance.selection(3, 2)
+        data = ScenarioMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        mix = build_mixture([{"weight": 1.0, "type": "hull", "lambda": 1.0}], data)
+        report = solve_bnb(inst, mix)
+        brute = solve_brute_force(inst, mix)
+        assert report.objective == brute.objective == 1.0
+        assert report.solution.items == brute.solution.items == (0, 2)
 
 
 class TestBruteForce:

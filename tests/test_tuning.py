@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
-from robustmix.evaluation import split_scenarios
+from robustmix import tuning
+from robustmix.evaluation import Metrics, pair_metrics, split_scenarios
 from robustmix.tuning import (
     baseline_lambdas,
     perturb_config,
     sample_config,
+    solve_for_pair,
 )
-from robustmix.uncertainty import LAMBDA_RANGES, ScenarioMatrix
+from robustmix.uncertainty import LAMBDA_RANGES, ScenarioMatrix, build_mixture
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +146,54 @@ class TestBaselines:
         base = first["interval"][0].as_tuple()
         assert first["hull"][0].as_tuple() == pytest.approx(base, abs=1e-9)
         assert first["ellipsoid"][0].as_tuple() == pytest.approx(base, abs=1e-9)
+
+
+class TestPairMetricMemo:
+    """Per-pair metrics are computed once per distinct x and scenario pool."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls, solved = [], []
+
+        def counting(x, costs, tail):
+            calls.append((id(costs), tuple(x)))
+            return pair_metrics(x, costs, tail)
+
+        def recording(graph, pair, mix, *args):
+            report = solve_for_pair(graph, pair, mix, *args)
+            solved.append(report.solution.x)
+            return report
+
+        monkeypatch.setattr(tuning, "pair_metrics", counting)
+        monkeypatch.setattr(tuning, "solve_for_pair", recording)
+        return calls, solved
+
+    def test_tune_computes_each_distinct_x_once(self, monkeypatch, small_problem):
+        graph, data, pairs, split = small_problem
+        calls, solved = self.counted(monkeypatch)
+        result = tune(ConfigSpace(budget=120), graph, pairs, data, split, (0.4, 0.3, 0.3))
+        assert result.evaluations == len(solved) == 120
+        assert len(calls) == len(set(calls)) == len(set(solved)) < 20
+
+    def test_baseline_grid_computes_each_x_once_per_pool(
+        self, monkeypatch, small_problem
+    ):
+        graph, data, pairs, split = small_problem
+        calls, solved = self.counted(monkeypatch)
+        baseline_grid("hull", graph, pairs, data, split)
+        assert len(solved) == 41 * len(pairs)
+        assert len(calls) == len(set(calls)) == 2 * len(set(solved))
+
+    def test_baseline_grid_matches_unmemoized_metrics(self, small_problem):
+        graph, data, pairs, split = small_problem
+        train, test = data.subset(split.train_idx), data.subset(split.test_idx)
+        for lam, m_in, m_out in baseline_grid("interval", graph, pairs, data, split)[::8]:
+            mix = build_mixture([{"weight": 1.0, "type": "interval", "lambda": lam}], train)
+            xs = [
+                np.asarray(solve_for_pair(graph, p, mix, 20_000).solution.x, float)
+                for p in pairs
+            ]
+            for pool, m in ((train, m_in), (test, m_out)):
+                tail = max(1, math.ceil(0.05 * pool.K))
+                triples = [pair_metrics(x, pool.costs, tail) for x in xs]
+                assert m == Metrics(*np.array(triples).mean(axis=0))
