@@ -13,10 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnsupportedError
 from .instances import Instance
 from .solvers import evaluate_wrp, solve_brute_force, solve_midpoint_approx
-from .uncertainty import BudgetedSet, HullSet, Mixture
+from .uncertainty import Mixture
 
 TOL = 1e-9
 
@@ -31,9 +30,7 @@ class SetFunctionSpec:
     def __post_init__(self):
         if self.n > 16:
             raise ValueError("exhaustive checking is capped at n=16")
-        for _, uset in self.mixture.components:
-            if not isinstance(uset, BudgetedSet):
-                raise UnsupportedError("set function needs budgeted components")
+        self.mixture.require("budgeted", "set function needs budgeted components")
 
 
 def _mask_to_x(mask: int, n: int) -> tuple[int, ...]:
@@ -98,13 +95,12 @@ class DualCertificate:
 def dual_certificate(mix: Mixture, x) -> DualCertificate:
     """Closed-form optimal duals: per component, pi is the (Gamma+1)-th
     largest chosen deviation and rho_i = [d_i x_i - pi]_+."""
+    mix.require("budgeted", "dual_certificate needs budgeted components")
     x = np.asarray(x, dtype=float)
     pis = []
     rhos = []
     objective = 0.0
     for weight, uset in mix.components:
-        if not isinstance(uset, BudgetedSet):
-            raise UnsupportedError("dual_certificate needs budgeted components")
         dev = uset.deviations * x
         chosen = np.sort(dev[x > 0.5])[::-1]
         if uset.gamma < chosen.size:
@@ -125,9 +121,7 @@ def check_ratio(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> dict:
 
     Returns {"ratio", "bound", "ok"}; ok iff 1 - tol <= ratio <= bound + tol.
     """
-    for _, uset in mix.components:
-        if not isinstance(uset, HullSet):
-            raise UnsupportedError("check_ratio needs hull components")
+    mix.require("hull", "check_ratio needs hull components")
     mid = solve_midpoint_approx(inst, mix)
     opt = solve_brute_force(inst, mix, cap=cap)
     if opt.objective <= TOL:

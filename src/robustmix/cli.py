@@ -107,6 +107,14 @@ def _load_pairs(path: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _check_columns(scenarios: ScenarioMatrix, n: int, owner="graph", unit="arcs"):
+    """The scenario columns are the items, so their counts must agree."""
+    if scenarios.n != n:
+        raise ParseError(
+            f"scenario CSV has {scenarios.n} columns, {owner} has {n} {unit}"
+        )
+
+
 def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -161,10 +169,7 @@ def _cmd_pairs(args, argv, started):
 def _cmd_solve(args, argv, started):
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    if scenarios.n != graph.n:
-        raise ParseError(
-            f"scenario CSV has {scenarios.n} columns, graph has {graph.n} arcs"
-        )
+    _check_columns(scenarios, graph.n)
     specs = mixture_spec_from_json(_read(args.mixture))
     mix = build_mixture(specs, scenarios)
     if args.pairs is not None:
@@ -227,6 +232,7 @@ def _cmd_evaluate(args, argv, started):
 def _cmd_baseline(args, argv, started):
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
+    _check_columns(scenarios, graph.n)
     pairs = _load_pairs(args.pairs)
     split = split_scenarios(scenarios.K, args.ratio, args.seed)
     grid = baseline_grid(args.type, graph, pairs, scenarios, split)
@@ -242,6 +248,7 @@ def _cmd_baseline(args, argv, started):
 def _cmd_tune(args, argv, started):
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
+    _check_columns(scenarios, graph.n)
     pairs = _load_pairs(args.pairs)
     split = split_scenarios(scenarios.K, args.ratio, args.seed)
     space = ConfigSpace(budget=args.budget, max_parents=args.max_parents)
@@ -306,12 +313,14 @@ def _cmd_emit_mip(args, argv, started):
     mix = build_mixture(specs, scenarios)
     if args.graph is not None:
         graph = parse_graph(_read(args.graph))
+        _check_columns(scenarios, graph.n)
         if args.source is None or args.target is None:
             raise ParseError("emit-mip with --graph needs --source/--target")
         inst = Instance.spath(graph, args.source, args.target)
     else:
         if args.select_n is None or args.select_p is None:
             raise ParseError("emit-mip needs --graph or --select-n/--select-p")
+        _check_columns(scenarios, args.select_n, "selection", "items")
         inst = Instance.selection(args.select_n, args.select_p)
     stats = emit_model(inst, mix, args.out)
     print(

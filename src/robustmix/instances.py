@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InfeasibleError, ParseError
+from .errors import CapExceededError, InfeasibleError, ParseError
 from .uncertainty import ScenarioMatrix
 
 
@@ -224,6 +224,14 @@ def check_costs(costs, n: int) -> OracleCosts:
     return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
 
 
+def _incidence(n: int, items) -> tuple[int, ...]:
+    """The 0/1 vector of length n with ones at `items`."""
+    x = [0] * n
+    for i in items:
+        x[i] = 1
+    return tuple(x)
+
+
 def _lexkey(arcs) -> tuple[int, ...]:
     return tuple(sorted(arcs))
 
@@ -404,10 +412,7 @@ def nominal_solve(
             raise InfeasibleError("not enough allowed items")
         order = sorted(allowed, key=lambda i: (c[i], i))
         chosen = sorted(fin | set(order[:need]))
-        x = [0] * inst.n
-        for i in chosen:
-            x[i] = 1
-        return Solution(tuple(x), float(sum(c[i] for i in chosen)))
+        return Solution(_incidence(inst.n, chosen), float(sum(c[i] for i in chosen)))
 
     if not costs.nonnegative:
         raise ValueError(_NEGATIVE_PATH_COSTS)
@@ -423,11 +428,7 @@ def nominal_solve(
             f"no path from {inst.source} to {inst.target} under restrictions"
         )
     _, arcs = res
-    x = [0] * inst.n
-    for a in arcs:
-        x[a] = 1
-    value = float(sum(c[a] for a in arcs))
-    return Solution(tuple(x), value)
+    return Solution(_incidence(inst.n, arcs), float(sum(c[a] for a in arcs)))
 
 
 def nominal_values(inst: Instance, block) -> np.ndarray:
@@ -487,32 +488,27 @@ def enumerate_feasible(inst: Instance, cap: int | None = None):
     """Yield every feasible incidence vector (tuples of 0/1).
 
     SPath enumerates simple source-target paths by DFS; Selection yields
-    all p-subsets.  Order is deterministic.
+    all p-subsets.  Order is deterministic.  Raises CapExceededError
+    before yielding a vector past the first `cap`.
     """
-    count = 0
     if inst.kind == "selection":
-        for combo in itertools.combinations(range(inst.n), inst.p):
-            x = [0] * inst.n
-            for i in combo:
-                x[i] = 1
-            count += 1
-            if cap is not None and count > cap:
-                raise InfeasibleError(f"enumeration exceeds cap {cap}")
-            yield tuple(x)
-        return
+        item_sets = itertools.combinations(range(inst.n), inst.p)
+    else:
+        item_sets = _simple_paths(inst)
+    for count, items in enumerate(item_sets, 1):
+        if cap is not None and count > cap:
+            raise CapExceededError(f"enumeration exceeds cap {cap}")
+        yield _incidence(inst.n, items)
 
+
+def _simple_paths(inst: Instance):
+    """Arc tuples of the simple source-target paths, depth first."""
     out = inst.graph.out_arcs()
     stack = [(inst.source, {inst.source}, ())]
     while stack:
         v, used, arcs = stack.pop()
         if v == inst.target:
-            x = [0] * inst.n
-            for a in arcs:
-                x[a] = 1
-            count += 1
-            if cap is not None and count > cap:
-                raise InfeasibleError(f"enumeration exceeds cap {cap}")
-            yield tuple(x)
+            yield arcs
             continue
         for arc_idx, head in reversed(out[v]):
             if head not in used:

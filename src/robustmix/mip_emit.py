@@ -7,29 +7,21 @@ interval components fold into the linear objective.  Ellipsoids are
 conic and rejected.  Variable naming is stable for diffing:
 x_<i>, pi_<j>, rho_<j>_<i>, alpha_<j>_<r>, y_<j> with j the mixture
 component index.
-
-Objective constants would be carried by a variable `one` fixed to
-[1, 1]; none of the emitted models need one before solving, but the
-parser understands it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .analysis import dual_certificate
 from .errors import ParseError, UnsupportedError
 from .instances import Instance, Solution
-from .uncertainty import (
-    BudgetedSet,
-    EllipsoidSet,
-    HullSet,
-    IntervalSet,
-    Mixture,
-    PolyhedronSet,
-)
+from .solvers import evaluate_wrp
+from .uncertainty import Mixture
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -39,26 +31,124 @@ class ModelStats:
     num_binary: int
     num_continuous: int
     num_constraints: int
-    objective_constant: float = 0.0
+
+    def __str__(self) -> str:
+        return f"{self.num_binary}/{self.num_continuous}/{self.num_constraints}"
+
+
+@dataclass
+class _Model:
+    """The objective, rows and continuous variables emitted so far."""
+
+    obj_x: np.ndarray  # linear objective coefficients of x
+    obj_terms: list = field(default_factory=list)  # (coef, variable)
+    rows: list = field(default_factory=list)  # (name, terms, sense, rhs)
+    cont_vars: list = field(default_factory=list)
+
+
+def _interval_block(model: _Model, j: int, weight: float, uset, n: int):
+    model.obj_x += weight * uset.hi
+
+
+def _budgeted_block(model: _Model, j: int, weight: float, uset, n: int):
+    model.obj_x += weight * uset.lo
+    pi = f"pi_{j}"
+    model.cont_vars.append(pi)
+    model.obj_terms.append((weight * uset.gamma, pi))
+    for i in range(n):
+        rho = f"rho_{j}_{i}"
+        model.cont_vars.append(rho)
+        model.obj_terms.append((weight, rho))
+        model.rows.append(
+            (
+                f"bud_{j}_{i}",
+                [(1.0, pi), (1.0, rho), (-float(uset.deviations[i]), f"x_{i}")],
+                ">=",
+                0.0,
+            )
+        )
+
+
+def _hull_block(model: _Model, j: int, weight: float, uset, n: int):
+    y = f"y_{j}"
+    model.cont_vars.append(y)
+    model.obj_terms.append((weight, y))
+    for k in range(uset.num_points):
+        terms = [(1.0, y)]
+        for i in range(n):
+            coef = float(uset.points[k, i])
+            if coef != 0.0:
+                terms.append((-coef, f"x_{i}"))
+        model.rows.append((f"hull_{j}_{k}", terms, ">=", 0.0))
+
+
+def _polyhedron_block(model: _Model, j: int, weight: float, uset, n: int):
+    m = uset.V.shape[0]
+    alphas = [f"alpha_{j}_{r}" for r in range(m)]
+    model.cont_vars.extend(alphas)
+    for r in range(m):
+        model.obj_terms.append((weight * float(uset.d[r]), alphas[r]))
+    for i in range(n):
+        terms = []
+        for r in range(m):
+            coef = float(uset.V[r, i])
+            if coef != 0.0:
+                terms.append((coef, alphas[r]))
+        terms.append((-1.0, f"x_{i}"))
+        model.rows.append((f"poly_{j}_{i}", terms, ">=", 0.0))
+
+
+def _budgeted_completion(point: dict, j: int, uset, x, lp: LpModel) -> None:
+    cert = dual_certificate(Mixture(((1.0, uset),)), x)
+    point[f"pi_{j}"] = cert.pi[0]
+    for i, rho in enumerate(cert.rho[0]):
+        point[f"rho_{j}_{i}"] = rho
+
+
+def _hull_completion(point: dict, j: int, uset, x, lp: LpModel) -> None:
+    best = 0.0
+    for name, terms, sense, rhs in lp.constraints:
+        if name.startswith(f"hull_{j}_"):
+            load = -sum(
+                coef * point.get(var, 0.0)
+                for var, coef in terms.items()
+                if var != f"y_{j}"
+            )
+            best = max(best, load)
+    point[f"y_{j}"] = best
+
+
+class _Family(NamedTuple):
+    """How one set family enters the LP model on n items."""
+
+    counts: Callable  # (uset, n) -> (continuous variables, rows)
+    block: Callable  # (model, j, weight, uset, n) adds its part to the model
+    completion: Callable  # (point, j, uset, x, lp) sets its variables; a message skips
+
+
+_POLYHEDRON_SKIP = "polyhedral completion skipped (needs an LP solver)"
+_FAMILIES = {
+    "interval": _Family(lambda u, n: (0, 0), _interval_block, lambda *_: None),
+    "budgeted": _Family(lambda u, n: (1 + n, n), _budgeted_block, _budgeted_completion),
+    "hull": _Family(lambda u, n: (1, u.num_points), _hull_block, _hull_completion),
+    "polyhedron": _Family(
+        lambda u, n: (u.V.shape[0], n), _polyhedron_block, lambda *_: _POLYHEDRON_SKIP
+    ),
+}
+
+
+def _family(uset) -> _Family:
+    if uset.name not in _FAMILIES:
+        raise UnsupportedError("conic objective unsupported in LP format")
+    return _FAMILIES[uset.name]
 
 
 def expected_stats(inst: Instance, mix: Mixture) -> ModelStats:
     """Closed-form variable and row counts for the combined model."""
     n = inst.n
-    cont = 0
-    rows = 0
-    for _, uset in mix.components:
-        if isinstance(uset, BudgetedSet):
-            cont += 1 + n
-            rows += n
-        elif isinstance(uset, HullSet):
-            cont += 1
-            rows += uset.num_points
-        elif isinstance(uset, PolyhedronSet):
-            cont += uset.V.shape[0]
-            rows += n
-        elif isinstance(uset, EllipsoidSet):
-            raise UnsupportedError("conic objective unsupported in LP format")
+    counts = [_family(uset).counts(uset, n) for _, uset in mix.components]
+    cont = sum(c for c, _ in counts)
+    rows = sum(r for _, r in counts)
     rows += 1 if inst.kind == "selection" else inst.graph.num_nodes
     return ModelStats(n, cont, rows)
 
@@ -76,69 +166,20 @@ def _expr(terms: list[tuple[float, str]]) -> str:
             parts.append(f"- {_coef(-coef)} {name}")
         else:
             parts.append(f"+ {_coef(coef)} {name}")
-    return " ".join(parts) if parts else "0 one"
+    return " ".join(parts)
 
 
 def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
     """Write the weighted model as an LP file; returns exact counts."""
     stats = expected_stats(inst, mix)
     n = inst.n
-
-    obj_x = np.zeros(n)
-    obj_terms: list[tuple[float, str]] = []
-    rows: list[tuple[str, list[tuple[float, str]], str, float]] = []
-    cont_vars: list[str] = []
-
+    model = _Model(np.zeros(n))
     for j, (weight, uset) in enumerate(mix.components):
-        if isinstance(uset, IntervalSet):
-            obj_x += weight * uset.hi
-        elif isinstance(uset, BudgetedSet):
-            obj_x += weight * uset.lo
-            pi = f"pi_{j}"
-            cont_vars.append(pi)
-            obj_terms.append((weight * uset.gamma, pi))
-            for i in range(n):
-                rho = f"rho_{j}_{i}"
-                cont_vars.append(rho)
-                obj_terms.append((weight, rho))
-                rows.append(
-                    (
-                        f"bud_{j}_{i}",
-                        [(1.0, pi), (1.0, rho), (-float(uset.deviations[i]), f"x_{i}")],
-                        ">=",
-                        0.0,
-                    )
-                )
-        elif isinstance(uset, HullSet):
-            y = f"y_{j}"
-            cont_vars.append(y)
-            obj_terms.append((weight, y))
-            for k in range(uset.num_points):
-                terms = [(1.0, y)]
-                for i in range(n):
-                    coef = float(uset.points[k, i])
-                    if coef != 0.0:
-                        terms.append((-coef, f"x_{i}"))
-                rows.append((f"hull_{j}_{k}", terms, ">=", 0.0))
-        elif isinstance(uset, PolyhedronSet):
-            m = uset.V.shape[0]
-            alphas = [f"alpha_{j}_{r}" for r in range(m)]
-            cont_vars.extend(alphas)
-            for r in range(m):
-                obj_terms.append((weight * float(uset.d[r]), alphas[r]))
-            for i in range(n):
-                terms = []
-                for r in range(m):
-                    coef = float(uset.V[r, i])
-                    if coef != 0.0:
-                        terms.append((coef, alphas[r]))
-                terms.append((-1.0, f"x_{i}"))
-                rows.append((f"poly_{j}_{i}", terms, ">=", 0.0))
-        else:
-            raise UnsupportedError("conic objective unsupported in LP format")
+        _family(uset).block(model, j, weight, uset, n)
+    obj_x, rows = model.obj_x, model.rows
 
     x_terms = [(float(obj_x[i]), f"x_{i}") for i in range(n) if obj_x[i] != 0.0]
-    objective = x_terms + obj_terms
+    objective = x_terms + model.obj_terms
     if not objective:
         objective = [(0.0, "x_0")]
 
@@ -167,7 +208,7 @@ def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
     lines.append("Bounds")
     for i in range(n):
         lines.append(f" 0 <= x_{i} <= 1")
-    for var in cont_vars:
+    for var in model.cont_vars:
         lines.append(f" {var} >= 0")
     lines.append("General")
     for i in range(n):
@@ -305,9 +346,6 @@ def check_emitted(
     row-max for epigraph rows), checks constraint feasibility, and
     compares the file objective against the in-process objective.
     """
-    from .analysis import dual_certificate
-    from .solvers import evaluate_wrp
-
     try:
         with open(path, encoding="utf-8") as fh:
             model = parse_lp(fh.read())
@@ -315,46 +353,17 @@ def check_emitted(
         return EmitCheck(False, False, f"parse-back failure: {exc}")
 
     stats = expected_stats(inst, mix)
-    n_rows = len(model.constraints)
     n_bin = len(model.general)
-    n_cont = len(model.bounds) - n_bin
-    if (n_bin, n_cont, n_rows) != (
-        stats.num_binary,
-        stats.num_continuous,
-        stats.num_constraints,
-    ):
-        return EmitCheck(
-            False,
-            False,
-            f"structure mismatch: file has {n_bin}/{n_cont}/{n_rows}, "
-            f"expected {stats.num_binary}/{stats.num_continuous}/"
-            f"{stats.num_constraints}",
-        )
+    found = ModelStats(n_bin, len(model.bounds) - n_bin, len(model.constraints))
+    if found != stats:
+        message = f"structure mismatch: file has {found}, expected {stats}"
+        return EmitCheck(False, False, message)
 
     point = {f"x_{i}": float(xi) for i, xi in enumerate(solution.x)}
-    for j, (weight, uset) in enumerate(mix.components):
-        if isinstance(uset, BudgetedSet):
-            cert = dual_certificate(
-                Mixture(((1.0, uset),)), solution.x
-            )
-            point[f"pi_{j}"] = cert.pi[0]
-            for i, rho in enumerate(cert.rho[0]):
-                point[f"rho_{j}_{i}"] = rho
-        elif isinstance(uset, HullSet):
-            best = 0.0
-            for name, terms, sense, rhs in model.constraints:
-                if name.startswith(f"hull_{j}_"):
-                    load = -sum(
-                        coef * point.get(var, 0.0)
-                        for var, coef in terms.items()
-                        if var != f"y_{j}"
-                    )
-                    best = max(best, load)
-            point[f"y_{j}"] = best
-        elif isinstance(uset, PolyhedronSet):
-            return EmitCheck(
-                True, False, "polyhedral completion skipped (needs an LP solver)"
-            )
+    for j, (_, uset) in enumerate(mix.components):
+        skipped = _family(uset).completion(point, j, uset, solution.x, model)
+        if skipped:
+            return EmitCheck(True, False, skipped)
 
     for name, terms, sense, rhs in model.constraints:
         lhs = sum(coef * point.get(var, 0.0) for var, coef in terms.items())

@@ -29,16 +29,7 @@ from .instances import (
     nominal_solve,
     nominal_values,
 )
-from .uncertainty import (
-    BudgetedSet,
-    EllipsoidSet,
-    HullSet,
-    IntervalSet,
-    Mixture,
-    PolyhedronSet,
-    center,
-    worst_case,
-)
+from .uncertainty import EllipsoidSet, IntervalSet, Mixture, worst_case
 
 TOL = 1e-9
 
@@ -66,6 +57,14 @@ def evaluate_wrp(mix: Mixture, x) -> float:
     return total
 
 
+def _weighted_sum(mix: Mixture, n: int, member: str) -> np.ndarray:
+    """sum_j p_j U_j.<member>() over the components, summed in index order."""
+    total = np.zeros(n)
+    for weight, uset in mix.components:
+        total += weight * getattr(uset, member)()
+    return total
+
+
 def _lexset(x) -> tuple[int, ...]:
     return tuple(itertools.compress(range(len(x)), x))
 
@@ -81,14 +80,9 @@ def _better(obj_a, lex_a, obj_b, lex_b) -> bool:
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     """All-interval mixtures reduce to a single nominal problem with
-    reduced costs sum_j p_j hi^j."""
-    for _, uset in mix.components:
-        if not isinstance(uset, IntervalSet):
-            raise UnsupportedError("solve_interval_mix needs interval components")
-    reduced = np.zeros(inst.n)
-    for weight, uset in mix.components:
-        reduced += weight * uset.hi
-    sol = nominal_solve(inst, reduced)
+    reduced costs sum_j p_j hi^j, the intervals' bound members."""
+    mix.require("interval", "solve_interval_mix needs interval components")
+    sol = nominal_solve(inst, _weighted_sum(mix, inst.n, "bound_member"))
     obj = evaluate_wrp(mix, sol.x)
     return SolveReport(Solution(sol.x, obj), obj, "interval", True, oracle_calls=1)
 
@@ -99,12 +93,8 @@ THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
 def _threshold_candidates(mix: Mixture) -> list[list[float]]:
     """Per budgeted component, its dual thresholds {0} union {deviations},
     sorted; the enumeration prices the product of these lists."""
-    lists = []
-    for _, uset in mix.components:
-        if not isinstance(uset, BudgetedSet):
-            raise UnsupportedError("solve_budgeted_mix needs budgeted components")
-        lists.append(sorted(set([0.0] + uset.deviations.tolist())))
-    return lists
+    mix.require("budgeted", "solve_budgeted_mix needs budgeted components")
+    return [sorted(set([0.0] + u.deviations.tolist())) for _, u in mix.components]
 
 
 def solve_budgeted_mix(
@@ -176,15 +166,9 @@ def solve_budgeted_mix(
 def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     """Optimize the weighted per-hull scenario average; the result is a
     K^max-approximation where K^max is the largest point count."""
-    kmax = 0
-    for _, uset in mix.components:
-        if not isinstance(uset, HullSet):
-            raise UnsupportedError("solve_midpoint_approx needs hull components")
-        kmax = max(kmax, uset.num_points)
-    c_hat = np.zeros(inst.n)
-    for weight, uset in mix.components:
-        c_hat += weight * uset.points.mean(axis=0)
-    sol = nominal_solve(inst, c_hat)
+    mix.require("hull", "solve_midpoint_approx needs hull components")
+    kmax = max(uset.num_points for _, uset in mix.components)
+    sol = nominal_solve(inst, _weighted_sum(mix, inst.n, "center"))
     obj = evaluate_wrp(mix, sol.x)
     return SolveReport(
         Solution(sol.x, obj),
@@ -307,33 +291,15 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
 
 
 def _bound_costs(mix: Mixture, n: int) -> np.ndarray:
-    """Costs of a fixed member of each set, so cost . x never exceeds the
-    worst case.  Intervals use their upper bound (tight); budgeted sets
-    use their lower bound, the only member guaranteed for every Gamma."""
-    costs = np.zeros(n)
-    for weight, uset in mix.components:
-        if isinstance(uset, IntervalSet):
-            point = uset.hi
-        elif isinstance(uset, BudgetedSet):
-            point = uset.lo
-        else:
-            point = center(uset)
-        costs += weight * point
-    return costs
+    """Weighted sum of each set's `bound_member()`, a fixed member, so
+    cost . x never exceeds the objective."""
+    return _weighted_sum(mix, n, "bound_member")
 
 
 def _branch_spread(mix: Mixture, n: int) -> np.ndarray:
-    """Per-item gap between worst case and bound contribution; used to
-    pick branching variables."""
-    spread = np.zeros(n)
-    for weight, uset in mix.components:
-        if isinstance(uset, BudgetedSet):
-            spread += weight * uset.deviations
-        elif isinstance(uset, HullSet):
-            spread += weight * (uset.points.max(axis=0) - uset.points.min(axis=0))
-        elif isinstance(uset, EllipsoidSet):
-            spread += weight * np.sqrt(uset.lam * np.maximum(np.diag(uset.sigma), 0))
-    return spread
+    """Weighted sum of each set's per-item `spread()` between worst case
+    and bound member; used to pick branching variables."""
+    return _weighted_sum(mix, n, "spread")
 
 
 def solve_bnb(
@@ -360,9 +326,6 @@ def solve_bnb(
     smallest optimum: a subtree whose bound equals the incumbent's
     objective is pruned, and it may hold a smaller optimal item set.
     """
-    for _, uset in mix.components:
-        if isinstance(uset, PolyhedronSet):
-            raise UnsupportedError("polyhedral components unsupported in solve_bnb")
     bcosts = check_costs(_bound_costs(mix, inst.n), inst.n)
     spread = _branch_spread(mix, inst.n)
     start = time.monotonic()
@@ -431,11 +394,7 @@ def solve_bnb(
 def solve_brute_force(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> SolveReport:
     """Exact minimum of the objective by full enumeration of X."""
     best = None
-    count = 0
-    for x in enumerate_feasible(inst):
-        count += 1
-        if count > cap:
-            raise CapExceededError(f"feasible set exceeds cap {cap}")
+    for count, x in enumerate(enumerate_feasible(inst, cap=cap), 1):
         obj = evaluate_wrp(mix, x)
         lex = _lexset(x)
         if best is None or _better(obj, lex, best[0], best[1]):
@@ -527,18 +486,13 @@ def solve_auto(
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)
     if types == {"budgeted"}:
-        total = math.prod(len(cands) for cands in _threshold_candidates(mix))
-        if total <= enum_cap:
+        try:
             return solve_budgeted_mix(inst, mix, cap=enum_cap)
-        return solve_bnb(inst, mix, max_nodes=max_nodes)
+        except CapExceededError:
+            return solve_bnb(inst, mix, max_nodes=max_nodes)
     if types <= {"ellipsoid", "interval"}:
-        n_ell = sum(1 for t in mix.set_types() if t == "ellipsoid")
-        diag = all(
-            uset.is_diagonal()
-            for _, uset in mix.components
-            if isinstance(uset, EllipsoidSet)
-        )
-        if n_ell == 1 and diag:
+        ells = [uset for _, uset in mix.components if isinstance(uset, EllipsoidSet)]
+        if len(ells) == 1 and ells[0].is_diagonal():
             return solve_ellipsoid_parametric(inst, mix)
     if types == {"hull"}:
         warm = solve_midpoint_approx(inst, mix)

@@ -5,6 +5,12 @@ convex hulls of discrete scenario points, ellipsoids, and polyhedra in
 H-representation.  Polyhedra are carried only so they can be emitted as
 mixed-integer models; in-process worst-case evaluation rejects them.
 
+Each family's class is the one place that defines its behaviour:
+`name`, `worst_case(x) -> (value, member)`, `center()`, the fixed
+`bound_member()` that branch-and-bound bounds with, and the per-item
+`spread()` it branches on.  A new family touches its class, `build_set`
+and, if it can be emitted as an LP, one entry of `mip_emit._FAMILIES`.
+
 The lambda-scaled builders reconstruct standard data-driven
 constructions around the columnwise scenario mean: lambda interpolates
 between the point set at the mean (lambda = 0) and, for interval and
@@ -112,7 +118,9 @@ class ScenarioMatrix:
 
 
 @dataclass(frozen=True)
-class IntervalSet:
+class _Box:
+    """lo <= hi bounds, shared by the interval and budgeted families."""
+
     lo: np.ndarray
     hi: np.ndarray
 
@@ -122,45 +130,65 @@ class IntervalSet:
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-D vectors of equal length")
         if np.any(lo > hi + 1e-12):
-            raise ValueError("interval requires lo <= hi componentwise")
+            raise ValueError(f"{self.name} set requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     @property
     def n(self) -> int:
         return self.lo.shape[0]
+
+    def center(self) -> np.ndarray:
+        return (self.lo + self.hi) / 2.0
 
 
 @dataclass(frozen=True)
-class BudgetedSet:
-    lo: np.ndarray
-    hi: np.ndarray
+class IntervalSet(_Box):
+    name = "interval"
+
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(self.hi @ x), self.hi.copy()
+
+    def bound_member(self) -> np.ndarray:
+        return self.hi  # the worst case for every x: the bound is tight
+
+    def spread(self) -> np.ndarray:
+        return np.zeros(self.n)
+
+
+@dataclass(frozen=True)
+class BudgetedSet(_Box):
     gamma: int
+    name = "budgeted"
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be 1-D vectors of equal length")
-        if np.any(lo > hi + 1e-12):
-            raise ValueError("budgeted set requires lo <= hi componentwise")
-        if not (0 <= self.gamma <= lo.shape[0]):
+        super().__post_init__()
+        if not (0 <= self.gamma <= self.n):
             raise ValueError("gamma must lie in [0, n]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @property
-    def n(self) -> int:
-        return self.lo.shape[0]
 
     @property
     def deviations(self) -> np.ndarray:
         return self.hi - self.lo
 
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        dev = self.deviations * x
+        c = self.lo.copy()
+        top = np.argsort(-dev, kind="stable")[: self.gamma]
+        if top.size:
+            c[top] += self.deviations[top]
+        return float(self.lo @ x + dev[top].sum()), c
+
+    def bound_member(self) -> np.ndarray:
+        return self.lo  # the only member guaranteed for every Gamma
+
+    def spread(self) -> np.ndarray:
+        return self.deviations
+
 
 @dataclass(frozen=True)
 class HullSet:
     points: np.ndarray  # K_j rows of n-vectors
+    name = "hull"
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -175,6 +203,19 @@ class HullSet:
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
+
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        values = self.points @ x
+        k = int(np.argmax(values))  # argmax keeps the lowest index on ties
+        return float(values[k]), self.points[k].copy()
+
+    def center(self) -> np.ndarray:
+        return self.points.mean(axis=0)
+
+    bound_member = center
+
+    def spread(self) -> np.ndarray:
+        return self.points.max(axis=0) - self.points.min(axis=0)
 
 
 def _is_psd(sigma: np.ndarray, tol: float = 1e-9) -> bool:
@@ -198,6 +239,7 @@ class EllipsoidSet:
     mu: np.ndarray
     sigma: np.ndarray
     lam: float
+    name = "ellipsoid"
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
@@ -224,6 +266,23 @@ class EllipsoidSet:
     def _is_diagonal(self) -> bool:
         return bool(np.allclose(self.sigma, np.diag(np.diag(self.sigma)), atol=1e-12))
 
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        quad = max(float(x @ self.sigma @ x), 0.0)
+        value = float(self.mu @ x + np.sqrt(self.lam * quad))
+        if quad > 0 and self.lam > 0:
+            c = self.mu + np.sqrt(self.lam) * (self.sigma @ x) / np.sqrt(quad)
+        else:
+            c = self.mu.copy()
+        return value, c
+
+    def center(self) -> np.ndarray:
+        return self.mu.copy()
+
+    bound_member = center
+
+    def spread(self) -> np.ndarray:
+        return np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0))
+
 
 @dataclass(frozen=True)
 class PolyhedronSet:
@@ -231,6 +290,7 @@ class PolyhedronSet:
 
     V: np.ndarray
     d: np.ndarray
+    name = "polyhedron"
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -243,6 +303,14 @@ class PolyhedronSet:
     @property
     def n(self) -> int:
         return self.V.shape[1]
+
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        raise UnsupportedError("polyhedral worst case unsupported: emit MIP instead")
+
+    def center(self) -> np.ndarray:
+        raise UnsupportedError("polyhedral sets have no usable center here")
+
+    bound_member = spread = center
 
 
 UncertaintySet = IntervalSet | BudgetedSet | HullSet | EllipsoidSet | PolyhedronSet
@@ -306,42 +374,12 @@ def build_set(
 
 def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
     """max over the set of c . x for binary x; returns (value, argmax c)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(uset, IntervalSet):
-        return float(uset.hi @ x), uset.hi.copy()
-    if isinstance(uset, HullSet):
-        values = uset.points @ x
-        k = int(np.argmax(values))  # argmax keeps the lowest index on ties
-        return float(values[k]), uset.points[k].copy()
-    if isinstance(uset, BudgetedSet):
-        dev = uset.deviations * x
-        c = uset.lo.copy()
-        top = np.argsort(-dev, kind="stable")[: uset.gamma]
-        if top.size:
-            c[top] += uset.deviations[top]
-        return float(uset.lo @ x + dev[top].sum()), c
-    if isinstance(uset, EllipsoidSet):
-        quad = max(float(x @ uset.sigma @ x), 0.0)
-        value = float(uset.mu @ x + np.sqrt(uset.lam * quad))
-        if quad > 0 and uset.lam > 0:
-            c = uset.mu + np.sqrt(uset.lam) * (uset.sigma @ x) / np.sqrt(quad)
-        else:
-            c = uset.mu.copy()
-        return value, c
-    if isinstance(uset, PolyhedronSet):
-        raise UnsupportedError("polyhedral worst case unsupported: emit MIP instead")
-    raise UnsupportedError(f"unsupported set {type(uset).__name__}")
+    return uset.worst_case(np.asarray(x, dtype=float))
 
 
 def center(uset: UncertaintySet) -> np.ndarray:
     """A representative member of the set (mean / midpoint / mu)."""
-    if isinstance(uset, HullSet):
-        return uset.points.mean(axis=0)
-    if isinstance(uset, (IntervalSet, BudgetedSet)):
-        return (uset.lo + uset.hi) / 2.0
-    if isinstance(uset, EllipsoidSet):
-        return uset.mu.copy()
-    raise UnsupportedError("polyhedral sets have no usable center here")
+    return uset.center()
 
 
 @dataclass(frozen=True)
@@ -370,14 +408,12 @@ class Mixture:
         return len(self.components)
 
     def set_types(self) -> tuple[str, ...]:
-        names = {
-            IntervalSet: "interval",
-            BudgetedSet: "budgeted",
-            HullSet: "hull",
-            EllipsoidSet: "ellipsoid",
-            PolyhedronSet: "polyhedron",
-        }
-        return tuple(names[type(u)] for _, u in self.components)
+        return tuple(u.name for _, u in self.components)
+
+    def require(self, set_type: str, message: str) -> None:
+        """Raise UnsupportedError(message) unless all components are `set_type`."""
+        if any(u.name != set_type for _, u in self.components):
+            raise UnsupportedError(message)
 
 
 def mixture_spec_from_json(text: str) -> list[dict]:

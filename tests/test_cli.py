@@ -329,12 +329,70 @@ class TestEmitMip:
                 "emit-mip",
                 "--scenarios", workdir["scenarios"],
                 "--mixture", mixture,
-                "--select-n", "4", "--select-p", "2",
+                "--select-n", "12", "--select-p", "2",
                 "--out", str(workdir["dir"] / "model.lp"),
             ]
         )
         assert code == 2
         assert "conic" in capsys.readouterr().err
+
+
+def write_scenarios(path, columns: int) -> str:
+    """A three-row scenario CSV with `columns` arcs."""
+    rows = [",".join(f"arc_{i}" for i in range(columns))]
+    rows += [",".join(["1.5"] * columns)] * 3
+    Path(path).write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+BUDGETED_MIX = [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 1}]
+
+
+class TestColumnCheck:
+    """Every subcommand that pairs scenarios with items checks their
+    counts before it solves or emits anything (the workdir graph has 12
+    arcs)."""
+
+    def run(self, workdir, capsys, argv, columns):
+        scenarios = write_scenarios(workdir["dir"] / f"s{columns}.csv", columns)
+        mixture = write_mixture(workdir["dir"], BUDGETED_MIX)
+        out = workdir["dir"] / "out"
+        names = {**workdir, "scenarios": scenarios, "mixture": mixture, "out": out}
+        argv = [a.format(**names) for a in argv]
+        code = main(argv)
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("columns", [4, 13])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--graph", "{graph}", "--scenarios", "{scenarios}",
+             "--mixture", "{mixture}", "--pairs", "{pairs}", "--out", "{out}"],
+            ["baseline", "--type", "interval", "--graph", "{graph}",
+             "--scenarios", "{scenarios}", "--pairs", "{pairs}", "--out", "{out}"],
+            ["tune", "--graph", "{graph}", "--scenarios", "{scenarios}",
+             "--pairs", "{pairs}", "--budget", "10", "--weights", "1,0,0",
+             "--out-config", "{out}"],
+            ["emit-mip", "--graph", "{graph}", "--scenarios", "{scenarios}",
+             "--mixture", "{mixture}", "--source", "0", "--target", "8",
+             "--out", "{out}"],
+        ],
+        ids=["solve", "baseline", "tune", "emit-mip-graph"],
+    )
+    def test_graph_subcommands(self, workdir, capsys, argv, columns):
+        code, err, out = self.run(workdir, capsys, argv, columns)
+        assert code == 2
+        assert f"scenario CSV has {columns} columns, graph has 12 arcs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("columns", [4, 13])
+    def test_emit_mip_selection(self, workdir, capsys, columns):
+        argv = ["emit-mip", "--scenarios", "{scenarios}", "--mixture", "{mixture}",
+                "--select-n", "12", "--select-p", "3", "--out", "{out}"]
+        code, err, out = self.run(workdir, capsys, argv, columns)
+        assert code == 2
+        assert f"scenario CSV has {columns} columns, selection has 12 items" in err
+        assert not out.exists()
 
 
 class TestVerify:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robustmix import (
+    CapExceededError,
     Graph,
     InfeasibleError,
     Instance,
@@ -468,7 +469,7 @@ class TestEnumerateFeasible:
         assert xs == [(0, 0, 1, 1), (1, 1, 0, 0)]
 
     def test_cap_enforced(self):
-        with pytest.raises(InfeasibleError, match="cap"):
+        with pytest.raises(CapExceededError, match="cap"):
             list(enumerate_feasible(Instance.selection(10, 5), cap=3))
 
 

@@ -21,6 +21,7 @@ from robustmix.mip_emit import expected_stats
 from robustmix.verify import random_budgeted_mixture, random_hull_mixture, random_instance
 
 from lp_grammar import check_lp_grammar
+from test_solvers import random_mixture
 
 
 def budgeted_selection():
@@ -147,10 +148,13 @@ class TestCheckEmitted:
     def test_random_models_round_trip(self, rng, tmp_path):
         for trial in range(30):
             inst = random_instance(rng, max_sel_n=6)
-            if trial % 2 == 0:
+            if trial % 3 == 0:
                 mix = random_budgeted_mixture(rng, inst.n)
-            else:
+            elif trial % 3 == 1:
                 mix = random_hull_mixture(rng, inst.n)
+            else:
+                families = rng.permutation(["interval", "budgeted", "hull"])
+                mix = random_mixture(rng, inst.n, families)
             path = str(tmp_path / f"m{trial}.lp")
             stats = emit_model(inst, mix, path)
             assert stats == expected_stats(inst, mix)

@@ -29,7 +29,7 @@ from robustmix import (
     solve_midpoint_approx,
 )
 from robustmix import solvers
-from robustmix.instances import nominal_solve
+from robustmix.instances import enumerate_feasible, nominal_solve
 from robustmix.verify import random_hull_mixture, random_instance
 from test_instances import CYCLIC, relabelled_grid
 
@@ -66,6 +66,48 @@ def counted_oracle(monkeypatch):
 def interval(hi, lo=None):
     hi = np.asarray(hi, dtype=float)
     return IntervalSet(np.zeros_like(hi) if lo is None else np.asarray(lo, float), hi)
+
+
+IN_PROCESS_FAMILIES = ("interval", "budgeted", "hull", "ellipsoid")
+
+
+def random_set(rng, n, family):
+    """A small random set of one in-process family over n items."""
+    lo = rng.uniform(0, 5, n)
+    hi = lo + rng.uniform(0, 5, n)
+    if family == "interval":
+        return IntervalSet(lo, hi)
+    if family == "budgeted":
+        return BudgetedSet(lo, hi, int(rng.integers(0, n + 1)))
+    if family == "hull":
+        return HullSet(rng.uniform(0, 10, (int(rng.integers(1, 4)), n)))
+    a = rng.normal(size=(n, n))
+    return EllipsoidSet(lo, a @ a.T, float(rng.uniform(0, 5)))
+
+
+def random_mixture(rng, n, families):
+    return Mixture(
+        tuple((float(rng.uniform(0.1, 1.0)), random_set(rng, n, f)) for f in families)
+    )
+
+
+class TestBoundCosts:
+    """BnB's node bound prices a completion under `_bound_costs`; it is a
+    valid bound, and optimal=True a proof, only if that never exceeds the
+    objective."""
+
+    def test_bound_never_exceeds_objective(self, rng):
+        for trial in range(60):
+            inst = random_instance(rng, max_sel_n=6)
+            if trial < len(IN_PROCESS_FAMILIES):
+                families = [IN_PROCESS_FAMILIES[trial]]
+            else:
+                families = rng.choice(IN_PROCESS_FAMILIES, int(rng.integers(2, 5)))
+            mix = random_mixture(rng, inst.n, families)
+            bcosts = solvers._bound_costs(mix, inst.n)
+            for x in enumerate_feasible(inst):
+                bound = float(bcosts @ np.asarray(x, dtype=float))
+                assert bound <= evaluate_wrp(mix, x) + 1e-9, (families, x)
 
 
 class TestEvaluateWrp:

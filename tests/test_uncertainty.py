@@ -271,10 +271,12 @@ class TestWorstCase:
             x = rng.integers(0, 2, n)
             lo = rng.uniform(0, 5, n)
             hi = lo + rng.uniform(0, 5, n)
+            a = rng.normal(size=(n, n))
             sets = [
                 IntervalSet(lo, hi),
                 BudgetedSet(lo, hi, int(rng.integers(0, n + 1))),
                 HullSet(rng.uniform(0, 10, (3, n))),
+                EllipsoidSet(lo, a @ a.T, float(rng.uniform(0, 5))),
             ]
             for uset in sets:
                 value, c = worst_case(uset, x)
@@ -338,9 +340,12 @@ class TestMixture:
             (
                 (1.0, IntervalSet(np.zeros(1), np.ones(1))),
                 (1.0, HullSet(np.ones((1, 1)))),
+                (1.0, BudgetedSet(np.zeros(1), np.ones(1), 1)),
+                (1.0, EllipsoidSet(np.ones(1), np.eye(1), 1.0)),
+                (1.0, PolyhedronSet(np.eye(1), np.ones(1))),
             )
         )
-        assert mix.set_types() == ("interval", "hull")
+        assert mix.set_types() == ("interval", "hull", "budgeted", "ellipsoid", "polyhedron")
 
     def test_spec_json_round_trip(self):
         specs = [
