@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,6 +83,32 @@ class Graph:
         for i, v in enumerate(order):
             position[v] = i
         return tuple(order), tuple(position)
+
+    def paths_to(self, end: int) -> tuple[int, ...]:
+        """Exact number of directed paths from every node to `end`.
+
+        Acyclic graphs only; raises ValueError on a directed cycle.  The
+        counts are Python ints, so they stay exact past 2**63 (a 35x35
+        grid has comb(68, 34) corner-to-corner paths).  Each end node
+        costs one reverse topological pass the first time it is asked
+        for; the result is cached on the graph.
+        """
+        counts = self._path_counts.get(end)
+        if counts is None:
+            if self.topological_order is None:
+                raise ValueError("path counts need an acyclic graph")
+            order, position = self.topological_order
+            out = self.out_arcs()
+            paths = [0] * self.num_nodes
+            paths[end] = 1
+            for v in reversed(order[: position[end]]):
+                paths[v] = sum(paths[head] for _, head in out[v])
+            counts = self._path_counts[end] = tuple(paths)
+        return counts
+
+    @cached_property
+    def _path_counts(self) -> dict[int, tuple[int, ...]]:
+        return {}
 
     def hop_distances(self, source: int) -> list[float]:
         """Unweighted BFS distance from `source` to every node."""
@@ -207,10 +234,16 @@ class OracleCosts:
 
 
 def _check_finite(costs: np.ndarray) -> bool:
-    """Raise unless every cost is finite; return whether none is negative."""
-    if not np.all(np.isfinite(costs)):
+    """Raise unless every cost is finite; return whether none is negative.
+
+    One min and one max reduction decide both: a NaN anywhere makes
+    both NaN, which fails the range test like an infinity does."""
+    if costs.size == 0:
+        return True
+    lo, hi = float(costs.min()), float(costs.max())
+    if not -math.inf < lo <= hi < math.inf:
         raise ValueError("costs must be finite")
-    return not np.any(costs < 0)
+    return lo >= 0
 
 
 def check_costs(costs, n: int) -> OracleCosts:
@@ -429,6 +462,36 @@ def nominal_solve(
         )
     _, arcs = res
     return Solution(_incidence(inst.n, arcs), float(sum(c[a] for a in arcs)))
+
+
+def must_use(inst: Instance, forced_in, arc: int) -> bool:
+    """Does every source-target path through `forced_in` use `arc`?
+
+    `arc` must lie on some such path and not be in `forced_in`; when
+    this is true, `nominal_solve` with `forced_in` and `arc` forced out
+    raises InfeasibleError, whatever else is forced out.  On an acyclic
+    graph the forced arcs cut a path into independent segments, so the
+    answer is whether the segment holding `arc`, from the previous
+    forced head (or the source) to the next forced tail (or the target),
+    has no path around it: paths(start -> end) equals
+    paths(start -> tail) * paths(head -> end), in exact path counts
+    (`Graph.paths_to`).  O(|forced_in|) once those counts are cached.
+    Selection and graphs with a directed cycle always answer False.
+    """
+    graph = inst.graph
+    if inst.kind != "spath" or graph.topological_order is None:
+        return False
+    position = graph.topological_order[1]
+    tail, head = graph.arcs[arc]
+    start, end = inst.source, inst.target
+    for f in forced_in:
+        f_tail, f_head = graph.arcs[f]
+        if position[start] < position[f_head] <= position[tail]:
+            start = f_head
+        elif position[head] <= position[f_tail] < position[end]:
+            end = f_tail
+    to_end = graph.paths_to(end)
+    return to_end[start] == graph.paths_to(tail)[start] * to_end[head]
 
 
 def nominal_values(inst: Instance, block) -> np.ndarray:

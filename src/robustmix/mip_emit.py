@@ -189,17 +189,14 @@ def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
         )
     else:
         g = inst.graph
-        for v in range(g.num_nodes):
-            terms: list[tuple[float, str]] = []
-            for i, (tail, head) in enumerate(g.arcs):
-                if tail == v:
-                    terms.append((1.0, f"x_{i}"))
-                if head == v:
-                    terms.append((-1.0, f"x_{i}"))
+        # one pass in arc order; a self-loop gets its + term before its -
+        flow: list[list[tuple[float, str]]] = [[] for _ in range(g.num_nodes)]
+        for i, (tail, head) in enumerate(g.arcs):
+            flow[tail].append((1.0, f"x_{i}"))
+            flow[head].append((-1.0, f"x_{i}"))
+        for v, terms in enumerate(flow):
             rhs = 1.0 if v == inst.source else (-1.0 if v == inst.target else 0.0)
-            if not terms:
-                terms = [(0.0, "x_0")]
-            rows.append((f"flow_{v}", terms, "=", rhs))
+            rows.append((f"flow_{v}", terms or [(0.0, "x_0")], "=", rhs))
 
     lines = ["\\ robustmix weighted model", "Minimize", f" obj: {_expr(objective)}"]
     lines.append("Subject To")

@@ -26,6 +26,7 @@ from .instances import (
     Solution,
     check_costs,
     enumerate_feasible,
+    must_use,
     nominal_solve,
     nominal_values,
 )
@@ -319,7 +320,12 @@ def solve_bnb(
     The bound costs are checked once per solve (`check_costs`) and the
     same `OracleCosts` goes to the root and every exclude child.  Heap
     entries carry their completion's sorted item tuple, taken once when
-    the completion is found, so a node never scans x.
+    the completion is found, so a node never scans x.  An exclude child
+    that path counts prove infeasible (`must_use`: every path through
+    the forced arcs uses the item) is skipped without an oracle call;
+    on selection and on graphs with a directed cycle every exclude
+    child is solved.  oracle_calls counts the `nominal_solve` calls
+    made: the root and each exclude child not skipped.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
@@ -366,7 +372,9 @@ def solve_bnb(
 
         # include child: completion stays optimal for the subspace
         heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, items))
-        # exclude child: re-complete without the item
+        # exclude child: re-complete without the item, unless no path can
+        if must_use(inst, fin, item):
+            continue
         calls += 1
         try:
             child = nominal_solve(inst, bcosts, forced_in=fin, forced_out=fout | {item})
@@ -409,7 +417,9 @@ def solve_brute_force(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> Sol
 def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
     """Deterministic neighborhood: single swap for selection, single-arc
     detour (cheapest re-route through one excluded arc, found by
-    `oracle(forced_in)`) for paths."""
+    `oracle(forced_in)`) for paths.  On an acyclic graph an arc that no
+    source-target path uses is skipped by its path counts, without an
+    oracle call."""
     chosen = set(_lexset(x))
     if inst.kind == "selection":
         for i in sorted(chosen):
@@ -419,8 +429,15 @@ def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
                     y[i], y[j] = 0, 1
                     yield tuple(y)
         return
+    graph = inst.graph
+    counted = graph.topological_order is not None
     for arc in range(inst.n):
         if arc in chosen:
+            continue
+        tail, head = graph.arcs[arc]
+        if counted and not (
+            graph.paths_to(tail)[inst.source] and graph.paths_to(inst.target)[head]
+        ):
             continue
         try:
             sol = oracle({arc})
@@ -437,7 +454,10 @@ def solve_local_search(
 
     Every detour prices under the bound costs, checked once per solve
     (`check_costs`); each restart's perturbed start is checked on its
-    own call."""
+    own call.  On an acyclic graph a detour through an arc that lies on
+    no source-target path is skipped without an oracle call, so
+    oracle_calls counts the `nominal_solve` calls made: one per start
+    plus one per detour priced."""
     bcosts = _bound_costs(mix, inst.n)
     checked = check_costs(bcosts, inst.n)
     rng = np.random.default_rng(seed)

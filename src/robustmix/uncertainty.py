@@ -246,7 +246,10 @@ class EllipsoidSet:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
-        if not np.allclose(sigma, sigma.T, atol=1e-9):
+        # exact equality is the common case and several times cheaper
+        if not (
+            np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)
+        ):
             raise ValueError("sigma must be symmetric")
         if not _is_psd(sigma):
             raise ValueError("sigma must be positive semidefinite")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -371,6 +372,43 @@ class TestCheckedCosts:
         assert nominal_solve(diamond_inst, checked, forced_out={3}).value == 2.0
         assert nominal_solve(diamond_inst, costs).items == (2, 3)
 
+    @staticmethod
+    def old_check_finite(costs):
+        """The elementwise rule the min/max check replaced."""
+        if not np.all(np.isfinite(costs)):
+            raise ValueError("costs must be finite")
+        return not np.any(costs < 0)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            [],
+            [[]],
+            [0.0],
+            [-0.0, 1.0],
+            [1.0, -1e-300],
+            [-5e-324, 0.0],
+            [np.nan, 1.0],
+            [1.0, np.nan, -1.0],
+            [np.inf, 0.0],
+            [-np.inf, 0.0],
+            [np.inf, -np.inf],
+            [np.nan, np.inf],
+            [[1.0, 2.0], [0.0, -3.0]],
+            [[1.0, np.nan], [0.0, 3.0]],
+            [1.7e308, 1.7e308],
+        ],
+    )
+    def test_finite_check_matches_elementwise_rule(self, costs):
+        costs = np.asarray(costs, dtype=float)
+        try:
+            expected = self.old_check_finite(costs)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                instances._check_finite(costs)
+        else:
+            assert instances._check_finite(costs) is expected
+
 
 class TestNominalValues:
     """The batched value oracle against nominal_solve, column by column."""
@@ -456,6 +494,75 @@ class TestGraphStructure:
 
     def test_self_loop_is_a_cycle(self):
         assert Graph(2, ((0, 1), (1, 1))).topological_order is None
+
+    def test_path_counts_are_exact_past_int64(self):
+        grid, _ = gen_synthetic(35, 35, 2, seed=0)
+        counts = grid.paths_to(grid.num_nodes - 1)
+        assert counts[0] == math.comb(68, 34) > 2**63
+        assert type(counts[0]) is int
+        assert grid.paths_to(grid.num_nodes - 1) is counts  # cached
+        assert counts[1] == math.comb(67, 33)  # one column to the right
+
+    def test_path_counts_match_enumeration(self, rng):
+        for _ in range(20):
+            graph = extra_arcs_grid(rng)
+            for end in range(graph.num_nodes):
+                counts = graph.paths_to(end)
+                for start in range(graph.num_nodes):
+                    expected = 1 if start == end else (
+                        sum(1 for _ in enumerate_feasible(Instance.spath(graph, start, end)))
+                    )
+                    assert counts[start] == expected
+
+    def test_path_counts_reject_a_cycle(self):
+        with pytest.raises(ValueError, match="acyclic"):
+            CYCLIC.paths_to(4)
+
+
+def extra_arcs_grid(rng):
+    """A relabelled grid of 2..4 x 2..4 nodes plus a few extra forward
+    arcs (in topological order) and parallel copies of grid arcs."""
+    graph, _, _ = relabelled_grid(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+    order, _ = graph.topological_order
+    arcs = list(graph.arcs)
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = sorted(int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+        arcs.append((order[i], order[j]))
+    for _ in range(int(rng.integers(0, 3))):
+        arcs.append(arcs[int(rng.integers(len(arcs)))])
+    return Graph(graph.num_nodes, tuple(arcs[i] for i in rng.permutation(len(arcs))))
+
+
+class TestMustUse:
+    def test_matches_enumeration_on_forced_chains(self, rng):
+        skips = keeps = 0
+        for _ in range(300):
+            graph = extra_arcs_grid(rng)
+            order, _ = graph.topological_order
+            if rng.random() < 0.5:
+                s, t = order[0], order[-1]
+            else:
+                s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+            inst = Instance.spath(graph, s, t)
+            paths = [{a for a, used in enumerate(x) if used} for x in enumerate_feasible(inst)]
+            if not paths:
+                continue
+            path = sorted(paths[int(rng.integers(len(paths)))])
+            fin = {a for a in path if rng.random() < 0.4}
+            through = [p for p in paths if fin <= p]
+            for arc in path:
+                if arc in fin:
+                    continue
+                expected = all(arc in p for p in through)
+                assert instances.must_use(inst, fin, arc) is expected
+                skips += expected
+                keeps += not expected
+        assert skips > 100 and keeps > 100
+
+    def test_selection_and_cyclic_graph_answer_false(self):
+        assert not instances.must_use(Instance.selection(3, 3), {0, 1}, 2)
+        # arc 5 (3 -> 4) is on every 0 -> 4 path of CYCLIC but has no counts
+        assert not instances.must_use(Instance.spath(CYCLIC, 0, 4), (), 5)
 
 
 class TestEnumerateFeasible:

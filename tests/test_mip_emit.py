@@ -6,6 +6,7 @@ import pytest
 from robustmix import (
     BudgetedSet,
     EllipsoidSet,
+    Graph,
     HullSet,
     Instance,
     Mixture,
@@ -14,10 +15,11 @@ from robustmix import (
     UnsupportedError,
     check_emitted,
     emit_model,
+    gen_synthetic,
     parse_lp,
     solve_brute_force,
 )
-from robustmix.mip_emit import expected_stats
+from robustmix.mip_emit import _coef, _expr, expected_stats
 from robustmix.verify import random_budgeted_mixture, random_hull_mixture, random_instance
 
 from lp_grammar import check_lp_grammar
@@ -80,6 +82,44 @@ class TestEmitAndParse:
         emit_model(inst, mix, a)
         emit_model(inst, mix, b)
         assert Path(a).read_text() == Path(b).read_text()
+
+    @staticmethod
+    def old_flow_lines(inst):
+        """Flow rows as the per-node scan over every arc rendered them."""
+        g = inst.graph
+        lines = []
+        for v in range(g.num_nodes):
+            terms = []
+            for i, (tail, head) in enumerate(g.arcs):
+                if tail == v:
+                    terms.append((1.0, f"x_{i}"))
+                if head == v:
+                    terms.append((-1.0, f"x_{i}"))
+            rhs = 1.0 if v == inst.source else (-1.0 if v == inst.target else 0.0)
+            if not terms:
+                terms = [(0.0, "x_0")]
+            lines.append(f" flow_{v}: {_expr(terms)} = {_coef(rhs)}")
+        return lines
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gen_synthetic(23, 23, 2, seed=0)[0],
+            # parallel arcs, self-loops and an isolated node
+            Graph(5, ((0, 1), (1, 1), (0, 1), (1, 3), (3, 3), (0, 3), (1, 3))),
+        ],
+    )
+    def test_flow_rows_match_per_node_scan(self, tmp_path, graph):
+        inst = Instance.spath(graph, 0, 3)
+        lo = np.arange(graph.n, dtype=float)
+        mix = Mixture(((1.0, BudgetedSet(lo, lo + 1.0, 2)),))
+        path = tmp_path / "model.lp"
+        emit_model(inst, mix, str(path))
+        lines = path.read_text().split("\n")
+        flow = [ln for ln in lines if ln.startswith(" flow_")]
+        assert flow == self.old_flow_lines(inst)
+        bounds = lines.index("Bounds")
+        assert lines[bounds - len(flow) : bounds] == flow
 
     def test_parse_rejects_bad_section_order(self):
         with pytest.raises(ParseError, match="section"):

@@ -8,6 +8,7 @@ import pytest
 from robustmix import (
     BudgetedSet,
     EllipsoidSet,
+    Graph,
     HullSet,
     InfeasibleError,
     Instance,
@@ -29,7 +30,7 @@ from robustmix import (
     solve_midpoint_approx,
 )
 from robustmix import solvers
-from robustmix.instances import enumerate_feasible, nominal_solve
+from robustmix.instances import enumerate_feasible, must_use, nominal_solve
 from robustmix.verify import random_hull_mixture, random_instance
 from test_instances import CYCLIC, relabelled_grid
 
@@ -480,6 +481,12 @@ SWEEP_NODES = [
     11, 43, 34, 22, 40, 17, 12, 51, 10, 12, 17, 19, 28, 34, 6, 10, 26, 10, 34, 11,
 ]
 SWEEP_CALLS = [
+    14, 3, 2, 5, 11, 5, 14, 3, 6, 4, 5, 12, 6, 4, 3, 3, 17, 1, 11, 4,
+    23, 6, 4, 70, 7, 6, 7, 5, 6, 35, 6, 4, 6, 28, 11, 5, 5, 7, 2, 8,
+    5, 15, 15, 9, 16, 14, 4, 15, 5, 7, 7, 7, 20, 28, 6, 6, 21, 5, 28, 5,
+]
+# oracle_calls when every exclude child is solved, none skipped by must_use
+SWEEP_CALLS_UNSKIPPED = [
     28, 5, 3, 10, 26, 5, 25, 5, 17, 6, 11, 24, 13, 9, 5, 5, 28, 1, 21, 8,
     23, 6, 10, 70, 15, 16, 16, 10, 12, 35, 13, 9, 6, 28, 24, 9, 9, 17, 3, 17,
     9, 35, 28, 19, 34, 14, 10, 42, 9, 10, 14, 16, 20, 28, 6, 9, 21, 9, 28, 9,
@@ -495,6 +502,33 @@ class TestBnbNodeLoop:
         assert all(r.optimal for r in reports)
         assert [r.nodes_explored for r in reports] == SWEEP_NODES
         assert [r.oracle_calls for r in reports] == SWEEP_CALLS
+
+    def test_sweep_without_skips_solves_every_exclude_child(self, monkeypatch):
+        monkeypatch.setattr(solvers, "must_use", lambda *args: False)
+        cases = bnb_sweep_cases(np.random.default_rng(20261018), 60)
+        reports = [solve_bnb(inst, mix) for inst, mix in cases]
+        assert [r.nodes_explored for r in reports] == SWEEP_NODES
+        assert [r.oracle_calls for r in reports] == SWEEP_CALLS_UNSKIPPED
+
+    def test_every_skipped_child_is_infeasible(self, monkeypatch):
+        """Each exclude child that must_use skips raises InfeasibleError."""
+        skipped = []
+
+        def checked_must_use(inst, forced_in, arc):
+            if not must_use(inst, forced_in, arc):
+                return False
+            skipped.append(arc)
+            # infeasible even with nothing else forced out
+            with pytest.raises(InfeasibleError):
+                nominal_solve(inst, np.ones(inst.n), forced_in, {arc})
+            return True
+
+        monkeypatch.setattr(solvers, "must_use", checked_must_use)
+        cases = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))
+        cases.append(corner_to_corner(6, README_MIX))
+        for inst, mix in cases:
+            solve_bnb(inst, mix)
+        assert len(skipped) > 100
 
     @staticmethod
     def recording_oracle(monkeypatch):
@@ -576,10 +610,19 @@ class TestLocalSearch:
         assert report.solution.x == (1, 0, 0)
 
     def test_oracle_calls_counts_every_attempt(self, counted_oracle):
+        # acyclic: path counts skip every detour that no path can take
         graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
         inst = Instance.spath(graph, 5, 15)
         report = solve_local_search(inst, build_mixture(HULL_MIX, data))
         assert report.oracle_calls == counted_oracle["calls"] > 4
+        assert counted_oracle["infeasible"] == 0
+        # a directed cycle: failed detours are attempted and counted
+        cyclic = Graph(7, CYCLIC.arcs + ((5, 6), (6, 5)))
+        inst = Instance.spath(cyclic, 0, 4)
+        mix = Mixture(((1.0, interval(np.arange(1.0, 12.0))),))
+        attempts = counted_oracle["calls"]
+        report = solve_local_search(inst, mix)
+        assert report.oracle_calls == counted_oracle["calls"] - attempts
         assert counted_oracle["infeasible"] > 0
 
     def test_never_reports_optimal(self, diamond_inst):

@@ -220,6 +220,30 @@ class TestEllipsoidPsdCheck:
         with pytest.raises(ValueError, match="symmetric"):
             EllipsoidSet(np.ones(3), sigma, 1.0)
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [
+            (None, 0.0),  # exactly symmetric
+            ((0, 1), 1e-12),  # near-symmetric, accepted by the tolerance
+            ((0, 1), -5e-10),
+            ((0, 1), 2e-9),  # outside it
+            ((2, 0), 1e-6),
+            ((1, 1), np.nan),  # symmetric position, NaN never equals itself
+            ((0, 2), np.nan),
+            ((0, 2), np.inf),
+        ],
+    )
+    def test_symmetry_matches_tolerance_rule(self, entry, value):
+        sigma = _sigma_with_spectrum([0.1, 0.5, 1.0, 2.0, 4.0])
+        if entry is not None:
+            sigma[entry] += value
+        symmetric = np.allclose(sigma, sigma.T, atol=1e-9)  # the rule as specified
+        if symmetric:
+            EllipsoidSet(np.ones(5), sigma, 1.0)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                EllipsoidSet(np.ones(5), sigma, 1.0)
+
 
 class TestIsDiagonal:
     @pytest.mark.parametrize(
