@@ -30,7 +30,7 @@ from .instances import (
     nominal_solve,
     nominal_values,
 )
-from .uncertainty import EllipsoidSet, IntervalSet, Mixture, worst_case
+from .uncertainty import EllipsoidSet, IntervalSet, Mixture
 
 TOL = 1e-9
 
@@ -49,20 +49,22 @@ class SolveReport:
 
 
 def evaluate_wrp(mix: Mixture, x) -> float:
-    """Weighted sum of per-component worst cases, summed in index order."""
+    """Weighted sum of per-component worst-case values, summed in index
+    order.  Each set's value-only `support` has the arithmetic of
+    `worst_case(x)[0]`, so the sum is bit-identical to one over worst
+    cases, without building their argmax members."""
     x = np.asarray(x, dtype=float)
     total = 0.0
     for weight, uset in mix.components:
-        value, _ = worst_case(uset, x)
-        total += weight * value
+        total += weight * uset.support(x)
     return total
 
 
-def _weighted_sum(mix: Mixture, n: int, member: str) -> np.ndarray:
-    """sum_j p_j U_j.<member>() over the components, summed in index order."""
+def _weighted_sum(mix: Mixture, n: int, member: str, *args) -> np.ndarray:
+    """sum_j p_j U_j.<member>(*args) over the components, summed in index order."""
     total = np.zeros(n)
     for weight, uset in mix.components:
-        total += weight * getattr(uset, member)()
+        total += weight * getattr(uset, member)(*args)
     return total
 
 
@@ -291,10 +293,18 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     )
 
 
-def _bound_costs(mix: Mixture, n: int) -> np.ndarray:
-    """Weighted sum of each set's `bound_member()`, a fixed member, so
-    cost . x never exceeds the objective."""
-    return _weighted_sum(mix, n, "bound_member")
+def _bound_costs(mix: Mixture, n: int, x=None) -> np.ndarray:
+    """Weighted sum of each set's member: the fixed `bound_member()`, or
+    with x the best response `bound_member(x)`.  Either way cost . x
+    never exceeds the objective."""
+    return _weighted_sum(mix, n, "bound_member", x)
+
+
+def _search_steps(n: int) -> int:
+    """Best-response steps of `solve_bnb`'s root member search: one per
+    128 items, so small grids pay one extra plain solve and the 1012-arc
+    grid eight."""
+    return math.ceil(n / 128)
 
 
 def _branch_spread(mix: Mixture, n: int) -> np.ndarray:
@@ -308,44 +318,69 @@ def solve_bnb(
     mix: Mixture,
     max_nodes: int | None = None,
     time_limit: float | None = None,
-    warm_start: Solution | None = None,
 ) -> SolveReport:
     """Best-first branch-and-bound on item inclusion/exclusion.
 
-    Node bounds come from nominal completions under fixed member costs
-    of every component; incumbents from the true objective of each
-    completion.  Returns optimal=True iff the search ran to completion
-    within the budgets.
+    Node bounds are nominal completions under one member c_j of every
+    component: sum_j p_j c_j . x never exceeds the objective, so each
+    completion value is a valid bound (the Lagrangian bound for min-max
+    problems, Kouvelis & Yu 1997).  A root search picks the members by
+    fictitious play (Robinson 1951): it first prices each set's fixed
+    `bound_member()`, then, at each step, the best-response members
+    `bound_member(xbar)` at the running average xbar of the completions
+    found so far, with one plain `nominal_solve` per step.  It keeps the
+    member sum with the largest value, whose completion becomes the
+    root, and stops once that value reaches the incumbent minus TOL or
+    after `_search_steps(n)` steps (one per 128 items).  Every
+    completion is an incumbent candidate under the true objective.
+    Returns optimal=True iff the search ran to completion within the
+    budgets.
 
-    The bound costs are checked once per solve (`check_costs`) and the
-    same `OracleCosts` goes to the root and every exclude child.  Heap
+    The bound costs are checked once per member sum (`check_costs`) and
+    the chosen sum's `OracleCosts` goes to every exclude child.  Heap
     entries carry their completion's sorted item tuple, taken once when
     the completion is found, so a node never scans x.  An exclude child
     that path counts prove infeasible (`must_use`: every path through
     the forced arcs uses the item) is skipped without an oracle call;
     on selection and on graphs with a directed cycle every exclude
     child is solved.  oracle_calls counts the `nominal_solve` calls
-    made: the root and each exclude child not skipped.
+    made: the root search's plain solves and each exclude child not
+    skipped.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
     smallest optimum: a subtree whose bound equals the incumbent's
     objective is pruned, and it may hold a smaller optimal item set.
     """
-    bcosts = check_costs(_bound_costs(mix, inst.n), inst.n)
     spread = _branch_spread(mix, inst.n)
     start = time.monotonic()
+    inc_obj, inc_lex, inc_x = math.inf, (), None
 
+    def offer(x) -> tuple[int, ...]:
+        """Offer completion x as incumbent; return its item tuple."""
+        nonlocal inc_obj, inc_lex, inc_x
+        obj, lex = evaluate_wrp(mix, x), _lexset(x)
+        if _better(obj, lex, inc_obj, inc_lex):
+            inc_obj, inc_lex, inc_x = obj, lex, x
+        return lex
+
+    bcosts = check_costs(_bound_costs(mix, inst.n), inst.n)
     root = nominal_solve(inst, bcosts)
+    root_lex = offer(root.x)
     calls = 1
-    inc_obj = evaluate_wrp(mix, root.x)
-    root_lex = inc_lex = _lexset(root.x)
-    inc_x = root.x
-    if warm_start is not None:
-        w_obj = evaluate_wrp(mix, warm_start.x)
-        w_lex = _lexset(warm_start.x)
-        if _better(w_obj, w_lex, inc_obj, inc_lex):
-            inc_obj, inc_lex, inc_x = w_obj, w_lex, warm_start.x
+    xsum = root.as_array()
+    for step in range(1, _search_steps(inst.n) + 1):
+        if root.value >= inc_obj - TOL:
+            break
+        costs = check_costs(_bound_costs(mix, inst.n, xsum / step), inst.n)
+        if inst.kind == "spath" and not costs.nonnegative:
+            break  # a member with a negative cost: the path oracle cannot price it
+        sol = nominal_solve(inst, costs)
+        calls += 1
+        lex = offer(sol.x)
+        xsum += sol.as_array()
+        if sol.value > root.value:
+            bcosts, root, root_lex = costs, sol, lex
 
     counter = itertools.count()
     # (bound, tie counter, forced in, forced out, completion's item set)
@@ -380,10 +415,7 @@ def solve_bnb(
             child = nominal_solve(inst, bcosts, forced_in=fin, forced_out=fout | {item})
         except InfeasibleError:
             continue
-        c_obj = evaluate_wrp(mix, child.x)
-        c_lex = _lexset(child.x)
-        if _better(c_obj, c_lex, inc_obj, inc_lex):
-            inc_obj, inc_lex, inc_x = c_obj, c_lex, child.x
+        c_lex = offer(child.x)
         if child.value < inc_obj - TOL:
             heapq.heappush(
                 heap, (child.value, next(counter), fin, fout | {item}, c_lex)
@@ -514,7 +546,4 @@ def solve_auto(
         ells = [uset for _, uset in mix.components if isinstance(uset, EllipsoidSet)]
         if len(ells) == 1 and ells[0].is_diagonal():
             return solve_ellipsoid_parametric(inst, mix)
-    if types == {"hull"}:
-        warm = solve_midpoint_approx(inst, mix)
-        return solve_bnb(inst, mix, max_nodes=max_nodes, warm_start=warm.solution)
     return solve_bnb(inst, mix, max_nodes=max_nodes)

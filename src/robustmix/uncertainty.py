@@ -6,10 +6,12 @@ H-representation.  Polyhedra are carried only so they can be emitted as
 mixed-integer models; in-process worst-case evaluation rejects them.
 
 Each family's class is the one place that defines its behaviour:
-`name`, `worst_case(x) -> (value, member)`, `center()`, the fixed
-`bound_member()` that branch-and-bound bounds with, and the per-item
-`spread()` it branches on.  A new family touches its class, `build_set`
-and, if it can be emitted as an LP, one entry of `mip_emit._FAMILIES`.
+`name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
+with the same arithmetic, `center()`, the members that branch-and-bound
+bounds with (`bound_member()` a fixed one, `bound_member(x)` a best
+response at a fractional x) and the per-item `spread()` it branches
+on.  A new family touches its class, `build_set` and, if it can be
+emitted as an LP, one entry of `mip_emit._FAMILIES`.
 
 The lambda-scaled builders reconstruct standard data-driven
 constructions around the columnwise scenario mean: lambda interpolates
@@ -147,9 +149,12 @@ class IntervalSet(_Box):
     name = "interval"
 
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(self.hi @ x), self.hi.copy()
+        return self.support(x), self.hi.copy()
 
-    def bound_member(self) -> np.ndarray:
+    def support(self, x: np.ndarray) -> float:
+        return float(self.hi @ x)
+
+    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
         return self.hi  # the worst case for every x: the bound is tight
 
     def spread(self) -> np.ndarray:
@@ -170,16 +175,24 @@ class BudgetedSet(_Box):
     def deviations(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _top(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Deviations at x and the gamma largest ones' items, stable on ties."""
         dev = self.deviations * x
+        return dev, np.argsort(-dev, kind="stable")[: self.gamma]
+
+    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        dev, top = self._top(x)
         c = self.lo.copy()
-        top = np.argsort(-dev, kind="stable")[: self.gamma]
-        if top.size:
-            c[top] += self.deviations[top]
+        c[top] += self.deviations[top]
         return float(self.lo @ x + dev[top].sum()), c
 
-    def bound_member(self) -> np.ndarray:
-        return self.lo  # the only member guaranteed for every Gamma
+    def support(self, x: np.ndarray) -> float:
+        dev, top = self._top(x)
+        return float(self.lo @ x + dev[top].sum())
+
+    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
+        # lo is the only member guaranteed for every Gamma
+        return self.lo if x is None else self.worst_case(x)[1]
 
     def spread(self) -> np.ndarray:
         return self.deviations
@@ -209,10 +222,14 @@ class HullSet:
         k = int(np.argmax(values))  # argmax keeps the lowest index on ties
         return float(values[k]), self.points[k].copy()
 
+    def support(self, x: np.ndarray) -> float:
+        return float((self.points @ x).max())
+
     def center(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
-    bound_member = center
+    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
+        return self.center() if x is None else self.worst_case(x)[1]
 
     def spread(self) -> np.ndarray:
         return self.points.max(axis=0) - self.points.min(axis=0)
@@ -278,10 +295,31 @@ class EllipsoidSet:
             c = self.mu.copy()
         return value, c
 
+    def support(self, x: np.ndarray) -> float:
+        quad = max(float(x @ self.sigma @ x), 0.0)
+        return float(self.mu @ x + np.sqrt(self.lam * quad))
+
     def center(self) -> np.ndarray:
         return self.mu.copy()
 
-    bound_member = center
+    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
+        """mu, or the worst case's argmax at x pulled towards mu just far
+        enough that no entry is negative (the path oracle rejects
+        negative costs); the segment from mu to the argmax lies in the
+        set.  If mu is not positive at an entry the argmax lowers, no
+        pull keeps that entry nonnegative, and the member is mu."""
+        if x is None:
+            return self.center()
+        step = self.worst_case(x)[1] - self.mu
+        down = step < 0
+        t = float(np.min(self.mu[down] / -step[down], initial=1.0))
+        if t <= 0:
+            return self.center()
+        member = self.mu + t * step
+        # rounding can leave -eps where t makes an entry zero; every
+        # entry that falls along the step has mu > 0 here
+        member[down] = np.maximum(member[down], 0.0)
+        return member
 
     def spread(self) -> np.ndarray:
         return np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0))
@@ -310,10 +348,15 @@ class PolyhedronSet:
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         raise UnsupportedError("polyhedral worst case unsupported: emit MIP instead")
 
+    support = worst_case
+
     def center(self) -> np.ndarray:
         raise UnsupportedError("polyhedral sets have no usable center here")
 
-    bound_member = spread = center
+    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
+        return self.center()
+
+    spread = center
 
 
 UncertaintySet = IntervalSet | BudgetedSet | HullSet | EllipsoidSet | PolyhedronSet

@@ -28,6 +28,7 @@ from robustmix import (
     solve_interval_mix,
     solve_local_search,
     solve_midpoint_approx,
+    split_scenarios,
 )
 from robustmix import solvers
 from robustmix.instances import enumerate_feasible, must_use, nominal_solve
@@ -92,23 +93,69 @@ def random_mixture(rng, n, families):
     )
 
 
+def bound_cases(rng, count=60):
+    """Small random instances, each under one in-process family alone,
+    then under two to four drawn at random."""
+    for trial in range(count):
+        inst = random_instance(rng, max_sel_n=6)
+        if trial < len(IN_PROCESS_FAMILIES):
+            families = [IN_PROCESS_FAMILIES[trial]]
+        else:
+            families = rng.choice(IN_PROCESS_FAMILIES, int(rng.integers(2, 5)))
+        yield inst, random_mixture(rng, inst.n, families)
+
+
+def in_set(uset, c, tol=1e-9) -> bool:
+    """Does the cost vector c lie in uset, up to rounding?"""
+    if isinstance(uset, HullSet):
+        return bool((np.abs(uset.points - c).max(axis=1) <= tol).any())
+    if isinstance(uset, EllipsoidSet):
+        d = c - uset.mu
+        return float(d @ np.linalg.solve(uset.sigma, d)) <= uset.lam * (1 + 1e-6) + tol
+    inside = bool(np.all(uset.lo - tol <= c) and np.all(c <= uset.hi + tol))
+    if isinstance(uset, BudgetedSet):
+        dev = uset.deviations
+        used = np.divide(c - uset.lo, dev, out=np.zeros_like(c), where=dev > 0)
+        inside = inside and used.sum() <= uset.gamma + tol
+    return inside
+
+
 class TestBoundCosts:
-    """BnB's node bound prices a completion under `_bound_costs`; it is a
-    valid bound, and optimal=True a proof, only if that never exceeds the
-    objective."""
+    """BnB's node bound prices a completion under a weighted sum of set
+    members; it is a valid bound, and optimal=True a proof, only if that
+    never exceeds the objective."""
 
     def test_bound_never_exceeds_objective(self, rng):
-        for trial in range(60):
-            inst = random_instance(rng, max_sel_n=6)
-            if trial < len(IN_PROCESS_FAMILIES):
-                families = [IN_PROCESS_FAMILIES[trial]]
-            else:
-                families = rng.choice(IN_PROCESS_FAMILIES, int(rng.integers(2, 5)))
-            mix = random_mixture(rng, inst.n, families)
+        for inst, mix in bound_cases(rng):
             bcosts = solvers._bound_costs(mix, inst.n)
             for x in enumerate_feasible(inst):
                 bound = float(bcosts @ np.asarray(x, dtype=float))
-                assert bound <= evaluate_wrp(mix, x) + 1e-9, (families, x)
+                assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.set_types(), x)
+
+    def test_searched_bound_never_exceeds_objective(self, rng, monkeypatch):
+        """Every member sum the root search prices is a valid bound, not
+        only the chosen one.  Four steps instead of the rule's one, so
+        each case prices more best responses."""
+        priced = []
+
+        def recording(inst, costs, *args, **kwargs):
+            if not (args or kwargs):
+                priced.append(costs)
+            return nominal_solve(inst, costs, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "nominal_solve", recording)
+        monkeypatch.setattr(solvers, "_search_steps", lambda n: 4)
+        best_responses = 0
+        for inst, mix in bound_cases(rng):
+            priced.clear()
+            solve_bnb(inst, mix)
+            best_responses += len(priced) - 1
+            for costs in priced:
+                bcosts = np.array(costs.values)
+                for x in enumerate_feasible(inst):
+                    bound = float(bcosts @ np.asarray(x, dtype=float))
+                    assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.set_types(), x)
+        assert best_responses > 30
 
 
 class TestEvaluateWrp:
@@ -426,11 +473,61 @@ class TestBnb:
         assert report.solution.x == solve_brute_force(inst, mix).solution.x
 
     def test_time_limit_at_paper_scale(self):
-        inst, mix = corner_to_corner(23, HULL_MIX)
+        inst, mix = corner_to_corner(23, README_MIX)  # proven in about 3 s
         start = time.monotonic()
-        report = solve_bnb(inst, mix, time_limit=1.0)
+        report = solve_bnb(inst, mix, time_limit=0.5)
         assert not report.optimal
-        assert time.monotonic() - start < 6.0
+        assert time.monotonic() - start < 5.5
+
+    def test_proves_paper_scale_readme_pair(self):
+        """README mix on the 203-scenario train split of the paper-scale
+        grid; bounded by the fixed members alone, this pair was still
+        unproven after 20 s."""
+        graph, data = gen_synthetic(23, 23, 271, "two_block", seed=1)
+        train = data.subset(split_scenarios(data.K, 0.75, seed=1).train_idx)
+        mix = build_mixture(README_MIX, train)
+        report = solve_bnb(Instance.spath(graph, 48, 459), mix, time_limit=30)
+        assert report.optimal
+        assert report.objective == pytest.approx(410.9989, abs=5e-5)
+
+    def test_search_members_lie_in_their_sets(self, monkeypatch):
+        """Every best-response member the root search asks a set for is
+        a member of it, and nonnegative on path instances (the data are)."""
+        produced = []
+
+        def recorder(member_rule):
+            def recording(uset, x=None):
+                member = member_rule(uset, x)
+                if x is not None:
+                    produced.append((uset, member))
+                return member
+
+            return recording
+
+        for cls in (IntervalSet, BudgetedSet, HullSet, EllipsoidSet):
+            monkeypatch.setattr(cls, "bound_member", recorder(cls.bound_member))
+        monkeypatch.setattr(solvers, "_search_steps", lambda n: 4)
+        cases = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))
+        cases += list(bound_cases(np.random.default_rng(5)))
+        cases += [corner_to_corner(width, README_MIX) for width in (6, 8)]
+        for inst, mix in cases:
+            start = len(produced)
+            solve_bnb(inst, mix)
+            for uset, member in produced[start:]:
+                assert in_set(uset, member), uset.name
+                assert inst.kind == "selection" or member.min() >= 0, uset.name
+        assert {type(uset) for uset, _ in produced} == {
+            IntervalSet, BudgetedSet, HullSet, EllipsoidSet
+        }
+
+    def test_search_stops_at_a_member_with_a_negative_cost(self, diamond_inst):
+        # the centre (1, 2, 1, 1.5) prices; the best response at the root
+        # path {2, 3} is the second point, which the path oracle rejects
+        points = np.array([[3.0, 3.0, -1.0, 0.0], [-1.0, 1.0, 3.0, 3.0]])
+        mix = Mixture(((1.0, HullSet(points)),))
+        report = solve_bnb(diamond_inst, mix)
+        assert report.optimal
+        assert report.objective == solve_brute_force(diamond_inst, mix).objective
 
     def test_oracle_calls_counts_every_attempt(self, counted_oracle):
         graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
@@ -476,20 +573,32 @@ def bnb_sweep_cases(rng, count):
 
 # nodes_explored and oracle_calls of bnb_sweep_cases(default_rng(20261018), 60)
 SWEEP_NODES = [
+    6, 0, 0, 4, 10, 0, 0, 9, 14, 0, 5, 28, 10, 5, 3, 3, 30, 0, 17, 0,
+    13, 3, 12, 57, 18, 19, 5, 12, 5, 5, 0, 10, 3, 7, 12, 7, 4, 10, 0, 13,
+    4, 27, 17, 22, 10, 5, 12, 51, 5, 0, 17, 5, 4, 7, 6, 0, 6, 0, 0, 0,
+]
+SWEEP_CALLS = [
+    5, 2, 2, 4, 5, 2, 2, 6, 6, 2, 4, 13, 5, 4, 3, 3, 15, 1, 10, 2,
+    12, 4, 5, 42, 8, 7, 3, 6, 4, 6, 2, 5, 4, 8, 8, 5, 3, 4, 2, 8,
+    4, 10, 9, 10, 6, 6, 5, 16, 4, 2, 8, 3, 5, 8, 7, 2, 7, 2, 2, 2,
+]
+# oracle_calls when every exclude child is solved, none skipped by must_use
+SWEEP_CALLS_UNSKIPPED = [
+    7, 2, 2, 5, 10, 2, 2, 9, 13, 2, 6, 25, 10, 6, 4, 4, 26, 1, 15, 2,
+    12, 4, 11, 42, 16, 17, 6, 11, 6, 6, 2, 10, 4, 8, 12, 7, 5, 10, 2, 12,
+    5, 24, 16, 20, 10, 6, 11, 43, 6, 2, 15, 6, 5, 8, 7, 2, 7, 2, 2, 2,
+]
+# the same with no best-response step: every node bounded by the fixed
+# members (hull and ellipsoid centres, budgeted lo)
+FIXED_MEMBER_NODES = [
     34, 6, 3, 12, 31, 6, 30, 5, 20, 7, 13, 28, 15, 10, 6, 6, 35, 0, 26, 9,
     32, 8, 12, 104, 18, 19, 19, 12, 14, 49, 15, 10, 8, 34, 28, 11, 11, 20, 3, 20,
     11, 43, 34, 22, 40, 17, 12, 51, 10, 12, 17, 19, 28, 34, 6, 10, 26, 10, 34, 11,
 ]
-SWEEP_CALLS = [
+FIXED_MEMBER_CALLS = [
     14, 3, 2, 5, 11, 5, 14, 3, 6, 4, 5, 12, 6, 4, 3, 3, 17, 1, 11, 4,
     23, 6, 4, 70, 7, 6, 7, 5, 6, 35, 6, 4, 6, 28, 11, 5, 5, 7, 2, 8,
     5, 15, 15, 9, 16, 14, 4, 15, 5, 7, 7, 7, 20, 28, 6, 6, 21, 5, 28, 5,
-]
-# oracle_calls when every exclude child is solved, none skipped by must_use
-SWEEP_CALLS_UNSKIPPED = [
-    28, 5, 3, 10, 26, 5, 25, 5, 17, 6, 11, 24, 13, 9, 5, 5, 28, 1, 21, 8,
-    23, 6, 10, 70, 15, 16, 16, 10, 12, 35, 13, 9, 6, 28, 24, 9, 9, 17, 3, 17,
-    9, 35, 28, 19, 34, 14, 10, 42, 9, 10, 14, 16, 20, 28, 6, 9, 21, 9, 28, 9,
 ]
 
 
@@ -502,6 +611,14 @@ class TestBnbNodeLoop:
         assert all(r.optimal for r in reports)
         assert [r.nodes_explored for r in reports] == SWEEP_NODES
         assert [r.oracle_calls for r in reports] == SWEEP_CALLS
+
+    def test_sweep_without_search_steps_bounds_with_fixed_members(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_search_steps", lambda n: 0)
+        cases = bnb_sweep_cases(np.random.default_rng(20261018), 60)
+        reports = [solve_bnb(inst, mix) for inst, mix in cases]
+        assert all(r.optimal for r in reports)
+        assert [r.nodes_explored for r in reports] == FIXED_MEMBER_NODES
+        assert [r.oracle_calls for r in reports] == FIXED_MEMBER_CALLS
 
     def test_sweep_without_skips_solves_every_exclude_child(self, monkeypatch):
         monkeypatch.setattr(solvers, "must_use", lambda *args: False)
@@ -543,11 +660,24 @@ class TestBnbNodeLoop:
         return seen
 
     def test_bnb_passes_one_checked_vector_to_every_call(self, monkeypatch):
-        seen = self.recording_oracle(monkeypatch)
-        report = solve_bnb(*corner_to_corner(6, README_MIX))
-        assert report.oracle_calls == len(seen) > 10
-        assert isinstance(seen[0], OracleCosts)
-        assert all(costs is seen[0] for costs in seen)
+        """The root search checks each member sum once; every node-loop
+        call shares the OracleCosts of the sum with the largest value."""
+        calls = []
+
+        def recording(inst, costs, forced_in=(), forced_out=()):
+            calls.append((costs, bool(forced_in or forced_out)))
+            return nominal_solve(inst, costs, forced_in, forced_out)
+
+        monkeypatch.setattr(solvers, "nominal_solve", recording)
+        inst, mix = corner_to_corner(6, README_MIX)
+        report = solve_bnb(inst, mix)
+        assert report.oracle_calls == len(calls) > 10
+        searched = [costs for costs, forced in calls if not forced]
+        assert len(searched) == 1 + solvers._search_steps(inst.n)
+        assert all(isinstance(costs, OracleCosts) for costs in searched)
+        assert calls[: len(searched)] == [(costs, False) for costs in searched]
+        chosen = max(searched, key=lambda costs: nominal_solve(inst, costs).value)
+        assert all(costs is chosen for costs, _ in calls[len(searched) :])
 
     def test_local_search_passes_one_checked_vector_to_every_detour(
         self, monkeypatch
@@ -567,13 +697,16 @@ class TestBnbNodeLoop:
         "objective, which can hold a lexicographically smaller optimum",
     )
     def test_tie_breaks_to_smallest_item_set(self):
-        inst = Instance.selection(3, 2)
-        data = ScenarioMatrix(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+        # items 1 and 2 tie at 1.0; the root completes to item 2, and
+        # the exclude child that reaches item 1 has bound 1.0, equal to
+        # the incumbent's objective, so it is pruned
+        inst = Instance.selection(3, 1)
+        data = ScenarioMatrix(np.array([[0.0, 1.0, 1.0], [2.0, 1.0, 0.0]]))
         mix = build_mixture([{"weight": 1.0, "type": "hull", "lambda": 1.0}], data)
         report = solve_bnb(inst, mix)
         brute = solve_brute_force(inst, mix)
         assert report.objective == brute.objective == 1.0
-        assert report.solution.items == brute.solution.items == (0, 2)
+        assert report.solution.items == brute.solution.items == (1,)
 
 
 class TestBruteForce:

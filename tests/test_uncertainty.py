@@ -306,6 +306,24 @@ class TestWorstCase:
                 value, c = worst_case(uset, x)
                 assert value == pytest.approx(float(c @ x), abs=1e-9)
 
+    def test_support_is_bit_identical_to_worst_case_value(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 7))
+            lo = rng.uniform(0, 5, n)
+            hi = lo + rng.uniform(0, 5, n)
+            a = rng.normal(size=(n, n))
+            sets = [
+                IntervalSet(lo, hi),
+                BudgetedSet(lo, hi, int(rng.integers(0, n + 1))),
+                HullSet(rng.uniform(0, 10, (3, n))),
+                EllipsoidSet(lo, a @ a.T, float(rng.uniform(0, 5))),
+            ]
+            for x in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n)):
+                for uset in sets:
+                    assert uset.support(x) == uset.worst_case(x)[0], uset.name
+        with pytest.raises(UnsupportedError, match="emit MIP"):
+            PolyhedronSet(np.eye(2), np.ones(2)).support(np.ones(2))
+
     def test_budgeted_matches_z_enumeration(self, rng):
         """Oracle: enumerate every way to pick Gamma deviating items."""
         for _ in range(100):
@@ -329,6 +347,40 @@ class TestWorstCase:
         x = np.array([1, 1, 0, 1, 0])
         value, _ = worst_case(uset, x)
         assert value == pytest.approx(float((data.costs @ x).max()), abs=1e-9)
+
+
+class TestBoundMember:
+    def test_fixed_members(self):
+        lo, hi = np.array([1.0, 2.0]), np.array([3.0, 5.0])
+        assert np.array_equal(IntervalSet(lo, hi).bound_member(), hi)
+        assert np.array_equal(BudgetedSet(lo, hi, 1).bound_member(), lo)
+        hull = HullSet(np.array([[0.0, 4.0], [2.0, 0.0]]))
+        assert np.array_equal(hull.bound_member(), [1.0, 2.0])
+        assert np.array_equal(EllipsoidSet(lo, np.eye(2), 1.0).bound_member(), lo)
+
+    def test_best_responses_are_the_worst_case_members(self):
+        x = np.array([0.25, 1.0])
+        lo, hi = np.array([1.0, 2.0]), np.array([3.0, 5.0])
+        assert np.array_equal(IntervalSet(lo, hi).bound_member(x), hi)
+        assert np.array_equal(BudgetedSet(lo, hi, 1).bound_member(x), [1.0, 5.0])
+        hull = HullSet(np.array([[0.0, 4.0], [2.0, 0.0]]))
+        assert np.array_equal(hull.bound_member(x), [0.0, 4.0])
+        ell = EllipsoidSet(np.array([1.0, 1.0]), np.eye(2), 4.0)
+        assert np.array_equal(ell.bound_member(x), ell.worst_case(x)[1])
+
+    def test_ellipsoid_member_pulled_to_nonnegative(self):
+        # the argmax at (1, 0) is (3, -0.8); pulled to t = 1 / 1.8 of the
+        # way from mu, it is (1 + 2 / 1.8, 0), inside the ellipsoid
+        ell = EllipsoidSet(np.ones(2), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
+        x = np.array([1.0, 0.0])
+        assert ell.worst_case(x)[1] == pytest.approx([3.0, -0.8])
+        member = ell.bound_member(x)
+        assert member == pytest.approx([1.0 + 2.0 / 1.8, 0.0])
+        assert member.min() >= 0
+
+    def test_ellipsoid_member_is_mu_when_mu_blocks_the_pull(self):
+        ell = EllipsoidSet(np.array([1.0, 0.0]), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
+        assert np.array_equal(ell.bound_member(np.array([1.0, 0.0])), ell.mu)
 
 
 class TestCenter:
