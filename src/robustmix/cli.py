@@ -85,9 +85,15 @@ def _write_manifest(args, argv: list[str], outputs: list[str], started: float):
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc) -> None:
+    """`doc` as sorted, 2-space indented JSON plus a newline, in one
+    write: the bytes of `json.dump` into the file, without its one
+    write per encoder chunk (about 8,000 for 8 paths of 1012 arcs)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read(path: str) -> str:
@@ -195,23 +201,30 @@ def _cmd_solve(args, argv, started):
         )
         print(f"objective={report.objective:.6f} optimal={str(report.optimal).lower()}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"solutions": records}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, {"solutions": records})
         _write_manifest(args, argv, [args.out], started)
     return EXIT_BUDGET if cut_short else EXIT_OK
 
 
 def _load_solutions(text: str) -> list[Solution]:
     """Parse the solutions JSON that `solve --out` writes."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid solutions JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("solutions"), list):
         raise ParseError("solutions JSON must be an object with a 'solutions' list")
     solutions = []
     for i, rec in enumerate(doc["solutions"]):
         if not isinstance(rec, dict) or not isinstance(rec.get("x"), list):
             raise ParseError(f"solution record {i} needs an 'x' list")
-        solutions.append(Solution(tuple(rec["x"]), float(rec.get("objective", 0.0))))
+        try:
+            objective = float(rec.get("objective", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"solution record {i} has a bad 'objective': {exc}"
+            ) from None
+        solutions.append(Solution(tuple(rec["x"]), objective))
     return solutions
 
 

@@ -419,10 +419,10 @@ def nominal_solve(
     Dijkstra without forced_in items, or exhaustive simple-path search
     with them, which is exponential in the graph size.  On a 6x6 grid,
     checking and converting an array-like costs about as much as the
-    rest of a forced call, so branch-and-bound and local search check
-    their cost vector once per solve and pass the `OracleCosts` to every
-    node or detour: a node then costs its forced-set checks, the pass
-    and building x.
+    rest of a forced call, so branch-and-bound and local search price
+    under the mixture's bound costs, checked once per mixture, and pass
+    that `OracleCosts` to every node or detour: a node then costs its
+    forced-set checks, the pass and building x.
     """
     if not isinstance(costs, OracleCosts):
         costs = check_costs(costs, inst.n)

@@ -60,14 +60,6 @@ def evaluate_wrp(mix: Mixture, x) -> float:
     return total
 
 
-def _weighted_sum(mix: Mixture, n: int, member: str, *args) -> np.ndarray:
-    """sum_j p_j U_j.<member>(*args) over the components, summed in index order."""
-    total = np.zeros(n)
-    for weight, uset in mix.components:
-        total += weight * getattr(uset, member)(*args)
-    return total
-
-
 def _lexset(x) -> tuple[int, ...]:
     return tuple(itertools.compress(range(len(x)), x))
 
@@ -83,9 +75,10 @@ def _better(obj_a, lex_a, obj_b, lex_b) -> bool:
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     """All-interval mixtures reduce to a single nominal problem with
-    reduced costs sum_j p_j hi^j, the intervals' bound members."""
+    reduced costs sum_j p_j hi^j, the intervals' bound members; the
+    mixture sums and checks them once for all its solves."""
     mix.require("interval", "solve_interval_mix needs interval components")
-    sol = nominal_solve(inst, _weighted_sum(mix, inst.n, "bound_member"))
+    sol = nominal_solve(inst, mix.checked_bound_costs)
     obj = evaluate_wrp(mix, sol.x)
     return SolveReport(Solution(sol.x, obj), obj, "interval", True, oracle_calls=1)
 
@@ -171,7 +164,7 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     K^max-approximation where K^max is the largest point count."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
-    sol = nominal_solve(inst, _weighted_sum(mix, inst.n, "center"))
+    sol = nominal_solve(inst, mix.weighted_sum("center"))
     obj = evaluate_wrp(mix, sol.x)
     return SolveReport(
         Solution(sol.x, obj),
@@ -293,24 +286,11 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     )
 
 
-def _bound_costs(mix: Mixture, n: int, x=None) -> np.ndarray:
-    """Weighted sum of each set's member: the fixed `bound_member()`, or
-    with x the best response `bound_member(x)`.  Either way cost . x
-    never exceeds the objective."""
-    return _weighted_sum(mix, n, "bound_member", x)
-
-
 def _search_steps(n: int) -> int:
     """Best-response steps of `solve_bnb`'s root member search: one per
     128 items, so small grids pay one extra plain solve and the 1012-arc
     grid eight."""
     return math.ceil(n / 128)
-
-
-def _branch_spread(mix: Mixture, n: int) -> np.ndarray:
-    """Weighted sum of each set's per-item `spread()` between worst case
-    and bound member; used to pick branching variables."""
-    return _weighted_sum(mix, n, "spread")
 
 
 def solve_bnb(
@@ -336,8 +316,11 @@ def solve_bnb(
     Returns optimal=True iff the search ran to completion within the
     budgets.
 
-    The bound costs are checked once per member sum (`check_costs`) and
-    the chosen sum's `OracleCosts` goes to every exclude child.  Heap
+    The fixed members' sum is the mixture's `checked_bound_costs`,
+    summed and checked once per mixture; each best-response sum is
+    checked once (`check_costs`), and the chosen sum's `OracleCosts`
+    goes to every exclude child.  Branching picks the undecided item
+    with the largest `branch_spread`, also kept per mixture.  Heap
     entries carry their completion's sorted item tuple, taken once when
     the completion is found, so a node never scans x.  An exclude child
     that path counts prove infeasible (`must_use`: every path through
@@ -352,7 +335,7 @@ def solve_bnb(
     smallest optimum: a subtree whose bound equals the incumbent's
     objective is pruned, and it may hold a smaller optimal item set.
     """
-    spread = _branch_spread(mix, inst.n)
+    spread = mix.branch_spread
     start = time.monotonic()
     inc_obj, inc_lex, inc_x = math.inf, (), None
 
@@ -364,7 +347,7 @@ def solve_bnb(
             inc_obj, inc_lex, inc_x = obj, lex, x
         return lex
 
-    bcosts = check_costs(_bound_costs(mix, inst.n), inst.n)
+    bcosts = mix.checked_bound_costs
     root = nominal_solve(inst, bcosts)
     root_lex = offer(root.x)
     calls = 1
@@ -372,7 +355,7 @@ def solve_bnb(
     for step in range(1, _search_steps(inst.n) + 1):
         if root.value >= inc_obj - TOL:
             break
-        costs = check_costs(_bound_costs(mix, inst.n, xsum / step), inst.n)
+        costs = check_costs(mix.weighted_sum("bound_member", xsum / step), inst.n)
         if inst.kind == "spath" and not costs.nonnegative:
             break  # a member with a negative cost: the path oracle cannot price it
         sol = nominal_solve(inst, costs)
@@ -484,14 +467,14 @@ def solve_local_search(
 ) -> SolveReport:
     """Steepest-descent local search from perturbed nominal starts.
 
-    Every detour prices under the bound costs, checked once per solve
-    (`check_costs`); each restart's perturbed start is checked on its
-    own call.  On an acyclic graph a detour through an arc that lies on
-    no source-target path is skipped without an oracle call, so
+    Every detour prices under the mixture's bound costs, checked once
+    per mixture (`checked_bound_costs`); each restart's start is checked
+    on its own call.  On an acyclic graph a detour through an arc that
+    lies on no source-target path is skipped without an oracle call, so
     oracle_calls counts the `nominal_solve` calls made: one per start
     plus one per detour priced."""
-    bcosts = _bound_costs(mix, inst.n)
-    checked = check_costs(bcosts, inst.n)
+    bcosts = mix.bound_costs
+    checked = mix.checked_bound_costs
     rng = np.random.default_rng(seed)
     best = None
     calls = 0
@@ -534,7 +517,7 @@ def solve_auto(
     max_nodes: int | None = None,
 ) -> SolveReport:
     """Dispatch to the cheapest applicable exact method."""
-    types = set(mix.set_types())
+    types = mix.types
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)
     if types == {"budgeted"}:

@@ -5,6 +5,11 @@ convex hulls of discrete scenario points, ellipsoids, and polyhedra in
 H-representation.  Polyhedra are carried only so they can be emitted as
 mixed-integer models; in-process worst-case evaluation rejects them.
 
+Every array these classes hold is read-only and their own: a builder's
+fresh array is sealed and kept, and anything else is copied once.  So
+the values they compute once and keep (a matrix's column statistics,
+a hull's centre, a mixture's bound costs) can never go stale.
+
 Each family's class is the one place that defines its behaviour:
 `name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
 with the same arithmetic, `center()`, the members that branch-and-bound
@@ -43,14 +48,37 @@ LAMBDA_RANGES = {
 }
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """Make a freshly computed array read-only and return it."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _owned(values) -> np.ndarray:
+    """`values` as a read-only float array that no caller can write to.
+
+    A sealed array that owns its data (a memo, or a builder's fresh
+    array) is kept as it is, and so is the fresh array that converting
+    a list or another dtype makes; anything else, such as the caller's
+    writable array or a view of one, is copied once.
+    """
+    arr = np.asarray(values, dtype=float)
+    if not arr.flags.owndata or (arr is values and arr.flags.writeable):
+        arr = arr.copy()
+    return _sealed(arr)
+
+
 @dataclass(frozen=True)
 class ScenarioMatrix:
-    """K observed cost vectors over n items (K rows, n columns)."""
+    """K observed cost vectors over n items (K rows, n columns).
+
+    The columnwise statistics that `build_set` reads are computed once
+    per matrix, on first use, and kept read-only."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = np.asarray(self.costs, dtype=float)
+        costs = _owned(self.costs)
         if costs.ndim != 2:
             raise ValueError("scenario matrix must be 2-D")
         if not np.all(np.isfinite(costs)) or np.any(costs < 0):
@@ -65,8 +93,40 @@ class ScenarioMatrix:
     def n(self) -> int:
         return self.costs.shape[1]
 
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return _sealed(self.costs.mean(axis=0))
+
+    @cached_property
+    def col_min(self) -> np.ndarray:
+        return _sealed(self.costs.min(axis=0))
+
+    @cached_property
+    def col_max(self) -> np.ndarray:
+        return _sealed(self.costs.max(axis=0))
+
+    def covariance(self, ridge: float | None = None) -> np.ndarray:
+        """Sample covariance of the columns plus `ridge` times the identity.
+
+        The default ridge, 1e-6 times the mean variance, keeps degenerate
+        data positive definite; that matrix is computed once per matrix
+        and shared, read-only, by every ellipsoid built from it.  A given
+        ridge is computed afresh.  Needs K >= 2."""
+        if ridge is None:
+            return self._default_covariance
+        return _sealed(self._sample_covariance() + ridge * np.eye(self.n))
+
+    def _sample_covariance(self) -> np.ndarray:
+        return np.atleast_2d(np.cov(self.costs, rowvar=False, bias=False))
+
+    @cached_property
+    def _default_covariance(self) -> np.ndarray:
+        sigma = self._sample_covariance()
+        ridge = 1e-6 * np.trace(sigma) / self.n
+        return _sealed(sigma + ridge * np.eye(self.n))
+
     def subset(self, rows) -> "ScenarioMatrix":
-        return ScenarioMatrix(self.costs[np.asarray(rows, dtype=int)])
+        return ScenarioMatrix(_sealed(self.costs[np.asarray(rows, dtype=int)]))
 
     @staticmethod
     def from_csv(text: str) -> "ScenarioMatrix":
@@ -108,14 +168,22 @@ class ScenarioMatrix:
                 f"ragged scenario CSV: rows have {data.shape[1]} entries, "
                 f"header has {len(header)}"
             )
-        return ScenarioMatrix(data)
+        return ScenarioMatrix(_sealed(data))
 
     def to_csv(self) -> str:
+        """The header and one line per scenario, each cost as `f"{v:.6f}"`.
+
+        A formatted finite float never holds a comma, quote or line end,
+        so joining the fields gives the bytes `csv.writer` would write,
+        without its per-field quoting checks over numpy scalars.  Rows
+        are converted to Python floats and written one at a time, so no
+        float list of the whole matrix is held at once."""
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"arc_{i}" for i in range(self.n)])
+        buf.write(",".join(f"arc_{i}" for i in range(self.n)))
         for row in self.costs:
-            writer.writerow([f"{v:.6f}" for v in row])
+            buf.write("\n")
+            buf.write(",".join(f"{v:.6f}" for v in row.tolist()))
+        buf.write("\n")
         return buf.getvalue()
 
 
@@ -127,8 +195,8 @@ class _Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = _owned(self.lo)
+        hi = _owned(self.hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-D vectors of equal length")
         if np.any(lo > hi + 1e-12):
@@ -171,9 +239,9 @@ class BudgetedSet(_Box):
         if not (0 <= self.gamma <= self.n):
             raise ValueError("gamma must lie in [0, n]")
 
-    @property
+    @cached_property
     def deviations(self) -> np.ndarray:
-        return self.hi - self.lo
+        return _sealed(self.hi - self.lo)
 
     def _top(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Deviations at x and the gamma largest ones' items, stable on ties."""
@@ -204,7 +272,7 @@ class HullSet:
     name = "hull"
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
+        points = _owned(self.points)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("hull needs at least one point")
         object.__setattr__(self, "points", points)
@@ -226,13 +294,21 @@ class HullSet:
         return float((self.points @ x).max())
 
     def center(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        return self._center
+
+    @cached_property
+    def _center(self) -> np.ndarray:
+        return _sealed(self.points.mean(axis=0))
 
     def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
         return self.center() if x is None else self.worst_case(x)[1]
 
     def spread(self) -> np.ndarray:
-        return self.points.max(axis=0) - self.points.min(axis=0)
+        return self._spread
+
+    @cached_property
+    def _spread(self) -> np.ndarray:
+        return _sealed(self.points.max(axis=0) - self.points.min(axis=0))
 
 
 def _is_psd(sigma: np.ndarray, tol: float = 1e-9) -> bool:
@@ -259,8 +335,8 @@ class EllipsoidSet:
     name = "ellipsoid"
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        mu = _owned(self.mu)
+        sigma = _owned(self.sigma)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
         # exact equality is the common case and several times cheaper
@@ -322,7 +398,11 @@ class EllipsoidSet:
         return member
 
     def spread(self) -> np.ndarray:
-        return np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0))
+        return self._spread
+
+    @cached_property
+    def _spread(self) -> np.ndarray:
+        return _sealed(np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0)))
 
 
 @dataclass(frozen=True)
@@ -376,12 +456,15 @@ def build_set(
     budgeted: interval bounds plus a deviation budget `gamma`
     ellipsoid: mean/covariance with a ridge for degenerate data
 
-    Cost on K scenarios over n items: interval and budgeted sets take
-    O(K n).  The hull keeps the first occurrence of each distinct point,
-    in scenario order, by hashing each row's bytes: O(K n) expected.
-    The ellipsoid takes O(K n^2) for the covariance plus O(n^3) for the
-    PSD check in EllipsoidSet (one Cholesky factorisation on well-posed
-    data).
+    Cost on K scenarios over n items: the column mean, min and max take
+    O(K n) once per matrix (`ScenarioMatrix` keeps them), after which an
+    interval or budgeted set takes O(n).  The hull keeps the first
+    occurrence of each distinct point, in scenario order, by hashing
+    each row's bytes: O(K n) expected.  The ellipsoid's covariance with
+    the default ridge takes O(K n^2) once per matrix, and every such
+    ellipsoid shares that one read-only n x n array; a given `ridge`
+    recomputes it.  Each ellipsoid still pays O(n^3) for the PSD check
+    in EllipsoidSet (one Cholesky factorisation on well-posed data).
     """
     if set_type not in LAMBDA_RANGES:
         raise UnsupportedError(f"unknown set type {set_type!r}")
@@ -390,32 +473,27 @@ def build_set(
         raise ValueError(
             f"lambda {lam} out of range [{lo_l}, {hi_l}] for {set_type}"
         )
-    mu = data.costs.mean(axis=0)
+    mu = data.mean
 
     if set_type in ("interval", "budgeted"):
-        lo = mu - lam * (mu - data.costs.min(axis=0))
-        hi = mu + lam * (data.costs.max(axis=0) - mu)
+        lo = mu - lam * (mu - data.col_min)
+        hi = mu + lam * (data.col_max - mu)
         if set_type == "interval":
-            return IntervalSet(lo, hi)
+            return IntervalSet(_sealed(lo), _sealed(hi))
         if gamma is None:
             raise ValueError("budgeted set requires gamma")
-        return BudgetedSet(lo, hi, int(gamma))
+        return BudgetedSet(_sealed(lo), _sealed(hi), int(gamma))
 
     if set_type == "hull":
         points = mu[None, :] + lam * (data.costs - mu[None, :])
         first: dict[bytes, int] = {}
         for k, row in enumerate(points + 0.0):  # + 0.0 maps -0.0 to 0.0
             first.setdefault(row.tobytes(), k)
-        return HullSet(points[list(first.values())])
+        return HullSet(_sealed(points[list(first.values())]))
 
     if data.K < 2:
         raise ValueError("ellipsoid requires at least 2 scenarios")
-    sigma = np.cov(data.costs, rowvar=False, bias=False)
-    sigma = np.atleast_2d(sigma)
-    if ridge is None:
-        ridge = 1e-6 * np.trace(sigma) / data.n
-    sigma = sigma + ridge * np.eye(data.n)
-    return EllipsoidSet(mu, sigma, lam)
+    return EllipsoidSet(mu, data.covariance(ridge), lam)
 
 
 def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
@@ -433,7 +511,11 @@ class Mixture:
     """Weighted list of uncertainty sets: the objective is
     sum_j p_j max_{c in U_j} c . x.
 
-    Weights are nonnegative but not required to sum to one.
+    Weights are nonnegative but not required to sum to one.  All
+    components have the same item count n.  The solver inputs that do
+    not depend on the instance (the bound costs, checked once for the
+    nominal oracle, the branching spread and the set types) are
+    computed once per mixture, on first use, and shared by every solve.
     """
 
     components: tuple[tuple[float, UncertaintySet], ...]
@@ -447,19 +529,57 @@ class Mixture:
             if not np.isfinite(w) or w < 0:
                 raise ValueError("weights must be finite and nonnegative")
             comps.append((w, uset))
+        if len({uset.n for _, uset in comps}) > 1:
+            raise ValueError("mixture components must have the same n")
         object.__setattr__(self, "components", tuple(comps))
 
     @property
     def N(self) -> int:
         return len(self.components)
 
+    @property
+    def n(self) -> int:
+        return self.components[0][1].n
+
     def set_types(self) -> tuple[str, ...]:
         return tuple(u.name for _, u in self.components)
 
+    @cached_property
+    def types(self) -> frozenset[str]:
+        """The distinct set types, which `solve_auto` dispatches on."""
+        return frozenset(self.set_types())
+
     def require(self, set_type: str, message: str) -> None:
         """Raise UnsupportedError(message) unless all components are `set_type`."""
-        if any(u.name != set_type for _, u in self.components):
+        if self.types != {set_type}:
             raise UnsupportedError(message)
+
+    def weighted_sum(self, member: str, *args) -> np.ndarray:
+        """sum_j p_j U_j.<member>(*args), summed in index order."""
+        total = np.zeros(self.n)
+        for weight, uset in self.components:
+            total += weight * getattr(uset, member)(*args)
+        return total
+
+    @cached_property
+    def bound_costs(self) -> np.ndarray:
+        """The weighted sum of each set's fixed `bound_member()`: cost . x
+        never exceeds the objective."""
+        return _sealed(self.weighted_sum("bound_member"))
+
+    @cached_property
+    def checked_bound_costs(self):
+        """`bound_costs` checked once for `nominal_solve` (`OracleCosts`);
+        a solve on an instance of another n raises ValueError."""
+        from .instances import check_costs  # instances imports this module
+
+        return check_costs(self.bound_costs, self.n)
+
+    @cached_property
+    def branch_spread(self) -> np.ndarray:
+        """The weighted sum of each set's per-item `spread()` between
+        worst case and bound member; branch-and-bound branches on it."""
+        return _sealed(self.weighted_sum("spread"))
 
 
 def mixture_spec_from_json(text: str) -> list[dict]:
@@ -475,17 +595,20 @@ def mixture_spec_from_json(text: str) -> list[dict]:
         raise ParseError("'components' must be a nonempty list")
     specs = []
     for i, comp in enumerate(comps):
-        if "weight" not in comp or "type" not in comp:
+        if not isinstance(comp, dict) or "weight" not in comp or "type" not in comp:
             raise ParseError(f"component {i} needs 'weight' and 'type'")
-        spec = {
-            "weight": float(comp["weight"]),
-            "type": str(comp["type"]),
-            "lambda": float(comp.get("lambda", 0.0)),
-        }
-        if "gamma" in comp:
-            spec["gamma"] = int(comp["gamma"])
-        if "ridge" in comp:
-            spec["ridge"] = float(comp["ridge"])
+        try:
+            spec = {
+                "weight": float(comp["weight"]),
+                "type": str(comp["type"]),
+                "lambda": float(comp.get("lambda", 0.0)),
+            }
+            if "gamma" in comp:
+                spec["gamma"] = int(comp["gamma"])
+            if "ridge" in comp:
+                spec["ridge"] = float(comp["ridge"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"component {i} has a non-numeric value: {exc}") from None
         specs.append(spec)
     return specs
 

@@ -171,6 +171,53 @@ class TestSolve:
         assert os.path.exists(out + ".manifest.json")
 
 
+class TestMalformedMixture:
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [1],
+            [{"weight": None, "type": "interval", "lambda": 0.5}],
+            [{"weight": 1.0, "type": "interval", "lambda": None}],
+            [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": None}],
+            [{"weight": 1.0, "type": "ellipsoid", "lambda": 1.0, "ridge": None}],
+        ],
+        ids=["not-an-object", "null-weight", "null-lambda", "null-gamma", "null-ridge"],
+    )
+    def test_exits_2(self, workdir, capsys, components):
+        mixture = write_mixture(workdir["dir"], components)
+        code = main(
+            [
+                "solve",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--pairs", workdir["pairs"],
+            ]
+        )
+        assert code == 2
+        assert "error: component 0" in capsys.readouterr().err
+
+
+class TestJsonOutput:
+    def test_bytes_equal_json_dump(self, tmp_path):
+        doc = {
+            "solutions": [
+                {"source": 0, "target": 8, "x": [1, 0] * 30, "objective": 12.345678,
+                 "optimal": True, "method": "bnb"},
+                {"source": 2, "target": 5, "x": [], "objective": 1e-7,
+                 "optimal": False, "method": "local"},
+            ],
+            "argv": ["solve", "--out", "s\u00f6l.json"],
+            "seed": None,
+        }
+        path = tmp_path / "one.json"
+        cli._write_json(str(path), doc)
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 class TestEvaluate:
     def test_scores_solution_file(self, workdir, capsys):
         mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
@@ -206,6 +253,7 @@ class TestEvaluate:
             ([{"x": [1, 0]}], "'solutions' list"),
             ({"records": []}, "'solutions' list"),
             ({"solutions": [{"objective": 1.0}]}, "record 0 needs an 'x' list"),
+            ({"solutions": [{"x": [1], "objective": None}]}, "record 0 has a bad 'objective'"),
         ],
     )
     def test_malformed_solutions_invalid(self, workdir, capsys, doc, message):

@@ -30,8 +30,13 @@ from robustmix import (
     solve_midpoint_approx,
     split_scenarios,
 )
-from robustmix import solvers
-from robustmix.instances import enumerate_feasible, must_use, nominal_solve
+from robustmix import instances, solvers
+from robustmix.instances import (
+    enumerate_feasible,
+    must_use,
+    nominal_solve,
+    sample_st_pairs,
+)
 from robustmix.verify import random_hull_mixture, random_instance
 from test_instances import CYCLIC, relabelled_grid
 
@@ -127,7 +132,7 @@ class TestBoundCosts:
 
     def test_bound_never_exceeds_objective(self, rng):
         for inst, mix in bound_cases(rng):
-            bcosts = solvers._bound_costs(mix, inst.n)
+            bcosts = mix.bound_costs
             for x in enumerate_feasible(inst):
                 bound = float(bcosts @ np.asarray(x, dtype=float))
                 assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.set_types(), x)
@@ -210,6 +215,35 @@ class TestIntervalMix:
         mix = Mixture(((1.0, HullSet(np.ones((1, 4)))),))
         with pytest.raises(UnsupportedError):
             solve_interval_mix(diamond_inst, mix)
+
+    def test_costs_checked_once_per_mixture(self, monkeypatch):
+        """Six pair-solves of one mixture share its checked bound costs."""
+        graph, data = gen_synthetic(4, 4, 10, seed=2)
+        mix = build_mixture([{"weight": 1.0, "type": "interval", "lambda": 0.5}], data)
+        checks = []
+        check = instances.check_costs
+        monkeypatch.setattr(
+            instances, "check_costs", lambda *args: checks.append(args) or check(*args)
+        )
+        pairs = sample_st_pairs(graph, 6, min_hops=2, seed=2)
+        reports = [solve_auto(Instance.spath(graph, s, t), mix) for s, t in pairs]
+        assert len(pairs) == 6 and {r.method for r in reports} == {"interval"}
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_interval_mix, solve_bnb, solve_local_search, solve_midpoint_approx],
+    )
+    def test_mixture_of_another_n_rejected(self, diamond_inst, solve):
+        """The memoized costs belong to the mixture's n, not the instance's."""
+        three = Mixture(((1.0, HullSet(np.ones((2, 3)))),))
+        if solve is solve_interval_mix:
+            three = Mixture(((1.0, interval([1.0, 2.0, 3.0])),))
+        with pytest.raises(ValueError):
+            solve(diamond_inst, three)  # four arcs
+        solve_bnb(Instance.selection(3, 1), three)  # memoized for n = 3
+        with pytest.raises(ValueError):
+            solve(diamond_inst, three)
 
 
 class TestBudgetedMix:

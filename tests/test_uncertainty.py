@@ -448,3 +448,169 @@ class TestMixture:
             data,
         )
         assert mix.set_types() == ("interval", "budgeted")
+
+
+def csv_writer_text(costs) -> str:
+    """The scenario CSV as `csv.writer` writes it over numpy scalars."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"arc_{i}" for i in range(costs.shape[1])])
+    for row in costs:
+        writer.writerow([f"{v:.6f}" for v in row])
+    return buf.getvalue()
+
+
+class TestToCsv:
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            [[-0.0, 1e-7, 1e300], [0.0, 2.5, 123456.789]],
+            [[1e-7], [-0.0], [1e300], [3.25]],
+            [[0.1234565, 7.0, 5e-7, 0.0000005]],
+        ],
+    )
+    def test_bytes_equal_csv_writer(self, costs):
+        costs = np.array(costs)
+        assert ScenarioMatrix(costs).to_csv() == csv_writer_text(costs)
+
+    def test_generated_matrix(self):
+        _, data = gen_synthetic(4, 3, 9, "two_block", seed=3)
+        assert data.to_csv() == csv_writer_text(data.costs)
+
+
+def fresh_interval_bounds(costs, lam):
+    """The interval bounds computed afresh from the columns."""
+    mu = costs.mean(axis=0)
+    return mu - lam * (mu - costs.min(axis=0)), mu + lam * (costs.max(axis=0) - mu)
+
+
+def fresh_covariance(costs, ridge=None):
+    sigma = np.atleast_2d(np.cov(costs, rowvar=False, bias=False))
+    if ridge is None:
+        ridge = 1e-6 * np.trace(sigma) / costs.shape[1]
+    return sigma + ridge * np.eye(costs.shape[1])
+
+
+SPECS = [
+    ("interval", 0.3, {}),
+    ("budgeted", 0.7, {"gamma": 2}),
+    ("hull", 0.4, {}),
+    ("ellipsoid", 3.5, {}),
+    ("ellipsoid", 1.5, {"ridge": 0.25}),
+]
+
+
+class TestMemos:
+    """Each matrix, set and mixture computes its pair-independent values
+    once; the values equal a fresh computation and cannot go stale."""
+
+    def test_builds_through_memos_equal_fresh_builds(self, rng):
+        costs = rng.uniform(1, 5, (7, 4))
+        costs[3] = costs[1]  # a duplicate scenario for the hull to drop
+        costs[:, 2] = 0.1  # a constant column: zero covariances
+        data = ScenarioMatrix(costs)
+        for set_type, lam, kw in SPECS * 2:  # the second pass reuses the memos
+            built = build_set(data, set_type, lam, **kw)
+            fresh = build_set(ScenarioMatrix(costs), set_type, lam, **kw)
+            for name in ("lo", "hi", "points", "mu", "sigma"):
+                if hasattr(fresh, name):
+                    assert np.array_equal(getattr(built, name), getattr(fresh, name))
+            if set_type in ("interval", "budgeted"):
+                lo, hi = fresh_interval_bounds(costs, lam)
+                assert np.array_equal(built.lo, lo) and np.array_equal(built.hi, hi)
+            if set_type == "ellipsoid":
+                assert np.array_equal(built.mu, costs.mean(axis=0))
+                sigma = fresh_covariance(costs, kw.get("ridge"))
+                assert built.sigma.tobytes() == sigma.tobytes()  # signed zeros too
+        assert np.array_equal(data.col_min, costs.min(axis=0))
+        assert np.array_equal(data.col_max, costs.max(axis=0))
+
+    def test_default_ridge_covariance_is_shared(self, rng):
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 3)))
+        first = build_set(data, "ellipsoid", 1.0)
+        second = build_set(data, "ellipsoid", 4.0)
+        assert first.sigma is second.sigma is data.covariance()
+        assert build_set(data, "ellipsoid", 1.0, ridge=0.5).sigma is not first.sigma
+
+    def test_set_memos_equal_fresh_values(self, rng):
+        points = rng.uniform(0, 5, (5, 4))
+        hull = HullSet(points)
+        for _ in range(2):
+            assert np.array_equal(hull.center(), points.mean(axis=0))
+            assert np.array_equal(hull.spread(), points.max(axis=0) - points.min(axis=0))
+        lo = rng.uniform(0, 2, 4)
+        hi = lo + rng.uniform(0, 2, 4)
+        assert np.array_equal(BudgetedSet(lo, hi, 2).deviations, hi - lo)
+        sigma = np.diag([4.0, 1.0, 0.0, 9.0])
+        ell = EllipsoidSet(np.ones(4), sigma, 2.0)
+        assert np.array_equal(ell.spread(), np.sqrt(2.0 * np.diag(sigma)))
+
+    def test_mixture_memos_equal_fresh_sums(self, rng):
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 4)))
+        mix = build_mixture(
+            [{"weight": w, "type": t, "lambda": lam, **kw} for w, (t, lam, kw) in
+             zip((0.3, 1.2, 0.7, 0.5, 2.0), SPECS)],
+            data,
+        )
+        bound = np.zeros(4)
+        spread = np.zeros(4)
+        for weight, uset in mix.components:
+            bound += weight * uset.bound_member()
+            spread += weight * uset.spread()
+        assert np.array_equal(mix.bound_costs, bound)
+        assert mix.checked_bound_costs.values == tuple(bound.tolist())
+        assert np.array_equal(mix.branch_spread, spread)
+        assert mix.types == {"interval", "budgeted", "hull", "ellipsoid"}
+
+    def test_caller_writes_do_not_reach_a_matrix(self, rng):
+        costs = rng.uniform(1, 5, (6, 3))
+        kept = costs.copy()
+        data = ScenarioMatrix(costs)
+        before = [build_set(data, t, lam, **kw) for t, lam, kw in SPECS]
+        costs[:] = 99.0
+        assert np.array_equal(data.costs, kept)
+        assert np.array_equal(data.mean, kept.mean(axis=0))
+        after = [build_set(data, t, lam, **kw) for t, lam, kw in SPECS]
+        x = np.array([1.0, 0.0, 1.0])
+        for old, new in zip(before, after):
+            assert old.support(x) == new.support(x)
+
+    def test_caller_writes_do_not_reach_a_set(self):
+        lo, hi = np.array([1.0, 2.0]), np.array([3.0, 5.0])
+        points = np.array([[1.0, 4.0], [3.0, 0.0]])
+        box, hull = IntervalSet(lo, hi), HullSet(points)
+        mix = Mixture(((1.0, box), (1.0, hull)))
+        x = np.array([1.0, 1.0])
+        values = (box.support(x), hull.support(x))
+        bound = mix.bound_costs.copy()
+        center_before = hull.center().copy()
+        lo[:] = hi[:] = points[:] = 7.0
+        assert (box.support(x), hull.support(x)) == values
+        assert np.array_equal(hull.center(), center_before)
+        assert np.array_equal(mix.bound_costs, bound)
+        assert np.array_equal(box.hi, [3.0, 5.0])
+
+    def test_memoized_arrays_are_read_only(self, rng):
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 3)))
+        hull = build_set(data, "hull", 0.5)
+        budgeted = build_set(data, "budgeted", 0.5, gamma=1)
+        ell = build_set(data, "ellipsoid", 2.0)
+        mix = Mixture(((1.0, hull), (1.0, budgeted), (1.0, ell)))
+        arrays = [
+            data.costs, data.mean, data.col_min, data.col_max, data.covariance(),
+            hull.points, hull.center(), hull.spread(), budgeted.lo,
+            budgeted.deviations, ell.mu, ell.sigma, ell.spread(),
+            mix.bound_costs, mix.branch_spread,
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_components_must_share_n(self):
+        with pytest.raises(ValueError, match="same n"):
+            Mixture(
+                (
+                    (1.0, IntervalSet(np.zeros(2), np.ones(2))),
+                    (1.0, IntervalSet(np.zeros(3), np.ones(3))),
+                )
+            )
