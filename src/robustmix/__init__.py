@@ -20,7 +20,6 @@ from .uncertainty import (
     ScenarioMatrix,
     build_mixture,
     build_set,
-    center,
     worst_case,
 )
 from .instances import (

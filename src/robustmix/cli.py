@@ -4,9 +4,9 @@ Every subcommand reads and writes plain files, prints a short summary
 and drops a run manifest next to its primary output so runs can be
 reproduced exactly.  Exit codes: 0 success, 2 invalid input, 3
 infeasible, 4 budget or timeout with partial output: an enumeration cap
-was exceeded, `tune` did not evaluate a configuration on every pair, or
-a `solve` record comes from a branch-and-bound or parametric search
-that stopped before a proof (the solutions file is still written).
+was exceeded, any `tune` run did not evaluate a configuration on every
+pair, or a `solve` record comes from a branch-and-bound or parametric
+search that stopped before a proof (the solutions file is still written).
 The heuristic methods `midpoint` and `local` never prove optimality and
 exit 0.
 """
@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -126,8 +127,8 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ParseError("--weights needs three comma-separated values")
     w = tuple(float(p) for p in parts)
-    if any(v < 0 for v in w):
-        raise ParseError("weights must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in w):
+        raise ParseError(f"weights must be finite and nonnegative, got {text}")
     return w
 
 
@@ -270,24 +271,20 @@ def _cmd_tune(args, argv, started):
     else:
         weight_list = [_parse_weights(args.weights)]
 
-    summaries = []
-    last_result = None
-    for w in weight_list:
-        result = tune(space, graph, pairs, scenarios, split, w, args.seed)
-        summaries.append((w, result))
-        last_result = result
+    results = [
+        tune(space, graph, pairs, scenarios, split, w, args.seed) for w in weight_list
+    ]
     print(f"budget={args.budget} runs={len(weight_list)}")
 
-    outputs = []
-    if len(weight_list) == 1:
+    outputs = [args.out_config]
+    if len(results) == 1:
         with open(args.out_config, "w", encoding="utf-8") as fh:
-            fh.write(mixture_spec_to_json(last_result.best.to_specs()))
-        outputs.append(args.out_config)
+            fh.write(mixture_spec_to_json(results[0].best.to_specs()))
     else:
         with open(args.out_config, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["w_avg", "w_max", "w_cvar", "cost", "config"])
-            for w, result in summaries:
+            for w, result in zip(weight_list, results):
                 writer.writerow(
                     [
                         f"{w[0]:.6f}",
@@ -297,12 +294,11 @@ def _cmd_tune(args, argv, started):
                         json.dumps(result.best.to_specs(), sort_keys=True),
                     ]
                 )
-        outputs.append(args.out_config)
     if args.out_trace:
         with open(args.out_trace, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["generation", "config_id", "pairs", "cost", "params"])
-            for w, result in summaries:
+            for result in results:
                 for entry in result.trace:
                     writer.writerow(
                         [
@@ -315,9 +311,9 @@ def _cmd_tune(args, argv, started):
                     )
         outputs.append(args.out_trace)
     _write_manifest(args, argv, outputs, started)
-    if last_result is not None and not last_result.completed_full_eval:
-        return EXIT_BUDGET
-    return EXIT_OK
+    if all(result.completed_full_eval for result in results):
+        return EXIT_OK
+    return EXIT_BUDGET
 
 
 def _cmd_emit_mip(args, argv, started):

@@ -98,9 +98,11 @@ def scalarize(m: Metrics, w: tuple[float, float, float]) -> float:
 def weight_grid(step: float = 0.1) -> list[tuple[float, float, float]]:
     """All weight triples of multiples of `step` summing to one,
     in lexicographic order."""
+    if not 0 < step <= 1:
+        raise ValueError(f"weight grid step must lie in (0, 1], got {step}")
     m = round(1.0 / step)
     if abs(m * step - 1.0) > 1e-9:
-        raise ValueError("step must divide 1")
+        raise ValueError(f"weight grid step must divide 1, got {step}")
     grid = []
     for a in range(m + 1):
         for b in range(m + 1 - a):

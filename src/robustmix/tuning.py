@@ -22,6 +22,14 @@ from .instances import Graph, Instance
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
 
+WEIGHT_RANGE = (0.0, 1.0)  # each parent's mixture weight
+GENERATION_SIZE = 20  # configurations alive at the start of a generation
+ELIMINATION_MARGIN = 0.01  # relative cost gap to the incumbent that eliminates
+MIN_SHARED_PAIRS = 5  # pairs a configuration needs before it can be eliminated
+TUNE_NODE_CAP = 150  # branch-and-bound nodes per tuner pair-solve
+BASELINE_NODE_CAP = 20_000  # branch-and-bound nodes per baseline pair-solve
+ALPHA = 0.05  # CVaR tail fraction of the per-pair metrics
+
 
 @dataclass(frozen=True)
 class ParentSpec:
@@ -43,6 +51,9 @@ class Config:
 
 @dataclass
 class ConfigSpace:
+    """What `tune` may draw, and its budget of pair-solves; the module
+    constants above fix the rest of the race."""
+
     max_parents: int = 3
     allowed_types: tuple[str, ...] = ("interval", "hull", "ellipsoid")
     lambda_ranges: dict = field(
@@ -50,11 +61,7 @@ class ConfigSpace:
             t: LAMBDA_RANGES[t] for t in ("interval", "hull", "ellipsoid")
         }
     )
-    weight_range: tuple[float, float] = (0.0, 1.0)
     budget: int = 10_000
-    generation_size: int = 20
-    elimination_margin: float = 0.01
-    min_shared_pairs: int = 5
 
     def __post_init__(self):
         if self.budget < 1:
@@ -73,7 +80,7 @@ def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
         set_type = space.allowed_types[int(rng.integers(len(space.allowed_types)))]
         lo, hi = space.lambda_ranges[set_type]
         lam = float(rng.uniform(lo, hi))
-        weight = float(rng.uniform(*space.weight_range))
+        weight = float(rng.uniform(*WEIGHT_RANGE))
         parents.append(ParentSpec(set_type, lam, weight))
     return Config(tuple(parents))
 
@@ -88,7 +95,7 @@ def perturb_config(
         lam = float(
             np.clip(parent.lam + rng.normal(0.0, 0.1 * (hi - lo)), lo, hi)
         )
-        wlo, whi = space.weight_range
+        wlo, whi = WEIGHT_RANGE
         weight = float(
             np.clip(parent.weight + rng.normal(0.0, 0.1 * (whi - wlo)), wlo, whi)
         )
@@ -114,12 +121,13 @@ class TuneResult:
     evaluations: int
 
 
-def _metric_memo(costs: np.ndarray, tail: int):
+def _metric_memo(costs: np.ndarray):
     """`pair_metrics` on `costs`, computed once per distinct solution x.
 
     Keyed by x alone: the metric depends on nothing else, and a path's
     arcs also fix its pair, so this hits exactly when (pair, x) would.
     """
+    tail = max(1, math.ceil(ALPHA * costs.shape[0]))
 
     @functools.cache
     def metric(x: tuple[int, ...]) -> tuple[float, float, float]:
@@ -154,115 +162,78 @@ def tune(
     split: Split,
     w: tuple[float, float, float],
     seed: int = 0,
-    node_cap: int = 150,
-    alpha: float = 0.05,
 ) -> TuneResult:
-    """Race configurations against in-sample scalarized metrics."""
+    """Race configurations against in-sample scalarized metrics: the
+    cheapest solved on all pairs, else (`completed_full_eval` false) on
+    the pairs each was solved on, within `space.budget` pair-solves."""
     if not pairs:
         raise ValueError("empty pair list")
     rng = np.random.default_rng(seed)
     train = data.subset(split.train_idx)
-    tail = max(1, math.ceil(alpha * train.K))
+    metric = _metric_memo(train.costs)
     P = len(pairs)
 
-    configs: list[Config] = [
-        sample_config(space, rng) for _ in range(space.generation_size)
-    ]
+    configs = [sample_config(space, rng) for _ in range(GENERATION_SIZE)]
+    # triples[c]: configuration c's metrics on pairs[:len(triples[c])]
+    triples: list[list[tuple[float, float, float]]] = [[] for _ in configs]
     mixtures: dict[int, Mixture] = {}
-    metric = _metric_memo(train.costs, tail)
-    pair_cache: dict[tuple[int, int], tuple[float, float, float]] = {}
     alive = list(range(len(configs)))
     trace: list[TraceEntry] = []
     evals = 0
     generation = 0
 
-    def mixture_for(cfg_id: int) -> Mixture:
-        if cfg_id not in mixtures:
-            mixtures[cfg_id] = build_mixture(configs[cfg_id].to_specs(), train)
-        return mixtures[cfg_id]
-
-    def evaluated_pairs(cfg_id: int) -> int:
-        k = 0
-        while (cfg_id, k) in pair_cache:
-            k += 1
-        return k
-
-    def cost_over(cfg_id: int, k: int) -> float:
-        triples = [pair_cache[(cfg_id, i)] for i in range(k)]
-        arr = np.array(triples)
-        m = Metrics(*(arr.mean(axis=0)))
-        return scalarize(m, w)
+    def cost(cfg_id: int) -> float:
+        return scalarize(Metrics(*np.array(triples[cfg_id]).mean(axis=0)), w)
 
     while evals < space.budget:
         n_g = min(P, 5 * (2**generation))
         evals_before = evals
-        for cfg_id in list(alive):
-            for pair_idx in range(n_g):
-                if (cfg_id, pair_idx) in pair_cache or evals >= space.budget:
-                    continue
+        for cfg_id in alive:
+            done = triples[cfg_id]
+            while len(done) < n_g and evals < space.budget:
+                if not done:
+                    mixtures[cfg_id] = build_mixture(configs[cfg_id].to_specs(), train)
                 report = solve_for_pair(
-                    graph, pairs[pair_idx], mixture_for(cfg_id), node_cap, seed
+                    graph, pairs[len(done)], mixtures[cfg_id], TUNE_NODE_CAP, seed
                 )
-                pair_cache[(cfg_id, pair_idx)] = metric(report.solution.x)
+                done.append(metric(report.solution.x))
                 evals += 1
 
-        costs = {}
-        for cfg_id in alive:
-            k = evaluated_pairs(cfg_id)
-            if k == 0:
-                continue
-            costs[cfg_id] = cost_over(cfg_id, k)
-            trace.append(
-                TraceEntry(generation, cfg_id, k, costs[cfg_id], configs[cfg_id])
-            )
+        costs = {cfg_id: cost(cfg_id) for cfg_id in alive if triples[cfg_id]}
         if not costs:
             break
-        best_cost = min(costs.values())
-        survivors = []
-        for cfg_id in alive:
-            if cfg_id not in costs:
-                continue
-            k = evaluated_pairs(cfg_id)
-            if (
-                k >= min(space.min_shared_pairs, P)
-                and costs[cfg_id] > best_cost * (1.0 + space.elimination_margin)
-            ):
-                continue
-            survivors.append(cfg_id)
-        alive = survivors
+        for cfg_id, value in costs.items():
+            k = len(triples[cfg_id])
+            trace.append(TraceEntry(generation, cfg_id, k, value, configs[cfg_id]))
+        cutoff = min(costs.values()) * (1.0 + ELIMINATION_MARGIN)
+        alive = [
+            cfg_id
+            for cfg_id, value in costs.items()
+            if len(triples[cfg_id]) < min(MIN_SHARED_PAIRS, P) or value <= cutoff
+        ]
 
         if evals >= space.budget:
             break
         if evals == evals_before and n_g >= P:
             # stagnation: everything alive is fully evaluated and within
             # the margin; keep the incumbent and explore fresh configs
-            best_id = min(costs, key=lambda c: (costs[c], c))
-            alive = [best_id]
-        while len(alive) < space.generation_size:
-            parent_id = alive[int(rng.integers(len(alive)))] if alive else None
-            if parent_id is None:
-                new_cfg = sample_config(space, rng)
+            alive = [min(costs, key=lambda c: (costs[c], c))]
+        while len(alive) < GENERATION_SIZE:
+            if alive:
+                parent = configs[alive[int(rng.integers(len(alive)))]]
+                configs.append(perturb_config(parent, space, rng))
             else:
-                new_cfg = perturb_config(configs[parent_id], space, rng)
-            configs.append(new_cfg)
+                configs.append(sample_config(space, rng))
+            triples.append([])
             alive.append(len(configs) - 1)
         generation += 1
 
-    full = {
-        cfg_id: cost_over(cfg_id, P)
-        for cfg_id in range(len(configs))
-        if evaluated_pairs(cfg_id) >= P
-    }
-    if full:
-        best_id = min(full, key=lambda c: (full[c], c))
-        return TuneResult(configs[best_id], full[best_id], trace, True, evals)
-    partial = {
-        cfg_id: cost_over(cfg_id, evaluated_pairs(cfg_id))
-        for cfg_id in range(len(configs))
-        if evaluated_pairs(cfg_id) > 0
-    }
-    best_id = min(partial, key=lambda c: (partial[c], c))
-    return TuneResult(configs[best_id], partial[best_id], trace, False, evals)
+    ids = range(len(configs))
+    ranked = [c for c in ids if len(triples[c]) == P] or [c for c in ids if triples[c]]
+    best_cost, best_id = min((cost(c), c) for c in ranked)
+    return TuneResult(
+        configs[best_id], best_cost, trace, len(triples[best_id]) == P, evals
+    )
 
 
 BASELINE_STEPS = {"interval": 0.025, "hull": 0.025, "ellipsoid": 0.5}
@@ -280,14 +251,14 @@ def baseline_grid(
     pairs: list[tuple[int, int]],
     data: ScenarioMatrix,
     split: Split,
-    node_cap: int | None = 20_000,
-    alpha: float = 0.05,
 ) -> list[tuple[float, Metrics, Metrics]]:
     """Evaluate the pure single-set model over the 41-point lambda grid."""
+    if not pairs:
+        raise ValueError("empty pair list")
     train = data.subset(split.train_idx)
     test = data.subset(split.test_idx)
-    metric_in = _metric_memo(train.costs, max(1, math.ceil(alpha * train.K)))
-    metric_out = _metric_memo(test.costs, max(1, math.ceil(alpha * test.K)))
+    metric_in = _metric_memo(train.costs)
+    metric_out = _metric_memo(test.costs)
     results = []
     for lam in baseline_lambdas(set_type):
         mix = build_mixture(
@@ -295,9 +266,9 @@ def baseline_grid(
         )
         triples_in, triples_out = [], []
         for pair in pairs:
-            report = solve_for_pair(graph, pair, mix, node_cap)
-            triples_in.append(metric_in(report.solution.x))
-            triples_out.append(metric_out(report.solution.x))
+            x = solve_for_pair(graph, pair, mix, BASELINE_NODE_CAP).solution.x
+            triples_in.append(metric_in(x))
+            triples_out.append(metric_out(x))
         m_in = Metrics(*np.array(triples_in).mean(axis=0))
         m_out = Metrics(*np.array(triples_out).mean(axis=0))
         results.append((lam, m_in, m_out))

@@ -304,10 +304,6 @@ class HullSet:
         return self.center() if x is None else self.worst_case(x)[1]
 
     def spread(self) -> np.ndarray:
-        return self._spread
-
-    @cached_property
-    def _spread(self) -> np.ndarray:
         return _sealed(self.points.max(axis=0) - self.points.min(axis=0))
 
 
@@ -398,10 +394,6 @@ class EllipsoidSet:
         return member
 
     def spread(self) -> np.ndarray:
-        return self._spread
-
-    @cached_property
-    def _spread(self) -> np.ndarray:
         return _sealed(np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0)))
 
 
@@ -499,11 +491,6 @@ def build_set(
 def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
     """max over the set of c . x for binary x; returns (value, argmax c)."""
     return uset.worst_case(np.asarray(x, dtype=float))
-
-
-def center(uset: UncertaintySet) -> np.ndarray:
-    """A representative member of the set (mean / midpoint / mu)."""
-    return uset.center()
 
 
 @dataclass(frozen=True)
@@ -604,7 +591,10 @@ def mixture_spec_from_json(text: str) -> list[dict]:
                 "lambda": float(comp.get("lambda", 0.0)),
             }
             if "gamma" in comp:
-                spec["gamma"] = int(comp["gamma"])
+                gamma = comp["gamma"]
+                if isinstance(gamma, bool) or not float(gamma).is_integer():
+                    raise ParseError(f"component {i} gamma {gamma!r} is not an integer")
+                spec["gamma"] = int(gamma)
             if "ridge" in comp:
                 spec["ridge"] = float(comp["ridge"])
         except (TypeError, ValueError, OverflowError) as exc:

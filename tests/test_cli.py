@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from robustmix import cli
+from robustmix import cli, tuning
 from robustmix.cli import main
 
 
@@ -196,6 +196,73 @@ class TestMalformedMixture:
         )
         assert code == 2
         assert "error: component 0" in capsys.readouterr().err
+
+
+class TestInvalidValues:
+    """Values that parse but make no sense exit 2 with an error naming them."""
+
+    @pytest.mark.parametrize(
+        "argv, components, named",
+        [
+            (["baseline", "--type", "interval", "--pairs", "{header_only}",
+              "--out", "{out}"], None, "empty pair list"),
+            (["tune", "--pairs", "{pairs}", "--weight-grid", "0",
+              "--out-config", "{out}"], None, "got 0.0"),
+            (["tune", "--pairs", "{pairs}", "--weight-grid=-0.5",
+              "--out-config", "{out}"], None, "got -0.5"),
+            (["tune", "--pairs", "{pairs}", "--weights", "nan,0,0",
+              "--out-config", "{out}"], None, "got nan,0,0"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
+             [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 2.7}],
+             "gamma 2.7 is not an integer"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
+             [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": True}],
+             "gamma True is not an integer"),
+        ],
+        ids=["header-only-pairs", "weight-grid-zero", "weight-grid-negative",
+             "weights-nan", "gamma-fractional", "gamma-bool"],
+    )
+    def test_exits_2(self, workdir, capsys, argv, components, named):
+        header_only = workdir["dir"] / "header_only.csv"
+        header_only.write_text("source,target\n")
+        names = {
+            **workdir,
+            "header_only": header_only,
+            "mixture": components and write_mixture(workdir["dir"], components),
+            "out": workdir["dir"] / "out",
+        }
+        argv = [a.format(**names) for a in argv]
+        argv += ["--graph", workdir["graph"], "--scenarios", workdir["scenarios"]]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not names["out"].exists()
+
+    def test_integral_float_gamma_accepted(self, workdir):
+        mixture = write_mixture(
+            workdir["dir"],
+            [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 3.0}],
+        )
+        argv = ["solve", "--graph", workdir["graph"], "--scenarios",
+                workdir["scenarios"], "--mixture", mixture, "--pairs", workdir["pairs"]]
+        assert main(argv) == 0
+
+
+class TestTuneExitCode:
+    def test_exit_4_when_any_weight_run_is_incomplete(self, workdir, monkeypatch):
+        """Exit 4 follows every run of a weight grid, not only the last."""
+        calls = []
+
+        def fake_tune(space, graph, pairs, data, split, w, seed):
+            calls.append(w)
+            best = tuning.Config((tuning.ParentSpec("interval", 0.5, 1.0),))
+            return tuning.TuneResult(best, 1.0, [], len(calls) > 1, 1)
+
+        monkeypatch.setattr(cli, "tune", fake_tune)
+        argv = ["tune", "--graph", workdir["graph"], "--scenarios",
+                workdir["scenarios"], "--pairs", workdir["pairs"],
+                "--weight-grid", "1", "--out-config", str(workdir["dir"] / "grid.csv")]
+        assert main(argv) == 4
+        assert len(calls) == 3
 
 
 class TestJsonOutput:

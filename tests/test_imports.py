@@ -1,11 +1,13 @@
-"""Every name a robustmix module imports is used in that module.
+"""Every name a robustmix module imports is used in that module, and
+every module-level private name is used somewhere in the package.
 
-A stdlib `ast` check, so it needs no linter.  The package `__init__`
-imports names only to re-export them and is skipped; so are
-`__future__` imports.
+Stdlib `ast` checks, so they need no linter.  The package `__init__`
+imports names only to re-export them and is skipped by the import
+check; so are `__future__` imports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,65 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) for each module-level `_name` function, class or
+    assignment target; dunder names such as `__version__` are public."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(tree: ast.AST):
+    """Every name read in `tree`, as a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no module in `sources` reads
+    outside the name's own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = Counter(name for tree in trees.values() for name in _reads(tree))
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree)
+        if reads[name] == Counter(_reads(definition))[name]
+    ]
+
+
+def test_checker_finds_dead_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED: int = 2\n"
+            "__version__ = '1'\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Orphan:\n"
+            "    pass\n"
+        ),
+        "b": "import a\nx = a._helper()\n",
+    }
+    assert dead_private_names(sources) == ["a: _UNUSED", "a: _recursive", "a: _Orphan"]
+
+
+def test_no_dead_private_names():
+    package = Path(robustmix.__file__).parent
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
+    assert dead_private_names(sources) == []

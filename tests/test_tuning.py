@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -120,6 +122,30 @@ class TestTune:
         graph, data, _, split = small_problem
         with pytest.raises(ValueError, match="empty pair"):
             tune(ConfigSpace(budget=5), graph, [], data, split, (1, 0, 0))
+
+
+class TestRaceTrajectory:
+    """The whole race, pinned: each configuration drawn, each pair count
+    and each cost bit.  This case eliminates configurations, resets on
+    stagnation and runs out of budget mid-generation."""
+
+    def test_trajectory_is_pinned(self):
+        graph, data = gen_synthetic(5, 5, 30, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 9, min_hops=3, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        result = tune(
+            ConfigSpace(budget=400), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=2
+        )
+        entries = [
+            (e.generation, e.config_id, e.pairs_used, e.cost.hex(), e.config.to_specs())
+            for e in result.trace
+        ]
+        digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+        assert result.best_cost.hex() == "0x1.5c68501f40c55p+5"
+        assert result.evaluations == 400 and result.completed_full_eval
+        assert len({e.config_id for e in result.trace}) == 45
+        assert result.trace[-1].generation == 4
+        assert digest == "df44e50e4115b6210e73c44404c82ebe077310af10c4f1ed97d9fc8880c9f752"
 
 
 class TestBaselines:

@@ -17,7 +17,6 @@ from robustmix import (
     UnsupportedError,
     build_mixture,
     build_set,
-    center,
     worst_case,
 )
 from robustmix.instances import gen_synthetic
@@ -386,16 +385,16 @@ class TestBoundMember:
 class TestCenter:
     def test_hull_mean(self):
         assert np.array_equal(
-            center(HullSet(np.array([[1.0, 3.0], [3.0, 1.0]]))), [2.0, 2.0]
+            HullSet(np.array([[1.0, 3.0], [3.0, 1.0]])).center(), [2.0, 2.0]
         )
 
     def test_interval_midpoint(self):
         assert np.array_equal(
-            center(IntervalSet(np.zeros(2), np.array([2.0, 4.0]))), [1.0, 2.0]
+            IntervalSet(np.zeros(2), np.array([2.0, 4.0])).center(), [1.0, 2.0]
         )
 
     def test_ellipsoid_mu(self):
-        assert np.array_equal(center(EllipsoidSet(np.full(2, 7.0), np.eye(2), 1.0)), [7.0, 7.0])
+        assert np.array_equal(EllipsoidSet(np.full(2, 7.0), np.eye(2), 1.0).center(), [7.0, 7.0])
 
 
 class TestMixture:
