@@ -29,6 +29,7 @@ MIN_SHARED_PAIRS = 5  # pairs a configuration needs before it can be eliminated
 TUNE_NODE_CAP = 150  # branch-and-bound nodes per tuner pair-solve
 BASELINE_NODE_CAP = 20_000  # branch-and-bound nodes per baseline pair-solve
 ALPHA = 0.05  # CVaR tail fraction of the per-pair metrics
+TUNABLE_TYPES = ("interval", "hull", "ellipsoid")  # built from type and lambda alone
 
 
 @dataclass(frozen=True)
@@ -55,11 +56,9 @@ class ConfigSpace:
     constants above fix the rest of the race."""
 
     max_parents: int = 3
-    allowed_types: tuple[str, ...] = ("interval", "hull", "ellipsoid")
+    allowed_types: tuple[str, ...] = TUNABLE_TYPES
     lambda_ranges: dict = field(
-        default_factory=lambda: {
-            t: LAMBDA_RANGES[t] for t in ("interval", "hull", "ellipsoid")
-        }
+        default_factory=lambda: {t: LAMBDA_RANGES[t] for t in TUNABLE_TYPES}
     )
     budget: int = 10_000
 
@@ -70,6 +69,13 @@ class ConfigSpace:
             raise ValueError("max_parents must be at least 1")
         if not self.allowed_types:
             raise ValueError("allowed_types must be nonempty")
+        for set_type in self.allowed_types:
+            if set_type not in TUNABLE_TYPES:
+                raise ValueError(
+                    f"cannot tune set type {set_type!r}: allowed are {TUNABLE_TYPES}"
+                )
+            if set_type not in self.lambda_ranges:
+                raise ValueError(f"lambda_ranges has no range for {set_type!r}")
 
 
 def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
@@ -176,7 +182,7 @@ def tune(
     configs = [sample_config(space, rng) for _ in range(GENERATION_SIZE)]
     # triples[c]: configuration c's metrics on pairs[:len(triples[c])]
     triples: list[list[tuple[float, float, float]]] = [[] for _ in configs]
-    mixtures: dict[int, Mixture] = {}
+    mixtures: dict[int, Mixture] = {}  # the alive configurations' mixtures
     alive = list(range(len(configs)))
     trace: list[TraceEntry] = []
     evals = 0
@@ -218,6 +224,9 @@ def tune(
             # stagnation: everything alive is fully evaluated and within
             # the margin; keep the incumbent and explore fresh configs
             alive = [min(costs, key=lambda c: (costs[c], c))]
+        # an eliminated configuration is never raced again; every
+        # survivor has been solved on a pair, so it has a mixture
+        mixtures = {cfg_id: mixtures[cfg_id] for cfg_id in alive}
         while len(alive) < GENERATION_SIZE:
             if alive:
                 parent = configs[alive[int(rng.integers(len(alive)))]]

@@ -8,7 +8,8 @@ mixed-integer models; in-process worst-case evaluation rejects them.
 Every array these classes hold is read-only and their own: a builder's
 fresh array is sealed and kept, and anything else is copied once.  So
 the values they compute once and keep (a matrix's column statistics,
-a hull's centre, a mixture's bound costs) can never go stale.
+a hull's centre, a mixture's bound costs, a covariance's symmetry and
+PSD verdicts) can never go stale.
 
 Each family's class is the one place that defines its behaviour:
 `name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
@@ -33,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -323,8 +325,38 @@ def _is_psd(sigma: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
+# id(sigma) -> {"diagonal": bool, once asked} for each sealed covariance
+# that passed the symmetry and PSD checks.  weakref.finalize drops the
+# entry when sigma is collected, so the memo keeps no covariance alive
+# and no later array at the same address can inherit its verdicts.
+_CHECKED: dict[int, dict[str, bool]] = {}
+
+
+def _checked(sigma: np.ndarray) -> dict[str, bool]:
+    """The memo entry of sealed `sigma`, checked first if it has none.
+
+    Raises ValueError unless sigma is symmetric and PSD; a failed check
+    is never recorded, so a rejected array is rejected every time."""
+    verdicts = _CHECKED.get(id(sigma))
+    if verdicts is None:
+        # exact equality is the common case and several times cheaper
+        if not (
+            np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)
+        ):
+            raise ValueError("sigma must be symmetric")
+        if not _is_psd(sigma):
+            raise ValueError("sigma must be positive semidefinite")
+        verdicts = _CHECKED[id(sigma)] = {}
+        weakref.finalize(sigma, _CHECKED.pop, id(sigma), None)
+    return verdicts
+
+
 @dataclass(frozen=True)
 class EllipsoidSet:
+    """Its `sigma` is checked for symmetry and PSD once per array: every
+    ellipsoid built on the same sealed covariance (`build_set` shares
+    one per matrix) reuses the first one's verdicts."""
+
     mu: np.ndarray
     sigma: np.ndarray
     lam: float
@@ -335,13 +367,7 @@ class EllipsoidSet:
         sigma = _owned(self.sigma)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
-        # exact equality is the common case and several times cheaper
-        if not (
-            np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)
-        ):
-            raise ValueError("sigma must be symmetric")
-        if not _is_psd(sigma):
-            raise ValueError("sigma must be positive semidefinite")
+        _checked(sigma)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         object.__setattr__(self, "mu", mu)
@@ -352,11 +378,13 @@ class EllipsoidSet:
         return self.mu.shape[0]
 
     def is_diagonal(self) -> bool:
-        return self._is_diagonal
-
-    @cached_property
-    def _is_diagonal(self) -> bool:
-        return bool(np.allclose(self.sigma, np.diag(np.diag(self.sigma)), atol=1e-12))
+        verdicts = _checked(self.sigma)
+        if "diagonal" not in verdicts:
+            sigma = self.sigma
+            verdicts["diagonal"] = bool(
+                np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-12)
+            )
+        return verdicts["diagonal"]
 
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         quad = max(float(x @ self.sigma @ x), 0.0)
@@ -455,8 +483,10 @@ def build_set(
     each row's bytes: O(K n) expected.  The ellipsoid's covariance with
     the default ridge takes O(K n^2) once per matrix, and every such
     ellipsoid shares that one read-only n x n array; a given `ridge`
-    recomputes it.  Each ellipsoid still pays O(n^3) for the PSD check
-    in EllipsoidSet (one Cholesky factorisation on well-posed data).
+    recomputes it.  EllipsoidSet checks each covariance array once for
+    symmetry and PSD (one O(n^3) Cholesky factorisation on well-posed
+    data), so the shared default-ridge one is checked at its first
+    ellipsoid only, while a given `ridge` pays the check per build.
     """
     if set_type not in LAMBDA_RANGES:
         raise UnsupportedError(f"unknown set type {set_type!r}")

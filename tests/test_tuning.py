@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from robustmix.tuning import (
     sample_config,
     solve_for_pair,
 )
-from robustmix.uncertainty import LAMBDA_RANGES, ScenarioMatrix, build_mixture
+from robustmix.uncertainty import LAMBDA_RANGES, ScenarioMatrix, build_mixture, build_set
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,29 @@ class TestSampleConfig:
             ConfigSpace(max_parents=0)
         with pytest.raises(ValueError):
             ConfigSpace(allowed_types=())
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"allowed_types": ("budgeted",)}, "cannot tune"),  # needs a gamma
+            ({"allowed_types": ("polyhedron",)}, "cannot tune"),  # not built from data
+            ({"allowed_types": ("interval", "sphere")}, "cannot tune"),
+            (
+                {"allowed_types": ("interval", "hull"), "lambda_ranges": {"hull": (0, 1)}},
+                "no range for 'interval'",
+            ),
+        ],
+    )
+    def test_untunable_types_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ConfigSpace(**kwargs)
+
+    def test_default_types_build_from_type_and_lambda(self, rng):
+        space = ConfigSpace()
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 4)))
+        for set_type in space.allowed_types:
+            lo, hi = space.lambda_ranges[set_type]
+            assert build_set(data, set_type, hi).name == set_type
 
 
 class TestTune:
@@ -146,6 +171,28 @@ class TestRaceTrajectory:
         assert len({e.config_id for e in result.trace}) == 45
         assert result.trace[-1].generation == 4
         assert digest == "df44e50e4115b6210e73c44404c82ebe077310af10c4f1ed97d9fc8880c9f752"
+
+
+    def test_eliminated_mixtures_are_collected(self, monkeypatch):
+        """The pinned race builds 45 mixtures with at most 20 configurations
+        alive; an eliminated configuration's mixture is released."""
+        graph, data = gen_synthetic(5, 5, 30, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 9, min_hops=3, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        built, most_alive = [], 0
+
+        def tracked(specs, train):
+            nonlocal most_alive
+            mix = build_mixture(specs, train)
+            built.append(weakref.ref(mix))
+            gc.collect()
+            most_alive = max(most_alive, sum(ref() is not None for ref in built))
+            return mix
+
+        monkeypatch.setattr(tuning, "build_mixture", tracked)
+        tune(ConfigSpace(budget=400), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=2)
+        assert len(built) == 45
+        assert most_alive <= tuning.GENERATION_SIZE
 
 
 class TestBaselines:

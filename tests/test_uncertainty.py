@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from robustmix import (
     build_set,
     worst_case,
 )
+from robustmix import uncertainty
 from robustmix.instances import gen_synthetic
+from robustmix.tuning import baseline_lambdas
 from robustmix.uncertainty import mixture_spec_from_json, mixture_spec_to_json
 
 TWO_ROWS = ScenarioMatrix(np.array([[0.0, 0.0], [2.0, 4.0]]))
@@ -258,6 +262,82 @@ class TestIsDiagonal:
 
         monkeypatch.setattr(np, "allclose", refuse)
         assert uset.is_diagonal() is diagonal
+
+    def test_answer_is_shared_by_sets_on_one_covariance(self, monkeypatch, rng):
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 4)))
+        assert build_set(data, "ellipsoid", 1.0).is_diagonal() is False
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_diagonal recomputed")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        assert build_set(data, "ellipsoid", 3.0).is_diagonal() is False
+
+
+@pytest.fixture
+def psd_calls(monkeypatch):
+    """The covariances `_is_psd` is called on, in order."""
+    calls = []
+    check = uncertainty._is_psd
+
+    def counted(sigma, *args, **kwargs):
+        calls.append(sigma)
+        return check(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "_is_psd", counted)
+    return calls
+
+
+class TestCovarianceCheckedOnce:
+    """A sealed covariance is checked for symmetry and PSD at its first
+    ellipsoid only; fresh arrays and failed checks are checked again."""
+
+    def test_lambda_sweep_checks_the_shared_covariance_once(self, rng, psd_calls):
+        data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
+        sets = [build_set(data, "ellipsoid", lam) for lam in baseline_lambdas("ellipsoid")]
+        build_mixture([{"weight": 0.5, "type": "ellipsoid", "lambda": 2.0}] * 3, data)
+        assert len(sets) == 41
+        assert len(psd_calls) == 1 and psd_calls[0] is data.covariance()
+
+    def test_explicit_ridge_is_checked_per_build(self, rng, psd_calls):
+        data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
+        for builds, lam in enumerate([0.0, 1.0, 1.0, 5.0], start=1):
+            build_set(data, "ellipsoid", lam, ridge=0.1)
+            assert len(psd_calls) == builds
+
+    def test_writable_caller_array_is_checked_per_build(self, psd_calls):
+        sigma = _sigma_with_spectrum([0.1, 0.5, 1.0, 2.0, 4.0])
+        for builds in range(1, 4):
+            assert EllipsoidSet(np.ones(5), sigma, 1.0).sigma is not sigma
+            assert len(psd_calls) == builds
+
+    @pytest.mark.parametrize(
+        "sigma, message",
+        [
+            (np.array([[1.0, 1e-6], [0.0, 1.0]]), "symmetric"),
+            (np.diag([1.0, -1e-3]), "semidefinite"),
+        ],
+    )
+    def test_failed_check_is_never_memoized(self, psd_calls, sigma, message):
+        sigma.setflags(write=False)  # sealed and owning its data: kept as is
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                EllipsoidSet(np.ones(2), sigma, 1.0)
+        assert id(sigma) not in uncertainty._CHECKED
+        assert len(psd_calls) == (3 if message == "semidefinite" else 0)
+
+    def test_memo_keeps_no_covariance_alive(self, rng):
+        entries = len(uncertainty._CHECKED)
+        data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
+        sets = [build_set(data, "ellipsoid", lam) for lam in (0.0, 2.0)]
+        sets[1].is_diagonal()
+        key, alive = id(data.covariance()), weakref.ref(data.covariance())
+        assert key in uncertainty._CHECKED
+        del data, sets
+        gc.collect()
+        assert alive() is None
+        assert key not in uncertainty._CHECKED
+        assert len(uncertainty._CHECKED) == entries
 
 
 class TestWorstCase:
