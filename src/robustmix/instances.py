@@ -200,6 +200,11 @@ class Instance:
         return Instance("selection", n, p=p)
 
 
+def item_set(x) -> tuple[int, ...]:
+    """The sorted indices of the items that 0/1 vector x chooses."""
+    return tuple(itertools.compress(range(len(x)), x))
+
+
 @dataclass(frozen=True)
 class Solution:
     """A member of the feasible set with its objective value."""
@@ -209,7 +214,7 @@ class Solution:
 
     @property
     def items(self) -> tuple[int, ...]:
-        return tuple(i for i, xi in enumerate(self.x) if xi)
+        return item_set(self.x)
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.x, dtype=float)

@@ -8,6 +8,10 @@ threshold candidates) and mixtures with a single diagonal ellipsoid plus
 intervals (dichotomic scan over mean-variance scalarizations).  A
 generic best-first branch-and-bound, a brute-force oracle and a local
 search cover everything else.
+
+Every solver keeps its best candidate, the incumbent, by one rule: a
+candidate replaces it when its objective is lower by more than 1e-12,
+or within 1e-12 and its item set is lexicographically smaller.
 """
 
 from __future__ import annotations
@@ -26,26 +30,39 @@ from .instances import (
     Solution,
     check_costs,
     enumerate_feasible,
+    item_set,
     must_use,
     nominal_solve,
     nominal_values,
 )
-from .uncertainty import EllipsoidSet, IntervalSet, Mixture
+from .uncertainty import Mixture
 
 TOL = 1e-9
 
 
 @dataclass
 class SolveReport:
-    """Result of one solver run."""
+    """Result of one solver run.
+
+    `oracle_calls` counts nominal-oracle calls, failed ones included and
+    skipped ones not: the one `nominal_solve` of interval and midpoint,
+    one per scalarization in parametric (the variance minimum too), the
+    root search's solves plus each exclude child not skipped by
+    `must_use` in bnb, one per start and per detour priced in local, the
+    threshold columns priced plus each path rebuilt in budgeted-enum,
+    and the feasible points enumerated in brute.
+    """
 
     solution: Solution
-    objective: float
     method: str
     optimal: bool
     nodes_explored: int = 0
     oracle_calls: int = 0
     guarantee: float | None = None
+
+    @property
+    def objective(self) -> float:
+        return self.solution.value
 
 
 def evaluate_wrp(mix: Mixture, x) -> float:
@@ -60,17 +77,37 @@ def evaluate_wrp(mix: Mixture, x) -> float:
     return total
 
 
-def _lexset(x) -> tuple[int, ...]:
-    return tuple(itertools.compress(range(len(x)), x))
+class _Search:
+    """One solve's incumbent and its count of nominal-oracle calls.
 
+    `offer` applies the incumbent rule, `solve` is the solvers' one way
+    to call `nominal_solve`, and `report` builds the solve's result.
+    """
 
-def _better(obj_a, lex_a, obj_b, lex_b) -> bool:
-    """Is (obj_a, lex_a) preferable to (obj_b, lex_b)?"""
-    if obj_a < obj_b - 1e-12:
-        return True
-    if obj_a > obj_b + 1e-12:
-        return False
-    return lex_a < lex_b
+    def __init__(self, inst: Instance, mix: Mixture):
+        self.inst, self.mix = inst, mix
+        self.obj, self.x = math.inf, None
+        self.calls = 0
+
+    def offer(self, x: tuple[int, ...], obj: float | None = None) -> None:
+        """Offer x, of objective `obj` (by default the mixture's), as
+        incumbent; item sets are compared only on a tie."""
+        if obj is None:
+            obj = evaluate_wrp(self.mix, x)
+        if obj < self.obj - 1e-12 or (
+            obj <= self.obj + 1e-12 and item_set(x) < item_set(self.x)
+        ):
+            self.obj, self.x = obj, x
+
+    def solve(self, costs, **forced) -> Solution:
+        """`nominal_solve` on this instance, counted even if it raises."""
+        self.calls += 1
+        return nominal_solve(self.inst, costs, **forced)
+
+    def report(self, method: str, optimal: bool, nodes_explored=0, guarantee=None):
+        """The incumbent and the call count as the solve's SolveReport."""
+        solution = Solution(self.x, self.obj)
+        return SolveReport(solution, method, optimal, nodes_explored, self.calls, guarantee)
 
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
@@ -78,9 +115,9 @@ def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     reduced costs sum_j p_j hi^j, the intervals' bound members; the
     mixture sums and checks them once for all its solves."""
     mix.require("interval", "solve_interval_mix needs interval components")
-    sol = nominal_solve(inst, mix.checked_bound_costs)
-    obj = evaluate_wrp(mix, sol.x)
-    return SolveReport(Solution(sol.x, obj), obj, "interval", True, oracle_calls=1)
+    search = _Search(inst, mix)
+    search.offer(search.solve(mix.checked_bound_costs).x)
+    return search.report("interval", True)
 
 
 THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
@@ -105,11 +142,9 @@ def solve_budgeted_mix(
     THRESHOLD_BLOCK columns, never materialised whole, and each block is
     priced by one `nominal_values` call: on an acyclic graph one
     vector-label topological pass per block, elsewhere one oracle call
-    per column.  Values are replayed through the running-best rule of
-    `_better`; `nominal_solve` runs only where that rule needs a
-    solution: for both sides of a tie within 1e-12, and for the final
-    best.  oracle_calls counts the threshold columns priced plus those
-    `nominal_solve` calls.
+    per column.  Values are replayed through the incumbent rule;
+    `nominal_solve` runs only where that rule needs a solution: for both
+    sides of a tie within 1e-12, and for the final best.
     """
     candidate_lists = _threshold_candidates(mix)
     total = math.prod(len(cands) for cands in candidate_lists)
@@ -122,13 +157,7 @@ def solve_budgeted_mix(
         (w, uset.lo[:, None], uset.deviations[:, None], w * uset.gamma)
         for w, uset in mix.components
     ]
-    calls = 0
-
-    def solve(costs) -> Solution:
-        nonlocal calls
-        calls += 1
-        return nominal_solve(inst, costs)
-
+    search = _Search(inst, mix)
     # the best reduced value, its cost column and, once needed, its solution
     best_value = best_costs = best_sol = None
     tuples = itertools.product(*candidate_lists)
@@ -140,23 +169,21 @@ def solve_budgeted_mix(
             block += w * (lo + np.maximum(dev - pi, 0.0))
             const += wg * pi
         values = nominal_values(inst, block) + const
-        calls += pis.shape[1]
+        search.calls += pis.shape[1]
         for j, value in enumerate(values.tolist()):
             if best_value is None or value < best_value - 1e-12:
                 best_value, best_costs, best_sol = value, block[:, j].copy(), None
             elif value <= best_value + 1e-12:
                 # a tie goes to the smaller item set: both solutions are needed
                 if best_sol is None:
-                    best_sol = solve(best_costs)
-                sol = solve(block[:, j])
-                if _lexset(sol.x) < _lexset(best_sol.x):
+                    best_sol = search.solve(best_costs)
+                sol = search.solve(block[:, j])
+                if sol.items < best_sol.items:
                     best_value, best_sol = value, sol
     if best_sol is None:
-        best_sol = solve(best_costs)
-    obj = evaluate_wrp(mix, best_sol.x)
-    return SolveReport(
-        Solution(best_sol.x, obj), obj, "budgeted-enum", True, oracle_calls=calls
-    )
+        best_sol = search.solve(best_costs)
+    search.offer(best_sol.x)
+    return search.report("budgeted-enum", True)
 
 
 def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
@@ -164,16 +191,29 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     K^max-approximation where K^max is the largest point count."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
-    sol = nominal_solve(inst, mix.weighted_sum("center"))
-    obj = evaluate_wrp(mix, sol.x)
-    return SolveReport(
-        Solution(sol.x, obj),
-        obj,
-        "midpoint",
-        False,
-        oracle_calls=1,
-        guarantee=float(kmax),
-    )
+    search = _Search(inst, mix)
+    search.offer(search.solve(mix.weighted_sum("center")).x)
+    return search.report("midpoint", False, guarantee=float(kmax))
+
+
+def _parametric_ellipsoid(mix: Mixture):
+    """The (weight, set) of the one diagonal ellipsoid of an interval
+    plus ellipsoid mixture, None if all components are intervals; any
+    other mixture is outside the parametric scan: UnsupportedError.
+    `solve_auto` dispatches on this rule too."""
+    found = None
+    for weight, uset in mix.components:
+        if uset.name == "ellipsoid":
+            if found is not None:
+                raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
+            if not uset.is_diagonal():
+                raise UnsupportedError("ellipsoid covariance must be diagonal")
+            found = weight, uset
+        elif uset.name != "interval":
+            raise UnsupportedError(
+                "solve_ellipsoid_parametric allows only interval and ellipsoid components"
+            )
+    return found
 
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
@@ -186,52 +226,28 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     report says optimal=False when the 200-step theta push or the
     depth-60 scan cap cut the search.
     """
-    linear = np.zeros(inst.n)
-    ell = None
-    ell_weight = 0.0
-    for weight, uset in mix.components:
-        if isinstance(uset, IntervalSet):
-            linear += weight * uset.hi
-        elif isinstance(uset, EllipsoidSet):
-            if ell is not None:
-                raise UnsupportedError(
-                    "at most one ellipsoid component; use solve_bnb"
-                )
-            if not uset.is_diagonal():
-                raise UnsupportedError("ellipsoid covariance must be diagonal")
-            ell = uset
-            ell_weight = weight
-        else:
-            raise UnsupportedError(
-                "solve_ellipsoid_parametric allows only interval and "
-                "ellipsoid components"
-            )
-    if ell is None:
+    found = _parametric_ellipsoid(mix)
+    if found is None:
         return solve_interval_mix(inst, mix)
-
+    ell_weight, ell = found
+    linear = np.zeros(inst.n)
+    for weight, uset in mix.components:
+        if uset.name == "interval":
+            linear += weight * uset.hi
     linear = linear + ell_weight * ell.mu
     spread = ell.lam * np.diag(ell.sigma)  # S(x) = spread . x
-    calls = 0
+    search = _Search(inst, mix)
 
     def oracle(theta: float) -> Solution:
-        nonlocal calls
-        calls += 1
-        return nominal_solve(inst, linear + theta * spread)
+        return search.solve(linear + theta * spread)
 
     def pair(sol: Solution):
         x = np.asarray(sol.x, dtype=float)
         return float(linear @ x), float(spread @ x)
 
-    candidates: dict[tuple[int, ...], Solution] = {}
-
-    def remember(sol: Solution):
-        candidates[sol.x] = sol
-
     sol_l = oracle(0.0)
-    remember(sol_l)
-    sol_v = nominal_solve(inst, np.maximum(spread, 0.0))
-    calls += 1
-    remember(sol_v)
+    sol_v = search.solve(np.maximum(spread, 0.0))
+    candidates = {sol.x: sol for sol in (sol_l, sol_v)}
     v_min = pair(sol_v)[1]
 
     # Push theta up until variance minimization dominates, so the
@@ -242,7 +258,7 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     sol_r = sol_l
     for _ in range(200):
         sol_r = oracle(theta)
-        remember(sol_r)
+        candidates[sol_r.x] = sol_r
         if pair(sol_r)[1] <= v_min + 1e-12:
             break
         theta *= 4.0
@@ -267,23 +283,17 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
             abs(l_m - l_r) < 1e-12 and abs(s_m - s_r) < 1e-12
         ):
             return
-        remember(mid)
+        candidates[mid.x] = mid
         scan(left, mid, depth + 1)
         scan(mid, right, depth + 1)
 
     scan(sol_l, sol_r)
 
-    best = None
     for x, sol in sorted(candidates.items()):
         lin, var = pair(sol)
-        obj = lin + ell_weight * np.sqrt(max(var, 0.0))
-        lex = _lexset(x)
-        if best is None or _better(obj, lex, best[0], best[1]):
-            best = (obj, lex, sol)
-    obj = evaluate_wrp(mix, best[2].x)
-    return SolveReport(
-        Solution(best[2].x, obj), obj, "parametric", proved, oracle_calls=calls
-    )
+        search.offer(x, lin + ell_weight * np.sqrt(max(var, 0.0)))
+    search.obj = evaluate_wrp(mix, search.x)  # report the objective, not its scan form
+    return search.report("parametric", proved)
 
 
 def _search_steps(n: int) -> int:
@@ -322,13 +332,11 @@ def solve_bnb(
     goes to every exclude child.  Branching picks the undecided item
     with the largest `branch_spread`, also kept per mixture.  Heap
     entries carry their completion's sorted item tuple, taken once when
-    the completion is found, so a node never scans x.  An exclude child
+    the completion is pushed, so a node never scans x.  An exclude child
     that path counts prove infeasible (`must_use`: every path through
     the forced arcs uses the item) is skipped without an oracle call;
     on selection and on graphs with a directed cycle every exclude
-    child is solved.  oracle_calls counts the `nominal_solve` calls
-    made: the root search's plain solves and each exclude child not
-    skipped.
+    child is solved.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
@@ -337,37 +345,26 @@ def solve_bnb(
     """
     spread = mix.branch_spread
     start = time.monotonic()
-    inc_obj, inc_lex, inc_x = math.inf, (), None
-
-    def offer(x) -> tuple[int, ...]:
-        """Offer completion x as incumbent; return its item tuple."""
-        nonlocal inc_obj, inc_lex, inc_x
-        obj, lex = evaluate_wrp(mix, x), _lexset(x)
-        if _better(obj, lex, inc_obj, inc_lex):
-            inc_obj, inc_lex, inc_x = obj, lex, x
-        return lex
-
+    search = _Search(inst, mix)
     bcosts = mix.checked_bound_costs
-    root = nominal_solve(inst, bcosts)
-    root_lex = offer(root.x)
-    calls = 1
+    root = search.solve(bcosts)
+    search.offer(root.x)
     xsum = root.as_array()
     for step in range(1, _search_steps(inst.n) + 1):
-        if root.value >= inc_obj - TOL:
+        if root.value >= search.obj - TOL:
             break
         costs = check_costs(mix.weighted_sum("bound_member", xsum / step), inst.n)
         if inst.kind == "spath" and not costs.nonnegative:
             break  # a member with a negative cost: the path oracle cannot price it
-        sol = nominal_solve(inst, costs)
-        calls += 1
-        lex = offer(sol.x)
+        sol = search.solve(costs)
+        search.offer(sol.x)
         xsum += sol.as_array()
         if sol.value > root.value:
-            bcosts, root, root_lex = costs, sol, lex
+            bcosts, root = costs, sol
 
     counter = itertools.count()
     # (bound, tie counter, forced in, forced out, completion's item set)
-    heap = [(root.value, next(counter), frozenset(), frozenset(), root_lex)]
+    heap = [(root.value, next(counter), frozenset(), frozenset(), root.items)]
     nodes = 0
     complete = True
 
@@ -379,7 +376,7 @@ def solve_bnb(
             complete = False
             break
         bound, _, fin, fout, items = heapq.heappop(heap)
-        if bound >= inc_obj - TOL:
+        if bound >= search.obj - TOL:
             continue
         nodes += 1
 
@@ -393,49 +390,36 @@ def solve_bnb(
         # exclude child: re-complete without the item, unless no path can
         if must_use(inst, fin, item):
             continue
-        calls += 1
         try:
-            child = nominal_solve(inst, bcosts, forced_in=fin, forced_out=fout | {item})
+            child = search.solve(bcosts, forced_in=fin, forced_out=fout | {item})
         except InfeasibleError:
             continue
-        c_lex = offer(child.x)
-        if child.value < inc_obj - TOL:
+        search.offer(child.x)
+        if child.value < search.obj - TOL:
             heapq.heappush(
-                heap, (child.value, next(counter), fin, fout | {item}, c_lex)
+                heap, (child.value, next(counter), fin, fout | {item}, child.items)
             )
-
-    return SolveReport(
-        Solution(inc_x, inc_obj),
-        inc_obj,
-        "bnb",
-        complete,
-        nodes_explored=nodes,
-        oracle_calls=calls,
-    )
+    return search.report("bnb", complete, nodes_explored=nodes)
 
 
 def solve_brute_force(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> SolveReport:
     """Exact minimum of the objective by full enumeration of X."""
-    best = None
-    for count, x in enumerate(enumerate_feasible(inst, cap=cap), 1):
-        obj = evaluate_wrp(mix, x)
-        lex = _lexset(x)
-        if best is None or _better(obj, lex, best[0], best[1]):
-            best = (obj, lex, x)
-    if best is None:
+    search = _Search(inst, mix)
+    for x in enumerate_feasible(inst, cap=cap):
+        search.calls += 1  # a feasible point stands for an oracle call
+        search.offer(x)
+    if search.x is None:
         raise InfeasibleError("empty feasible set")
-    return SolveReport(
-        Solution(best[2], best[0]), best[0], "brute", True, oracle_calls=count
-    )
+    return search.report("brute", True)
 
 
-def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
+def _neighbors(search: _Search, x: tuple[int, ...], costs):
     """Deterministic neighborhood: single swap for selection, single-arc
-    detour (cheapest re-route through one excluded arc, found by
-    `oracle(forced_in)`) for paths.  On an acyclic graph an arc that no
-    source-target path uses is skipped by its path counts, without an
-    oracle call."""
-    chosen = set(_lexset(x))
+    detour (cheapest re-route through one excluded arc, priced under
+    `costs`) for paths.  On an acyclic graph an arc that no source-target
+    path uses is skipped by its path counts, without an oracle call."""
+    inst = search.inst
+    chosen = set(item_set(x))
     if inst.kind == "selection":
         for i in sorted(chosen):
             for j in range(inst.n):
@@ -455,7 +439,7 @@ def _neighbors(inst: Instance, x: tuple[int, ...], oracle):
         ):
             continue
         try:
-            sol = oracle({arc})
+            sol = search.solve(costs, forced_in={arc})
         except InfeasibleError:
             continue
         if sol.x != x:
@@ -470,63 +454,40 @@ def solve_local_search(
     Every detour prices under the mixture's bound costs, checked once
     per mixture (`checked_bound_costs`); each restart's start is checked
     on its own call.  On an acyclic graph a detour through an arc that
-    lies on no source-target path is skipped without an oracle call, so
-    oracle_calls counts the `nominal_solve` calls made: one per start
-    plus one per detour priced."""
+    lies on no source-target path is skipped without an oracle call.
+    Each descent step moves to the best neighbour, picked by the
+    incumbent rule, if it improves by more than TOL."""
     bcosts = mix.bound_costs
     checked = mix.checked_bound_costs
     rng = np.random.default_rng(seed)
-    best = None
-    calls = 0
-
-    def detour(forced_in):
-        nonlocal calls
-        calls += 1
-        return nominal_solve(inst, checked, forced_in=forced_in)
-
+    search = _Search(inst, mix)
     for r in range(restarts + 1):
         costs = bcosts if r == 0 else bcosts * rng.uniform(0.5, 1.5, size=inst.n)
-        calls += 1
-        sol = nominal_solve(inst, np.maximum(costs, 0.0))
-        cur_x = sol.x
-        cur_obj = evaluate_wrp(mix, cur_x)
-        improved = True
-        while improved:
-            improved = False
-            best_nb = None
-            for y in _neighbors(inst, cur_x, detour):
-                obj = evaluate_wrp(mix, y)
-                lex = _lexset(y)
-                if best_nb is None or _better(obj, lex, best_nb[0], best_nb[1]):
-                    best_nb = (obj, lex, y)
-            if best_nb is not None and best_nb[0] < cur_obj - TOL:
-                cur_obj, cur_x = best_nb[0], best_nb[2]
-                improved = True
-        lex = _lexset(cur_x)
-        if best is None or _better(cur_obj, lex, best[0], best[1]):
-            best = (cur_obj, lex, cur_x)
-    return SolveReport(
-        Solution(best[2], best[0]), best[0], "local", False, oracle_calls=calls
-    )
+        cur = _Search(inst, mix)  # the descent's point; calls count in `search`
+        cur.offer(search.solve(np.maximum(costs, 0.0)).x)
+        while True:
+            best_nb = _Search(inst, mix)
+            for y in _neighbors(search, cur.x, checked):
+                best_nb.offer(y)
+            if best_nb.obj >= cur.obj - TOL:
+                break
+            cur = best_nb
+        search.offer(cur.x, cur.obj)
+    return search.report("local", False)
 
 
-def solve_auto(
-    inst: Instance,
-    mix: Mixture,
-    enum_cap: int = 10_000_000,
-    max_nodes: int | None = None,
-) -> SolveReport:
+def solve_auto(inst: Instance, mix: Mixture, max_nodes: int | None = None) -> SolveReport:
     """Dispatch to the cheapest applicable exact method."""
     types = mix.types
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)
     if types == {"budgeted"}:
         try:
-            return solve_budgeted_mix(inst, mix, cap=enum_cap)
+            return solve_budgeted_mix(inst, mix)
         except CapExceededError:
             return solve_bnb(inst, mix, max_nodes=max_nodes)
-    if types <= {"ellipsoid", "interval"}:
-        ells = [uset for _, uset in mix.components if isinstance(uset, EllipsoidSet)]
-        if len(ells) == 1 and ells[0].is_diagonal():
-            return solve_ellipsoid_parametric(inst, mix)
-    return solve_bnb(inst, mix, max_nodes=max_nodes)
+    try:
+        _parametric_ellipsoid(mix)
+    except UnsupportedError:
+        return solve_bnb(inst, mix, max_nodes=max_nodes)
+    return solve_ellipsoid_parametric(inst, mix)

@@ -1,5 +1,6 @@
-"""Every name a robustmix module imports is used in that module, and
-every module-level private name is used somewhere in the package.
+"""Every name a robustmix module imports is used in that module, every
+module-level private name is used somewhere in the package, and only
+`uncertainty.py` tests a value against an uncertainty-set class.
 
 Stdlib `ast` checks, so they need no linter.  The package `__init__`
 imports names only to re-export them and is skipped by the import
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import robustmix
+from robustmix import uncertainty
 
 MODULES = sorted(
     p for p in Path(robustmix.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -118,3 +120,59 @@ def test_no_dead_private_names():
     package = Path(robustmix.__file__).parent
     sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
     assert dead_private_names(sources) == []
+
+
+# The set classes and their bases in `uncertainty`, plus the union alias
+SET_FAMILY_CLASSES = {
+    base.__name__
+    for family in uncertainty.UncertaintySet.__args__
+    for base in family.__mro__
+    if base.__module__ == uncertainty.__name__
+} | {"UncertaintySet"}
+
+
+def set_family_isinstance(source: str, classes=SET_FAMILY_CLASSES) -> list[str]:
+    """`isinstance` calls in `source` whose class argument names one of
+    `classes`, bare, as an attribute or inside a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        spec = node.args[1]
+        for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+            name = cls.attr if isinstance(cls, ast.Attribute) else getattr(cls, "id", None)
+            if name in classes:
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_finds_set_family_isinstance():
+    source = (
+        "from robustmix import uncertainty\n"
+        "def f(u, d):\n"
+        "    if isinstance(u, HullSet):\n"
+        "        return 1\n"
+        "    if isinstance(d, dict) or isinstance(u, (int, uncertainty.EllipsoidSet)):\n"
+        "        return 2\n"
+        "    return isinstance(u, _Box)\n"
+    )
+    assert set_family_isinstance(source) == [
+        "line 3: HullSet",
+        "line 5: EllipsoidSet",
+        "line 7: _Box",
+    ]
+    assert {"IntervalSet", "BudgetedSet", "PolyhedronSet", "_Box"} <= SET_FAMILY_CLASSES
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "uncertainty.py"], ids=lambda p: p.name
+)
+def test_set_family_behaviour_stays_in_uncertainty(path):
+    """Each family's class owns its behaviour: other modules dispatch on
+    `uset.name` or call the class's methods, never test its type."""
+    assert set_family_isinstance(path.read_text(encoding="utf-8")) == []

@@ -471,6 +471,39 @@ class TestEllipsoidParametric:
         with pytest.raises(UnsupportedError, match="at most one"):
             solve_ellipsoid_parametric(Instance.selection(2, 1), Mixture(((1.0, e), (1.0, e))))
 
+    def test_exact_tie_picks_smaller_item_set(self, diamond_inst):
+        """Route (2, 3) is the linear minimum, route (0, 1) the variance
+        minimum; both score exactly 2 and the scan's final pick, which
+        meets (2, 3) first, must apply the incumbent tie rule."""
+        ell = EllipsoidSet(np.array([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 2.0, 2.0]), 1.0)
+        mix = Mixture(((1.0, ell),))
+        report = solve_ellipsoid_parametric(diamond_inst, mix)
+        brute = solve_brute_force(diamond_inst, mix)
+        assert evaluate_wrp(mix, (0, 0, 1, 1)) == evaluate_wrp(mix, (1, 1, 0, 0)) == 2.0
+        assert report.optimal
+        assert report.solution.items == brute.solution.items == (0, 1)
+        assert report.objective == brute.objective
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_interval_mix, solve_midpoint_approx, solve_ellipsoid_parametric]
+)
+def test_oracle_calls_match_counted_oracle(counted_oracle, solve):
+    """The reduction and scan methods report every nominal_solve call."""
+    graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)
+    inst = Instance.spath(graph, 0, graph.num_nodes - 1)
+    rng = np.random.default_rng(2)
+    ell = EllipsoidSet(rng.uniform(1, 5, inst.n), np.diag(rng.uniform(0, 4, inst.n)), 4.0)
+    mix = {
+        solve_interval_mix: build_mixture([{"weight": 1.0, "type": "interval", "lambda": 0.5}], data),
+        solve_midpoint_approx: build_mixture(HULL_MIX, data),
+        solve_ellipsoid_parametric: Mixture(((0.5, interval(rng.uniform(1, 3, inst.n))), (1.0, ell))),
+    }[solve]
+    report = solve(inst, mix)
+    assert report.oracle_calls == counted_oracle["calls"] >= 1
+    if solve is solve_ellipsoid_parametric:
+        assert report.method == "parametric" and report.oracle_calls > 3  # the scan ran
+
 
 class TestBnb:
     def test_hull_diamond(self, diamond_inst):
