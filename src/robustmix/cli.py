@@ -5,8 +5,8 @@ and drops a run manifest next to its primary output so runs can be
 reproduced exactly.  Exit codes: 0 success, 2 invalid input, 3
 infeasible, 4 budget or timeout with partial output: an enumeration cap
 was exceeded, any `tune` run did not evaluate a configuration on every
-pair, or a `solve` record comes from a branch-and-bound or parametric
-search that stopped before a proof (the solutions file is still written).
+pair, or a `solve` record comes from a branch-and-bound search that
+stopped before a proof (the solutions file is still written).
 The heuristic methods `midpoint` and `local` never prove optimality and
 exit 0.
 """
@@ -36,6 +36,7 @@ from .evaluation import (
     weight_grid,
 )
 from .instances import (
+    NOISE_MODELS,
     Instance,
     Solution,
     gen_synthetic,
@@ -49,18 +50,18 @@ from .solvers import (
     solve_bnb,
     solve_brute_force,
     solve_budgeted_mix,
-    solve_ellipsoid_parametric,
     solve_interval_mix,
     solve_local_search,
     solve_midpoint_approx,
 )
-from .tuning import ConfigSpace, baseline_grid, tune
+from .tuning import BASELINE_STEPS, ConfigSpace, baseline_grid, tune
 from .uncertainty import (
     ScenarioMatrix,
     build_mixture,
     mixture_spec_from_json,
     mixture_spec_to_json,
 )
+from .verify import SUITES, run_suites
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -140,7 +141,6 @@ METHODS = {
     "budgeted-enum": lambda inst, mix, args: solve_budgeted_mix(inst, mix),
     "interval": lambda inst, mix, args: solve_interval_mix(inst, mix),
     "midpoint": lambda inst, mix, args: solve_midpoint_approx(inst, mix),
-    "parametric": lambda inst, mix, args: solve_ellipsoid_parametric(inst, mix),
     "local": lambda inst, mix, args: solve_local_search(inst, mix, seed=args.seed),
 }
 
@@ -189,7 +189,7 @@ def _cmd_solve(args, argv, started):
     cut_short = False
     for s, t in pairs:
         report = METHODS[args.method](Instance.spath(graph, s, t), mix, args)
-        cut_short |= report.method in ("bnb", "parametric") and not report.optimal
+        cut_short |= report.method == "bnb" and not report.optimal
         records.append(
             {
                 "source": s,
@@ -341,8 +341,6 @@ def _cmd_emit_mip(args, argv, started):
 
 
 def _cmd_verify(args, argv, started):
-    from .verify import run_suites
-
     ok = run_suites(args.suite, seed=args.seed, trials=args.trials)
     _write_manifest(args, argv, [], started)
     return EXIT_OK if ok else 1
@@ -365,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--scenarios", type=int, required=True)
-    p.add_argument("--noise", choices=["mult", "two_block"], default="mult")
+    p.add_argument("--noise", choices=NOISE_MODELS, default="mult")
     p.add_argument("--out-graph", required=True)
     p.add_argument("--out-scenarios", required=True)
     common(p)
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("baseline", help="41-point single-type lambda grid")
-    p.add_argument("--type", choices=["interval", "hull", "ellipsoid"], required=True)
+    p.add_argument("--type", choices=list(BASELINE_STEPS), required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--scenarios", required=True)
     p.add_argument("--pairs", required=True)
@@ -437,11 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_emit_mip)
 
     p = sub.add_parser("verify", help="run the randomized verification suites")
-    p.add_argument(
-        "--suite",
-        choices=["submodular", "ratio", "dual", "all"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--trials", type=int, default=100)
     common(p)
     p.set_defaults(func=_cmd_verify)

@@ -606,6 +606,9 @@ def sample_st_pairs(
     return [qualifying[i] for i in idx]
 
 
+NOISE_MODELS = ("mult", "two_block")
+
+
 def gen_synthetic(
     width: int,
     height: int,
@@ -625,7 +628,7 @@ def gen_synthetic(
         raise ValueError("width and height must be >= 2")
     if num_scenarios < 2:
         raise ValueError("need at least 2 scenarios")
-    if noise not in ("mult", "two_block"):
+    if noise not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {noise!r}")
 
     arcs = []

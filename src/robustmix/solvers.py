@@ -196,26 +196,6 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     return search.report("midpoint", False, guarantee=float(kmax))
 
 
-def _parametric_ellipsoid(mix: Mixture):
-    """The (weight, set) of the one diagonal ellipsoid of an interval
-    plus ellipsoid mixture, None if all components are intervals; any
-    other mixture is outside the parametric scan: UnsupportedError.
-    `solve_auto` dispatches on this rule too."""
-    found = None
-    for weight, uset in mix.components:
-        if uset.name == "ellipsoid":
-            if found is not None:
-                raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
-            if not uset.is_diagonal():
-                raise UnsupportedError("ellipsoid covariance must be diagonal")
-            found = weight, uset
-        elif uset.name != "interval":
-            raise UnsupportedError(
-                "solve_ellipsoid_parametric allows only interval and ellipsoid components"
-            )
-    return found
-
-
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     """Exact solver for one diagonal ellipsoid plus interval components.
 
@@ -224,9 +204,23 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     projection; a recursive dichotomic scan over scalarization slopes
     collects all supported solutions and picks the true best.  The
     report says optimal=False when the 200-step theta push or the
-    depth-60 scan cap cut the search.
+    depth-60 scan cap cut the search.  Direct calls only: `build_set`
+    gives every ellipsoid a full sample covariance, so `solve_auto`
+    sends ellipsoid mixtures to `solve_bnb`.
     """
-    found = _parametric_ellipsoid(mix)
+    found = None
+    for weight, uset in mix.components:
+        if uset.name == "ellipsoid":
+            if found is not None:
+                raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
+            sigma = uset.sigma
+            if not np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-12):
+                raise UnsupportedError("ellipsoid covariance must be diagonal")
+            found = weight, uset
+        elif uset.name != "interval":
+            raise UnsupportedError(
+                "solve_ellipsoid_parametric allows only interval and ellipsoid components"
+            )
     if found is None:
         return solve_interval_mix(inst, mix)
     ell_weight, ell = found
@@ -477,7 +471,9 @@ def solve_local_search(
 
 
 def solve_auto(inst: Instance, mix: Mixture, max_nodes: int | None = None) -> SolveReport:
-    """Dispatch to the cheapest applicable exact method."""
+    """Dispatch to the cheapest exact method: the nominal reduction for
+    all-interval mixtures, the threshold enumeration for all-budgeted
+    ones within its cap, and `solve_bnb` for everything else."""
     types = mix.types
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)
@@ -486,8 +482,4 @@ def solve_auto(inst: Instance, mix: Mixture, max_nodes: int | None = None) -> So
             return solve_budgeted_mix(inst, mix)
         except CapExceededError:
             return solve_bnb(inst, mix, max_nodes=max_nodes)
-    try:
-        _parametric_ellipsoid(mix)
-    except UnsupportedError:
-        return solve_bnb(inst, mix, max_nodes=max_nodes)
-    return solve_ellipsoid_parametric(inst, mix)
+    return solve_bnb(inst, mix, max_nodes=max_nodes)

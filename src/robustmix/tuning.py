@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +52,11 @@ class Config:
 
 @dataclass
 class ConfigSpace:
-    """What `tune` may draw, and its budget of pair-solves; the module
-    constants above fix the rest of the race."""
+    """How many parents `tune` may draw, and its budget of pair-solves;
+    the module constants above fix the rest of the race, the set types
+    (`TUNABLE_TYPES`) and their lambda ranges (`LAMBDA_RANGES`) too."""
 
     max_parents: int = 3
-    allowed_types: tuple[str, ...] = TUNABLE_TYPES
-    lambda_ranges: dict = field(
-        default_factory=lambda: {t: LAMBDA_RANGES[t] for t in TUNABLE_TYPES}
-    )
     budget: int = 10_000
 
     def __post_init__(self):
@@ -67,15 +64,6 @@ class ConfigSpace:
             raise ValueError("budget must be at least 1")
         if self.max_parents < 1:
             raise ValueError("max_parents must be at least 1")
-        if not self.allowed_types:
-            raise ValueError("allowed_types must be nonempty")
-        for set_type in self.allowed_types:
-            if set_type not in TUNABLE_TYPES:
-                raise ValueError(
-                    f"cannot tune set type {set_type!r}: allowed are {TUNABLE_TYPES}"
-                )
-            if set_type not in self.lambda_ranges:
-                raise ValueError(f"lambda_ranges has no range for {set_type!r}")
 
 
 def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
@@ -83,21 +71,19 @@ def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
     count = int(rng.integers(1, space.max_parents + 1))
     parents = []
     for _ in range(count):
-        set_type = space.allowed_types[int(rng.integers(len(space.allowed_types)))]
-        lo, hi = space.lambda_ranges[set_type]
+        set_type = TUNABLE_TYPES[int(rng.integers(len(TUNABLE_TYPES)))]
+        lo, hi = LAMBDA_RANGES[set_type]
         lam = float(rng.uniform(lo, hi))
         weight = float(rng.uniform(*WEIGHT_RANGE))
         parents.append(ParentSpec(set_type, lam, weight))
     return Config(tuple(parents))
 
 
-def perturb_config(
-    config: Config, space: ConfigSpace, rng: np.random.Generator
-) -> Config:
+def perturb_config(config: Config, rng: np.random.Generator) -> Config:
     """Gaussian perturbation, sigma = 10% of each range, clamped."""
     parents = []
     for parent in config.parents:
-        lo, hi = space.lambda_ranges[parent.set_type]
+        lo, hi = LAMBDA_RANGES[parent.set_type]
         lam = float(
             np.clip(parent.lam + rng.normal(0.0, 0.1 * (hi - lo)), lo, hi)
         )
@@ -206,8 +192,6 @@ def tune(
                 evals += 1
 
         costs = {cfg_id: cost(cfg_id) for cfg_id in alive if triples[cfg_id]}
-        if not costs:
-            break
         for cfg_id, value in costs.items():
             k = len(triples[cfg_id])
             trace.append(TraceEntry(generation, cfg_id, k, value, configs[cfg_id]))
@@ -228,11 +212,8 @@ def tune(
         # survivor has been solved on a pair, so it has a mixture
         mixtures = {cfg_id: mixtures[cfg_id] for cfg_id in alive}
         while len(alive) < GENERATION_SIZE:
-            if alive:
-                parent = configs[alive[int(rng.integers(len(alive)))]]
-                configs.append(perturb_config(parent, space, rng))
-            else:
-                configs.append(sample_config(space, rng))
+            parent = configs[alive[int(rng.integers(len(alive)))]]
+            configs.append(perturb_config(parent, rng))
             triples.append([])
             alive.append(len(configs) - 1)
         generation += 1

@@ -325,20 +325,19 @@ def _is_psd(sigma: np.ndarray, tol: float = 1e-9) -> bool:
     return True
 
 
-# id(sigma) -> {"diagonal": bool, once asked} for each sealed covariance
-# that passed the symmetry and PSD checks.  weakref.finalize drops the
-# entry when sigma is collected, so the memo keeps no covariance alive
-# and no later array at the same address can inherit its verdicts.
-_CHECKED: dict[int, dict[str, bool]] = {}
+# ids of the sealed covariances that passed the symmetry and PSD checks.
+# weakref.finalize drops an id when its sigma is collected, so the memo
+# keeps no covariance alive and no later array at the same address can
+# inherit its verdict.
+_CHECKED: set[int] = set()
 
 
-def _checked(sigma: np.ndarray) -> dict[str, bool]:
-    """The memo entry of sealed `sigma`, checked first if it has none.
+def _check_sigma(sigma: np.ndarray) -> None:
+    """Check sealed `sigma` unless it already passed.
 
     Raises ValueError unless sigma is symmetric and PSD; a failed check
     is never recorded, so a rejected array is rejected every time."""
-    verdicts = _CHECKED.get(id(sigma))
-    if verdicts is None:
+    if id(sigma) not in _CHECKED:
         # exact equality is the common case and several times cheaper
         if not (
             np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)
@@ -346,16 +345,15 @@ def _checked(sigma: np.ndarray) -> dict[str, bool]:
             raise ValueError("sigma must be symmetric")
         if not _is_psd(sigma):
             raise ValueError("sigma must be positive semidefinite")
-        verdicts = _CHECKED[id(sigma)] = {}
-        weakref.finalize(sigma, _CHECKED.pop, id(sigma), None)
-    return verdicts
+        _CHECKED.add(id(sigma))
+        weakref.finalize(sigma, _CHECKED.discard, id(sigma))
 
 
 @dataclass(frozen=True)
 class EllipsoidSet:
     """Its `sigma` is checked for symmetry and PSD once per array: every
     ellipsoid built on the same sealed covariance (`build_set` shares
-    one per matrix) reuses the first one's verdicts."""
+    one per matrix) reuses the first one's verdict."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -367,7 +365,7 @@ class EllipsoidSet:
         sigma = _owned(self.sigma)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
-        _checked(sigma)
+        _check_sigma(sigma)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         object.__setattr__(self, "mu", mu)
@@ -376,15 +374,6 @@ class EllipsoidSet:
     @property
     def n(self) -> int:
         return self.mu.shape[0]
-
-    def is_diagonal(self) -> bool:
-        verdicts = _checked(self.sigma)
-        if "diagonal" not in verdicts:
-            sigma = self.sigma
-            verdicts["diagonal"] = bool(
-                np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-12)
-            )
-        return verdicts["diagonal"]
 
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         quad = max(float(x @ self.sigma @ x), 0.0)

@@ -108,12 +108,13 @@ def suite_dual(seed: int = 0, trials: int = 100) -> bool:
     return True
 
 
+# suite name -> runner, in the order "all" runs them
+SUITES = {"submodular": suite_submodular, "ratio": suite_ratio, "dual": suite_dual}
+
+
 def run_suites(suite: str, seed: int = 0, trials: int = 100) -> bool:
     ok = True
-    if suite in ("submodular", "all"):
-        ok = suite_submodular(seed, trials) and ok
-    if suite in ("ratio", "all"):
-        ok = suite_ratio(seed, trials) and ok
-    if suite in ("dual", "all"):
-        ok = suite_dual(seed, trials) and ok
+    for name, run in SUITES.items():
+        if suite in (name, "all"):
+            ok = run(seed, trials) and ok
     return ok

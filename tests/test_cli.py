@@ -78,6 +78,8 @@ class TestSolve:
         assert os.path.exists(out + ".manifest.json")
 
     def test_parametric_rejects_non_diagonal(self, workdir, capsys):
+        """Built ellipsoids are never diagonal, so the parametric scan is
+        no --method: argparse rejects it."""
         mixture = write_mixture(
             workdir["dir"], [{"weight": 1.0, "type": "ellipsoid", "lambda": 2.0}]
         )
@@ -92,7 +94,7 @@ class TestSolve:
             ]
         )
         assert code == 2
-        assert "diagonal" in capsys.readouterr().err
+        assert "invalid choice: 'parametric'" in capsys.readouterr().err
 
     def test_unreachable_target_infeasible(self, workdir, capsys):
         mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
@@ -347,7 +349,6 @@ class TestMethods:
             ("budgeted-enum", "solve_budgeted_mix", {}),
             ("interval", "solve_interval_mix", {}),
             ("midpoint", "solve_midpoint_approx", {}),
-            ("parametric", "solve_ellipsoid_parametric", {}),
             ("local", "solve_local_search", {"seed": 3}),
         ],
     )
@@ -515,6 +516,15 @@ class TestVerify:
         code = main(["verify", "--suite", "dual", "--trials", "10"])
         assert code == 0
         assert "dual: ok" in capsys.readouterr().out
+
+    def test_all_suites_run_in_order(self, capsys):
+        assert main(["verify", "--suite", "all", "--trials", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "submodular: ok",
+            "ratio: ok",
+            "dual: ok",
+        ]
 
 
 class TestManifests:

@@ -864,6 +864,7 @@ class TestExactness:
         assert {"budgeted-enum", "bnb"} <= methods
 
     def test_auto_interval_and_parametric_paths(self, rng):
+        """A diagonal ellipsoid goes to the proven BnB, not the parametric scan."""
         data_costs = rng.uniform(1, 5, (8, 4))
         from robustmix import ScenarioMatrix, build_mixture
 
@@ -873,6 +874,6 @@ class TestExactness:
         assert rep_i.method == "interval"
         mix_e = Mixture(((1.0, EllipsoidSet(rng.uniform(1, 5, 4), np.diag(rng.uniform(0, 2, 4)), 2.0)),))
         rep_e = solve_auto(inst, mix_e)
-        assert rep_e.method == "parametric"
+        assert rep_e.method == "bnb" and rep_e.optimal
         best = solve_brute_force(inst, mix_e)
         assert rep_e.objective == pytest.approx(best.objective, abs=1e-9)

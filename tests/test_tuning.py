@@ -10,7 +10,9 @@ import pytest
 from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
 from robustmix import tuning
 from robustmix.evaluation import Metrics, pair_metrics, split_scenarios
+from robustmix.solvers import evaluate_wrp
 from robustmix.tuning import (
+    TUNABLE_TYPES,
     baseline_lambdas,
     perturb_config,
     sample_config,
@@ -28,22 +30,6 @@ def small_problem():
 
 
 class TestSampleConfig:
-    def test_singleton_space(self, rng):
-        space = ConfigSpace(max_parents=1, allowed_types=("interval",))
-        for _ in range(10):
-            cfg = sample_config(space, rng)
-            assert len(cfg.parents) == 1
-            assert cfg.parents[0].set_type == "interval"
-
-    def test_degenerate_lambda_range(self, rng):
-        space = ConfigSpace(
-            max_parents=1,
-            allowed_types=("interval",),
-            lambda_ranges={"interval": (0.3, 0.3)},
-        )
-        cfg = sample_config(space, rng)
-        assert cfg.parents[0].lam == 0.3
-
     def test_draws_mostly_distinct(self, rng):
         space = ConfigSpace()
         configs = [sample_config(space, rng) for _ in range(100)]
@@ -61,7 +47,7 @@ class TestSampleConfig:
         space = ConfigSpace()
         cfg = sample_config(space, rng)
         for _ in range(50):
-            cfg = perturb_config(cfg, space, rng)
+            cfg = perturb_config(cfg, rng)
             for parent in cfg.parents:
                 lo, hi = LAMBDA_RANGES[parent.set_type]
                 assert lo <= parent.lam <= hi
@@ -72,30 +58,11 @@ class TestSampleConfig:
             ConfigSpace(budget=0)
         with pytest.raises(ValueError):
             ConfigSpace(max_parents=0)
-        with pytest.raises(ValueError):
-            ConfigSpace(allowed_types=())
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"allowed_types": ("budgeted",)}, "cannot tune"),  # needs a gamma
-            ({"allowed_types": ("polyhedron",)}, "cannot tune"),  # not built from data
-            ({"allowed_types": ("interval", "sphere")}, "cannot tune"),
-            (
-                {"allowed_types": ("interval", "hull"), "lambda_ranges": {"hull": (0, 1)}},
-                "no range for 'interval'",
-            ),
-        ],
-    )
-    def test_untunable_types_rejected_at_construction(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
-            ConfigSpace(**kwargs)
 
     def test_default_types_build_from_type_and_lambda(self, rng):
-        space = ConfigSpace()
         data = ScenarioMatrix(rng.uniform(1, 5, (6, 4)))
-        for set_type in space.allowed_types:
-            lo, hi = space.lambda_ranges[set_type]
+        for set_type in TUNABLE_TYPES:
+            lo, hi = LAMBDA_RANGES[set_type]
             assert build_set(data, set_type, hi).name == set_type
 
 
@@ -133,9 +100,7 @@ class TestTune:
         data = ScenarioMatrix(np.tile(np.arange(1.0, graph.n + 1.0), (4, 1)))
         pairs = [(0, graph.num_nodes - 1)]
         split = split_scenarios(4, 0.5, seed=0)
-        space = ConfigSpace(
-            max_parents=1, allowed_types=("interval",), budget=30
-        )
+        space = ConfigSpace(max_parents=1, budget=30)
         result = tune(space, graph, pairs, data, split, (1.0, 0.0, 0.0), seed=0)
         from robustmix.instances import Instance, nominal_solve
 
@@ -193,6 +158,38 @@ class TestRaceTrajectory:
         tune(ConfigSpace(budget=400), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=2)
         assert len(built) == 45
         assert most_alive <= tuning.GENERATION_SIZE
+
+
+class TestSolveForPair:
+    def test_capped_bnb_falls_back_to_local_search(self, monkeypatch):
+        """With no BnB node allowed, every criterion-7 pair runs the local
+        search fallback; the lower objective is kept, BnB's on a tie."""
+        graph, data = gen_synthetic(6, 6, 40, noise="two_block", seed=1)
+        pairs = sample_st_pairs(graph, 6, min_hops=4, seed=1)
+        train = data.subset(split_scenarios(data.K, 0.75, seed=1).train_idx)
+        mix = build_mixture([{"weight": 1.0, "type": "ellipsoid", "lambda": 20.0}], train)
+        reports, kept = [], set()
+
+        def recorded(solve):
+            def call(*args, **kwargs):
+                reports.append(solve(*args, **kwargs))
+                return reports[-1]
+
+            return call
+
+        monkeypatch.setattr(tuning, "solve_auto", recorded(tuning.solve_auto))
+        monkeypatch.setattr(
+            tuning, "solve_local_search", recorded(tuning.solve_local_search)
+        )
+        for pair in pairs:
+            reports.clear()
+            report = solve_for_pair(graph, pair, mix, node_cap=0)
+            bnb, local = reports
+            assert (bnb.method, bnb.optimal, local.method) == ("bnb", False, "local")
+            assert report is (local if local.objective < bnb.objective - 1e-12 else bnb)
+            assert report.objective == evaluate_wrp(mix, report.solution.x)
+            kept.add(report.method)
+        assert kept == {"bnb", "local"}  # a strict local win and ties both occur
 
 
 class TestBaselines:

@@ -248,32 +248,6 @@ class TestEllipsoidPsdCheck:
                 EllipsoidSet(np.ones(5), sigma, 1.0)
 
 
-class TestIsDiagonal:
-    @pytest.mark.parametrize(
-        "sigma, diagonal",
-        [(np.diag([1.0, 2.0, 0.0]), True), (_sigma_with_spectrum([1.0] * 4 + [2.0]), False)],
-    )
-    def test_answer_is_computed_once(self, monkeypatch, sigma, diagonal):
-        uset = EllipsoidSet(np.ones(sigma.shape[0]), sigma, 1.0)
-        assert uset.is_diagonal() is diagonal
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("is_diagonal recomputed")
-
-        monkeypatch.setattr(np, "allclose", refuse)
-        assert uset.is_diagonal() is diagonal
-
-    def test_answer_is_shared_by_sets_on_one_covariance(self, monkeypatch, rng):
-        data = ScenarioMatrix(rng.uniform(1, 5, (6, 4)))
-        assert build_set(data, "ellipsoid", 1.0).is_diagonal() is False
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("is_diagonal recomputed")
-
-        monkeypatch.setattr(np, "allclose", refuse)
-        assert build_set(data, "ellipsoid", 3.0).is_diagonal() is False
-
-
 @pytest.fixture
 def psd_calls(monkeypatch):
     """The covariances `_is_psd` is called on, in order."""
@@ -330,7 +304,6 @@ class TestCovarianceCheckedOnce:
         entries = len(uncertainty._CHECKED)
         data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
         sets = [build_set(data, "ellipsoid", lam) for lam in (0.0, 2.0)]
-        sets[1].is_diagonal()
         key, alive = id(data.covariance()), weakref.ref(data.covariance())
         assert key in uncertainty._CHECKED
         del data, sets
