@@ -204,9 +204,11 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     projection; a recursive dichotomic scan over scalarization slopes
     collects all supported solutions and picks the true best.  The
     report says optimal=False when the 200-step theta push or the
-    depth-60 scan cap cut the search.  Direct calls only: `build_set`
-    gives every ellipsoid a full sample covariance, so `solve_auto`
-    sends ellipsoid mixtures to `solve_bnb`.
+    depth-60 scan cap cut the search.  Direct calls only: a built
+    ellipsoid's sample covariance is not diagonal, so `solve_auto` sends
+    ellipsoid mixtures to `solve_bnb`.  The diagonal is read from the
+    ellipsoid's `sigma`, which on a built ellipsoid forms the n x n
+    matrix on first read.
     """
     found = None
     for weight, uset in mix.components:

@@ -7,9 +7,9 @@ mixed-integer models; in-process worst-case evaluation rejects them.
 
 Every array these classes hold is read-only and their own: a builder's
 fresh array is sealed and kept, and anything else is copied once.  So
-the values they compute once and keep (a matrix's column statistics,
-a hull's centre, a mixture's bound costs, a covariance's symmetry and
-PSD verdicts) can never go stale.
+the values they compute once and keep (a matrix's column statistics
+and scenario factor, a hull's centre, a mixture's bound costs) can
+never go stale.
 
 Each family's class is the one place that defines its behaviour:
 `name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
@@ -25,8 +25,11 @@ between the point set at the mean (lambda = 0) and, for interval and
 hull sets, the observed scenario range (lambda = 1).  For ellipsoids
 lambda is the squared-radius bound of (c - mu)' Sigma^-1 (c - mu) <=
 lambda, hence the sqrt(lambda) factor in the support function.  The
-ellipsoid's nonnegativity side constraint is deliberately dropped in
-worst_case, which makes it a slightly conservative upper bound.
+ellipsoid keeps Sigma as a factor, Sigma = F'F + ridge I, and evaluates
+through it; a built one shares its matrix's K x n centred factor, so
+no n x n array is formed unless `sigma` is read.  The ellipsoid's
+nonnegativity side constraint is deliberately dropped in worst_case,
+which makes it a slightly conservative upper bound.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import weakref
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -107,25 +110,47 @@ class ScenarioMatrix:
     def col_max(self) -> np.ndarray:
         return _sealed(self.costs.max(axis=0))
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """(costs - mean) / sqrt(K - 1): the K x n factor F whose F' F is
+        the sample covariance.  Every ellipsoid built from this matrix
+        shares it.  Needs K >= 2."""
+        return _sealed((self.costs - self.mean) / np.sqrt(self.K - 1))
+
+    @cached_property
+    def _default_ridge(self) -> float:
+        """1e-6 times the mean variance, summed from `factor`; it keeps
+        degenerate data positive definite."""
+        return 1e-6 * float(np.einsum("ki,ki->", self.factor, self.factor)) / self.n
+
     def covariance(self, ridge: float | None = None) -> np.ndarray:
         """Sample covariance of the columns plus `ridge` times the identity.
 
-        The default ridge, 1e-6 times the mean variance, keeps degenerate
-        data positive definite; that matrix is computed once per matrix
-        and shared, read-only, by every ellipsoid built from it.  A given
-        ridge is computed afresh.  Needs K >= 2."""
+        The n x n matrix that an ellipsoid's `sigma` reads; no
+        evaluation needs it.  The default ridge is 1e-6 times the trace
+        over n (`_default_ridge` up to rounding); that matrix is computed
+        once per matrix and shared, read-only.  A given ridge is
+        computed afresh.  Needs K >= 2."""
         if ridge is None:
             return self._default_covariance
-        return _sealed(self._sample_covariance() + ridge * np.eye(self.n))
+        return _sealed(self._with_ridge(self._sample_covariance(), ridge))
 
     def _sample_covariance(self) -> np.ndarray:
         return np.atleast_2d(np.cov(self.costs, rowvar=False, bias=False))
 
+    @staticmethod
+    def _with_ridge(sigma: np.ndarray, ridge: float) -> np.ndarray:
+        """sigma + ridge I, bit for bit, in place: the off-diagonal
+        entries get the signed zero ridge * 0.0 (which turns -0.0 into
+        0.0 for a positive ridge), the diagonal gets ridge."""
+        sigma += ridge * 0.0
+        sigma.flat[:: sigma.shape[0] + 1] += ridge
+        return sigma
+
     @cached_property
     def _default_covariance(self) -> np.ndarray:
         sigma = self._sample_covariance()
-        ridge = 1e-6 * np.trace(sigma) / self.n
-        return _sealed(sigma + ridge * np.eye(self.n))
+        return _sealed(self._with_ridge(sigma, 1e-6 * np.trace(sigma) / self.n))
 
     def subset(self, rows) -> "ScenarioMatrix":
         return ScenarioMatrix(_sealed(self.costs[np.asarray(rows, dtype=int)]))
@@ -309,84 +334,111 @@ class HullSet:
         return _sealed(self.points.max(axis=0) - self.points.min(axis=0))
 
 
-def _is_psd(sigma: np.ndarray, tol: float = 1e-9) -> bool:
-    """Is the smallest eigenvalue of symmetric `sigma` at least -tol?
-
-    A Cholesky factorisation of sigma + tol I succeeds when that matrix
-    is positive definite, i.e. when every eigenvalue of sigma exceeds
-    -tol, up to rounding of order n eps ||sigma||, which bounds the error
-    of eigvalsh as well.  It costs about a third of eigvalsh, which runs
-    only when the factorisation fails and decides by the same rule.
-    """
-    try:
-        np.linalg.cholesky(sigma + tol * np.eye(sigma.shape[0]))
-    except np.linalg.LinAlgError:
-        return not np.linalg.eigvalsh(sigma).min() < -tol
-    return True
+_PSD_TOL = 1e-9
 
 
-# ids of the sealed covariances that passed the symmetry and PSD checks.
-# weakref.finalize drops an id when its sigma is collected, so the memo
-# keeps no covariance alive and no later array at the same address can
-# inherit its verdict.
-_CHECKED: set[int] = set()
-
-
-def _check_sigma(sigma: np.ndarray) -> None:
-    """Check sealed `sigma` unless it already passed.
-
-    Raises ValueError unless sigma is symmetric and PSD; a failed check
-    is never recorded, so a rejected array is rejected every time."""
-    if id(sigma) not in _CHECKED:
-        # exact equality is the common case and several times cheaper
-        if not (
-            np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)
-        ):
-            raise ValueError("sigma must be symmetric")
-        if not _is_psd(sigma):
-            raise ValueError("sigma must be positive semidefinite")
-        _CHECKED.add(id(sigma))
-        weakref.finalize(sigma, _CHECKED.discard, id(sigma))
+def _check_psd(smallest: float) -> None:
+    """Reject a covariance whose smallest eigenvalue is below -1e-9."""
+    if not smallest >= -_PSD_TOL:  # NaN fails too
+        raise ValueError("sigma must be positive semidefinite")
 
 
 @dataclass(frozen=True)
 class EllipsoidSet:
-    """Its `sigma` is checked for symmetry and PSD once per array: every
-    ellipsoid built on the same sealed covariance (`build_set` shares
-    one per matrix) reuses the first one's verdict."""
+    """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, with Sigma held as a
+    factor: Sigma = F' F + ridge I for a read-only array F, K x n for a
+    built ellipsoid and n x n for a given covariance.
+
+    Every evaluation goes through F, in O(K n): the support at x is
+    mu . x + sqrt(lam (|F x|^2 + ridge x . x)).  `EllipsoidSet(mu,
+    sigma, lam)` checks a given covariance for symmetry (within 1e-9)
+    and PSD (smallest eigenvalue at least -1e-9) and factors it with
+    the one eigendecomposition that also gives the PSD verdict.
+    `from_data` (what `build_set` calls) takes the matrix's shared
+    K x n centred factor instead, so no n x n array is formed; its
+    `sigma` is `data.covariance(ridge)`, built only when read.
+    """
 
     mu: np.ndarray
-    sigma: np.ndarray
     lam: float
+    factor: np.ndarray
+    ridge: float
     name = "ellipsoid"
 
-    def __post_init__(self):
-        mu = _owned(self.mu)
-        sigma = _owned(self.sigma)
+    def __init__(self, mu, sigma, lam: float):
+        mu = _owned(mu)
+        sigma = _owned(sigma)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
-        _check_sigma(sigma)
-        if self.lam < 0:
+        # exact equality is the common case and several times cheaper
+        if not (np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)):
+            raise ValueError("sigma must be symmetric")
+        if not np.all(np.isfinite(sigma)):
+            raise ValueError("sigma must be finite")
+        eigenvalues, vectors = np.linalg.eigh(sigma)
+        _check_psd(eigenvalues.min(initial=0.0))
+        factor = (vectors * np.sqrt(np.maximum(eigenvalues, 0.0))).T
+        self._init(mu, lam, _sealed(factor), 0.0)
+        self.__dict__["sigma"] = sigma  # the cached value of `sigma`
+
+    @classmethod
+    def from_data(
+        cls, data: ScenarioMatrix, lam: float, ridge: float | None = None
+    ) -> "EllipsoidSet":
+        """The ellipsoid at the data's mean with its sample covariance
+        plus `ridge` times the identity (by default 1e-6 times the mean
+        variance).  A negative ridge must leave that sum PSD: the data
+        rank bounds its smallest eigenvalue, so only K >= n takes an
+        O(K n^2) singular value decomposition.  Needs K >= 2."""
+        if ridge is not None and not np.isfinite(ridge):
+            raise ValueError(f"ridge {ridge!r} must be finite")
+        factor = data.factor
+        shift = data._default_ridge if ridge is None else float(ridge)
+        if shift < 0:
+            smallest = 0.0
+            if data.K >= data.n:
+                smallest = float(np.linalg.svd(factor, compute_uv=False).min()) ** 2
+            _check_psd(smallest + shift)
+        self = cls.__new__(cls)
+        self._init(data.mean, lam, factor, shift)
+        object.__setattr__(self, "_covariance", partial(data.covariance, ridge))
+        return self
+
+    def _init(self, mu, lam: float, factor: np.ndarray, ridge: float) -> None:
+        if lam < 0:
             raise ValueError("lambda must be nonnegative")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        for name, value in (("mu", mu), ("lam", lam), ("factor", factor), ("ridge", ridge)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """The n x n covariance F' F + ridge I, built on first read."""
+        return self._covariance()
 
     @property
     def n(self) -> int:
         return self.mu.shape[0]
 
+    # The evaluations call ndarray.dot, which on vectors of tens of items
+    # costs about 0.8 us less per call than the @ operator.
+    def _quad(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """F x and x' Sigma x, clipped at zero."""
+        fx = self.factor.dot(x)
+        return fx, max(float(fx.dot(fx)) + self.ridge * float(x.dot(x)), 0.0)
+
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        quad = max(float(x @ self.sigma @ x), 0.0)
-        value = float(self.mu @ x + np.sqrt(self.lam * quad))
+        fx, quad = self._quad(x)
+        value = float(self.mu.dot(x)) + math.sqrt(self.lam * quad)
         if quad > 0 and self.lam > 0:
-            c = self.mu + np.sqrt(self.lam) * (self.sigma @ x) / np.sqrt(quad)
+            sigma_x = self.factor.T.dot(fx) + self.ridge * x
+            c = self.mu + math.sqrt(self.lam) * sigma_x / math.sqrt(quad)
         else:
             c = self.mu.copy()
         return value, c
 
     def support(self, x: np.ndarray) -> float:
-        quad = max(float(x @ self.sigma @ x), 0.0)
-        return float(self.mu @ x + np.sqrt(self.lam * quad))
+        quad = self._quad(x)[1]
+        return float(self.mu.dot(x)) + math.sqrt(self.lam * quad)
 
     def center(self) -> np.ndarray:
         return self.mu.copy()
@@ -411,7 +463,9 @@ class EllipsoidSet:
         return member
 
     def spread(self) -> np.ndarray:
-        return _sealed(np.sqrt(self.lam * np.maximum(np.diag(self.sigma), 0)))
+        """sqrt(lam Sigma_ii): Sigma's diagonal from F's column sums of squares."""
+        variance = np.einsum("ki,ki->i", self.factor, self.factor) + self.ridge
+        return _sealed(np.sqrt(self.lam * np.maximum(variance, 0)))
 
 
 @dataclass(frozen=True)
@@ -469,13 +523,14 @@ def build_set(
     O(K n) once per matrix (`ScenarioMatrix` keeps them), after which an
     interval or budgeted set takes O(n).  The hull keeps the first
     occurrence of each distinct point, in scenario order, by hashing
-    each row's bytes: O(K n) expected.  The ellipsoid's covariance with
-    the default ridge takes O(K n^2) once per matrix, and every such
-    ellipsoid shares that one read-only n x n array; a given `ridge`
-    recomputes it.  EllipsoidSet checks each covariance array once for
-    symmetry and PSD (one O(n^3) Cholesky factorisation on well-posed
-    data), so the shared default-ridge one is checked at its first
-    ellipsoid only, while a given `ridge` pays the check per build.
+    each row's bytes: O(K n) expected.  The ellipsoid's centred factor
+    takes O(K n) once per matrix, and every ellipsoid built from it
+    shares that one read-only K x n array, whatever its ridge; it
+    evaluates in O(K n) and is PSD by construction.  A negative `ridge`
+    is checked against the smallest eigenvalue of the sample
+    covariance, which costs an O(K n^2) singular value decomposition
+    when K >= n and nothing when K < n (the rank bound makes it 0); a
+    non-finite one is rejected.
     """
     if set_type not in LAMBDA_RANGES:
         raise UnsupportedError(f"unknown set type {set_type!r}")
@@ -504,7 +559,7 @@ def build_set(
 
     if data.K < 2:
         raise ValueError("ellipsoid requires at least 2 scenarios")
-    return EllipsoidSet(mu, data.covariance(ridge), lam)
+    return EllipsoidSet.from_data(data, lam, ridge)
 
 
 def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:

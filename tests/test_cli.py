@@ -200,6 +200,31 @@ class TestMalformedMixture:
         assert "error: component 0" in capsys.readouterr().err
 
 
+class TestNonFiniteRidge:
+    @pytest.mark.parametrize(
+        "ridge, named",
+        [('"nan"', "ridge nan must be finite"), ("1e400", "ridge inf must be finite")],
+        ids=["nan-string", "overflowing-number"],
+    )
+    def test_exits_2_naming_the_ridge(self, workdir, capsys, ridge, named):
+        mixture = workdir["dir"] / "mix.json"
+        mixture.write_text(
+            '{"components": [{"weight": 1.0, "type": "ellipsoid", "lambda": 1.0, '
+            f'"ridge": {ridge}}}]}}'
+        )
+        code = main(
+            [
+                "solve",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", str(mixture),
+                "--pairs", workdir["pairs"],
+            ]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+
 class TestInvalidValues:
     """Values that parse but make no sense exit 2 with an error naming them."""
 

@@ -640,26 +640,26 @@ def bnb_sweep_cases(rng, count):
 
 # nodes_explored and oracle_calls of bnb_sweep_cases(default_rng(20261018), 60)
 SWEEP_NODES = [
-    6, 0, 0, 4, 10, 0, 0, 9, 14, 0, 5, 28, 10, 5, 3, 3, 30, 0, 17, 0,
+    6, 0, 0, 4, 11, 0, 0, 9, 14, 0, 5, 28, 10, 5, 3, 3, 30, 0, 17, 0,
     13, 3, 12, 57, 18, 19, 5, 12, 5, 5, 0, 10, 3, 7, 12, 7, 4, 10, 0, 13,
     4, 27, 17, 22, 10, 5, 12, 51, 5, 0, 17, 5, 4, 7, 6, 0, 6, 0, 0, 0,
 ]
 SWEEP_CALLS = [
     5, 2, 2, 4, 5, 2, 2, 6, 6, 2, 4, 13, 5, 4, 3, 3, 15, 1, 10, 2,
-    12, 4, 5, 42, 8, 7, 3, 6, 4, 6, 2, 5, 4, 8, 8, 5, 3, 4, 2, 8,
+    12, 4, 5, 42, 8, 7, 4, 6, 4, 6, 2, 5, 4, 8, 8, 5, 3, 4, 2, 8,
     4, 10, 9, 10, 6, 6, 5, 16, 4, 2, 8, 3, 5, 8, 7, 2, 7, 2, 2, 2,
 ]
 # oracle_calls when every exclude child is solved, none skipped by must_use
 SWEEP_CALLS_UNSKIPPED = [
-    7, 2, 2, 5, 10, 2, 2, 9, 13, 2, 6, 25, 10, 6, 4, 4, 26, 1, 15, 2,
+    7, 2, 2, 5, 11, 2, 2, 9, 13, 2, 6, 25, 10, 6, 4, 4, 26, 1, 15, 2,
     12, 4, 11, 42, 16, 17, 6, 11, 6, 6, 2, 10, 4, 8, 12, 7, 5, 10, 2, 12,
     5, 24, 16, 20, 10, 6, 11, 43, 6, 2, 15, 6, 5, 8, 7, 2, 7, 2, 2, 2,
 ]
 # the same with no best-response step: every node bounded by the fixed
 # members (hull and ellipsoid centres, budgeted lo)
 FIXED_MEMBER_NODES = [
-    34, 6, 3, 12, 31, 6, 30, 5, 20, 7, 13, 28, 15, 10, 6, 6, 35, 0, 26, 9,
-    32, 8, 12, 104, 18, 19, 19, 12, 14, 49, 15, 10, 8, 34, 28, 11, 11, 20, 3, 20,
+    34, 6, 3, 12, 32, 6, 30, 5, 20, 7, 13, 28, 15, 10, 6, 6, 35, 0, 26, 9,
+    32, 8, 12, 104, 18, 19, 18, 12, 14, 49, 15, 10, 8, 34, 28, 11, 11, 20, 3, 20,
     11, 43, 34, 22, 40, 17, 12, 51, 10, 12, 17, 19, 28, 34, 6, 10, 26, 10, 34, 11,
 ]
 FIXED_MEMBER_CALLS = [
@@ -877,3 +877,79 @@ class TestExactness:
         assert rep_e.method == "bnb" and rep_e.optimal
         best = solve_brute_force(inst, mix_e)
         assert rep_e.objective == pytest.approx(best.objective, abs=1e-9)
+
+
+def tie_heavy_cases(rng, count):
+    """Small relabelled grids (corner to corner) and selections with
+    integer scenario costs 0..3 over 2 or 4 scenarios: the means and
+    the lambda-scaled bounds are exact binary fractions, so equal
+    objectives tie exactly."""
+    for _ in range(count):
+        if rng.random() < 0.3:
+            n = int(rng.integers(3, 8))
+            inst = Instance.selection(n, int(rng.integers(1, n)))
+        else:
+            graph, s, t = relabelled_grid(
+                rng, int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            )
+            inst = Instance.spath(graph, s, t)
+        costs = rng.integers(0, 4, (int(rng.choice([2, 4])), inst.n)).astype(float)
+        yield inst, ScenarioMatrix(costs)
+
+
+def tie_heavy_specs(rng, types, n):
+    """One to three components of the given types, tie-friendly weights
+    and lambdas."""
+    specs = []
+    for _ in range(int(rng.integers(1, 4))):
+        set_type = str(rng.choice(types))
+        spec = {
+            "weight": float(rng.choice([0.25, 0.5, 1.0])),
+            "type": set_type,
+            "lambda": float(rng.choice([0.0, 0.5, 1.0])),
+        }
+        if set_type == "budgeted":
+            spec["gamma"] = int(rng.integers(0, min(n, 3) + 1))
+        specs.append(spec)
+    return specs
+
+
+class TestTieHeavyDifferential:
+    """Exact solvers against brute force on integer data, where exact
+    objective ties are common: the interval and budgeted solvers return
+    brute force's x, the lexicographically smallest optimal item set;
+    branch-and-bound proves brute force's objective with a feasible x
+    that attains it."""
+
+    @pytest.mark.parametrize(
+        "solve, set_type",
+        [(solve_interval_mix, "interval"), (solve_budgeted_mix, "budgeted")],
+    )
+    def test_same_x_as_brute_force(self, rng, solve, set_type):
+        ties = 0
+        for inst, data in tie_heavy_cases(rng, 150):
+            mix = build_mixture(tie_heavy_specs(rng, [set_type], inst.n), data)
+            report = solve(inst, mix)
+            brute = solve_brute_force(inst, mix)
+            assert report.solution.x == brute.solution.x
+            assert report.objective == brute.objective
+            values = [evaluate_wrp(mix, x) for x in enumerate_feasible(inst)]
+            ties += values.count(brute.objective) > 1
+        assert ties > 20  # the data is tie-heavy
+
+    def test_bnb_proves_brute_force_objective(self, rng):
+        cases = [
+            (inst, build_mixture(
+                tie_heavy_specs(rng, ["interval", "budgeted", "hull", "ellipsoid"], inst.n),
+                data,
+            ))
+            for inst, data in tie_heavy_cases(rng, 80)
+        ]
+        cases += bnb_sweep_cases(np.random.default_rng(20261018), 60)
+        for inst, mix in cases:
+            report = solve_bnb(inst, mix)
+            brute = solve_brute_force(inst, mix)
+            assert report.optimal
+            assert report.objective == pytest.approx(brute.objective, rel=1e-12, abs=1e-12)
+            assert report.solution.x in set(enumerate_feasible(inst))
+            assert evaluate_wrp(mix, report.solution.x) == report.objective

@@ -1,8 +1,6 @@
 import csv
-import gc
 import io
 import itertools
-import weakref
 
 import numpy as np
 import pytest
@@ -217,6 +215,15 @@ class TestEllipsoidPsdCheck:
         EllipsoidSet(np.ones(5), _sigma_with_spectrum([0.0, 0.0, 0.0, 1.0, 3.0]), 2.0)
         EllipsoidSet(np.ones(3), np.zeros((3, 3)), 2.0)
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [np.diag([np.inf, 1.0]), np.array([[1.0, np.inf], [np.inf, 1.0]])],
+        ids=["diagonal", "symmetric-pair"],
+    )
+    def test_infinite_entries_rejected(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            EllipsoidSet(np.ones(2), sigma, 1.0)
+
     def test_asymmetric_rejected(self):
         sigma = np.eye(3)
         sigma[0, 1] = 1e-6
@@ -250,34 +257,22 @@ class TestEllipsoidPsdCheck:
 
 @pytest.fixture
 def psd_calls(monkeypatch):
-    """The covariances `_is_psd` is called on, in order."""
+    """The smallest eigenvalues `_check_psd` is called on, in order."""
     calls = []
-    check = uncertainty._is_psd
+    check = uncertainty._check_psd
 
-    def counted(sigma, *args, **kwargs):
-        calls.append(sigma)
-        return check(sigma, *args, **kwargs)
+    def counted(smallest):
+        calls.append(smallest)
+        return check(smallest)
 
-    monkeypatch.setattr(uncertainty, "_is_psd", counted)
+    monkeypatch.setattr(uncertainty, "_check_psd", counted)
     return calls
 
 
 class TestCovarianceCheckedOnce:
-    """A sealed covariance is checked for symmetry and PSD at its first
-    ellipsoid only; fresh arrays and failed checks are checked again."""
-
-    def test_lambda_sweep_checks_the_shared_covariance_once(self, rng, psd_calls):
-        data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
-        sets = [build_set(data, "ellipsoid", lam) for lam in baseline_lambdas("ellipsoid")]
-        build_mixture([{"weight": 0.5, "type": "ellipsoid", "lambda": 2.0}] * 3, data)
-        assert len(sets) == 41
-        assert len(psd_calls) == 1 and psd_calls[0] is data.covariance()
-
-    def test_explicit_ridge_is_checked_per_build(self, rng, psd_calls):
-        data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
-        for builds, lam in enumerate([0.0, 1.0, 1.0, 5.0], start=1):
-            build_set(data, "ellipsoid", lam, ridge=0.1)
-            assert len(psd_calls) == builds
+    """A covariance passed in is checked for symmetry and PSD once, by
+    the eigendecomposition that factors it, at each construction; a
+    data-built ellipsoid is PSD by construction and is not checked."""
 
     def test_writable_caller_array_is_checked_per_build(self, psd_calls):
         sigma = _sigma_with_spectrum([0.1, 0.5, 1.0, 2.0, 4.0])
@@ -297,20 +292,101 @@ class TestCovarianceCheckedOnce:
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 EllipsoidSet(np.ones(2), sigma, 1.0)
-        assert id(sigma) not in uncertainty._CHECKED
         assert len(psd_calls) == (3 if message == "semidefinite" else 0)
 
-    def test_memo_keeps_no_covariance_alive(self, rng):
-        entries = len(uncertainty._CHECKED)
+    def test_nonnegative_ridges_are_never_checked(self, rng, psd_calls):
         data = ScenarioMatrix(rng.uniform(1, 5, (8, 5)))
-        sets = [build_set(data, "ellipsoid", lam) for lam in (0.0, 2.0)]
-        key, alive = id(data.covariance()), weakref.ref(data.covariance())
-        assert key in uncertainty._CHECKED
-        del data, sets
-        gc.collect()
-        assert alive() is None
-        assert key not in uncertainty._CHECKED
-        assert len(uncertainty._CHECKED) == entries
+        sets = [build_set(data, "ellipsoid", lam) for lam in baseline_lambdas("ellipsoid")]
+        sets += [build_set(data, "ellipsoid", 1.0, ridge=r) for r in (0.0, 0.1, 1e-300)]
+        assert len(sets) == 44 and psd_calls == []
+        assert all(s.factor is data.factor for s in sets)
+
+
+class TestRidge:
+    """A given ridge must be finite and, if negative, leave the
+    covariance PSD within 1e-9."""
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ridge_named(self, ridge):
+        data = ScenarioMatrix(np.random.default_rng(0).uniform(1, 5, (5, 8)))
+        with pytest.raises(ValueError, match=f"ridge {ridge!r} must be finite"):
+            build_set(data, "ellipsoid", 1.0, ridge=ridge)
+
+    @pytest.mark.parametrize(
+        "K, n, ridge, accepted",
+        [
+            (5, 8, -1e-12, True),  # rank-deficient: smallest eigenvalue 0
+            (5, 8, -1e-3, False),
+            (30, 4, -1e-3, True),  # full rank: smallest eigenvalue about 0.81
+            (30, 4, -10.0, False),
+        ],
+    )
+    def test_negative_ridge_verdicts(self, K, n, ridge, accepted):
+        data = ScenarioMatrix(np.random.default_rng(0 if K < n else 1).uniform(1, 5, (K, n)))
+        if accepted:
+            build_set(data, "ellipsoid", 1.0, ridge=ridge)
+        else:
+            with pytest.raises(ValueError, match="semidefinite"):
+                build_set(data, "ellipsoid", 1.0, ridge=ridge)
+
+    def test_negative_ridge_boundary_follows_the_smallest_eigenvalue(self):
+        data = ScenarioMatrix(np.random.default_rng(1).uniform(1, 5, (30, 4)))
+        smallest = np.linalg.eigvalsh(fresh_covariance(data.costs, 0.0)).min()
+        build_set(data, "ellipsoid", 1.0, ridge=-smallest - 5e-10)
+        with pytest.raises(ValueError, match="semidefinite"):
+            build_set(data, "ellipsoid", 1.0, ridge=-smallest - 2e-9)
+
+
+def _sigma_x(sigma, mu, lam, x):
+    """The worst case's value and member through the n x n covariance."""
+    quad = max(float(x @ sigma @ x), 0.0)
+    if quad == 0:
+        return float(mu @ x), mu
+    return float(mu @ x + np.sqrt(lam * quad)), mu + np.sqrt(lam) * (sigma @ x) / np.sqrt(quad)
+
+
+class TestFactorForm:
+    """Data-built ellipsoids evaluate through the K x n factor: the same
+    values as through `data.covariance()`, and no n x n array formed."""
+
+    @pytest.mark.parametrize("K, n", [(2, 6), (5, 9), (40, 6), (12, 12)])
+    @pytest.mark.parametrize("ridge", [None, 0.0, 0.3])
+    def test_matches_covariance_form(self, rng, K, n, ridge):
+        costs = rng.uniform(1, 5, (K, n))
+        costs[:, 1] = 2.5  # a constant column: zero covariances
+        data = ScenarioMatrix(costs)
+        ell = build_set(data, "ellipsoid", 3.0, ridge=ridge)
+        sigma = data.covariance(ridge)
+        if ridge is None:
+            assert ell.sigma is sigma  # shared
+        for x in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n), np.eye(n)[1]):
+            value, member = ell.worst_case(x)
+            ref_value, ref_member = _sigma_x(sigma, data.mean, 3.0, x)
+            assert value == ell.support(x)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            scale = np.abs(ref_member).max()
+            assert np.abs(member - ref_member).max() <= 1e-12 * scale
+        spread = np.sqrt(3.0 * np.diag(sigma))
+        assert np.abs(ell.spread() - spread).max() <= 1e-12 * spread.max()
+
+    def test_building_and_evaluating_never_form_the_covariance(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("n x n covariance formed")
+
+        monkeypatch.setattr(ScenarioMatrix, "covariance", forbidden)
+        monkeypatch.setattr(np, "cov", forbidden)
+        data = ScenarioMatrix(rng.uniform(1, 5, (6, 9)))
+        mix = build_mixture(
+            [{"weight": 1.0, "type": "ellipsoid", "lambda": lam, **kw}
+             for lam, kw in ((2.0, {}), (0.5, {"ridge": 0.2}), (1.0, {"ridge": -1e-12}))],
+            data,
+        )
+        x = rng.integers(0, 2, 9).astype(float)
+        for _, ell in mix.components:
+            for evaluate in (ell.support, ell.worst_case, ell.bound_member):
+                evaluate(x)
+        assert mix.branch_spread.shape == mix.bound_costs.shape == (9,)  # spreads, members
+        assert all("sigma" not in vars(ell) for _, ell in mix.components)
 
 
 class TestWorstCase:
@@ -576,6 +652,18 @@ class TestMemos:
                 assert built.sigma.tobytes() == sigma.tobytes()  # signed zeros too
         assert np.array_equal(data.col_min, costs.min(axis=0))
         assert np.array_equal(data.col_max, costs.max(axis=0))
+
+    @pytest.mark.parametrize("ridge", [None, 0.25, 0.0, -0.0, -1e-12])
+    def test_covariance_is_bit_identical_to_adding_ridge_times_identity(self, rng, ridge):
+        costs = rng.uniform(1, 5, (7, 4))
+        costs[:, 2] = 2.0  # a constant column with an exact mean: zero covariances
+        sigma = ScenarioMatrix(costs).covariance(ridge)
+        assert sigma.tobytes() == fresh_covariance(costs, ridge).tobytes()
+        # the in-place addition on signed zeros, which np.cov does not produce
+        zeros = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, 0.0], [1.0, 0.0, -0.0]])
+        shift = 0.5 if ridge is None else ridge
+        added = ScenarioMatrix._with_ridge(zeros.copy(), shift)
+        assert added.tobytes() == (zeros + shift * np.eye(3)).tobytes()
 
     def test_default_ridge_covariance_is_shared(self, rng):
         data = ScenarioMatrix(rng.uniform(1, 5, (6, 3)))
