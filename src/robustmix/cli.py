@@ -208,7 +208,8 @@ def _cmd_solve(args, argv, started):
 
 
 def _load_solutions(text: str) -> list[Solution]:
-    """Parse the solutions JSON that `solve --out` writes."""
+    """Parse the solutions JSON that `solve --out` writes; every `x`
+    entry must be the integer 0 or 1."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,6 +220,8 @@ def _load_solutions(text: str) -> list[Solution]:
     for i, rec in enumerate(doc["solutions"]):
         if not isinstance(rec, dict) or not isinstance(rec.get("x"), list):
             raise ParseError(f"solution record {i} needs an 'x' list")
+        if any(type(v) is not int or v not in (0, 1) for v in rec["x"]):
+            raise ParseError(f"solution record {i} has an 'x' entry that is not 0 or 1")
         try:
             objective = float(rec.get("objective", 0.0))
         except (TypeError, ValueError) as exc:

@@ -4,8 +4,8 @@ weight grids and trade-off exports.
 Per solution (one per origin-destination pair), the cost under each
 scenario forms a pool; Avg averages the pool, Max takes its worst value
 and CVaR averages the worst ceil(alpha K) values.  All three are then
-averaged over pairs.  The tail count uses ceiling rounding so the tail
-is never empty.
+averaged over pairs.  The tail count (`tail_count`) uses ceiling
+rounding so the tail is never empty.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ def split_scenarios(K: int, ratio: float, seed: int = 0) -> Split:
     return Split(train, test)
 
 
+def tail_count(alpha: float, K: int) -> int:
+    """How many of K scenario costs CVaR averages: ceil(alpha K), at
+    least one.  Raises ValueError unless 0 < alpha <= 1."""
+    if not 0 < alpha <= 1:  # NaN fails too
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    return max(1, math.ceil(alpha * K))
+
+
 def pair_metrics(x: np.ndarray, costs: np.ndarray, tail: int) -> tuple[float, float, float]:
     """Avg, Max and CVaR of one solution's scenario cost pool `costs @ x`;
     CVaR averages the `tail` largest costs."""
@@ -75,7 +83,7 @@ def score(
         raise ValueError("need at least one solution to score")
     if scenarios.K < 1:
         raise ValueError("empty scenario pool")
-    tail = max(1, math.ceil(alpha * scenarios.K))
+    tail = tail_count(alpha, scenarios.K)
     triples = []
     for sol in solutions:
         x = sol.as_array()

@@ -207,8 +207,9 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     depth-60 scan cap cut the search.  Direct calls only: a built
     ellipsoid's sample covariance is not diagonal, so `solve_auto` sends
     ellipsoid mixtures to `solve_bnb`.  The diagonal is read from the
-    ellipsoid's `sigma`, which on a built ellipsoid forms the n x n
-    matrix on first read.
+    ellipsoid's `sigma`: the matrix passed in, or on a built ellipsoid
+    its factor's F' F plus the ridge on the diagonal, formed as an
+    n x n array on first read.
     """
     found = None
     for weight, uset in mix.components:
@@ -311,14 +312,16 @@ def solve_bnb(
     component: sum_j p_j c_j . x never exceeds the objective, so each
     completion value is a valid bound (the Lagrangian bound for min-max
     problems, Kouvelis & Yu 1997).  A root search picks the members by
-    fictitious play (Robinson 1951): it first prices each set's fixed
-    `bound_member()`, then, at each step, the best-response members
-    `bound_member(xbar)` at the running average xbar of the completions
-    found so far, with one plain `nominal_solve` per step.  It keeps the
-    member sum with the largest value, whose completion becomes the
-    root, and stops once that value reaches the incumbent minus TOL or
-    after `_search_steps(n)` steps (one per 128 items).  Every
-    completion is an incumbent candidate under the true objective.
+    best responses: it first prices each set's fixed `bound_member()`,
+    then, at each step, the best-response members `bound_member(xbar)`
+    at the running average xbar of the completions found so far, with
+    one plain `nominal_solve` per step.  The sets answer that average,
+    but the path side prices only the latest member sum, not the
+    average of the sums so far.  The search keeps the member sum with
+    the largest value, whose completion becomes the root, and stops
+    once that value reaches the incumbent minus TOL or after
+    `_search_steps(n)` steps (one per 128 items).  Every completion is
+    an incumbent candidate under the true objective.
     Returns optimal=True iff the search ran to completion within the
     budgets.
 

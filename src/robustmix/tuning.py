@@ -12,12 +12,11 @@ perturbation.  The scalarization weights themselves are never tuned.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Metrics, Split, pair_metrics, scalarize
+from .evaluation import Metrics, Split, pair_metrics, scalarize, tail_count
 from .instances import Graph, Instance
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
@@ -119,7 +118,7 @@ def _metric_memo(costs: np.ndarray):
     Keyed by x alone: the metric depends on nothing else, and a path's
     arcs also fix its pair, so this hits exactly when (pair, x) would.
     """
-    tail = max(1, math.ceil(ALPHA * costs.shape[0]))
+    tail = tail_count(ALPHA, costs.shape[0])
 
     @functools.cache
     def metric(x: tuple[int, ...]) -> tuple[float, float, float]:

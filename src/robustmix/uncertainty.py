@@ -17,7 +17,9 @@ with the same arithmetic, `center()`, the members that branch-and-bound
 bounds with (`bound_member()` a fixed one, `bound_member(x)` a best
 response at a fractional x) and the per-item `spread()` it branches
 on.  A new family touches its class, `build_set` and, if it can be
-emitted as an LP, one entry of `mip_emit._FAMILIES`.
+emitted as an LP, one entry of `mip_emit._FAMILIES`.  Evaluations call
+`ndarray.dot`, not `@`: the same result, about 0.8 us sooner per call
+on vectors of tens of items.
 
 The lambda-scaled builders reconstruct standard data-driven
 constructions around the columnwise scenario mean: lambda interpolates
@@ -25,9 +27,10 @@ between the point set at the mean (lambda = 0) and, for interval and
 hull sets, the observed scenario range (lambda = 1).  For ellipsoids
 lambda is the squared-radius bound of (c - mu)' Sigma^-1 (c - mu) <=
 lambda, hence the sqrt(lambda) factor in the support function.  The
-ellipsoid keeps Sigma as a factor, Sigma = F'F + ridge I, and evaluates
-through it; a built one shares its matrix's K x n centred factor, so
-no n x n array is formed unless `sigma` is read.  The ellipsoid's
+ellipsoid's covariance is its factor, Sigma = F'F + ridge I: every
+evaluation goes through F, a built one shares its matrix's K x n
+centred F, and `sigma` (F'F plus the ridge on its diagonal, the sample
+covariance up to rounding) is formed only when read.  The ellipsoid's
 nonnegativity side constraint is deliberately dropped in worst_case,
 which makes it a slightly conservative upper bound.
 """
@@ -39,7 +42,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -122,35 +125,6 @@ class ScenarioMatrix:
         """1e-6 times the mean variance, summed from `factor`; it keeps
         degenerate data positive definite."""
         return 1e-6 * float(np.einsum("ki,ki->", self.factor, self.factor)) / self.n
-
-    def covariance(self, ridge: float | None = None) -> np.ndarray:
-        """Sample covariance of the columns plus `ridge` times the identity.
-
-        The n x n matrix that an ellipsoid's `sigma` reads; no
-        evaluation needs it.  The default ridge is 1e-6 times the trace
-        over n (`_default_ridge` up to rounding); that matrix is computed
-        once per matrix and shared, read-only.  A given ridge is
-        computed afresh.  Needs K >= 2."""
-        if ridge is None:
-            return self._default_covariance
-        return _sealed(self._with_ridge(self._sample_covariance(), ridge))
-
-    def _sample_covariance(self) -> np.ndarray:
-        return np.atleast_2d(np.cov(self.costs, rowvar=False, bias=False))
-
-    @staticmethod
-    def _with_ridge(sigma: np.ndarray, ridge: float) -> np.ndarray:
-        """sigma + ridge I, bit for bit, in place: the off-diagonal
-        entries get the signed zero ridge * 0.0 (which turns -0.0 into
-        0.0 for a positive ridge), the diagonal gets ridge."""
-        sigma += ridge * 0.0
-        sigma.flat[:: sigma.shape[0] + 1] += ridge
-        return sigma
-
-    @cached_property
-    def _default_covariance(self) -> np.ndarray:
-        sigma = self._sample_covariance()
-        return _sealed(self._with_ridge(sigma, 1e-6 * np.trace(sigma) / self.n))
 
     def subset(self, rows) -> "ScenarioMatrix":
         return ScenarioMatrix(_sealed(self.costs[np.asarray(rows, dtype=int)]))
@@ -247,7 +221,7 @@ class IntervalSet(_Box):
         return self.support(x), self.hi.copy()
 
     def support(self, x: np.ndarray) -> float:
-        return float(self.hi @ x)
+        return float(self.hi.dot(x))
 
     def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
         return self.hi  # the worst case for every x: the bound is tight
@@ -279,11 +253,11 @@ class BudgetedSet(_Box):
         dev, top = self._top(x)
         c = self.lo.copy()
         c[top] += self.deviations[top]
-        return float(self.lo @ x + dev[top].sum()), c
+        return float(self.lo.dot(x) + dev[top].sum()), c
 
     def support(self, x: np.ndarray) -> float:
         dev, top = self._top(x)
-        return float(self.lo @ x + dev[top].sum())
+        return float(self.lo.dot(x) + dev[top].sum())
 
     def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
         # lo is the only member guaranteed for every Gamma
@@ -313,12 +287,12 @@ class HullSet:
         return self.points.shape[0]
 
     def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        values = self.points @ x
+        values = self.points.dot(x)
         k = int(np.argmax(values))  # argmax keeps the lowest index on ties
         return float(values[k]), self.points[k].copy()
 
     def support(self, x: np.ndarray) -> float:
-        return float((self.points @ x).max())
+        return float(self.points.dot(x).max())
 
     def center(self) -> np.ndarray:
         return self._center
@@ -356,7 +330,7 @@ class EllipsoidSet:
     the one eigendecomposition that also gives the PSD verdict.
     `from_data` (what `build_set` calls) takes the matrix's shared
     K x n centred factor instead, so no n x n array is formed; its
-    `sigma` is `data.covariance(ridge)`, built only when read.
+    `sigma`, built only when read, is F' F plus `ridge` on the diagonal.
     """
 
     mu: np.ndarray
@@ -401,7 +375,6 @@ class EllipsoidSet:
             _check_psd(smallest + shift)
         self = cls.__new__(cls)
         self._init(data.mean, lam, factor, shift)
-        object.__setattr__(self, "_covariance", partial(data.covariance, ridge))
         return self
 
     def _init(self, mu, lam: float, factor: np.ndarray, ridge: float) -> None:
@@ -412,15 +385,15 @@ class EllipsoidSet:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """The n x n covariance F' F + ridge I, built on first read."""
-        return self._covariance()
+        """F' F + ridge I, built on first read; a given covariance as passed."""
+        sigma = self.factor.T.dot(self.factor)
+        sigma.flat[:: self.n + 1] += self.ridge
+        return _sealed(sigma)
 
     @property
     def n(self) -> int:
         return self.mu.shape[0]
 
-    # The evaluations call ndarray.dot, which on vectors of tens of items
-    # costs about 0.8 us less per call than the @ operator.
     def _quad(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """F x and x' Sigma x, clipped at zero."""
         fx = self.factor.dot(x)

@@ -312,7 +312,37 @@ class TestJsonOutput:
         assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+def solve_pairs(workdir, capsys) -> Path:
+    """Solve the interval mixture on the fixture's pairs; the solutions path."""
+    sol_path = workdir["dir"] / "sol.json"
+    mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
+    argv = ["solve", "--graph", workdir["graph"], "--scenarios", workdir["scenarios"],
+            "--mixture", mixture, "--pairs", workdir["pairs"], "--out", str(sol_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return sol_path
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1", "1.5"])
+    def test_alpha_outside_unit_interval_invalid(self, workdir, capsys, alpha):
+        sol_path = solve_pairs(workdir, capsys)
+        argv = ["evaluate", "--solutions", str(sol_path), "--scenarios",
+                workdir["scenarios"], f"--alpha={alpha}"]
+        assert main(argv) == 2
+        assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, 1.0, "1", None, True])
+    def test_non_binary_x_entry_invalid(self, workdir, capsys, entry):
+        sol_path = solve_pairs(workdir, capsys)
+        doc = json.loads(sol_path.read_text())
+        doc["solutions"][-1]["x"][0] = entry
+        sol_path.write_text(json.dumps(doc))
+        argv = ["evaluate", "--solutions", str(sol_path), "--scenarios", workdir["scenarios"]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"record {len(doc['solutions']) - 1} has an 'x' entry that is not 0 or 1" in err
+
     def test_scores_solution_file(self, workdir, capsys):
         mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
         sol_path = str(workdir["dir"] / "sol.json")

@@ -12,7 +12,7 @@ from robustmix import (
     split_scenarios,
     weight_grid,
 )
-from robustmix.evaluation import pair_metrics, parse_tradeoffs
+from robustmix.evaluation import pair_metrics, parse_tradeoffs, tail_count
 from robustmix.instances import Solution
 
 
@@ -94,6 +94,17 @@ class TestScore:
         assert score(sols, data, alpha=0.05) == expected
         pools = np.arange(12.0).reshape(4, 3).T  # costs 18, 22, 26 for x = 1
         assert pair_metrics(np.ones(4), pools, 2) == (22.0, 26.0, 24.0)
+
+    @pytest.mark.parametrize(
+        "alpha, K, tail", [(0.05, 20, 1), (0.05, 40, 2), (0.051, 40, 3), (1e-9, 7, 1), (1.0, 7, 7)]
+    )
+    def test_tail_count(self, alpha, K, tail):
+        assert tail_count(alpha, K) == tail
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, float("inf"), float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            score(*single_item_pool([3.0, 9.0]), alpha=alpha)
 
     def test_length_mismatch_rejected(self):
         data = ScenarioMatrix(np.ones((2, 2)))

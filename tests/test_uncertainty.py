@@ -347,7 +347,8 @@ def _sigma_x(sigma, mu, lam, x):
 
 class TestFactorForm:
     """Data-built ellipsoids evaluate through the K x n factor: the same
-    values as through `data.covariance()`, and no n x n array formed."""
+    values as through the ridged sample covariance (`np.cov`), up to
+    rounding, and no n x n array formed."""
 
     @pytest.mark.parametrize("K, n", [(2, 6), (5, 9), (40, 6), (12, 12)])
     @pytest.mark.parametrize("ridge", [None, 0.0, 0.3])
@@ -356,24 +357,20 @@ class TestFactorForm:
         costs[:, 1] = 2.5  # a constant column: zero covariances
         data = ScenarioMatrix(costs)
         ell = build_set(data, "ellipsoid", 3.0, ridge=ridge)
-        sigma = data.covariance(ridge)
-        if ridge is None:
-            assert ell.sigma is sigma  # shared
+        sigma = fresh_covariance(costs, ridge)
+        assert_within_1e12(ell.sigma, sigma)
         for x in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n), np.eye(n)[1]):
             value, member = ell.worst_case(x)
             ref_value, ref_member = _sigma_x(sigma, data.mean, 3.0, x)
             assert value == ell.support(x)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-            scale = np.abs(ref_member).max()
-            assert np.abs(member - ref_member).max() <= 1e-12 * scale
-        spread = np.sqrt(3.0 * np.diag(sigma))
-        assert np.abs(ell.spread() - spread).max() <= 1e-12 * spread.max()
+            assert_within_1e12(member, ref_member)
+        assert_within_1e12(ell.spread(), np.sqrt(3.0 * np.diag(sigma)))
 
     def test_building_and_evaluating_never_form_the_covariance(self, rng, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("n x n covariance formed")
 
-        monkeypatch.setattr(ScenarioMatrix, "covariance", forbidden)
         monkeypatch.setattr(np, "cov", forbidden)
         data = ScenarioMatrix(rng.uniform(1, 5, (6, 9)))
         mix = build_mixture(
@@ -619,6 +616,11 @@ def fresh_covariance(costs, ridge=None):
     return sigma + ridge * np.eye(costs.shape[1])
 
 
+def assert_within_1e12(actual, reference):
+    """Equal up to rounding: within 1e-12 of the reference's largest entry."""
+    assert np.abs(actual - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
 SPECS = [
     ("interval", 0.3, {}),
     ("budgeted", 0.7, {"gamma": 2}),
@@ -649,28 +651,37 @@ class TestMemos:
             if set_type == "ellipsoid":
                 assert np.array_equal(built.mu, costs.mean(axis=0))
                 sigma = fresh_covariance(costs, kw.get("ridge"))
-                assert built.sigma.tobytes() == sigma.tobytes()  # signed zeros too
+                assert_within_1e12(built.sigma, sigma)
         assert np.array_equal(data.col_min, costs.min(axis=0))
         assert np.array_equal(data.col_max, costs.max(axis=0))
 
     @pytest.mark.parametrize("ridge", [None, 0.25, 0.0, -0.0, -1e-12])
     def test_covariance_is_bit_identical_to_adding_ridge_times_identity(self, rng, ridge):
+        """A built `sigma` is F' F + ridge I from the factor and the ridge
+        that every evaluation uses, signed zeros included, and the ridged
+        sample covariance up to rounding."""
         costs = rng.uniform(1, 5, (7, 4))
         costs[:, 2] = 2.0  # a constant column with an exact mean: zero covariances
-        sigma = ScenarioMatrix(costs).covariance(ridge)
-        assert sigma.tobytes() == fresh_covariance(costs, ridge).tobytes()
-        # the in-place addition on signed zeros, which np.cov does not produce
-        zeros = np.array([[0.0, -0.0, 1.0], [-0.0, -0.0, 0.0], [1.0, 0.0, -0.0]])
-        shift = 0.5 if ridge is None else ridge
-        added = ScenarioMatrix._with_ridge(zeros.copy(), shift)
-        assert added.tobytes() == (zeros + shift * np.eye(3)).tobytes()
+        ell = build_set(ScenarioMatrix(costs), "ellipsoid", 1.0, ridge=ridge)
+        if ridge is not None:
+            assert ell.ridge == ridge
+        expected = ell.factor.T.dot(ell.factor) + ell.ridge * np.eye(4)
+        assert ell.sigma.tobytes() == expected.tobytes()
+        sigma = fresh_covariance(costs, ridge)
+        assert_within_1e12(ell.sigma, sigma)
 
-    def test_default_ridge_covariance_is_shared(self, rng):
-        data = ScenarioMatrix(rng.uniform(1, 5, (6, 3)))
+    def test_default_ridge_ellipsoids_share_factor_and_ridge(self, rng):
+        costs = rng.uniform(1, 5, (6, 3))
+        data = ScenarioMatrix(costs)
         first = build_set(data, "ellipsoid", 1.0)
         second = build_set(data, "ellipsoid", 4.0)
-        assert first.sigma is second.sigma is data.covariance()
-        assert build_set(data, "ellipsoid", 1.0, ridge=0.5).sigma is not first.sigma
+        assert first.factor is second.factor is data.factor
+        assert first.ridge == second.ridge == data._default_ridge
+        assert np.array_equal(first.sigma, second.sigma)
+        sample = fresh_covariance(costs, 0.0)
+        reference = 1e-6 * np.trace(sample) / 3  # the ridge through np.cov
+        assert abs(first.ridge - reference) <= 1e-12 * reference
+        assert build_set(data, "ellipsoid", 1.0, ridge=0.5).ridge == 0.5
 
     def test_set_memos_equal_fresh_values(self, rng):
         points = rng.uniform(0, 5, (5, 4))
@@ -737,7 +748,7 @@ class TestMemos:
         ell = build_set(data, "ellipsoid", 2.0)
         mix = Mixture(((1.0, hull), (1.0, budgeted), (1.0, ell)))
         arrays = [
-            data.costs, data.mean, data.col_min, data.col_max, data.covariance(),
+            data.costs, data.mean, data.col_min, data.col_max, data.factor,
             hull.points, hull.center(), hull.spread(), budgeted.lo,
             budgeted.deviations, ell.mu, ell.sigma, ell.spread(),
             mix.bound_costs, mix.branch_spread,
