@@ -174,6 +174,8 @@ def _cmd_pairs(args, argv, started):
 
 
 def _cmd_solve(args, argv, started):
+    if args.max_nodes is not None and args.max_nodes < 0:
+        raise ParseError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
     _check_columns(scenarios, graph.n)

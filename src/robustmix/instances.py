@@ -220,17 +220,15 @@ class Solution:
         return np.asarray(self.x, dtype=float)
 
 
-_NEGATIVE_PATH_COSTS = "spath oracle requires nonnegative costs"
-
-
 @dataclass(frozen=True)
 class OracleCosts:
     """A cost vector checked once for `nominal_solve`.
 
     Built by `check_costs`: `values` holds the n finite costs as Python
     floats, and `nonnegative` records whether none is negative, which
-    the path oracle requires.  A solver that calls the oracle many times
-    with one vector checks it once and passes this object to every call.
+    the oracle's sign rule reads (`can_price`).  A solver that calls the
+    oracle many times with one vector checks it once and passes this
+    object to every call.
     """
 
     n: int
@@ -254,12 +252,20 @@ def _check_finite(costs: np.ndarray) -> bool:
 def check_costs(costs, n: int) -> OracleCosts:
     """Check a length-n cost vector as `nominal_solve` does and keep a
     copy of it as Python floats; later changes to `costs` do not reach
-    the copy.  Negative costs are recorded, not rejected: selection
-    accepts them and the path oracle rejects them when it is called."""
+    the copy.  Negative costs are recorded, not rejected: `can_price`
+    decides whether the oracle takes them when it is called."""
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise ValueError(f"costs length {costs.shape} does not match n={n}")
     return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
+
+
+def can_price(inst: Instance, costs: OracleCosts) -> bool:
+    """The sign rule: does `nominal_solve` take `costs` on `inst`?  Any
+    sign is exact for selection and an acyclic graph's topological pass;
+    Dijkstra and the exhaustive search on a cyclic graph prune on cost."""
+    signed = inst.kind == "selection" or inst.graph.topological_order is not None
+    return signed or costs.nonnegative
 
 
 def _incidence(n: int, items) -> tuple[int, ...]:
@@ -414,9 +420,10 @@ def nominal_solve(
     call.  forced_in items must appear in the solution, forced_out must
     not.  Raises InfeasibleError when no feasible solution remains.
 
-    Ties break towards the lexicographically smallest item set: exactly
-    for selection, and for paths on an acyclic graph or with strictly
-    positive costs.
+    A negative cost raises ValueError only on a graph with a directed
+    cycle (`can_price`).  Ties break towards the lexicographically
+    smallest item set: exactly for selection, and for paths on an
+    acyclic graph or with strictly positive costs.
 
     Cost per call: selection sorts the items once.  A path on an acyclic
     graph, with or without forced_in items, takes one topological pass
@@ -452,8 +459,8 @@ def nominal_solve(
         chosen = sorted(fin | set(order[:need]))
         return Solution(_incidence(inst.n, chosen), float(sum(c[i] for i in chosen)))
 
-    if not costs.nonnegative:
-        raise ValueError(_NEGATIVE_PATH_COSTS)
+    if not can_price(inst, costs):
+        raise ValueError("spath oracle requires nonnegative costs")
     graph, s, t = inst.graph, inst.source, inst.target
     if graph.topological_order is not None:
         res = _spath_acyclic(graph, c, s, t, fin, fout)
@@ -503,9 +510,9 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     """Optimal nominal value of every column of an (n, B) cost block.
 
     Column j of the result equals `nominal_solve(inst, block[:, j]).value`
-    bit for bit; no solution is built.  The block is checked as
-    `nominal_solve` checks one cost vector, and a target that no path
-    reaches raises InfeasibleError with its message.
+    bit for bit, negative costs included; no solution is built.  The
+    block is checked as `nominal_solve` checks one cost vector, and a
+    target that no path reaches raises InfeasibleError with its message.
 
     Cost: on an acyclic path instance, one topological pass from the
     source to the target whose node labels are length-B vectors, so the
@@ -520,13 +527,11 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
-    nonnegative = _check_finite(block)
+    _check_finite(block)
     if inst.kind == "selection" or inst.graph.topological_order is None:
         return np.array(
             [nominal_solve(inst, block[:, j]).value for j in range(block.shape[1])]
         )
-    if not nonnegative:
-        raise ValueError(_NEGATIVE_PATH_COSTS)
 
     graph, s, t = inst.graph, inst.source, inst.target
     order, position = graph.topological_order

@@ -28,6 +28,7 @@ from .errors import CapExceededError, InfeasibleError, UnsupportedError
 from .instances import (
     Instance,
     Solution,
+    can_price,
     check_costs,
     enumerate_feasible,
     item_set,
@@ -320,8 +321,10 @@ def solve_bnb(
     average of the sums so far.  The search keeps the member sum with
     the largest value, whose completion becomes the root, and stops
     once that value reaches the incumbent minus TOL or after
-    `_search_steps(n)` steps (one per 128 items).  Every completion is
-    an incumbent candidate under the true objective.
+    `_search_steps(n)` steps (one per 128 items), or at a member sum
+    the oracle cannot price (`can_price`: a negative cost on a graph
+    with a directed cycle).  Every completion is an incumbent candidate
+    under the true objective.
     Returns optimal=True iff the search ran to completion within the
     budgets.
 
@@ -353,8 +356,8 @@ def solve_bnb(
         if root.value >= search.obj - TOL:
             break
         costs = check_costs(mix.weighted_sum("bound_member", xsum / step), inst.n)
-        if inst.kind == "spath" and not costs.nonnegative:
-            break  # a member with a negative cost: the path oracle cannot price it
+        if not can_price(inst, costs):
+            break
         sol = search.solve(costs)
         search.offer(sol.x)
         xsum += sol.as_array()

@@ -14,10 +14,10 @@ never go stale.
 Each family's class is the one place that defines its behaviour:
 `name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
 with the same arithmetic, `center()`, the members that branch-and-bound
-bounds with (`bound_member()` a fixed one, `bound_member(x)` a best
-response at a fractional x) and the per-item `spread()` it branches
-on.  A new family touches its class, `build_set` and, if it can be
-emitted as an LP, one entry of `mip_emit._FAMILIES`.  Evaluations call
+bounds with (`bound_member()` a fixed one, `bound_member(x)` the
+worst-case member at a fractional x) and the per-item `spread()` it
+branches on.  A new family touches its class, `build_set` and, if it
+can be emitted as an LP, one entry of `mip_emit._FAMILIES`.  Evaluations call
 `ndarray.dot`, not `@`: the same result, about 0.8 us sooner per call
 on vectors of tens of items.
 
@@ -32,7 +32,8 @@ evaluation goes through F, a built one shares its matrix's K x n
 centred F, and `sigma` (F'F plus the ridge on its diagonal, the sample
 covariance up to rounding) is formed only when read.  The ellipsoid's
 nonnegativity side constraint is deliberately dropped in worst_case,
-which makes it a slightly conservative upper bound.
+which makes it a slightly conservative upper bound whose members may
+have negative entries (`instances.can_price` says where they price).
 """
 
 from __future__ import annotations
@@ -417,23 +418,7 @@ class EllipsoidSet:
         return self.mu.copy()
 
     def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
-        """mu, or the worst case's argmax at x pulled towards mu just far
-        enough that no entry is negative (the path oracle rejects
-        negative costs); the segment from mu to the argmax lies in the
-        set.  If mu is not positive at an entry the argmax lowers, no
-        pull keeps that entry nonnegative, and the member is mu."""
-        if x is None:
-            return self.center()
-        step = self.worst_case(x)[1] - self.mu
-        down = step < 0
-        t = float(np.min(self.mu[down] / -step[down], initial=1.0))
-        if t <= 0:
-            return self.center()
-        member = self.mu + t * step
-        # rounding can leave -eps where t makes an entry zero; every
-        # entry that falls along the step has mu > 0 here
-        member[down] = np.maximum(member[down], 0.0)
-        return member
+        return self.center() if x is None else self.worst_case(x)[1]
 
     def spread(self) -> np.ndarray:
         """sqrt(lam Sigma_ii): Sigma's diagonal from F's column sums of squares."""

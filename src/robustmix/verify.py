@@ -113,6 +113,8 @@ SUITES = {"submodular": suite_submodular, "ratio": suite_ratio, "dual": suite_du
 
 
 def run_suites(suite: str, seed: int = 0, trials: int = 100) -> bool:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     ok = True
     for name, run in SUITES.items():
         if suite in (name, "all"):

@@ -172,6 +172,32 @@ class TestSolve:
         assert not any(rec["optimal"] for rec in records)
         assert os.path.exists(out + ".manifest.json")
 
+    @pytest.mark.parametrize("method", sorted(cli.METHODS))
+    def test_negative_max_nodes_invalid(self, workdir, capsys, monkeypatch, method):
+        def no_solve(inst, mix, args):
+            raise AssertionError("solved despite a negative --max-nodes")
+
+        monkeypatch.setitem(cli.METHODS, method, no_solve)
+        mixture = write_mixture(
+            workdir["dir"], [{"weight": 1.0, "type": "hull", "lambda": 0.5}]
+        )
+        out = workdir["dir"] / "sol.json"
+        code = main(
+            [
+                "solve",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--pairs", workdir["pairs"],
+                "--method", method,
+                "--max-nodes", "-1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert "--max-nodes must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedMixture:
     @pytest.mark.parametrize(
@@ -571,6 +597,13 @@ class TestVerify:
         code = main(["verify", "--suite", "dual", "--trials", "10"])
         assert code == 0
         assert "dual: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_trials_below_one_invalid(self, capsys, trials):
+        assert main(["verify", "--suite", "dual", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert f"trials must be at least 1, got {trials}" in captured.err
+        assert "ok" not in captured.out
 
     def test_all_suites_run_in_order(self, capsys):
         assert main(["verify", "--suite", "all", "--trials", "3"]) == 0

@@ -20,7 +20,7 @@ from robustmix import (
     sample_st_pairs,
 )
 from robustmix import instances
-from robustmix.instances import _spath_branching, enumerate_feasible
+from robustmix.instances import _spath_branching, enumerate_feasible, item_set
 
 # Two equal-cost 0 -> 2 paths: {1} is found first, {0, 2} is
 # lexicographically smaller and reaches node 2 over a zero-cost arc.
@@ -30,6 +30,8 @@ ZERO_TIE_COSTS = (0.0, 1.0, 1.0)
 CYCLIC = Graph(
     5, ((0, 1), (1, 2), (2, 1), (1, 3), (2, 3), (3, 4), (0, 2), (3, 2), (2, 4))
 )
+# A 0 -> 3 instance with four arcs, like the diamond, and the cycle 1 -> 2 -> 1.
+CYCLIC4_INST = Instance.spath(Graph(4, ((0, 1), (1, 2), (2, 1), (2, 3))), 0, 3)
 
 
 def relabelled_grid(rng, width, height):
@@ -149,9 +151,9 @@ class TestNominalSolve:
         with pytest.raises(ValueError, match="overlap"):
             nominal_solve(diamond_inst, (1, 1, 1, 1), forced_in={0}, forced_out={0})
 
-    def test_negative_spath_costs_rejected(self, diamond_inst):
+    def test_negative_spath_costs_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            nominal_solve(diamond_inst, (-1, 1, 1, 1))
+            nominal_solve(CYCLIC4_INST, (1, 1, -1, 1))
 
     def test_cost_length_checked(self, diamond_inst):
         with pytest.raises(ValueError):
@@ -337,21 +339,21 @@ class TestCheckedCosts:
             ((-1.0, 1.0, 1.0, 1.0), (), (), "spath oracle requires nonnegative costs"),
         ],
     )
-    def test_raw_input_errors_in_order(
-        self, diamond_inst, costs, forced_in, forced_out, message
-    ):
+    def test_raw_input_errors_in_order(self, costs, forced_in, forced_out, message):
+        # on a graph with a directed cycle, where negative costs are rejected
         with pytest.raises(ValueError, match=message):
-            nominal_solve(diamond_inst, costs, forced_in, forced_out)
+            nominal_solve(CYCLIC4_INST, costs, forced_in, forced_out)
         # the same vector, checked first, fails at the same check
         with pytest.raises(ValueError, match=message):
-            nominal_solve(diamond_inst, check_costs(costs, 4), forced_in, forced_out)
+            nominal_solve(CYCLIC4_INST, check_costs(costs, 4), forced_in, forced_out)
 
     def test_negative_costs_are_recorded_not_rejected(self, diamond_inst):
         checked = check_costs((0.0, -1.0, 2.0, 3.0), 4)
         assert not checked.nonnegative
         assert nominal_solve(Instance.selection(4, 2), checked).items == (0, 1)
+        assert nominal_solve(diamond_inst, checked).items == (0, 1)
         with pytest.raises(ValueError, match="nonnegative"):
-            nominal_solve(diamond_inst, checked)
+            nominal_solve(CYCLIC4_INST, checked)
 
     def test_wrong_n_rejected(self, diamond_inst):
         with pytest.raises(ValueError, match="checked costs for n=3 do not match n=4"):
@@ -466,15 +468,66 @@ class TestNominalValues:
             (np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]), "nonnegative"),
         ],
     )
-    def test_rejects_bad_blocks(self, diamond_inst, block, message):
+    def test_rejects_bad_blocks(self, block, message):
         with pytest.raises(ValueError, match=message):
-            nominal_values(diamond_inst, block)
+            nominal_values(CYCLIC4_INST, block)
 
     def test_rejects_negative_block_on_cyclic_graph(self):
         block = np.ones((CYCLIC.n, 2))
         block[3, 1] = -1.0
         with pytest.raises(ValueError, match="nonnegative"):
             nominal_values(Instance.spath(CYCLIC, 0, 4), block)
+
+
+class TestSignedCosts:
+    """Negative costs on selection and acyclic paths, against brute force."""
+
+    def test_match_enumeration_with_forced_items_and_ties(self):
+        rng = np.random.default_rng(20261019)
+        feasible = ties = 0
+        for _ in range(500):
+            if rng.random() < 0.2:
+                n = int(rng.integers(2, 8))
+                inst = Instance.selection(n, int(rng.integers(1, n + 1)))
+            else:
+                inst, _ = random_grid_case(rng)
+            top = int(rng.choice([1, 3]))  # costs in -1..1 tie often
+            costs = rng.integers(-top, top + 1, inst.n).astype(float)
+            feasible_x = list(enumerate_feasible(inst))
+            pool = np.arange(inst.n)
+            if feasible_x and rng.random() < 0.7:  # mostly items of one solution
+                pool = np.flatnonzero(feasible_x[rng.integers(len(feasible_x))])
+            k = min(int(rng.integers(0, 3)), len(pool))
+            fin = {int(a) for a in rng.choice(pool, k, replace=False)}
+            rest = [a for a in range(inst.n) if a not in fin]
+            n_out = min(int(rng.integers(0, 3)), len(rest))
+            fout = {int(a) for a in rng.choice(rest, n_out, replace=False)}
+            allowed = [
+                (float(costs @ np.array(x)), item_set(x))
+                for x in feasible_x
+                if all(x[a] for a in fin) and not any(x[a] for a in fout)
+            ]
+            if not allowed:
+                with pytest.raises(InfeasibleError):
+                    nominal_solve(inst, costs, fin, fout)
+                continue
+            best = min(allowed)
+            sol = nominal_solve(inst, costs, fin, fout)
+            assert (sol.value, sol.items) == best
+            feasible += 1
+            ties += [v for v, _ in allowed].count(best[0]) > 1
+        assert feasible > 300 and ties > 30
+
+    def test_values_match_per_column_solves(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(100):
+            inst, _ = random_grid_case(rng)
+            block = rng.integers(-3, 4, (inst.n, 4)).astype(float)
+            try:
+                TestNominalValues.assert_columns_match(inst, block)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    nominal_solve(inst, block[:, 0])
 
 
 class TestGraphStructure:

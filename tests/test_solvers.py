@@ -559,8 +559,9 @@ class TestBnb:
 
     def test_search_members_lie_in_their_sets(self, monkeypatch):
         """Every best-response member the root search asks a set for is
-        a member of it, and nonnegative on path instances (the data are)."""
-        produced = []
+        a member of it.  An ellipsoid's members may have negative costs;
+        on a graph with a directed cycle the search prices none of them."""
+        produced, priced = [], []
 
         def recorder(member_rule):
             def recording(uset, x=None):
@@ -571,30 +572,49 @@ class TestBnb:
 
             return recording
 
+        def pricing(inst, costs, **forced):
+            priced.append(costs)
+            return nominal_solve(inst, costs, **forced)
+
         for cls in (IntervalSet, BudgetedSet, HullSet, EllipsoidSet):
             monkeypatch.setattr(cls, "bound_member", recorder(cls.bound_member))
+        monkeypatch.setattr(solvers, "nominal_solve", pricing)
         monkeypatch.setattr(solvers, "_search_steps", lambda n: 4)
         cases = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))
         cases += list(bound_cases(np.random.default_rng(5)))
         cases += [corner_to_corner(width, README_MIX) for width in (6, 8)]
+        rng = np.random.default_rng(11)
+        cases += [
+            (Instance.spath(CYCLIC, 0, 4), random_mixture(rng, CYCLIC.n, families))
+            for families in [("ellipsoid",)] * 10 + [IN_PROCESS_FAMILIES] * 10
+        ]
+        negative_on_cycle = 0
         for inst, mix in cases:
-            start = len(produced)
+            start, first_priced = len(produced), len(priced)
             solve_bnb(inst, mix)
+            cyclic = inst.kind == "spath" and inst.graph.topological_order is None
             for uset, member in produced[start:]:
                 assert in_set(uset, member), uset.name
-                assert inst.kind == "selection" or member.min() >= 0, uset.name
+                negative_on_cycle += cyclic and member.min() < 0
+            if cyclic:
+                assert all(costs.nonnegative for costs in priced[first_priced:])
+        assert negative_on_cycle > 0
         assert {type(uset) for uset, _ in produced} == {
             IntervalSet, BudgetedSet, HullSet, EllipsoidSet
         }
 
-    def test_search_stops_at_a_member_with_a_negative_cost(self, diamond_inst):
-        # the centre (1, 2, 1, 1.5) prices; the best response at the root
-        # path {2, 3} is the second point, which the path oracle rejects
-        points = np.array([[3.0, 3.0, -1.0, 0.0], [-1.0, 1.0, 3.0, 3.0]])
+    def test_search_stops_at_a_member_with_a_negative_cost(self):
+        # the centre prices; the best response at the root path {2, 3} is
+        # the second point, which the path oracle rejects on a graph with
+        # a directed cycle, so the search stops there
+        # the diamond plus the cycle 1 -> 2 -> 1
+        graph = Graph(4, ((0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (2, 1)))
+        inst = Instance.spath(graph, 0, 3)
+        points = np.array([[3, 3, -1, 0, 5, 5], [-1, 1, 3, 3, 5, 5]], dtype=float)
         mix = Mixture(((1.0, HullSet(points)),))
-        report = solve_bnb(diamond_inst, mix)
+        report = solve_bnb(inst, mix)
         assert report.optimal
-        assert report.objective == solve_brute_force(diamond_inst, mix).objective
+        assert report.objective == solve_brute_force(inst, mix).objective
 
     def test_oracle_calls_counts_every_attempt(self, counted_oracle):
         graph, data = gen_synthetic(4, 4, 10, "two_block", seed=2)

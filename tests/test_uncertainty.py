@@ -493,19 +493,14 @@ class TestBoundMember:
         ell = EllipsoidSet(np.array([1.0, 1.0]), np.eye(2), 4.0)
         assert np.array_equal(ell.bound_member(x), ell.worst_case(x)[1])
 
-    def test_ellipsoid_member_pulled_to_nonnegative(self):
-        # the argmax at (1, 0) is (3, -0.8); pulled to t = 1 / 1.8 of the
-        # way from mu, it is (1 + 2 / 1.8, 0), inside the ellipsoid
-        ell = EllipsoidSet(np.ones(2), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
+    @pytest.mark.parametrize("mu", [(1.0, 1.0), (1.0, 0.0)])
+    def test_ellipsoid_member_keeps_negative_entries(self, mu):
+        # the argmax at (1, 0) is mu + (2, -1.8): its second entry is negative
+        ell = EllipsoidSet(np.array(mu), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
         x = np.array([1.0, 0.0])
-        assert ell.worst_case(x)[1] == pytest.approx([3.0, -0.8])
         member = ell.bound_member(x)
-        assert member == pytest.approx([1.0 + 2.0 / 1.8, 0.0])
-        assert member.min() >= 0
-
-    def test_ellipsoid_member_is_mu_when_mu_blocks_the_pull(self):
-        ell = EllipsoidSet(np.array([1.0, 0.0]), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
-        assert np.array_equal(ell.bound_member(np.array([1.0, 0.0])), ell.mu)
+        assert np.array_equal(member, ell.worst_case(x)[1])
+        assert member == pytest.approx(np.array(mu) + [2.0, -1.8])
 
 
 class TestCenter:
