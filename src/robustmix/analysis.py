@@ -116,14 +116,14 @@ def dual_certificate(mix: Mixture, x) -> DualCertificate:
     return DualCertificate(tuple(pis), tuple(rhos), objective)
 
 
-def check_ratio(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> dict:
+def check_ratio(inst: Instance, mix: Mixture) -> dict:
     """Midpoint-approximation audit on an all-hull mixture.
 
     Returns {"ratio", "bound", "ok"}; ok iff 1 - tol <= ratio <= bound + tol.
     """
     mix.require("hull", "check_ratio needs hull components")
     mid = solve_midpoint_approx(inst, mix)
-    opt = solve_brute_force(inst, mix, cap=cap)
+    opt = solve_brute_force(inst, mix)
     if opt.objective <= TOL:
         ratio = 1.0 if mid.objective <= TOL else float("inf")
     else:

@@ -420,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--max-parents", type=int, default=3)
     p.add_argument("--ratio", type=float, default=0.75)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--weight-grid", type=float, default=None)
+    weights = p.add_mutually_exclusive_group(required=True)
+    weights.add_argument("--weights", default=None)
+    weights.add_argument("--weight-grid", type=float, default=None)
     p.add_argument("--out-config", required=True)
     p.add_argument("--out-trace", default=None)
     common(p)
@@ -455,9 +456,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
-    if args.command == "tune" and args.weights is None and args.weight_grid is None:
-        print("error: tune needs --weights or --weight-grid", file=sys.stderr)
-        return EXIT_INVALID
     try:
         return args.func(args, argv, started)
     except (ParseError, UnsupportedError, ValueError) as exc:

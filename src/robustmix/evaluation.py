@@ -4,8 +4,8 @@ weight grids and trade-off exports.
 Per solution (one per origin-destination pair), the cost under each
 scenario forms a pool; Avg averages the pool, Max takes its worst value
 and CVaR averages the worst ceil(alpha K) values.  All three are then
-averaged over pairs.  The tail count (`tail_count`) uses ceiling
-rounding so the tail is never empty.
+averaged over pairs (`mean_metrics`).  The tail count (`tail_count`)
+uses ceiling rounding so the tail is never empty.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ class Split:
 
 
 def split_scenarios(K: int, ratio: float, seed: int = 0) -> Split:
-    """Random train/test split with |train| = floor(ratio K)."""
+    """Random train/test split with |train| = floor(ratio K) >= 1."""
     if K < 2:
         raise ValueError("need at least 2 scenarios to split")
     if not (0.0 < ratio < 1.0):
         raise ValueError("ratio must lie strictly between 0 and 1")
+    cut = math.floor(ratio * K)  # below K, as ratio < 1: the test side is never empty
+    if cut == 0:
+        raise ValueError(f"ratio {ratio} leaves the train side of {K} scenarios empty")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(K)
-    cut = math.floor(ratio * K)
     train = tuple(sorted(int(i) for i in perm[:cut]))
     test = tuple(sorted(int(i) for i in perm[cut:]))
     return Split(train, test)
@@ -73,6 +75,12 @@ def pair_metrics(x: np.ndarray, costs: np.ndarray, tail: int) -> tuple[float, fl
     )
 
 
+def mean_metrics(triples) -> Metrics:
+    """The mean over pairs of (avg, max, cvar) triples, summed in pair
+    order: scoring, tuning and baselines all average through it."""
+    return Metrics(*np.array(triples).mean(axis=0).tolist())
+
+
 def score(
     solutions: list[Solution],
     scenarios: ScenarioMatrix,
@@ -90,10 +98,7 @@ def score(
         if x.shape[0] != scenarios.n:
             raise ValueError("solution length does not match scenario columns")
         triples.append(pair_metrics(x, scenarios.costs, tail))
-    avgs, maxs, cvars = zip(*triples)
-    return Metrics(
-        float(np.mean(avgs)), float(np.mean(maxs)), float(np.mean(cvars))
-    )
+    return mean_metrics(triples)
 
 
 def scalarize(m: Metrics, w: tuple[float, float, float]) -> float:

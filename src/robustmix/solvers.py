@@ -9,9 +9,10 @@ intervals (dichotomic scan over mean-variance scalarizations).  A
 generic best-first branch-and-bound, a brute-force oracle and a local
 search cover everything else.
 
-Every solver keeps its best candidate, the incumbent, by one rule: a
-candidate replaces it when its objective is lower by more than 1e-12,
-or within 1e-12 and its item set is lexicographically smaller.
+Every solver keeps its best candidate, the incumbent, by one rule in
+`_Search.offer`: a candidate replaces it when its objective is lower by
+more than 1e-12, or within 1e-12 and its item set is lexicographically
+smaller.
 """
 
 from __future__ import annotations
@@ -143,9 +144,10 @@ def solve_budgeted_mix(
     THRESHOLD_BLOCK columns, never materialised whole, and each block is
     priced by one `nominal_values` call: on an acyclic graph one
     vector-label topological pass per block, elsewhere one oracle call
-    per column.  Values are replayed through the incumbent rule;
-    `nominal_solve` runs only where that rule needs a solution: for both
-    sides of a tie within 1e-12, and for the final best.
+    per column.  A column is solved only where the incumbent rule needs
+    it: both sides of a tie within 1e-12 are offered to it, and at the
+    end the best column, if still unsolved.  A column's solution has a
+    true objective no larger than the column's value.
     """
     candidate_lists = _threshold_candidates(mix)
     total = math.prod(len(cands) for cands in candidate_lists)
@@ -159,8 +161,8 @@ def solve_budgeted_mix(
         for w, uset in mix.components
     ]
     search = _Search(inst, mix)
-    # the best reduced value, its cost column and, once needed, its solution
-    best_value = best_costs = best_sol = None
+    # the best reduced value, and its cost column until that column is solved
+    best_value = unsolved = None
     tuples = itertools.product(*candidate_lists)
     while chunk := list(itertools.islice(tuples, THRESHOLD_BLOCK)):
         pis = np.array(chunk).T  # one row of thresholds per component
@@ -173,17 +175,14 @@ def solve_budgeted_mix(
         search.calls += pis.shape[1]
         for j, value in enumerate(values.tolist()):
             if best_value is None or value < best_value - 1e-12:
-                best_value, best_costs, best_sol = value, block[:, j].copy(), None
-            elif value <= best_value + 1e-12:
-                # a tie goes to the smaller item set: both solutions are needed
-                if best_sol is None:
-                    best_sol = search.solve(best_costs)
-                sol = search.solve(block[:, j])
-                if sol.items < best_sol.items:
-                    best_value, best_sol = value, sol
-    if best_sol is None:
-        best_sol = search.solve(best_costs)
-    search.offer(best_sol.x)
+                best_value, unsolved = value, block[:, j].copy()
+            elif value <= best_value + 1e-12:  # a tie: offer both sides' solutions
+                if unsolved is not None:
+                    search.offer(search.solve(unsolved).x)
+                    unsolved = None
+                search.offer(search.solve(block[:, j]).x)
+    if unsolved is not None:
+        search.offer(search.solve(unsolved).x)
     return search.report("budgeted-enum", True)
 
 
@@ -208,31 +207,27 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     depth-60 scan cap cut the search.  Direct calls only: a built
     ellipsoid's sample covariance is not diagonal, so `solve_auto` sends
     ellipsoid mixtures to `solve_bnb`.  The diagonal is read from the
-    ellipsoid's `sigma`: the matrix passed in, or on a built ellipsoid
-    its factor's F' F plus the ridge on the diagonal, formed as an
-    n x n array on first read.
+    ellipsoid's `sigma`, its factor's F' F plus the ridge on the
+    diagonal, formed as an n x n array on first read.  The linear term
+    is the mixture's `bound_costs` (interval `hi` and ellipsoid `mu`,
+    weighted), and every candidate is offered under its true objective.
     """
-    found = None
-    for weight, uset in mix.components:
+    ell = None
+    for _, uset in mix.components:
         if uset.name == "ellipsoid":
-            if found is not None:
+            if ell is not None:
                 raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
             sigma = uset.sigma
             if not np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-12):
                 raise UnsupportedError("ellipsoid covariance must be diagonal")
-            found = weight, uset
+            ell = uset
         elif uset.name != "interval":
             raise UnsupportedError(
                 "solve_ellipsoid_parametric allows only interval and ellipsoid components"
             )
-    if found is None:
+    if ell is None:
         return solve_interval_mix(inst, mix)
-    ell_weight, ell = found
-    linear = np.zeros(inst.n)
-    for weight, uset in mix.components:
-        if uset.name == "interval":
-            linear += weight * uset.hi
-    linear = linear + ell_weight * ell.mu
+    linear = mix.bound_costs
     spread = ell.lam * np.diag(ell.sigma)  # S(x) = spread . x
     search = _Search(inst, mix)
 
@@ -287,10 +282,8 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
 
     scan(sol_l, sol_r)
 
-    for x, sol in sorted(candidates.items()):
-        lin, var = pair(sol)
-        search.offer(x, lin + ell_weight * np.sqrt(max(var, 0.0)))
-    search.obj = evaluate_wrp(mix, search.x)  # report the objective, not its scan form
+    for x in sorted(candidates):
+        search.offer(x)
     return search.report("parametric", proved)
 
 

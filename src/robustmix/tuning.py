@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Metrics, Split, pair_metrics, scalarize, tail_count
+from .evaluation import Metrics, Split, mean_metrics, pair_metrics, scalarize, tail_count
 from .instances import Graph, Instance
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
@@ -132,14 +132,14 @@ def solve_for_pair(
     pair: tuple[int, int],
     mix: Mixture,
     node_cap: int | None = None,
-    seed: int = 0,
 ) -> SolveReport:
     """Solver used inside tuning: capped exact search with a local
-    search fallback when the cap is hit."""
+    search fallback, one descent from the nominal start, when the cap
+    is hit (only branch-and-bound stops unproven)."""
     inst = Instance.spath(graph, pair[0], pair[1])
     report = solve_auto(inst, mix, max_nodes=node_cap)
-    if not report.optimal and report.method == "bnb":
-        fallback = solve_local_search(inst, mix, restarts=0, seed=seed)
+    if not report.optimal:
+        fallback = solve_local_search(inst, mix, restarts=0)
         if fallback.objective < report.objective - 1e-12:
             report = fallback
     return report
@@ -174,7 +174,7 @@ def tune(
     generation = 0
 
     def cost(cfg_id: int) -> float:
-        return scalarize(Metrics(*np.array(triples[cfg_id]).mean(axis=0)), w)
+        return scalarize(mean_metrics(triples[cfg_id]), w)
 
     while evals < space.budget:
         n_g = min(P, 5 * (2**generation))
@@ -185,7 +185,7 @@ def tune(
                 if not done:
                     mixtures[cfg_id] = build_mixture(configs[cfg_id].to_specs(), train)
                 report = solve_for_pair(
-                    graph, pairs[len(done)], mixtures[cfg_id], TUNE_NODE_CAP, seed
+                    graph, pairs[len(done)], mixtures[cfg_id], TUNE_NODE_CAP
                 )
                 done.append(metric(report.solution.x))
                 evals += 1
@@ -258,7 +258,5 @@ def baseline_grid(
             x = solve_for_pair(graph, pair, mix, BASELINE_NODE_CAP).solution.x
             triples_in.append(metric_in(x))
             triples_out.append(metric_out(x))
-        m_in = Metrics(*np.array(triples_in).mean(axis=0))
-        m_out = Metrics(*np.array(triples_out).mean(axis=0))
-        results.append((lam, m_in, m_out))
+        results.append((lam, mean_metrics(triples_in), mean_metrics(triples_out)))
     return results

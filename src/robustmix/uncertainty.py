@@ -27,10 +27,11 @@ between the point set at the mean (lambda = 0) and, for interval and
 hull sets, the observed scenario range (lambda = 1).  For ellipsoids
 lambda is the squared-radius bound of (c - mu)' Sigma^-1 (c - mu) <=
 lambda, hence the sqrt(lambda) factor in the support function.  The
-ellipsoid's covariance is its factor, Sigma = F'F + ridge I: every
-evaluation goes through F, a built one shares its matrix's K x n
-centred F, and `sigma` (F'F plus the ridge on its diagonal, the sample
-covariance up to rounding) is formed only when read.  The ellipsoid's
+ellipsoid's covariance is its factor, Sigma = F'F + ridge I, whether
+the covariance was given or built: every evaluation goes through F, a
+built one shares its matrix's K x n centred F, and `sigma` (F'F plus
+the ridge on its diagonal: the given matrix, or the sample covariance,
+up to rounding) is formed only when read.  The ellipsoid's
 nonnegativity side constraint is deliberately dropped in worst_case,
 which makes it a slightly conservative upper bound whose members may
 have negative entries (`instances.can_price` says where they price).
@@ -328,10 +329,11 @@ class EllipsoidSet:
     mu . x + sqrt(lam (|F x|^2 + ridge x . x)).  `EllipsoidSet(mu,
     sigma, lam)` checks a given covariance for symmetry (within 1e-9)
     and PSD (smallest eigenvalue at least -1e-9) and factors it with
-    the one eigendecomposition that also gives the PSD verdict.
-    `from_data` (what `build_set` calls) takes the matrix's shared
-    K x n centred factor instead, so no n x n array is formed; its
-    `sigma`, built only when read, is F' F plus `ridge` on the diagonal.
+    the one eigendecomposition that also gives the PSD verdict; the
+    matrix itself is not kept.  `from_data` (what `build_set` calls)
+    takes the matrix's shared K x n centred factor instead, so no n x n
+    array is formed.  Either way `sigma`, built only when read, is
+    F' F plus `ridge` on the diagonal.
     """
 
     mu: np.ndarray
@@ -342,11 +344,10 @@ class EllipsoidSet:
 
     def __init__(self, mu, sigma, lam: float):
         mu = _owned(mu)
-        sigma = _owned(sigma)
+        sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
-        # exact equality is the common case and several times cheaper
-        if not (np.array_equal(sigma, sigma.T) or np.allclose(sigma, sigma.T, atol=1e-9)):
+        if not np.allclose(sigma, sigma.T, atol=1e-9):
             raise ValueError("sigma must be symmetric")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("sigma must be finite")
@@ -354,7 +355,6 @@ class EllipsoidSet:
         _check_psd(eigenvalues.min(initial=0.0))
         factor = (vectors * np.sqrt(np.maximum(eigenvalues, 0.0))).T
         self._init(mu, lam, _sealed(factor), 0.0)
-        self.__dict__["sigma"] = sigma  # the cached value of `sigma`
 
     @classmethod
     def from_data(
@@ -386,7 +386,7 @@ class EllipsoidSet:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """F' F + ridge I, built on first read; a given covariance as passed."""
+        """F' F + ridge I, built on first read."""
         sigma = self.factor.T.dot(self.factor)
         sigma.flat[:: self.n + 1] += self.ridge
         return _sealed(sigma)
@@ -435,8 +435,8 @@ class PolyhedronSet:
     name = "polyhedron"
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        d = np.asarray(self.d, dtype=float)
+        V = _owned(self.V)
+        d = _owned(self.d)
         if V.ndim != 2 or d.shape != (V.shape[0],):
             raise ValueError("V must be m x n and d length m")
         object.__setattr__(self, "V", V)
@@ -616,6 +616,9 @@ def mixture_spec_from_json(text: str) -> list[dict]:
     for i, comp in enumerate(comps):
         if not isinstance(comp, dict) or "weight" not in comp or "type" not in comp:
             raise ParseError(f"component {i} needs 'weight' and 'type'")
+        for key in ("weight", "lambda", "gamma", "ridge"):
+            if isinstance(comp.get(key), bool):
+                raise ParseError(f"component {i} {key} {comp[key]!r} is not a number")
         try:
             spec = {
                 "weight": float(comp["weight"]),
@@ -624,7 +627,7 @@ def mixture_spec_from_json(text: str) -> list[dict]:
             }
             if "gamma" in comp:
                 gamma = comp["gamma"]
-                if isinstance(gamma, bool) or not float(gamma).is_integer():
+                if not float(gamma).is_integer():
                     raise ParseError(f"component {i} gamma {gamma!r} is not an integer")
                 spec["gamma"] = int(gamma)
             if "ridge" in comp:

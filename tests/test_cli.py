@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -268,12 +269,9 @@ class TestInvalidValues:
             (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
              [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 2.7}],
              "gamma 2.7 is not an integer"),
-            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
-             [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": True}],
-             "gamma True is not an integer"),
         ],
         ids=["header-only-pairs", "weight-grid-zero", "weight-grid-negative",
-             "weights-nan", "gamma-fractional", "gamma-bool"],
+             "weights-nan", "gamma-fractional"],
     )
     def test_exits_2(self, workdir, capsys, argv, components, named):
         header_only = workdir["dir"] / "header_only.csv"
@@ -298,6 +296,51 @@ class TestInvalidValues:
         argv = ["solve", "--graph", workdir["graph"], "--scenarios",
                 workdir["scenarios"], "--mixture", mixture, "--pairs", workdir["pairs"]]
         assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "key, component",
+        [
+            ("weight", {"weight": True, "type": "interval", "lambda": 0.5}),
+            ("lambda", {"weight": 1.0, "type": "interval", "lambda": False}),
+            ("gamma", {"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": True}),
+            ("ridge", {"weight": 1.0, "type": "ellipsoid", "lambda": 1.0, "ridge": True}),
+        ],
+        ids=["weight", "lambda", "gamma", "ridge"],
+    )
+    def test_json_boolean_exits_2(self, workdir, capsys, key, component):
+        """A JSON boolean is not a number in any numeric mixture field."""
+        mixture = write_mixture(workdir["dir"], [component])
+        argv = ["solve", "--graph", workdir["graph"], "--scenarios",
+                workdir["scenarios"], "--mixture", mixture, "--pairs", workdir["pairs"]]
+        assert main(argv) == 2
+        named = f"component 0 {key} {component[key]!r} is not a number"
+        assert named in capsys.readouterr().err
+
+
+class TestEmptySplitSide:
+    """A --ratio that leaves the training side of the split empty exits 2
+    naming it, before any statistic of an empty matrix can warn."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baseline", "--type", "hull", "--out"],
+            ["tune", "--weights", "0.4,0.3,0.3", "--out-config"],
+        ],
+        ids=["baseline", "tune"],
+    )
+    def test_exits_2_without_warning(self, workdir, capsys, argv):
+        five = workdir["dir"] / "five.csv"
+        lines = Path(workdir["scenarios"]).read_text().splitlines()
+        five.write_text("\n".join(lines[:6]) + "\n")  # the header and 5 scenarios
+        out = workdir["dir"] / "out"
+        argv = argv + [str(out), "--graph", workdir["graph"], "--scenarios", str(five),
+                       "--pairs", workdir["pairs"], "--ratio", "0.1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert "leaves the train side of 5 scenarios empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTuneExitCode:
@@ -474,6 +517,23 @@ class TestBaselineAndTune:
         )
         assert code == 2
         assert "--weights" in capsys.readouterr().err
+
+    def test_tune_rejects_weights_beside_weight_grid(self, workdir, capsys):
+        out = workdir["dir"] / "cfg.json"
+        code = main(
+            [
+                "tune",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--pairs", workdir["pairs"],
+                "--weights", "0.4,0.3,0.3",
+                "--weight-grid", "0.5",
+                "--out-config", str(out),
+            ]
+        )
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tune_single_weight_run(self, workdir, capsys):
         out = str(workdir["dir"] / "cfg.json")

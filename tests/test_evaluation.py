@@ -43,6 +43,10 @@ class TestSplitScenarios:
         with pytest.raises(ValueError):
             split_scenarios(10, 1.0)
 
+    def test_empty_side_named(self):
+        with pytest.raises(ValueError, match="train side of 5 scenarios empty"):
+            split_scenarios(5, 0.1)
+
 
 class TestScore:
     def test_twenty_value_pool(self):

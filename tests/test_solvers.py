@@ -484,6 +484,28 @@ class TestEllipsoidParametric:
         assert report.solution.items == brute.solution.items == (0, 1)
         assert report.objective == brute.objective
 
+    def test_ellipsoid_listed_before_intervals(self, rng):
+        """The linear term is the mixture's bound costs, summed in
+        component order whatever the ellipsoid's place, and each candidate
+        is picked by its true objective."""
+        graph, _ = gen_synthetic(3, 3, 2, seed=5)
+        inst = Instance.spath(graph, 0, graph.num_nodes - 1)
+        for _ in range(20):
+            ell = EllipsoidSet(
+                rng.uniform(1, 5, inst.n), np.diag(rng.uniform(0, 4, inst.n)),
+                float(rng.uniform(0, 5)),
+            )
+            mix = Mixture(
+                ((0.75, ell), (0.5, interval(rng.uniform(1, 3, inst.n))),
+                 (0.25, interval(rng.uniform(1, 3, inst.n))))
+            )
+            report = solve_ellipsoid_parametric(inst, mix)
+            brute = solve_brute_force(inst, mix)
+            assert report.optimal
+            assert report.solution.x == brute.solution.x
+            assert report.objective == evaluate_wrp(mix, report.solution.x)
+            assert report.objective == brute.objective
+
 
 @pytest.mark.parametrize(
     "solve", [solve_interval_mix, solve_midpoint_approx, solve_ellipsoid_parametric]

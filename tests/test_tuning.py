@@ -9,9 +9,11 @@ import pytest
 
 from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
 from robustmix import tuning
-from robustmix.evaluation import Metrics, pair_metrics, split_scenarios
+from robustmix.evaluation import Metrics, pair_metrics, score, split_scenarios
 from robustmix.solvers import evaluate_wrp
 from robustmix.tuning import (
+    ALPHA,
+    BASELINE_NODE_CAP,
     TUNABLE_TYPES,
     baseline_lambdas,
     perturb_config,
@@ -253,6 +255,19 @@ class TestPairMetricMemo:
         baseline_grid("hull", graph, pairs, data, split)
         assert len(solved) == 41 * len(pairs)
         assert len(calls) == len(set(calls)) == 2 * len(set(solved))
+
+    def test_baseline_in_sample_metrics_equal_score(self):
+        """On 10 pairs the grid's in-sample metrics are `score` of its
+        solutions on the training matrix, bit for bit: one pair mean."""
+        graph, data = gen_synthetic(4, 4, 20, seed=1)
+        pairs = sample_st_pairs(graph, 10, min_hops=2, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        train = data.subset(split.train_idx)
+        assert len(pairs) == 10
+        for lam, m_in, _ in baseline_grid("interval", graph, pairs, data, split):
+            mix = build_mixture([{"weight": 1.0, "type": "interval", "lambda": lam}], train)
+            sols = [solve_for_pair(graph, p, mix, BASELINE_NODE_CAP).solution for p in pairs]
+            assert score(sols, train, ALPHA) == m_in
 
     def test_baseline_grid_matches_unmemoized_metrics(self, small_problem):
         graph, data, pairs, split = small_problem

@@ -736,6 +736,25 @@ class TestMemos:
         assert np.array_equal(mix.bound_costs, bound)
         assert np.array_equal(box.hi, [3.0, 5.0])
 
+    def test_caller_writes_do_not_reach_a_polyhedron(self):
+        V, d = np.eye(2), np.array([3.0, 4.0])
+        poly = PolyhedronSet(V, d)
+        V[:] = d[:] = 7.0
+        assert np.array_equal(poly.V, np.eye(2))
+        assert np.array_equal(poly.d, [3.0, 4.0])
+        for arr in (poly.V, poly.d):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_given_covariance_is_its_factor(self):
+        """A covariance passed in is not kept: `sigma` is F' F like every
+        ellipsoid's, and the given matrix up to rounding."""
+        sigma = _sigma_with_spectrum([0.0, 0.1, 0.5, 1.0, 4.0])
+        ell = EllipsoidSet(np.ones(5), sigma, 2.0)
+        assert ell.ridge == 0.0
+        assert np.array_equal(ell.sigma, ell.factor.T @ ell.factor)
+        assert_within_1e12(ell.sigma, sigma)
+
     def test_memoized_arrays_are_read_only(self, rng):
         data = ScenarioMatrix(rng.uniform(1, 5, (6, 3)))
         hull = build_set(data, "hull", 0.5)
