@@ -18,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -54,7 +53,7 @@ from .solvers import (
     solve_local_search,
     solve_midpoint_approx,
 )
-from .tuning import BASELINE_STEPS, ConfigSpace, baseline_grid, tune
+from .tuning import TUNABLE_TYPES, ConfigSpace, baseline_grid, tune
 from .uncertainty import (
     ScenarioMatrix,
     build_mixture,
@@ -67,10 +66,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ROBUSTMIX_SEED", "0"))
 
 
 def _write_manifest(args, argv: list[str], outputs: list[str], started: float):
@@ -108,11 +103,21 @@ def _load_pairs(path: str) -> list[tuple[int, int]]:
     rows = list(csv.reader(io.StringIO(_read(path))))
     if not rows or rows[0] != ["source", "target"]:
         raise ParseError("pairs CSV must start with header source,target")
+    if len(rows) == 1:
+        raise ParseError("empty pair list: the pairs CSV has a header but no rows")
     for row in rows[1:]:
         if len(row) != 2:
             raise ParseError(f"bad pairs row {row!r}")
         pairs.append((int(row[0]), int(row[1])))
     return pairs
+
+
+def _reject_unread(args, mode: str, *names: str) -> None:
+    """Raise ParseError on the first of the options `names` that was
+    given, since `mode` does not read it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ParseError(f"--{name.replace('_', '-')} is not read {mode}")
 
 
 def _check_columns(scenarios: ScenarioMatrix, n: int, owner="graph", unit="arcs"):
@@ -176,17 +181,18 @@ def _cmd_pairs(args, argv, started):
 def _cmd_solve(args, argv, started):
     if args.max_nodes is not None and args.max_nodes < 0:
         raise ParseError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
+    if args.pairs is not None:
+        _reject_unread(args, "with --pairs", "source", "target")
+        pairs = _load_pairs(args.pairs)
+    elif args.source is None or args.target is None:
+        raise ParseError("need --source/--target or --pairs")
+    else:
+        pairs = [(args.source, args.target)]
     graph = parse_graph(_read(args.graph))
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
     _check_columns(scenarios, graph.n)
     specs = mixture_spec_from_json(_read(args.mixture))
     mix = build_mixture(specs, scenarios)
-    if args.pairs is not None:
-        pairs = _load_pairs(args.pairs)
-    else:
-        if args.source is None or args.target is None:
-            raise ParseError("need --source/--target or --pairs")
-        pairs = [(args.source, args.target)]
     records = []
     cut_short = False
     for s, t in pairs:
@@ -322,18 +328,22 @@ def _cmd_tune(args, argv, started):
 
 
 def _cmd_emit_mip(args, argv, started):
+    if args.graph is not None:
+        _reject_unread(args, "with --graph", "select_n", "select_p")
+        if args.source is None or args.target is None:
+            raise ParseError("emit-mip with --graph needs --source/--target")
+    else:
+        _reject_unread(args, "without --graph", "source", "target")
+        if args.select_n is None or args.select_p is None:
+            raise ParseError("emit-mip needs --graph or --select-n/--select-p")
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
     specs = mixture_spec_from_json(_read(args.mixture))
     mix = build_mixture(specs, scenarios)
     if args.graph is not None:
         graph = parse_graph(_read(args.graph))
         _check_columns(scenarios, graph.n)
-        if args.source is None or args.target is None:
-            raise ParseError("emit-mip with --graph needs --source/--target")
         inst = Instance.spath(graph, args.source, args.target)
     else:
-        if args.select_n is None or args.select_p is None:
-            raise ParseError("emit-mip needs --graph or --select-n/--select-p")
         _check_columns(scenarios, args.select_n, "selection", "items")
         inst = Instance.selection(args.select_n, args.select_p)
     stats = emit_model(inst, mix, args.out)
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--manifest", default=None)
 
     p = sub.add_parser("gen", help="generate a synthetic grid instance")
@@ -404,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("baseline", help="41-point single-type lambda grid")
-    p.add_argument("--type", choices=list(BASELINE_STEPS), required=True)
+    p.add_argument("--type", choices=TUNABLE_TYPES, required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--scenarios", required=True)
     p.add_argument("--pairs", required=True)

@@ -68,10 +68,8 @@ class SolveReport:
 
 
 def evaluate_wrp(mix: Mixture, x) -> float:
-    """Weighted sum of per-component worst-case values, summed in index
-    order.  Each set's value-only `support` has the arithmetic of
-    `worst_case(x)[0]`, so the sum is bit-identical to one over worst
-    cases, without building their argmax members."""
+    """Weighted sum of per-component worst-case values, each set's
+    `support`, summed in index order; no member is built."""
     x = np.asarray(x, dtype=float)
     total = 0.0
     for weight, uset in mix.components:
@@ -187,12 +185,14 @@ def solve_budgeted_mix(
 
 
 def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
-    """Optimize the weighted per-hull scenario average; the result is a
-    K^max-approximation where K^max is the largest point count."""
+    """Optimize the weighted per-hull scenario average, the mixture's
+    bound costs (each hull's bound member is its centre), summed and
+    checked once per mixture; the result is a K^max-approximation where
+    K^max is the largest point count."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
     search = _Search(inst, mix)
-    search.offer(search.solve(mix.weighted_sum("center")).x)
+    search.offer(search.solve(mix.checked_bound_costs).x)
     return search.report("midpoint", False, guarantee=float(kmax))
 
 
@@ -307,7 +307,7 @@ def solve_bnb(
     completion value is a valid bound (the Lagrangian bound for min-max
     problems, Kouvelis & Yu 1997).  A root search picks the members by
     best responses: it first prices each set's fixed `bound_member()`,
-    then, at each step, the best-response members `bound_member(xbar)`
+    then, at each step, the best-response members `member(xbar)`
     at the running average xbar of the completions found so far, with
     one plain `nominal_solve` per step.  The sets answer that average,
     but the path side prices only the latest member sum, not the
@@ -348,7 +348,7 @@ def solve_bnb(
     for step in range(1, _search_steps(inst.n) + 1):
         if root.value >= search.obj - TOL:
             break
-        costs = check_costs(mix.weighted_sum("bound_member", xsum / step), inst.n)
+        costs = check_costs(mix.weighted_sum("member", xsum / step), inst.n)
         if not can_price(inst, costs):
             break
         sol = search.solve(costs)
@@ -459,7 +459,7 @@ def solve_local_search(
     for r in range(restarts + 1):
         costs = bcosts if r == 0 else bcosts * rng.uniform(0.5, 1.5, size=inst.n)
         cur = _Search(inst, mix)  # the descent's point; calls count in `search`
-        cur.offer(search.solve(np.maximum(costs, 0.0)).x)
+        cur.offer(search.solve(costs).x)
         while True:
             best_nb = _Search(inst, mix)
             for y in _neighbors(search, cur.x, checked):

@@ -225,13 +225,12 @@ def tune(
     )
 
 
-BASELINE_STEPS = {"interval": 0.025, "hull": 0.025, "ellipsoid": 0.5}
-
-
 def baseline_lambdas(set_type: str) -> list[float]:
-    """The 41 equidistant scaling values for a pure parent set."""
-    step = BASELINE_STEPS[set_type]
-    return [round(i * step, 10) for i in range(41)]
+    """The 41 equidistant scaling values spanning a tunable type's
+    lambda range (`LAMBDA_RANGES`), for a pure parent set."""
+    lo, hi = LAMBDA_RANGES[set_type]
+    step = (hi - lo) / 40
+    return [round(lo + i * step, 10) for i in range(41)]
 
 
 def baseline_grid(

@@ -11,15 +11,17 @@ the values they compute once and keep (a matrix's column statistics
 and scenario factor, a hull's centre, a mixture's bound costs) can
 never go stale.
 
-Each family's class is the one place that defines its behaviour:
-`name`, `worst_case(x) -> (value, member)`, the value-only `support(x)`
-with the same arithmetic, `center()`, the members that branch-and-bound
-bounds with (`bound_member()` a fixed one, `bound_member(x)` the
-worst-case member at a fractional x) and the per-item `spread()` it
-branches on.  A new family touches its class, `build_set` and, if it
-can be emitted as an LP, one entry of `mip_emit._FAMILIES`.  Evaluations call
-`ndarray.dot`, not `@`: the same result, about 0.8 us sooner per call
-on vectors of tens of items.
+Each family's class is the one place that defines its behaviour, in
+four methods besides its `name`: the support function `support(x)`
+(max over the set of c . x), a maximizing member `member(x)`, the
+fixed member `bound_member()` that branch-and-bound bounds with, and
+the per-item `spread()` it branches on.  `worst_case(uset, x)` is the
+one place that pairs a value with its member.  A member may be a
+read-only array the set holds (an interval's `hi`, a hull's point row,
+an ellipsoid's `mu`); no caller writes to one.  A new family touches
+its class, `build_set` and, if it can be emitted as an LP, one entry of
+`mip_emit._FAMILIES`.  Evaluations call `ndarray.dot`, not `@`: the
+same result, about 0.8 us sooner per call on vectors of tens of items.
 
 The lambda-scaled builders reconstruct standard data-driven
 constructions around the columnwise scenario mean: lambda interpolates
@@ -32,7 +34,7 @@ the covariance was given or built: every evaluation goes through F, a
 built one shares its matrix's K x n centred F, and `sigma` (F'F plus
 the ridge on its diagonal: the given matrix, or the sample covariance,
 up to rounding) is formed only when read.  The ellipsoid's
-nonnegativity side constraint is deliberately dropped in worst_case,
+nonnegativity side constraint is deliberately dropped in its support,
 which makes it a slightly conservative upper bound whose members may
 have negative entries (`instances.can_price` says where they price).
 """
@@ -211,22 +213,19 @@ class _Box:
     def n(self) -> int:
         return self.lo.shape[0]
 
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
-
 
 @dataclass(frozen=True)
 class IntervalSet(_Box):
     name = "interval"
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        return self.support(x), self.hi.copy()
-
     def support(self, x: np.ndarray) -> float:
         return float(self.hi.dot(x))
 
-    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
+    def member(self, x: np.ndarray) -> np.ndarray:
         return self.hi  # the worst case for every x: the bound is tight
+
+    def bound_member(self) -> np.ndarray:
+        return self.hi
 
     def spread(self) -> np.ndarray:
         return np.zeros(self.n)
@@ -251,19 +250,18 @@ class BudgetedSet(_Box):
         dev = self.deviations * x
         return dev, np.argsort(-dev, kind="stable")[: self.gamma]
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        dev, top = self._top(x)
-        c = self.lo.copy()
-        c[top] += self.deviations[top]
-        return float(self.lo.dot(x) + dev[top].sum()), c
-
     def support(self, x: np.ndarray) -> float:
         dev, top = self._top(x)
         return float(self.lo.dot(x) + dev[top].sum())
 
-    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
-        # lo is the only member guaranteed for every Gamma
-        return self.lo if x is None else self.worst_case(x)[1]
+    def member(self, x: np.ndarray) -> np.ndarray:
+        top = self._top(x)[1]
+        c = self.lo.copy()
+        c[top] += self.deviations[top]
+        return c
+
+    def bound_member(self) -> np.ndarray:
+        return self.lo  # the only member guaranteed for every Gamma
 
     def spread(self) -> np.ndarray:
         return self.deviations
@@ -288,23 +286,20 @@ class HullSet:
     def num_points(self) -> int:
         return self.points.shape[0]
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        values = self.points.dot(x)
-        k = int(np.argmax(values))  # argmax keeps the lowest index on ties
-        return float(values[k]), self.points[k].copy()
-
     def support(self, x: np.ndarray) -> float:
         return float(self.points.dot(x).max())
 
-    def center(self) -> np.ndarray:
-        return self._center
+    def member(self, x: np.ndarray) -> np.ndarray:
+        # argmax keeps the lowest index on ties
+        return self.points[int(np.argmax(self.points.dot(x)))]
 
     @cached_property
     def _center(self) -> np.ndarray:
         return _sealed(self.points.mean(axis=0))
 
-    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
-        return self.center() if x is None else self.worst_case(x)[1]
+    def bound_member(self) -> np.ndarray:
+        """The centre: the mean of the points."""
+        return self._center
 
     def spread(self) -> np.ndarray:
         return _sealed(self.points.max(axis=0) - self.points.min(axis=0))
@@ -400,25 +395,21 @@ class EllipsoidSet:
         fx = self.factor.dot(x)
         return fx, max(float(fx.dot(fx)) + self.ridge * float(x.dot(x)), 0.0)
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        fx, quad = self._quad(x)
-        value = float(self.mu.dot(x)) + math.sqrt(self.lam * quad)
-        if quad > 0 and self.lam > 0:
-            sigma_x = self.factor.T.dot(fx) + self.ridge * x
-            c = self.mu + math.sqrt(self.lam) * sigma_x / math.sqrt(quad)
-        else:
-            c = self.mu.copy()
-        return value, c
-
     def support(self, x: np.ndarray) -> float:
         quad = self._quad(x)[1]
         return float(self.mu.dot(x)) + math.sqrt(self.lam * quad)
 
-    def center(self) -> np.ndarray:
-        return self.mu.copy()
+    def member(self, x: np.ndarray) -> np.ndarray:
+        """mu + sqrt(lam) Sigma x / sqrt(x' Sigma x), or mu where that
+        quotient is undefined."""
+        fx, quad = self._quad(x)
+        if quad > 0 and self.lam > 0:
+            sigma_x = self.factor.T.dot(fx) + self.ridge * x
+            return self.mu + math.sqrt(self.lam) * sigma_x / math.sqrt(quad)
+        return self.mu
 
-    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
-        return self.center() if x is None else self.worst_case(x)[1]
+    def bound_member(self) -> np.ndarray:
+        return self.mu
 
     def spread(self) -> np.ndarray:
         """sqrt(lam Sigma_ii): Sigma's diagonal from F's column sums of squares."""
@@ -446,18 +437,10 @@ class PolyhedronSet:
     def n(self) -> int:
         return self.V.shape[1]
 
-    def worst_case(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        raise UnsupportedError("polyhedral worst case unsupported: emit MIP instead")
+    def support(self, *args) -> float:
+        raise UnsupportedError("polyhedral sets are emission-only: emit MIP instead")
 
-    support = worst_case
-
-    def center(self) -> np.ndarray:
-        raise UnsupportedError("polyhedral sets have no usable center here")
-
-    def bound_member(self, x: np.ndarray | None = None) -> np.ndarray:
-        return self.center()
-
-    spread = center
+    member = bound_member = spread = support
 
 
 UncertaintySet = IntervalSet | BudgetedSet | HullSet | EllipsoidSet | PolyhedronSet
@@ -521,8 +504,9 @@ def build_set(
 
 
 def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
-    """max over the set of c . x for binary x; returns (value, argmax c)."""
-    return uset.worst_case(np.asarray(x, dtype=float))
+    """max over the set of c . x and a member attaining it: (value, argmax c)."""
+    x = np.asarray(x, dtype=float)
+    return uset.support(x), uset.member(x)
 
 
 @dataclass(frozen=True)
@@ -573,11 +557,11 @@ class Mixture:
         if self.types != {set_type}:
             raise UnsupportedError(message)
 
-    def weighted_sum(self, member: str, *args) -> np.ndarray:
-        """sum_j p_j U_j.<member>(*args), summed in index order."""
+    def weighted_sum(self, method: str, *args) -> np.ndarray:
+        """sum_j p_j U_j.<method>(*args), summed in index order."""
         total = np.zeros(self.n)
         for weight, uset in self.components:
-            total += weight * getattr(uset, member)(*args)
+            total += weight * getattr(uset, method)(*args)
         return total
 
     @cached_property

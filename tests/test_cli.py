@@ -252,6 +252,9 @@ class TestNonFiniteRidge:
         assert named in capsys.readouterr().err
 
 
+EMPTY_PAIRS = "empty pair list: the pairs CSV has a header but no rows"
+
+
 class TestInvalidValues:
     """Values that parse but make no sense exit 2 with an error naming them."""
 
@@ -259,7 +262,11 @@ class TestInvalidValues:
         "argv, components, named",
         [
             (["baseline", "--type", "interval", "--pairs", "{header_only}",
-              "--out", "{out}"], None, "empty pair list"),
+              "--out", "{out}"], None, EMPTY_PAIRS),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{header_only}",
+              "--out", "{out}"], INTERVAL_MIX, EMPTY_PAIRS),
+            (["tune", "--pairs", "{header_only}", "--weights", "0.4,0.3,0.3",
+              "--out-config", "{out}"], None, EMPTY_PAIRS),
             (["tune", "--pairs", "{pairs}", "--weight-grid", "0",
               "--out-config", "{out}"], None, "got 0.0"),
             (["tune", "--pairs", "{pairs}", "--weight-grid=-0.5",
@@ -270,7 +277,8 @@ class TestInvalidValues:
              [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 2.7}],
              "gamma 2.7 is not an integer"),
         ],
-        ids=["header-only-pairs", "weight-grid-zero", "weight-grid-negative",
+        ids=["header-only-pairs", "header-only-pairs-solve", "header-only-pairs-tune",
+             "weight-grid-zero", "weight-grid-negative",
              "weights-nan", "gamma-fractional"],
     )
     def test_exits_2(self, workdir, capsys, argv, components, named):
@@ -315,6 +323,40 @@ class TestInvalidValues:
         assert main(argv) == 2
         named = f"component 0 {key} {component[key]!r} is not a number"
         assert named in capsys.readouterr().err
+
+
+class TestUnreadFlags:
+    """A flag the chosen mode does not read exits 2 naming it, before
+    any input file is read."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["solve", "--pairs", "p.csv", "--source", "0", "--target", "1"],
+             "--source is not read with --pairs"),
+            (["solve", "--pairs", "p.csv", "--target", "1"],
+             "--target is not read with --pairs"),
+            (["emit-mip", "--graph", "g.txt", "--source", "0", "--target", "35",
+              "--select-n", "60", "--select-p", "3"],
+             "--select-n is not read with --graph"),
+            (["emit-mip", "--select-n", "60", "--select-p", "3", "--source", "0"],
+             "--source is not read without --graph"),
+        ],
+        ids=["solve-pairs-source", "solve-pairs-target", "emit-mip-graph-select",
+             "emit-mip-select-source"],
+    )
+    def test_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, argv, named):
+        def no_read(path):
+            raise AssertionError(f"read {path} despite an unread flag")
+
+        monkeypatch.setattr(cli, "_read", no_read)
+        out = tmp_path / "out"
+        argv += ["--scenarios", "s.csv", "--mixture", "mix.json", "--out", str(out)]
+        if argv[0] == "solve":
+            argv += ["--graph", "g.txt"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEmptySplitSide:
@@ -681,6 +723,18 @@ class TestManifests:
         assert manifest["command"] == "gen"
         assert "--seed" in manifest["argv"]
         assert manifest["outputs"] == [workdir["graph"], workdir["scenarios"]]
+
+    def test_seed_defaults_to_0_whatever_the_environment(self, workdir, monkeypatch):
+        """No environment variable sets the seed: a run without --seed is
+        the run with --seed 0, so its recorded argv replays it."""
+        monkeypatch.setenv("ROBUSTMIX_SEED", "5")
+        written = {}
+        for seed in ([], ["--seed", "0"], ["--seed", "5"]):
+            out = workdir["dir"] / f"pairs{len(written)}.csv"
+            argv = ["pairs", "--graph", workdir["graph"], "--count", "6", "--out", str(out)]
+            assert main(argv + seed) == 0
+            written[tuple(seed)] = out.read_bytes()
+        assert written[()] == written[("--seed", "0")] != written[("--seed", "5")]
 
     def test_rerun_from_manifest_is_byte_identical(self, workdir):
         manifest = json.loads(Path(workdir["graph"] + ".manifest.json").read_text())

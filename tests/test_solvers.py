@@ -55,11 +55,13 @@ def corner_to_corner(width, specs):
 
 @pytest.fixture
 def counted_oracle(monkeypatch):
-    """Counts every nominal_solve call the solvers make, failed ones too."""
-    count = {"calls": 0, "infeasible": 0}
+    """Counts every nominal_solve call the solvers make, failed ones too,
+    and records the cost vector each one prices."""
+    count = {"calls": 0, "infeasible": 0, "priced": []}
 
     def counting(*args, **kwargs):
         count["calls"] += 1
+        count["priced"].append(args[1])
         try:
             return nominal_solve(*args, **kwargs)
         except InfeasibleError:
@@ -586,10 +588,9 @@ class TestBnb:
         produced, priced = [], []
 
         def recorder(member_rule):
-            def recording(uset, x=None):
+            def recording(uset, x):
                 member = member_rule(uset, x)
-                if x is not None:
-                    produced.append((uset, member))
+                produced.append((uset, member))
                 return member
 
             return recording
@@ -599,7 +600,7 @@ class TestBnb:
             return nominal_solve(inst, costs, **forced)
 
         for cls in (IntervalSet, BudgetedSet, HullSet, EllipsoidSet):
-            monkeypatch.setattr(cls, "bound_member", recorder(cls.bound_member))
+            monkeypatch.setattr(cls, "member", recorder(cls.member))
         monkeypatch.setattr(solvers, "nominal_solve", pricing)
         monkeypatch.setattr(solvers, "_search_steps", lambda n: 4)
         cases = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))
@@ -870,6 +871,14 @@ class TestLocalSearch:
     def test_never_reports_optimal(self, diamond_inst):
         mix = Mixture(((1.0, interval([1.0, 1.0, 1.0, 1.0])),))
         assert not solve_local_search(diamond_inst, mix).optimal
+
+    def test_start_prices_negative_bound_costs_as_given(self, diamond_inst, counted_oracle):
+        """The sign rule lives in the oracle alone: on an acyclic graph
+        the first start is the bound costs, negative entries and all."""
+        mix = Mixture(((1.0, interval([-0.5, 1.0, 3.0, 1.0], lo=[-1.0, 0.0, 0.0, 0.0])),))
+        report = solve_local_search(diamond_inst, mix, restarts=0)
+        assert np.array_equal(counted_oracle["priced"][0], mix.bound_costs)
+        assert report.solution.x == (1, 1, 0, 0)
 
 
 class TestExactness:

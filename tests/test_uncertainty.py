@@ -360,7 +360,7 @@ class TestFactorForm:
         sigma = fresh_covariance(costs, ridge)
         assert_within_1e12(ell.sigma, sigma)
         for x in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n), np.eye(n)[1]):
-            value, member = ell.worst_case(x)
+            value, member = worst_case(ell, x)
             ref_value, ref_member = _sigma_x(sigma, data.mean, 3.0, x)
             assert value == ell.support(x)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
@@ -380,7 +380,7 @@ class TestFactorForm:
         )
         x = rng.integers(0, 2, 9).astype(float)
         for _, ell in mix.components:
-            for evaluate in (ell.support, ell.worst_case, ell.bound_member):
+            for evaluate in (ell.support, ell.member):
                 evaluate(x)
         assert mix.branch_spread.shape == mix.bound_costs.shape == (9,)  # spreads, members
         assert all("sigma" not in vars(ell) for _, ell in mix.components)
@@ -445,7 +445,8 @@ class TestWorstCase:
             ]
             for x in (rng.integers(0, 2, n).astype(float), rng.uniform(0, 1, n)):
                 for uset in sets:
-                    assert uset.support(x) == uset.worst_case(x)[0], uset.name
+                    assert uset.support(x) == worst_case(uset, x)[0], uset.name
+                    assert abs(uset.member(x).dot(x) - uset.support(x)) <= 1e-9, uset.name
         with pytest.raises(UnsupportedError, match="emit MIP"):
             PolyhedronSet(np.eye(2), np.ones(2)).support(np.ones(2))
 
@@ -486,36 +487,28 @@ class TestBoundMember:
     def test_best_responses_are_the_worst_case_members(self):
         x = np.array([0.25, 1.0])
         lo, hi = np.array([1.0, 2.0]), np.array([3.0, 5.0])
-        assert np.array_equal(IntervalSet(lo, hi).bound_member(x), hi)
-        assert np.array_equal(BudgetedSet(lo, hi, 1).bound_member(x), [1.0, 5.0])
+        assert np.array_equal(IntervalSet(lo, hi).member(x), hi)
+        assert np.array_equal(BudgetedSet(lo, hi, 1).member(x), [1.0, 5.0])
         hull = HullSet(np.array([[0.0, 4.0], [2.0, 0.0]]))
-        assert np.array_equal(hull.bound_member(x), [0.0, 4.0])
+        assert np.array_equal(hull.member(x), [0.0, 4.0])
         ell = EllipsoidSet(np.array([1.0, 1.0]), np.eye(2), 4.0)
-        assert np.array_equal(ell.bound_member(x), ell.worst_case(x)[1])
+        assert np.array_equal(ell.member(x), worst_case(ell, x)[1])
 
     @pytest.mark.parametrize("mu", [(1.0, 1.0), (1.0, 0.0)])
     def test_ellipsoid_member_keeps_negative_entries(self, mu):
         # the argmax at (1, 0) is mu + (2, -1.8): its second entry is negative
         ell = EllipsoidSet(np.array(mu), np.array([[1.0, -0.9], [-0.9, 1.0]]), 4.0)
         x = np.array([1.0, 0.0])
-        member = ell.bound_member(x)
-        assert np.array_equal(member, ell.worst_case(x)[1])
+        member = ell.member(x)
+        assert np.array_equal(member, worst_case(ell, x)[1])
         assert member == pytest.approx(np.array(mu) + [2.0, -1.8])
 
 
 class TestCenter:
     def test_hull_mean(self):
         assert np.array_equal(
-            HullSet(np.array([[1.0, 3.0], [3.0, 1.0]])).center(), [2.0, 2.0]
+            HullSet(np.array([[1.0, 3.0], [3.0, 1.0]])).bound_member(), [2.0, 2.0]
         )
-
-    def test_interval_midpoint(self):
-        assert np.array_equal(
-            IntervalSet(np.zeros(2), np.array([2.0, 4.0])).center(), [1.0, 2.0]
-        )
-
-    def test_ellipsoid_mu(self):
-        assert np.array_equal(EllipsoidSet(np.full(2, 7.0), np.eye(2), 1.0).center(), [7.0, 7.0])
 
 
 class TestMixture:
@@ -682,7 +675,7 @@ class TestMemos:
         points = rng.uniform(0, 5, (5, 4))
         hull = HullSet(points)
         for _ in range(2):
-            assert np.array_equal(hull.center(), points.mean(axis=0))
+            assert np.array_equal(hull.bound_member(), points.mean(axis=0))
             assert np.array_equal(hull.spread(), points.max(axis=0) - points.min(axis=0))
         lo = rng.uniform(0, 2, 4)
         hi = lo + rng.uniform(0, 2, 4)
@@ -729,10 +722,10 @@ class TestMemos:
         x = np.array([1.0, 1.0])
         values = (box.support(x), hull.support(x))
         bound = mix.bound_costs.copy()
-        center_before = hull.center().copy()
+        center_before = hull.bound_member().copy()
         lo[:] = hi[:] = points[:] = 7.0
         assert (box.support(x), hull.support(x)) == values
-        assert np.array_equal(hull.center(), center_before)
+        assert np.array_equal(hull.bound_member(), center_before)
         assert np.array_equal(mix.bound_costs, bound)
         assert np.array_equal(box.hi, [3.0, 5.0])
 
@@ -763,7 +756,7 @@ class TestMemos:
         mix = Mixture(((1.0, hull), (1.0, budgeted), (1.0, ell)))
         arrays = [
             data.costs, data.mean, data.col_min, data.col_max, data.factor,
-            hull.points, hull.center(), hull.spread(), budgeted.lo,
+            hull.points, hull.bound_member(), hull.spread(), budgeted.lo,
             budgeted.deviations, ell.mu, ell.sigma, ell.spread(),
             mix.bound_costs, mix.branch_spread,
         ]
