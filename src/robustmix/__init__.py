@@ -49,7 +49,6 @@ from .solvers import (
 )
 from .analysis import (
     DualCertificate,
-    SetFunctionSpec,
     check_ratio,
     check_submodular,
     dual_certificate,

@@ -1,9 +1,10 @@
 """Empirical verification of the structural guarantees.
 
-Three checks: exhaustive submodularity testing of the budgeted-mixture
-objective as a set function, closed-form dual certificates for budgeted
-worst cases, and auditing the midpoint approximation factor against the
-brute-force optimum.
+Three checks: exhaustive submodularity testing of a set function given
+on 0/1 incidence tuples (`verify` passes the budgeted-mixture
+objective), closed-form dual certificates for budgeted worst cases, and
+auditing the midpoint approximation factor against the brute-force
+optimum.
 """
 
 from __future__ import annotations
@@ -14,23 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .instances import Instance
-from .solvers import evaluate_wrp, solve_brute_force, solve_midpoint_approx
+from .solvers import solve_brute_force, solve_midpoint_approx
 from .uncertainty import Mixture
 
 TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class SetFunctionSpec:
-    """f(X) = weighted budgeted worst cases of the incidence vector of X."""
-
-    n: int
-    mixture: Mixture
-
-    def __post_init__(self):
-        if self.n > 16:
-            raise ValueError("exhaustive checking is capped at n=16")
-        self.mixture.require("budgeted", "set function needs budgeted components")
 
 
 def _mask_to_x(mask: int, n: int) -> tuple[int, ...]:
@@ -41,32 +29,17 @@ def _mask_to_set(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
-def check_submodular(
-    spec: SetFunctionSpec | None = None,
-    n: int | None = None,
-    f: Callable[[tuple[int, ...]], float] | None = None,
-) -> dict:
-    """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T).
+def check_submodular(n: int, f: Callable[[tuple[int, ...]], float]) -> dict:
+    """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) over the
+    subsets of n <= 16 items.
 
-    Either pass a SetFunctionSpec, or inject (n, f) where f maps an item
-    tuple to a value (used by the supermodular self-test).  Returns
+    `f` maps the 0/1 incidence tuple of S to a value.  Returns
     {"ok": True} or {"ok": False, "violation": (S, T)} with the lowest
-    lexicographic violating pair.
+    lexicographic violating pair, S and T as item tuples.
     """
-    if spec is not None:
-        n = spec.n
-        values = np.array(
-            [
-                evaluate_wrp(spec.mixture, _mask_to_x(mask, n))
-                for mask in range(1 << n)
-            ]
-        )
-    else:
-        if n is None or f is None:
-            raise ValueError("need a spec or an injected (n, f)")
-        if n > 16:
-            raise ValueError("exhaustive checking is capped at n=16")
-        values = np.array([f(_mask_to_set(mask, n)) for mask in range(1 << n)])
+    if n > 16:
+        raise ValueError("exhaustive checking is capped at n=16")
+    values = np.array([f(_mask_to_x(mask, n)) for mask in range(1 << n)])
 
     masks = np.arange(1 << n)
     for s in range(1 << n):
@@ -117,11 +90,11 @@ def dual_certificate(mix: Mixture, x) -> DualCertificate:
 
 
 def check_ratio(inst: Instance, mix: Mixture) -> dict:
-    """Midpoint-approximation audit on an all-hull mixture.
+    """Midpoint-approximation audit on an all-hull mixture; any other
+    mixture raises UnsupportedError from `solve_midpoint_approx`.
 
     Returns {"ratio", "bound", "ok"}; ok iff 1 - tol <= ratio <= bound + tol.
     """
-    mix.require("hull", "check_ratio needs hull components")
     mid = solve_midpoint_approx(inst, mix)
     opt = solve_brute_force(inst, mix)
     if opt.objective <= TOL:

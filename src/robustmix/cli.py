@@ -181,6 +181,8 @@ def _cmd_pairs(args, argv, started):
 def _cmd_solve(args, argv, started):
     if args.max_nodes is not None and args.max_nodes < 0:
         raise ParseError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
+    if args.method not in ("auto", "bnb"):
+        _reject_unread(args, f"by --method {args.method}", "max_nodes")
     if args.pairs is not None:
         _reject_unread(args, "with --pairs", "source", "target")
         pairs = _load_pairs(args.pairs)

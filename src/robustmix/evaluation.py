@@ -27,9 +27,6 @@ class Metrics:
     max: float
     cvar: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.avg, self.max, self.cvar)
-
     def format_line(self) -> str:
         return f"avg={self.avg:.6f} max={self.max:.6f} cvar={self.cvar:.6f}"
 

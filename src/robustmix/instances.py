@@ -49,12 +49,9 @@ class Graph:
     def n(self) -> int:
         return len(self.arcs)
 
+    @cached_property
     def out_arcs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Adjacency as (arc index, head) pairs per tail node, in arc order."""
-        return self._adjacency
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         out: list[list[tuple[int, int]]] = [[] for _ in range(self.num_nodes)]
         for i, (tail, head) in enumerate(self.arcs):
             out[tail].append((i, head))
@@ -69,7 +66,7 @@ class Graph:
             indegree[head] += 1
         queue = deque(v for v in range(self.num_nodes) if indegree[v] == 0)
         order = []
-        out = self.out_arcs()
+        out = self.out_arcs
         while queue:
             v = queue.popleft()
             order.append(v)
@@ -98,7 +95,7 @@ class Graph:
             if self.topological_order is None:
                 raise ValueError("path counts need an acyclic graph")
             order, position = self.topological_order
-            out = self.out_arcs()
+            out = self.out_arcs
             paths = [0] * self.num_nodes
             paths[end] = 1
             for v in reversed(order[: position[end]]):
@@ -115,7 +112,7 @@ class Graph:
         dist = [float("inf")] * self.num_nodes
         dist[source] = 0
         queue = deque([source])
-        out = self.out_arcs()
+        out = self.out_arcs
         while queue:
             v = queue.popleft()
             for _, head in out[v]:
@@ -284,7 +281,7 @@ def _dijkstra(graph: Graph, costs, source: int, target: int, banned: frozenset):
     """Label-setting shortest path, used on graphs with a directed cycle;
     ties towards the lexicographically smallest arc-index set, which is
     exact for strictly positive costs.  Returns (cost, arcs) or None."""
-    out = graph.out_arcs()
+    out = graph.out_arcs
     done = set()
     heap = [(0.0, (), source, ())]
     while heap:
@@ -331,7 +328,7 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
     if any(position[a] > position[b] for a, b in segments):
         return None
 
-    out = graph.out_arcs()
+    out = graph.out_arcs
     inf = float("inf")
     pred = [-1] * graph.num_nodes  # arc into each labelled node
 
@@ -378,7 +375,7 @@ def _spath_branching(graph, costs, source, target, forced_in, forced_out):
     `_spath_acyclic`.  Prunes on cost, keeps equal cost paths alive so
     lexicographic tie-breaking stays exact.
     """
-    out = graph.out_arcs()
+    out = graph.out_arcs
     best: list = [None]  # (cost, lexkey, arcs)
 
     def dfs(v, used_nodes, arcs, cost, fin_left):
@@ -472,8 +469,8 @@ def nominal_solve(
         raise InfeasibleError(
             f"no path from {inst.source} to {inst.target} under restrictions"
         )
-    _, arcs = res
-    return Solution(_incidence(inst.n, arcs), float(sum(c[a] for a in arcs)))
+    value, arcs = res
+    return Solution(_incidence(inst.n, arcs), value)
 
 
 def must_use(inst: Instance, forced_in, arc: int) -> bool:
@@ -535,7 +532,7 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
 
     graph, s, t = inst.graph, inst.source, inst.target
     order, position = graph.topological_order
-    out = graph.out_arcs()
+    out = graph.out_arcs
     label: list[np.ndarray | None] = [None] * graph.num_nodes
     label[s] = np.zeros(block.shape[1])
     for v in order[position[s] : position[t]]:
@@ -576,7 +573,7 @@ def enumerate_feasible(inst: Instance, cap: int | None = None):
 
 def _simple_paths(inst: Instance):
     """Arc tuples of the simple source-target paths, depth first."""
-    out = inst.graph.out_arcs()
+    out = inst.graph.out_arcs
     stack = [(inst.source, {inst.source}, ())]
     while stack:
         v, used, arcs = stack.pop()

@@ -170,8 +170,8 @@ def _expr(terms: list[tuple[float, str]]) -> str:
 
 
 def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
-    """Write the weighted model as an LP file; returns exact counts."""
-    stats = expected_stats(inst, mix)
+    """Write the weighted model as an LP file; returns the binary,
+    continuous and row counts of what it wrote."""
     n = inst.n
     model = _Model(np.zeros(n))
     for j, (weight, uset) in enumerate(mix.components):
@@ -214,7 +214,7 @@ def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
 
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    return stats
+    return ModelStats(n, len(model.cont_vars), len(rows))
 
 
 @dataclass

@@ -123,13 +123,6 @@ def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
 THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
 
 
-def _threshold_candidates(mix: Mixture) -> list[list[float]]:
-    """Per budgeted component, its dual thresholds {0} union {deviations},
-    sorted; the enumeration prices the product of these lists."""
-    mix.require("budgeted", "solve_budgeted_mix needs budgeted components")
-    return [sorted(set([0.0] + u.deviations.tolist())) for _, u in mix.components]
-
-
 def solve_budgeted_mix(
     inst: Instance, mix: Mixture, cap: int = 10_000_000
 ) -> SolveReport:
@@ -147,7 +140,10 @@ def solve_budgeted_mix(
     end the best column, if still unsolved.  A column's solution has a
     true objective no larger than the column's value.
     """
-    candidate_lists = _threshold_candidates(mix)
+    mix.require("budgeted", "solve_budgeted_mix needs budgeted components")
+    candidate_lists = [
+        sorted(set([0.0] + u.deviations.tolist())) for _, u in mix.components
+    ]
     total = math.prod(len(cands) for cands in candidate_lists)
     if total > cap:
         raise CapExceededError(

@@ -537,20 +537,13 @@ class Mixture:
         object.__setattr__(self, "components", tuple(comps))
 
     @property
-    def N(self) -> int:
-        return len(self.components)
-
-    @property
     def n(self) -> int:
         return self.components[0][1].n
-
-    def set_types(self) -> tuple[str, ...]:
-        return tuple(u.name for _, u in self.components)
 
     @cached_property
     def types(self) -> frozenset[str]:
         """The distinct set types, which `solve_auto` dispatches on."""
-        return frozenset(self.set_types())
+        return frozenset(u.name for _, u in self.components)
 
     def require(self, set_type: str, message: str) -> None:
         """Raise UnsupportedError(message) unless all components are `set_type`."""
@@ -585,8 +578,16 @@ class Mixture:
         return _sealed(self.weighted_sum("spread"))
 
 
+# the component keys beyond weight, type and lambda that a set type reads
+_EXTRA_KEYS = {"budgeted": ("gamma",), "ellipsoid": ("ridge",)}
+
+
 def mixture_spec_from_json(text: str) -> list[dict]:
-    """Parse the mixture JSON file into a list of component specs."""
+    """Parse the mixture JSON file into a list of component specs.
+
+    A component may hold only `weight`, `type` and `lambda`, plus
+    `gamma` when budgeted and `ridge` when an ellipsoid; any other key,
+    a misspelt one included, raises ParseError naming it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -600,13 +601,18 @@ def mixture_spec_from_json(text: str) -> list[dict]:
     for i, comp in enumerate(comps):
         if not isinstance(comp, dict) or "weight" not in comp or "type" not in comp:
             raise ParseError(f"component {i} needs 'weight' and 'type'")
+        kind = str(comp["type"])
+        read = ("weight", "type", "lambda", *_EXTRA_KEYS.get(kind, ()))
+        unread = [key for key in comp if key not in read]
+        if unread:
+            raise ParseError(f"component {i} key {unread[0]!r} is not read by {kind!r}")
         for key in ("weight", "lambda", "gamma", "ridge"):
             if isinstance(comp.get(key), bool):
                 raise ParseError(f"component {i} {key} {comp[key]!r} is not a number")
         try:
             spec = {
                 "weight": float(comp["weight"]),
-                "type": str(comp["type"]),
+                "type": kind,
                 "lambda": float(comp.get("lambda", 0.0)),
             }
             if "gamma" in comp:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import SetFunctionSpec, check_ratio, check_submodular, dual_certificate
+from .analysis import check_ratio, check_submodular, dual_certificate
 from .instances import Instance
 from .solvers import evaluate_wrp
 from .uncertainty import BudgetedSet, HullSet, Mixture
@@ -59,12 +59,12 @@ def suite_submodular(seed: int = 0, trials: int = 100, n: int = 8) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         mix = random_budgeted_mixture(rng, n)
-        result = check_submodular(SetFunctionSpec(n, mix))
+        result = check_submodular(n, lambda x: evaluate_wrp(mix, x))
         if not result["ok"]:
             print(f"submodular: FAIL violation={result['violation']}")
             return False
-    injected = check_submodular(n=2, f=lambda items: float(len(items)) ** 2)
-    if injected["ok"]:
+    squared = check_submodular(2, lambda x: float(sum(x)) ** 2)
+    if squared["ok"]:
         print("submodular: FAIL self-test did not flag a supermodular function")
         return False
     print(f"submodular: ok ({trials} mixtures at n={n}; self-test flagged)")

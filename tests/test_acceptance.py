@@ -36,7 +36,7 @@ from robustmix import (
     split_scenarios,
     weight_grid,
 )
-from robustmix.analysis import SetFunctionSpec, check_ratio
+from robustmix.analysis import check_ratio
 from robustmix.cli import main as cli_main
 from robustmix.evaluation import pair_metrics
 from robustmix.instances import Solution
@@ -125,10 +125,10 @@ def test_criterion_2_submodularity(capsys):
     rng = np.random.default_rng(0)
     for _ in range(100):
         mix = random_budgeted_mixture(rng, 8)
-        result = check_submodular(SetFunctionSpec(8, mix))
+        result = check_submodular(8, lambda x: evaluate_wrp(mix, x))
         assert result["ok"], result
-    injected = check_submodular(n=2, f=lambda items: float(len(items)) ** 2)
-    assert not injected["ok"]
+    squared = check_submodular(2, lambda x: float(sum(x)) ** 2)
+    assert not squared["ok"]
     elapsed = time.monotonic() - started
     report(
         capsys,

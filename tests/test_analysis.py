@@ -12,13 +12,12 @@ from robustmix import (
     dual_certificate,
     evaluate_wrp,
 )
-from robustmix.analysis import SetFunctionSpec
 
 
 class TestCheckSubmodular:
     def test_budgeted_example_ok(self):
         mix = Mixture(((1.0, BudgetedSet(np.zeros(4), np.array([5.0, 3.0, 1.0, 2.0]), 2)),))
-        assert check_submodular(SetFunctionSpec(4, mix)) == {"ok": True}
+        assert check_submodular(4, lambda x: evaluate_wrp(mix, x)) == {"ok": True}
 
     def test_random_budgeted_always_ok(self, rng):
         from robustmix.verify import random_budgeted_mixture
@@ -26,29 +25,20 @@ class TestCheckSubmodular:
         for _ in range(20):
             n = int(rng.integers(2, 7))
             mix = random_budgeted_mixture(rng, n)
-            assert check_submodular(SetFunctionSpec(n, mix))["ok"]
+            assert check_submodular(n, lambda x: evaluate_wrp(mix, x))["ok"]
 
     def test_supermodular_self_test(self):
-        result = check_submodular(n=2, f=lambda items: float(len(items)) ** 2)
+        result = check_submodular(2, lambda x: float(sum(x)) ** 2)
         assert not result["ok"]
         assert result["violation"] == ((0,), (1,))
 
     def test_modular_function_ok(self):
-        result = check_submodular(n=3, f=lambda items: float(sum(items)))
+        result = check_submodular(3, lambda x: float(sum(x)))
         assert result["ok"]
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            check_submodular(n=17, f=lambda items: 0.0)
-
-    def test_needs_spec_or_injection(self):
-        with pytest.raises(ValueError):
-            check_submodular()
-
-    def test_spec_rejects_non_budgeted(self):
-        mix = Mixture(((1.0, HullSet(np.ones((1, 3)))),))
-        with pytest.raises(UnsupportedError):
-            SetFunctionSpec(3, mix)
+            check_submodular(17, lambda x: 0.0)
 
 
 class TestDualCertificate:

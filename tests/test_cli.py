@@ -276,10 +276,20 @@ class TestInvalidValues:
             (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
              [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 2.7}],
              "gamma 2.7 is not an integer"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
+             [{"weight": 1.0, "type": "hull", "lamda": 0.5}],
+             "component 0 key 'lamda' is not read by 'hull'"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
+             [INTERVAL_MIX[0], {"weight": 1.0, "type": "hull", "lambda": 0.5, "gamma": 2}],
+             "component 1 key 'gamma' is not read by 'hull'"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{pairs}"],
+             [{"weight": 1.0, "type": "interval", "lambda": 0.5, "ridge": 0.1}],
+             "component 0 key 'ridge' is not read by 'interval'"),
         ],
         ids=["header-only-pairs", "header-only-pairs-solve", "header-only-pairs-tune",
              "weight-grid-zero", "weight-grid-negative",
-             "weights-nan", "gamma-fractional"],
+             "weights-nan", "gamma-fractional", "lambda-typo", "gamma-on-hull",
+             "ridge-on-interval"],
     )
     def test_exits_2(self, workdir, capsys, argv, components, named):
         header_only = workdir["dir"] / "header_only.csv"
@@ -325,6 +335,10 @@ class TestInvalidValues:
         assert named in capsys.readouterr().err
 
 
+# the --method choices that take no node cap
+UNCAPPED_METHODS = sorted(set(cli.METHODS) - {"auto", "bnb"})
+
+
 class TestUnreadFlags:
     """A flag the chosen mode does not read exits 2 naming it, before
     any input file is read."""
@@ -341,9 +355,15 @@ class TestUnreadFlags:
              "--select-n is not read with --graph"),
             (["emit-mip", "--select-n", "60", "--select-p", "3", "--source", "0"],
              "--source is not read without --graph"),
+            *(
+                (["solve", "--pairs", "p.csv", "--method", method, "--max-nodes", "5"],
+                 f"--max-nodes is not read by --method {method}")
+                for method in UNCAPPED_METHODS
+            ),
         ],
         ids=["solve-pairs-source", "solve-pairs-target", "emit-mip-graph-select",
-             "emit-mip-select-source"],
+             "emit-mip-select-source",
+             *(f"solve-{method}-max-nodes" for method in UNCAPPED_METHODS)],
     )
     def test_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, argv, named):
         def no_read(path):

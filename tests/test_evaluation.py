@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestScore:
         values = rng.uniform(0, 10, 15)
         a = score(*single_item_pool(values))
         b = score(*single_item_pool(rng.permutation(values)))
-        assert a.as_tuple() == pytest.approx(b.as_tuple(), abs=1e-12)
+        assert astuple(a) == pytest.approx(astuple(b), abs=1e-12)
 
     def test_averages_the_per_pair_metrics(self, rng):
         data = ScenarioMatrix(rng.uniform(0, 10, (25, 6)))

@@ -532,8 +532,8 @@ class TestSignedCosts:
 
 class TestGraphStructure:
     def test_adjacency_is_cached_and_immutable(self, diamond):
-        out = diamond.out_arcs()
-        assert out is diamond.out_arcs()
+        out = diamond.out_arcs
+        assert out is diamond.out_arcs
         assert out == (((0, 1), (2, 2)), ((1, 3),), ((3, 3),), ())
         with pytest.raises(TypeError):
             out[0][0] = (9, 9)

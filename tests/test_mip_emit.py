@@ -10,6 +10,7 @@ from robustmix import (
     HullSet,
     Instance,
     Mixture,
+    ModelStats,
     ParseError,
     PolyhedronSet,
     UnsupportedError,
@@ -19,6 +20,7 @@ from robustmix import (
     parse_lp,
     solve_brute_force,
 )
+from robustmix import mip_emit
 from robustmix.mip_emit import _coef, _expr, expected_stats
 from robustmix.verify import random_budgeted_mixture, random_hull_mixture, random_instance
 
@@ -75,6 +77,28 @@ class TestEmitAndParse:
         path = str(tmp_path / "model.lp")
         emit_model(inst, mix, path)
         assert check_lp_grammar(Path(path).read_text()) == []
+
+    def test_returns_the_counts_it_wrote(self, tmp_path, monkeypatch):
+        """The returned stats count the file, not the closed form: a block
+        that emits an extra row shows up in them."""
+        family = mip_emit._FAMILIES["budgeted"]
+
+        def block_with_extra_row(model, j, weight, uset, n):
+            family.block(model, j, weight, uset, n)
+            model.rows.append((f"extra_{j}", [(1.0, "x_0")], ">=", 0.0))
+
+        monkeypatch.setitem(
+            mip_emit._FAMILIES, "budgeted", family._replace(block=block_with_extra_row)
+        )
+        inst, mix = budgeted_selection()
+        path = str(tmp_path / "model.lp")
+        stats = emit_model(inst, mix, path)
+        model = parse_lp(Path(path).read_text())
+        n_bin = len(model.general)
+        assert stats == ModelStats(
+            n_bin, len(model.bounds) - n_bin, len(model.constraints)
+        )
+        assert stats.num_constraints == expected_stats(inst, mix).num_constraints + 1
 
     def test_emission_deterministic(self, tmp_path, diamond):
         inst, mix = hull_diamond(diamond)

@@ -137,7 +137,7 @@ class TestBoundCosts:
             bcosts = mix.bound_costs
             for x in enumerate_feasible(inst):
                 bound = float(bcosts @ np.asarray(x, dtype=float))
-                assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.set_types(), x)
+                assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.types, x)
 
     def test_searched_bound_never_exceeds_objective(self, rng, monkeypatch):
         """Every member sum the root search prices is a valid bound, not
@@ -161,7 +161,7 @@ class TestBoundCosts:
                 bcosts = np.array(costs.values)
                 for x in enumerate_feasible(inst):
                     bound = float(bcosts @ np.asarray(x, dtype=float))
-                    assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.set_types(), x)
+                    assert bound <= evaluate_wrp(mix, x) + 1e-9, (mix.types, x)
         assert best_responses > 30
 
 

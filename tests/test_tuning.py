@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -215,9 +216,9 @@ class TestBaselines:
             lam, m_in, m_out = grid[0]
             assert lam == 0.0
             first[set_type] = (m_in, m_out)
-        base = first["interval"][0].as_tuple()
-        assert first["hull"][0].as_tuple() == pytest.approx(base, abs=1e-9)
-        assert first["ellipsoid"][0].as_tuple() == pytest.approx(base, abs=1e-9)
+        base = astuple(first["interval"][0])
+        assert astuple(first["hull"][0]) == pytest.approx(base, abs=1e-9)
+        assert astuple(first["ellipsoid"][0]) == pytest.approx(base, abs=1e-9)
 
 
 class TestPairMetricMemo:

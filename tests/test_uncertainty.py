@@ -522,7 +522,7 @@ class TestMixture:
     def test_weights_need_not_sum_to_one(self):
         uset = IntervalSet(np.zeros(1), np.ones(1))
         mix = Mixture(((0.7, uset), (0.9, uset)))
-        assert mix.N == 2
+        assert len(mix.components) == 2
 
     def test_set_types(self):
         mix = Mixture(
@@ -534,7 +534,7 @@ class TestMixture:
                 (1.0, PolyhedronSet(np.eye(1), np.ones(1))),
             )
         )
-        assert mix.set_types() == ("interval", "hull", "budgeted", "ellipsoid", "polyhedron")
+        assert mix.types == {"interval", "hull", "budgeted", "ellipsoid", "polyhedron"}
 
     def test_spec_json_round_trip(self):
         specs = [
@@ -560,7 +560,7 @@ class TestMixture:
             ],
             data,
         )
-        assert mix.set_types() == ("interval", "budgeted")
+        assert [u.name for _, u in mix.components] == ["interval", "budgeted"]
 
 
 def csv_writer_text(costs) -> str:
