@@ -32,6 +32,7 @@ from .instances import (
     can_price,
     check_costs,
     enumerate_feasible,
+    float_vector,
     item_set,
     must_use,
     nominal_solve,
@@ -69,7 +70,9 @@ class SolveReport:
 
 def evaluate_wrp(mix: Mixture, x) -> float:
     """Weighted sum of per-component worst-case values, each set's
-    `support`, summed in index order; no member is built."""
+    `support`, summed in index order; no member is built.  `x` may be
+    any array-like; a float array, as `_Search.offer` passes, is used
+    without a conversion."""
     x = np.asarray(x, dtype=float)
     total = 0.0
     for weight, uset in mix.components:
@@ -90,10 +93,11 @@ class _Search:
         self.calls = 0
 
     def offer(self, x: tuple[int, ...], obj: float | None = None) -> None:
-        """Offer x, of objective `obj` (by default the mixture's), as
-        incumbent; item sets are compared only on a tie."""
+        """Offer x, of objective `obj`, as incumbent; item sets are
+        compared only on a tie.  Without `obj`, the mixture's objective
+        is evaluated here, on every offer, at x's `float_vector`."""
         if obj is None:
-            obj = evaluate_wrp(self.mix, x)
+            obj = evaluate_wrp(self.mix, float_vector(x))
         if obj < self.obj - 1e-12 or (
             obj <= self.obj + 1e-12 and item_set(x) < item_set(self.x)
         ):
@@ -231,7 +235,7 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
         return search.solve(linear + theta * spread)
 
     def pair(sol: Solution):
-        x = np.asarray(sol.x, dtype=float)
+        x = sol.as_array()
         return float(linear @ x), float(spread @ x)
 
     sol_l = oracle(0.0)
@@ -312,8 +316,13 @@ def solve_bnb(
     once that value reaches the incumbent minus TOL or after
     `_search_steps(n)` steps (one per 128 items), or at a member sum
     the oracle cannot price (`can_price`: a negative cost on a graph
-    with a directed cycle).  Every completion is an incumbent candidate
-    under the true objective.
+    with a directed cycle).  Every root-search completion is offered as
+    incumbent, its true objective evaluated.  An exclude child's
+    completion is offered only when its value is within
+    TOL * max(1, |incumbent|) above the incumbent's objective: the value
+    never exceeds the completion's objective by more than rounding, so
+    a child above that margin would lose anyway, and is not pushed
+    either.
     Returns optimal=True iff the search ran to completion within the
     budgets.
 
@@ -385,6 +394,8 @@ def solve_bnb(
             child = search.solve(bcosts, forced_in=fin, forced_out=fout | {item})
         except InfeasibleError:
             continue
+        if child.value > search.obj + TOL * max(1.0, abs(search.obj)):
+            continue  # its objective is above the incumbent's too
         search.offer(child.x)
         if child.value < search.obj - TOL:
             heapq.heappush(

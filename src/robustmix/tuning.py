@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import Metrics, Split, mean_metrics, pair_metrics, scalarize, tail_count
-from .instances import Graph, Instance
+from .instances import Graph, Instance, float_vector
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
 
@@ -81,15 +81,11 @@ def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
 def perturb_config(config: Config, rng: np.random.Generator) -> Config:
     """Gaussian perturbation, sigma = 10% of each range, clamped."""
     parents = []
+    wlo, whi = WEIGHT_RANGE
     for parent in config.parents:
         lo, hi = LAMBDA_RANGES[parent.set_type]
-        lam = float(
-            np.clip(parent.lam + rng.normal(0.0, 0.1 * (hi - lo)), lo, hi)
-        )
-        wlo, whi = WEIGHT_RANGE
-        weight = float(
-            np.clip(parent.weight + rng.normal(0.0, 0.1 * (whi - wlo)), wlo, whi)
-        )
+        lam = min(max(parent.lam + rng.normal(0.0, 0.1 * (hi - lo)), lo), hi)
+        weight = min(max(parent.weight + rng.normal(0.0, 0.1 * (whi - wlo)), wlo), whi)
         parents.append(ParentSpec(parent.set_type, lam, weight))
     return Config(tuple(parents))
 
@@ -122,7 +118,7 @@ def _metric_memo(costs: np.ndarray):
 
     @functools.cache
     def metric(x: tuple[int, ...]) -> tuple[float, float, float]:
-        return pair_metrics(np.asarray(x, dtype=float), costs, tail)
+        return pair_metrics(float_vector(x), costs, tail)
 
     return metric
 
@@ -173,8 +169,13 @@ def tune(
     evals = 0
     generation = 0
 
-    def cost(cfg_id: int) -> float:
+    @functools.cache
+    def cost_at(cfg_id: int, pairs_done: int) -> float:
         return scalarize(mean_metrics(triples[cfg_id]), w)
+
+    def cost(cfg_id: int) -> float:
+        # triples only grow, so their length names their contents
+        return cost_at(cfg_id, len(triples[cfg_id]))
 
     while evals < space.budget:
         n_g = min(P, 5 * (2**generation))

@@ -180,14 +180,16 @@ class ScenarioMatrix:
 
         A formatted finite float never holds a comma, quote or line end,
         so joining the fields gives the bytes `csv.writer` would write,
-        without its per-field quoting checks over numpy scalars.  Rows
-        are converted to Python floats and written one at a time, so no
-        float list of the whole matrix is held at once."""
+        without its per-field quoting checks over numpy scalars.  Each
+        row is one `%` format of its Python floats (`"%.6f" % v` is the
+        same string as `f"{v:.6f}"`), and rows are written one at a time,
+        so no float list of the whole matrix is held at once."""
         buf = io.StringIO()
         buf.write(",".join(f"arc_{i}" for i in range(self.n)))
+        row_format = ",".join(["%.6f"] * self.n)
         for row in self.costs:
             buf.write("\n")
-            buf.write(",".join(f"{v:.6f}" for v in row.tolist()))
+            buf.write(row_format % tuple(row.tolist()))
         buf.write("\n")
         return buf.getvalue()
 

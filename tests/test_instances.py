@@ -20,7 +20,14 @@ from robustmix import (
     sample_st_pairs,
 )
 from robustmix import instances
-from robustmix.instances import _spath_branching, enumerate_feasible, item_set
+from robustmix.instances import (
+    Solution,
+    _spath_acyclic,
+    _spath_branching,
+    enumerate_feasible,
+    float_vector,
+    item_set,
+)
 
 # Two equal-cost 0 -> 2 paths: {1} is found first, {0, 2} is
 # lexicographically smaller and reaches node 2 over a zero-cost arc.
@@ -218,6 +225,28 @@ class TestForcedArcOracle:
             assert solve_or_none(inst, costs, (), fout) == expected
             infeasible += expected is None
         assert 50 < infeasible < 350
+
+    def test_unforced_calls_match_exhaustive_value_and_x(self, rng):
+        """Without forced arcs the pass is one source -> target segment;
+        nominal_solve and the bare pass give the exhaustive search's
+        value, bit for bit, and item set, or no path where it finds none."""
+        infeasible = 0
+        for _ in range(300):
+            inst, costs = random_grid_case(rng)
+            graph, s, t = inst.graph, inst.source, inst.target
+            expected = _spath_branching(graph, costs, s, t, frozenset(), frozenset())
+            bare = _spath_acyclic(graph, costs, s, t, frozenset(), frozenset())
+            if expected is None:
+                assert bare is None
+                with pytest.raises(InfeasibleError):
+                    nominal_solve(inst, costs)
+                infeasible += 1
+                continue
+            value, arcs = expected
+            assert bare[0] == value and sorted(bare[1]) == sorted(arcs)
+            sol = nominal_solve(inst, costs)
+            assert (sol.value, sol.items) == (value, tuple(sorted(arcs)))
+        assert 20 < infeasible < 150
 
     def test_zero_cost_tie_on_acyclic_graph(self):
         inst = Instance.spath(Graph(3, ZERO_TIE_ARCS), 0, 2)
@@ -633,7 +662,26 @@ class TestEnumerateFeasible:
             list(enumerate_feasible(Instance.selection(10, 5), cap=3))
 
 
+class TestFloatVector:
+    @pytest.mark.parametrize("n", [0, 1, 7, 60, 1012])
+    def test_equals_asarray_bit_for_bit(self, rng, n):
+        for density in (0.0, 0.2, 1.0):
+            x = tuple((rng.random(n) < density).astype(int).tolist())
+            reference = np.asarray(x, dtype=float)
+            for got in (float_vector(x), Solution(x, 0.0).as_array()):
+                assert got.dtype == reference.dtype and got.shape == reference.shape
+                assert got.tobytes() == reference.tobytes()
+                assert got.flags.writeable
+
+
 class TestSampleStPairs:
+    def test_paper_scale_pairs_pinned(self):
+        graph, _ = gen_synthetic(23, 23, 271, "two_block", seed=1)
+        assert sample_st_pairs(graph, 8, min_hops=30, seed=1) == [
+            (186, 482), (48, 459), (0, 515), (186, 480),
+            (119, 481), (4, 497), (97, 526), (50, 503),
+        ]
+
     def test_single_qualifying_pair(self):
         g = Graph(2, ((0, 1),))
         assert sample_st_pairs(g, 1, min_hops=1, seed=7) == [(0, 1)]

@@ -563,6 +563,35 @@ class TestBnb:
         assert report.optimal
         assert report.solution.x == solve_brute_force(inst, mix).solution.x
 
+    def test_exclude_child_objective_evaluated_only_when_it_can_win(
+        self, monkeypatch
+    ):
+        """An exclude child whose value is above the incumbent's objective
+        cannot win, so its objective is not evaluated: fewer evaluations
+        than exclude children solved, with brute force's optimum."""
+        evaluations = 0
+        children = 0
+
+        def counting_eval(mix, x):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate_wrp(mix, x)
+
+        def counting_solve(inst, costs, forced_in=(), forced_out=()):
+            nonlocal children
+            sol = nominal_solve(inst, costs, forced_in, forced_out)
+            children += bool(forced_out)  # raises before counting if infeasible
+            return sol
+
+        monkeypatch.setattr(solvers, "evaluate_wrp", counting_eval)
+        monkeypatch.setattr(solvers, "nominal_solve", counting_solve)
+        inst, mix = corner_to_corner(8, README_MIX)
+        report = solve_bnb(inst, mix)
+        monkeypatch.undo()
+        assert report.optimal
+        assert evaluations < children
+        assert report.objective == solve_brute_force(inst, mix).objective
+
     def test_time_limit_at_paper_scale(self):
         inst, mix = corner_to_corner(23, README_MIX)  # proven in about 3 s
         start = time.monotonic()

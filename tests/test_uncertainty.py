@@ -573,6 +573,15 @@ def csv_writer_text(costs) -> str:
     return buf.getvalue()
 
 
+# Halfway points of the sixth decimal and their float neighbours, zeros
+# and large magnitudes: 4 rows of 78 costs.
+_HALVES = (np.arange(100) + 0.5) / 1e6 + np.arange(100) * 7.0
+ROUNDING_BOUNDARIES = np.concatenate([
+    _HALVES, np.nextafter(_HALVES, np.inf), np.nextafter(_HALVES, -np.inf),
+    [0.0, -0.0, 1e15, 123456789.0000005, 2.0**53, 1e22, 1.7e308, 1e300, 0.0, 0.0, 0.0, 0.0],
+]).reshape(4, -1)
+
+
 class TestToCsv:
     @pytest.mark.parametrize(
         "costs",
@@ -580,6 +589,7 @@ class TestToCsv:
             [[-0.0, 1e-7, 1e300], [0.0, 2.5, 123456.789]],
             [[1e-7], [-0.0], [1e300], [3.25]],
             [[0.1234565, 7.0, 5e-7, 0.0000005]],
+            ROUNDING_BOUNDARIES,
         ],
     )
     def test_bytes_equal_csv_writer(self, costs):
