@@ -1,14 +1,17 @@
 """Batch command-line front end.
 
-Every subcommand reads and writes plain files, prints a short summary
-and drops a run manifest next to its primary output so runs can be
-reproduced exactly.  Exit codes: 0 success, 2 invalid input, 3
-infeasible, 4 budget or timeout with partial output: an enumeration cap
-was exceeded, any `tune` run did not evaluate a configuration on every
-pair, or a `solve` record comes from a branch-and-bound search that
-stopped before a proof (the solutions file is still written).
-The heuristic methods `midpoint` and `local` never prove optimality and
-exit 0.
+Every subcommand reads and writes plain files and prints a short
+summary.  Each `_cmd_*` returns its exit code and output paths; `main`
+then writes the run manifest, so runs can be reproduced exactly, at
+`--manifest PATH` or else at `<first output>.manifest.json` (a run with
+neither writes none).  Every file goes through `_write`: UTF-8, LF line
+ends, one write.  Exit codes: 0 success, 1 a `verify` suite failed, 2
+invalid input, 3 infeasible, 4 budget or timeout with partial output:
+an enumeration cap was exceeded, any `tune` run did not evaluate a
+configuration on every pair, or a `solve` record comes from a
+branch-and-bound search that stopped before a proof (the solutions file
+is still written).  The heuristic methods `midpoint` and `local` never
+prove optimality and exit 0.
 """
 
 from __future__ import annotations
@@ -63,21 +66,21 @@ from .uncertainty import (
 from .verify import SUITES, run_suites
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
 
 def _write_manifest(args, argv: list[str], outputs: list[str], started: float):
-    path = getattr(args, "manifest", None)
-    if path is None:
-        if not outputs:
-            return
-        path = outputs[0] + ".manifest.json"
+    """The run's manifest, at `--manifest` or beside the first output."""
+    if args.manifest is None and not outputs:
+        return
+    path = outputs[0] + ".manifest.json" if args.manifest is None else args.manifest
     doc = {
         "command": args.command,
         "argv": argv,
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "outputs": outputs,
         "version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
@@ -85,12 +88,27 @@ def _write_manifest(args, argv: list[str], outputs: list[str], started: float):
     _write_json(path, doc)
 
 
+def _write(path: str, text: str) -> None:
+    """The CLI's one way to write a file: `text` as UTF-8, its line ends
+    kept as LF on every platform, in one write."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def _write_json(path: str, doc) -> None:
-    """`doc` as sorted, 2-space indented JSON plus a newline, in one
-    write: the bytes of `json.dump` into the file, without its one
-    write per encoder chunk (about 8,000 for 8 paths of 1012 arcs)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """`doc` as sorted, 2-space indented JSON plus a newline: the bytes
+    of `json.dump` into the file, without its one write per encoder
+    chunk (about 8,000 for 8 paths of 1012 arcs)."""
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """`header` and `rows` as `csv.writer` lines ending in LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
 
 
 def _read(path: str) -> str:
@@ -128,6 +146,20 @@ def _check_columns(scenarios: ScenarioMatrix, n: int, owner="graph", unit="arcs"
         )
 
 
+def _read_graph_and_scenarios(args):
+    """`--graph` and `--scenarios`, read and parsed in that order, with
+    one scenario column per arc checked."""
+    graph = parse_graph(_read(args.graph))
+    scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
+    _check_columns(scenarios, graph.n)
+    return graph, scenarios
+
+
+def _specs_json(config) -> str:
+    """A tuned configuration's component specs as one line of sorted JSON."""
+    return json.dumps(config.to_specs(), sort_keys=True)
+
+
 def _parse_weights(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -150,35 +182,25 @@ METHODS = {
 }
 
 
-def _cmd_gen(args, argv, started):
+def _cmd_gen(args):
     graph, scenarios = gen_synthetic(
         args.width, args.height, args.scenarios, args.noise, args.seed
     )
-    with open(args.out_graph, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(graph_to_text(graph))
-    with open(args.out_scenarios, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(scenarios.to_csv())
+    _write(args.out_graph, graph_to_text(graph))
+    _write(args.out_scenarios, scenarios.to_csv())
     print(f"nodes={graph.num_nodes} arcs={graph.n} scenarios={scenarios.K}")
-    _write_manifest(args, argv, [args.out_graph, args.out_scenarios], started)
-    return EXIT_OK
+    return EXIT_OK, [args.out_graph, args.out_scenarios]
 
 
-def _cmd_pairs(args, argv, started):
+def _cmd_pairs(args):
     graph = parse_graph(_read(args.graph))
     pairs = sample_st_pairs(graph, args.count, args.min_hops, args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target"])
-    for s, t in pairs:
-        writer.writerow([s, t])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_csv(args.out, ["source", "target"], pairs)
     print(f"pairs={len(pairs)}")
-    _write_manifest(args, argv, [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
-def _cmd_solve(args, argv, started):
+def _cmd_solve(args):
     if args.max_nodes is not None and args.max_nodes < 0:
         raise ParseError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
     if args.method not in ("auto", "bnb"):
@@ -190,9 +212,7 @@ def _cmd_solve(args, argv, started):
         raise ParseError("need --source/--target or --pairs")
     else:
         pairs = [(args.source, args.target)]
-    graph = parse_graph(_read(args.graph))
-    scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    _check_columns(scenarios, graph.n)
+    graph, scenarios = _read_graph_and_scenarios(args)
     specs = mixture_spec_from_json(_read(args.mixture))
     mix = build_mixture(specs, scenarios)
     records = []
@@ -213,8 +233,7 @@ def _cmd_solve(args, argv, started):
         print(f"objective={report.objective:.6f} optimal={str(report.optimal).lower()}")
     if args.out:
         _write_json(args.out, {"solutions": records})
-        _write_manifest(args, argv, [args.out], started)
-    return EXIT_BUDGET if cut_short else EXIT_OK
+    return EXIT_BUDGET if cut_short else EXIT_OK, [args.out] if args.out else []
 
 
 def _load_solutions(text: str) -> list[Solution]:
@@ -242,24 +261,18 @@ def _load_solutions(text: str) -> list[Solution]:
     return solutions
 
 
-def _cmd_evaluate(args, argv, started):
+def _cmd_evaluate(args):
     scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
     solutions = _load_solutions(_read(args.solutions))
     metrics = score(solutions, scenarios, args.alpha)
     print(metrics.format_line())
-    outputs = []
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(metrics.format_line() + "\n")
-        outputs.append(args.out)
-    _write_manifest(args, argv, outputs, started)
-    return EXIT_OK
+        _write(args.out, metrics.format_line() + "\n")
+    return EXIT_OK, [args.out] if args.out else []
 
 
-def _cmd_baseline(args, argv, started):
-    graph = parse_graph(_read(args.graph))
-    scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    _check_columns(scenarios, graph.n)
+def _cmd_baseline(args):
+    graph, scenarios = _read_graph_and_scenarios(args)
     pairs = _load_pairs(args.pairs)
     split = split_scenarios(scenarios.K, args.ratio, args.seed)
     grid = baseline_grid(args.type, graph, pairs, scenarios, split)
@@ -268,14 +281,11 @@ def _cmd_baseline(args, argv, started):
     ]
     count = export_tradeoffs(records, args.out)
     print(f"rows={2 * count}")
-    _write_manifest(args, argv, [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
-def _cmd_tune(args, argv, started):
-    graph = parse_graph(_read(args.graph))
-    scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    _check_columns(scenarios, graph.n)
+def _cmd_tune(args):
+    graph, scenarios = _read_graph_and_scenarios(args)
     pairs = _load_pairs(args.pairs)
     split = split_scenarios(scenarios.K, args.ratio, args.seed)
     space = ConfigSpace(budget=args.budget, max_parents=args.max_parents)
@@ -291,76 +301,53 @@ def _cmd_tune(args, argv, started):
 
     outputs = [args.out_config]
     if len(results) == 1:
-        with open(args.out_config, "w", encoding="utf-8") as fh:
-            fh.write(mixture_spec_to_json(results[0].best.to_specs()))
+        _write(args.out_config, mixture_spec_to_json(results[0].best.to_specs()))
     else:
-        with open(args.out_config, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["w_avg", "w_max", "w_cvar", "cost", "config"])
-            for w, result in zip(weight_list, results):
-                writer.writerow(
-                    [
-                        f"{w[0]:.6f}",
-                        f"{w[1]:.6f}",
-                        f"{w[2]:.6f}",
-                        f"{result.best_cost:.6f}",
-                        json.dumps(result.best.to_specs(), sort_keys=True),
-                    ]
-                )
+        header = ["w_avg", "w_max", "w_cvar", "cost", "config"]
+        rows = [
+            [*(f"{v:.6f}" for v in (*w, result.best_cost)), _specs_json(result.best)]
+            for w, result in zip(weight_list, results)
+        ]
+        _write_csv(args.out_config, header, rows)
     if args.out_trace:
-        with open(args.out_trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["generation", "config_id", "pairs", "cost", "params"])
-            for result in results:
-                for entry in result.trace:
-                    writer.writerow(
-                        [
-                            entry.generation,
-                            entry.config_id,
-                            entry.pairs_used,
-                            f"{entry.cost:.6f}",
-                            json.dumps(entry.config.to_specs(), sort_keys=True),
-                        ]
-                    )
+        header = ["generation", "config_id", "pairs", "cost", "params"]
+        rows = [
+            [e.generation, e.config_id, e.pairs_used, f"{e.cost:.6f}", _specs_json(e.config)]
+            for result in results
+            for e in result.trace
+        ]
+        _write_csv(args.out_trace, header, rows)
         outputs.append(args.out_trace)
-    _write_manifest(args, argv, outputs, started)
-    if all(result.completed_full_eval for result in results):
-        return EXIT_OK
-    return EXIT_BUDGET
+    complete = all(result.completed_full_eval for result in results)
+    return EXIT_OK if complete else EXIT_BUDGET, outputs
 
 
-def _cmd_emit_mip(args, argv, started):
+def _cmd_emit_mip(args):
     if args.graph is not None:
         _reject_unread(args, "with --graph", "select_n", "select_p")
         if args.source is None or args.target is None:
             raise ParseError("emit-mip with --graph needs --source/--target")
+        graph, scenarios = _read_graph_and_scenarios(args)
+        inst = Instance.spath(graph, args.source, args.target)
     else:
         _reject_unread(args, "without --graph", "source", "target")
         if args.select_n is None or args.select_p is None:
             raise ParseError("emit-mip needs --graph or --select-n/--select-p")
-    scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
-    specs = mixture_spec_from_json(_read(args.mixture))
-    mix = build_mixture(specs, scenarios)
-    if args.graph is not None:
-        graph = parse_graph(_read(args.graph))
-        _check_columns(scenarios, graph.n)
-        inst = Instance.spath(graph, args.source, args.target)
-    else:
+        scenarios = ScenarioMatrix.from_csv(_read(args.scenarios))
         _check_columns(scenarios, args.select_n, "selection", "items")
         inst = Instance.selection(args.select_n, args.select_p)
+    mix = build_mixture(mixture_spec_from_json(_read(args.mixture)), scenarios)
     stats = emit_model(inst, mix, args.out)
     print(
         f"binary={stats.num_binary} continuous={stats.num_continuous} "
         f"rows={stats.num_constraints}"
     )
-    _write_manifest(args, argv, [args.out], started)
-    return EXIT_OK
+    return EXIT_OK, [args.out]
 
 
-def _cmd_verify(args, argv, started):
+def _cmd_verify(args):
     ok = run_suites(args.suite, seed=args.seed, trials=args.trials)
-    _write_manifest(args, argv, [], started)
-    return EXIT_OK if ok else 1
+    return EXIT_OK if ok else EXIT_FAILED, []
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +456,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        return args.func(args, argv, started)
+        code, outputs = args.func(args)
+        _write_manifest(args, argv, outputs, started)
+        return code
     except (ParseError, UnsupportedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -41,6 +41,8 @@ from .instances import (
 from .uncertainty import Mixture
 
 TOL = 1e-9
+THRESHOLD_CAP = 10_000_000  # threshold tuples solve_budgeted_mix enumerates at most
+BRUTE_FORCE_CAP = 1_000_000  # feasible points solve_brute_force enumerates at most
 
 
 @dataclass
@@ -92,12 +94,11 @@ class _Search:
         self.obj, self.x = math.inf, None
         self.calls = 0
 
-    def offer(self, x: tuple[int, ...], obj: float | None = None) -> None:
-        """Offer x, of objective `obj`, as incumbent; item sets are
-        compared only on a tie.  Without `obj`, the mixture's objective
-        is evaluated here, on every offer, at x's `float_vector`."""
-        if obj is None:
-            obj = evaluate_wrp(self.mix, float_vector(x))
+    def offer(self, x: tuple[int, ...]) -> None:
+        """Offer x as incumbent; item sets are compared only on a tie.
+        The mixture's objective is evaluated here, on every offer, at
+        x's `float_vector`."""
+        obj = evaluate_wrp(self.mix, float_vector(x))
         if obj < self.obj - 1e-12 or (
             obj <= self.obj + 1e-12 and item_set(x) < item_set(self.x)
         ):
@@ -127,11 +128,11 @@ def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
 THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
 
 
-def solve_budgeted_mix(
-    inst: Instance, mix: Mixture, cap: int = 10_000_000
-) -> SolveReport:
+def solve_budgeted_mix(inst: Instance, mix: Mixture) -> SolveReport:
     """Exact optimum for all-budgeted mixtures by enumerating the dual
-    threshold candidates {0} union {deviations} per component.
+    threshold candidates {0} union {deviations} per component.  More
+    than THRESHOLD_CAP threshold tuples raise CapExceededError before
+    any is priced.
 
     Each threshold tuple pi gives the nominal costs
     sum_j p_j (lo_j + max(dev_j - pi_j, 0)) plus the constant
@@ -149,9 +150,9 @@ def solve_budgeted_mix(
         sorted(set([0.0] + u.deviations.tolist())) for _, u in mix.components
     ]
     total = math.prod(len(cands) for cands in candidate_lists)
-    if total > cap:
+    if total > THRESHOLD_CAP:
         raise CapExceededError(
-            f"{total} threshold candidates exceed cap {cap}; use solve_bnb"
+            f"{total} threshold candidates exceed cap {THRESHOLD_CAP}; use solve_bnb"
         )
 
     parts = [
@@ -197,7 +198,9 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
 
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
-    """Exact solver for one diagonal ellipsoid plus interval components.
+    """Exact solver for one diagonal ellipsoid plus interval components;
+    a mixture without an ellipsoid raises UnsupportedError naming
+    `solve_interval_mix`, which solves it.
 
     The objective is linear(x) + w sqrt(S(x)) with S linear in binary x,
     so the optimum sits on the lower-left hull of the (linear, S)
@@ -226,7 +229,7 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
                 "solve_ellipsoid_parametric allows only interval and ellipsoid components"
             )
     if ell is None:
-        return solve_interval_mix(inst, mix)
+        raise UnsupportedError("no ellipsoid component; use solve_interval_mix")
     linear = mix.bound_costs
     spread = ell.lam * np.diag(ell.sigma)  # S(x) = spread . x
     search = _Search(inst, mix)
@@ -404,10 +407,11 @@ def solve_bnb(
     return search.report("bnb", complete, nodes_explored=nodes)
 
 
-def solve_brute_force(inst: Instance, mix: Mixture, cap: int = 1_000_000) -> SolveReport:
-    """Exact minimum of the objective by full enumeration of X."""
+def solve_brute_force(inst: Instance, mix: Mixture) -> SolveReport:
+    """Exact minimum of the objective by full enumeration of X; more than
+    BRUTE_FORCE_CAP feasible points raise CapExceededError."""
     search = _Search(inst, mix)
-    for x in enumerate_feasible(inst, cap=cap):
+    for x in enumerate_feasible(inst, cap=BRUTE_FORCE_CAP):
         search.calls += 1  # a feasible point stands for an oracle call
         search.offer(x)
     if search.x is None:
@@ -474,7 +478,7 @@ def solve_local_search(
             if best_nb.obj >= cur.obj - TOL:
                 break
             cur = best_nb
-        search.offer(cur.x, cur.obj)
+        search.offer(cur.x)
     return search.report("local", False)
 
 
@@ -489,5 +493,5 @@ def solve_auto(inst: Instance, mix: Mixture, max_nodes: int | None = None) -> So
         try:
             return solve_budgeted_mix(inst, mix)
         except CapExceededError:
-            return solve_bnb(inst, mix, max_nodes=max_nodes)
+            pass
     return solve_bnb(inst, mix, max_nodes=max_nodes)

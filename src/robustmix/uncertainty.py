@@ -146,10 +146,11 @@ class ScenarioMatrix:
         or empty entry raise ParseError.
 
         Cost: the header goes through `csv.reader`; the body is one
-        `np.loadtxt` call, which parses in C with the same
-        string-to-double routine as `float()`, so the values are
-        bit-identical to a per-entry `float()` parse and a K x n file
-        costs O(K n) with no Python work per entry.
+        `np.loadtxt` call over its list of lines (an `io.StringIO` copy
+        would hold it at 4 bytes a character), which parses in C with
+        the same string-to-double routine as `float()`, so the values
+        are bit-identical to a per-entry `float()` parse and a K x n
+        file costs O(K n) with no Python work per entry.
         """
         head, _, body = text.lstrip("\r\n").partition("\n")
         if not head:
@@ -164,7 +165,7 @@ class ScenarioMatrix:
             raise ParseError("scenario CSV has a header but no rows")
         try:
             data = np.loadtxt(
-                io.StringIO(body), delimiter=",", quotechar='"', comments=None, ndmin=2
+                body.split("\n"), delimiter=",", quotechar='"', comments=None, ndmin=2
             )
         except ValueError as exc:
             raise ParseError(f"non-numeric or ragged scenario CSV: {exc}") from None

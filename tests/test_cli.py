@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from robustmix import cli, tuning
+from robustmix import cli, tuning, verify
 from robustmix.cli import main
 
 
@@ -727,6 +727,21 @@ class TestVerify:
         assert f"trials must be at least 1, got {trials}" in captured.err
         assert "ok" not in captured.out
 
+    def test_failed_suite_exits_1_with_manifest(self, tmp_path, capsys, monkeypatch):
+        def fail(seed, trials):
+            print("dual: FAIL forced")
+            return False
+
+        monkeypatch.setitem(verify.SUITES, "dual", fail)
+        manifest = tmp_path / "m.json"
+        argv = ["verify", "--trials", "2", "--manifest", str(manifest)]
+        assert main(argv) == cli.EXIT_FAILED == 1
+        out = capsys.readouterr().out
+        assert "submodular: ok" in out and "dual: FAIL forced" in out
+        doc = json.loads(manifest.read_text())
+        assert doc["command"] == "verify" and doc["argv"] == argv
+        assert doc["outputs"] == []
+
     def test_all_suites_run_in_order(self, capsys):
         assert main(["verify", "--suite", "all", "--trials", "3"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -743,6 +758,28 @@ class TestManifests:
         assert manifest["command"] == "gen"
         assert "--seed" in manifest["argv"]
         assert manifest["outputs"] == [workdir["graph"], workdir["scenarios"]]
+
+    def test_solve_without_out_writes_the_named_manifest(self, workdir, capsys):
+        mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
+        manifest = workdir["dir"] / "m.json"
+        argv = ["solve", "--graph", workdir["graph"], "--scenarios", workdir["scenarios"],
+                "--mixture", mixture, "--source", "0", "--target", "8",
+                "--manifest", str(manifest)]
+        assert main(argv) == 0
+        assert "objective=" in capsys.readouterr().out
+        doc = json.loads(manifest.read_text())
+        assert doc["command"] == "solve" and doc["argv"] == argv
+        assert doc["outputs"] == [] and doc["seed"] == 0
+
+    def test_manifest_flag_replaces_the_default_path(self, workdir):
+        out = workdir["dir"] / "p.csv"
+        manifest = workdir["dir"] / "run.json"
+        argv = ["pairs", "--graph", workdir["graph"], "--count", "2",
+                "--out", str(out), "--manifest", str(manifest)]
+        out.with_name("p.csv.manifest.json").unlink()
+        assert main(argv) == 0
+        assert json.loads(manifest.read_text())["outputs"] == [str(out)]
+        assert not out.with_name("p.csv.manifest.json").exists()
 
     def test_seed_defaults_to_0_whatever_the_environment(self, workdir, monkeypatch):
         """No environment variable sets the seed: a run without --seed is

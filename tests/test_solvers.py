@@ -7,6 +7,7 @@ import pytest
 
 from robustmix import (
     BudgetedSet,
+    CapExceededError,
     EllipsoidSet,
     Graph,
     HullSet,
@@ -273,17 +274,34 @@ class TestBudgetedMix:
         order = np.argsort(lo, kind="stable")
         assert report.objective == pytest.approx(float(lo[order[:2]].sum()), abs=1e-9)
 
-    def test_candidate_cap(self):
+    def test_candidate_cap(self, monkeypatch):
+        """Two components of 7 thresholds each: 49 tuples, over a cap of 48."""
         mix = Mixture(
             tuple(
                 (1.0, BudgetedSet(np.zeros(6), np.arange(1.0, 7.0), 2))
-                for _ in range(10)
+                for _ in range(2)
             )
         )
-        from robustmix import CapExceededError
+        monkeypatch.setattr(solvers, "THRESHOLD_CAP", 48)
+        with pytest.raises(CapExceededError, match="49 threshold candidates exceed cap 48"):
+            solve_budgeted_mix(Instance.selection(6, 2), mix)
+        monkeypatch.setattr(solvers, "THRESHOLD_CAP", 49)
+        assert solve_budgeted_mix(Instance.selection(6, 2), mix).optimal
 
-        with pytest.raises(CapExceededError):
-            solve_budgeted_mix(Instance.selection(6, 2), mix, cap=100)
+    def test_auto_over_cap_proves_by_bnb(self, monkeypatch):
+        """Over the threshold cap, solve_auto falls back to branch and bound."""
+        graph, data = gen_synthetic(3, 3, 12, "two_block", seed=3)
+        inst = Instance.spath(graph, 0, graph.num_nodes - 1)
+        specs = [
+            {"weight": 0.5, "type": "budgeted", "lambda": 0.5, "gamma": 2},
+            {"weight": 1.0, "type": "budgeted", "lambda": 0.8, "gamma": 1},
+        ]
+        mix = build_mixture(specs, data)
+        assert solve_auto(inst, mix).method == "budgeted-enum"
+        monkeypatch.setattr(solvers, "THRESHOLD_CAP", 1)
+        report = solve_auto(inst, mix)
+        assert report.method == "bnb" and report.optimal
+        assert report.objective == solve_brute_force(inst, mix).objective
 
 
 def per_threshold_reference(inst, mix):
@@ -466,6 +484,11 @@ class TestEllipsoidParametric:
         sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
         mix = Mixture(((1.0, EllipsoidSet(np.ones(2), sigma, 1.0)),))
         with pytest.raises(UnsupportedError, match="diagonal"):
+            solve_ellipsoid_parametric(Instance.selection(2, 1), mix)
+
+    def test_rejects_mixture_without_ellipsoid(self):
+        mix = Mixture(((1.0, interval([1.0, 2.0])),))
+        with pytest.raises(UnsupportedError, match="no ellipsoid.*solve_interval_mix"):
             solve_ellipsoid_parametric(Instance.selection(2, 1), mix)
 
     def test_rejects_two_ellipsoids(self):
@@ -859,12 +882,16 @@ class TestBruteForce:
         report = solve_brute_force(diamond_inst, mix)
         assert report.oracle_calls == 2
 
-    def test_grid_monotone_path_count(self):
+    def test_grid_monotone_path_count(self, monkeypatch):
         graph, _ = gen_synthetic(4, 4, 2, seed=0)
         inst = Instance.spath(graph, 0, 15)
         mix = Mixture(((1.0, interval(np.ones(graph.n))),))
+        monkeypatch.setattr(solvers, "BRUTE_FORCE_CAP", 20)
         report = solve_brute_force(inst, mix)
         assert report.oracle_calls == 20  # C(6, 3) monotone lattice paths
+        monkeypatch.setattr(solvers, "BRUTE_FORCE_CAP", 19)
+        with pytest.raises(CapExceededError, match="enumeration exceeds cap 19"):
+            solve_brute_force(inst, mix)
 
 
 class TestLocalSearch:
