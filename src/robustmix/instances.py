@@ -81,6 +81,16 @@ class Graph:
             position[v] = i
         return tuple(order), tuple(position)
 
+    @cached_property
+    def arc_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Topological positions of every arc's tail and of its head, in
+        arc order.  Acyclic graphs only."""
+        position = self.topological_order[1]
+        return (
+            tuple(position[tail] for tail, _ in self.arcs),
+            tuple(position[head] for _, head in self.arcs),
+        )
+
     def paths_to(self, end: int) -> tuple[int, ...]:
         """Exact number of directed paths from every node to `end`.
 
@@ -318,47 +328,61 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
     A path visits nodes in topological order, so it takes the forced arcs
     in the order of their tails and, between two of them, stays inside
     the segment of the order from one forced head to the next forced
-    tail.  A forced set that is not such a chain is infeasible; without
-    forced arcs the only segment is source -> target.  Each segment is
-    relaxed node by node from its start into a fresh distance list, so
-    labels that land past its end are never read; the predecessor arcs
-    are kept across segments and rebuild the whole path from the target.
-    Each node and arc is visited at most once.  A node's label is final
-    before its out-arcs are relaxed, so on an exact cost tie both
-    candidate paths are rebuilt from the predecessors and the smaller
-    sorted arc set wins; this is exact because two distinct paths with
-    the same endpoints are never subsets of each other.  Returns
-    (cost, arcs in path order) or None.
+    tail.  One loop over the sorted forced arcs checks that they form
+    such a chain (else there is no path) and keeps only the nonempty
+    segments, each after the run of forced arcs that leads to it;
+    without forced arcs the only segment is source -> target.  Costs
+    are folded in path order from 0.0: a run arc by arc, a segment by
+    relaxing it node by node from its start into a fresh distance list,
+    so labels that land past its end are never read.  A node's label is
+    final before its out-arcs are relaxed, so on an exact cost tie both
+    candidate paths are rebuilt back to the segment's start and the
+    smaller sorted arc set wins; this is exact because the two share
+    all arcs before that start, and two distinct paths with the same
+    endpoints are never subsets of each other.  Returns (cost, arcs in
+    path order) or None.
     """
     order, position = graph.topological_order
     arcs = graph.arcs
     if forced_in:
-        forced = sorted(forced_in, key=lambda a: position[arcs[a][0]])
-        # source, tail_1, head_1, ..., tail_k, head_k, target: pairs are segments
-        ends = [source, *(v for a in forced for v in arcs[a]), target]
-        segments = list(zip(ends[::2], ends[1::2]))
-        if any(position[a] > position[b] for a, b in segments):
+        pieces = []  # (forced run into start, start, end); start == end: no segment
+        run, at = [], source
+        for a in sorted(forced_in, key=graph.arc_positions[0].__getitem__):
+            tail, head = arcs[a]
+            if tail != at:
+                if position[at] > position[tail]:
+                    return None
+                pieces.append((run, at, tail))
+                run = []
+            run.append(a)
+            at = head
+        if position[at] > position[target]:
             return None
+        pieces.append((run, at, target))
     else:  # a target before the source leaves its label unset: no path
-        segments = ((source, target),)
+        pieces = (((), source, target),)
 
     out = graph.out_arcs
     inf = float("inf")
     pred = [-1] * graph.num_nodes  # arc into each labelled node
 
-    def path_to(v):
+    def path_to(v, start):
+        """The segment's arcs from start to v, last arc first."""
         path = []
-        while pred[v] >= 0:
+        while v != start:
             path.append(pred[v])
             v = arcs[pred[v]][0]
         return path
 
     reached = 0.0
-    for i, (start, end) in enumerate(segments):
+    path = []
+    for run, start, end in pieces:
+        for a in run:
+            reached += costs[a]
+        path += run
+        if start == end:
+            continue
         dist = [inf] * graph.num_nodes
-        if i:
-            pred[start] = forced[i - 1]
-            reached += costs[forced[i - 1]]
         dist[start] = reached
         for v in order[position[start] : position[end]]:
             dv = dist[v]
@@ -371,14 +395,16 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
                 od = dist[head]
                 if nd < od or (
                     nd == od
-                    and sorted(path_to(v) + [arc_idx]) < sorted(path_to(head))
+                    and sorted(path_to(v, start) + [arc_idx])
+                    < sorted(path_to(head, start))
                 ):
                     dist[head] = nd
                     pred[head] = arc_idx
         reached = dist[end]
         if reached == inf:
             return None
-    return reached, path_to(target)[::-1]
+        path += reversed(path_to(end, start))
+    return reached, path
 
 
 def _spath_branching(graph, costs, source, target, forced_in, forced_out):
@@ -437,19 +463,23 @@ def nominal_solve(
     acyclic graph or with strictly positive costs.
 
     Cost per call: selection sorts the items once.  A path on an acyclic
-    graph, with or without forced_in items, takes one topological pass
-    over its nodes and arcs.  Only a graph with a directed cycle uses
-    Dijkstra without forced_in items, or exhaustive simple-path search
-    with them, which is exponential in the graph size.  On a 6x6 grid,
-    checking and converting an array-like costs about as much as the
-    rest of a forced call, so branch-and-bound and local search price
-    under the mixture's bound costs, checked once per mixture, and pass
-    that `OracleCosts` to every node or detour: a node then costs its
-    forced-set checks, the pass and building x.  The overlap and range
-    checks run only when a forced set is nonempty, and an unforced pass
-    is one source -> target segment: no forced-arc chain is built and
-    no arc is tested against forced_out, so a plain call with checked
-    costs pays little beyond its pass.
+    graph takes one topological pass over the segments between its
+    forced_in arcs, sorted by tail: a run of adjacent forced arcs costs
+    one addition per arc and no pass, so a call that forces a path's
+    arcs outside one segment, as branch-and-bound's exclude children
+    do, passes over that segment alone.  Only a graph with a directed
+    cycle uses Dijkstra without forced_in items, or exhaustive
+    simple-path search with them, which is exponential in the graph
+    size.  On a 6x6 grid, checking and converting an array-like costs
+    about as much as the rest of a forced call, so branch-and-bound and
+    local search price under the mixture's bound costs, checked once
+    per mixture, and pass that `OracleCosts` to every node or detour: a
+    node then costs its forced-set checks (one intersection, and one
+    min and max over the union), sorting forced_in, the pass and
+    building x.  The checks run only when a forced set is nonempty, and
+    an unforced pass is one source -> target segment: no forced-arc
+    chain is built and no arc is tested against forced_out, so a plain
+    call with checked costs pays little beyond its pass.
     """
     if not isinstance(costs, OracleCosts):
         costs = check_costs(costs, inst.n)
@@ -461,7 +491,8 @@ def nominal_solve(
     if fin or fout:  # both checks are vacuous on empty forced sets
         if fin & fout:
             raise ValueError("forced_in and forced_out overlap")
-        if any(not 0 <= i < inst.n for i in fin | fout):
+        forced = fin | fout
+        if min(forced) < 0 or max(forced) >= inst.n:
             raise ValueError("forced item index out of range")
 
     if inst.kind == "selection":
@@ -492,16 +523,32 @@ def nominal_solve(
     return Solution(_incidence(inst.n, arcs), value)
 
 
+def segment_ends(inst: Instance, forced_in, arc: int) -> tuple[int, int]:
+    """Topological positions of the ends of the segment that holds `arc`
+    on every source-target path through `forced_in`: the previous forced
+    head (or the source) and the next forced tail (or the target).
+    Acyclic path instances only, with `arc` on such a path and not in
+    `forced_in`; O(|forced_in|)."""
+    tails, heads = inst.graph.arc_positions
+    position = inst.graph.topological_order[1]
+    start, end = position[inst.source], position[inst.target]
+    tail, head = tails[arc], heads[arc]
+    for f in forced_in:
+        if start < heads[f] <= tail:
+            start = heads[f]
+        elif head <= tails[f] < end:
+            end = tails[f]
+    return start, end
+
+
 def must_use(inst: Instance, forced_in, arc: int) -> bool:
     """Does every source-target path through `forced_in` use `arc`?
 
     `arc` must lie on some such path and not be in `forced_in`; when
     this is true, `nominal_solve` with `forced_in` and `arc` forced out
     raises InfeasibleError, whatever else is forced out.  On an acyclic
-    graph the forced arcs cut a path into independent segments, so the
-    answer is whether the segment holding `arc`, from the previous
-    forced head (or the source) to the next forced tail (or the target),
-    has no path around it: paths(start -> end) equals
+    graph the answer is whether the segment holding `arc`
+    (`segment_ends`) has no path around it: paths(start -> end) equals
     paths(start -> tail) * paths(head -> end), in exact path counts
     (`Graph.paths_to`).  O(|forced_in|) once those counts are cached.
     Selection and graphs with a directed cycle always answer False.
@@ -509,15 +556,10 @@ def must_use(inst: Instance, forced_in, arc: int) -> bool:
     graph = inst.graph
     if inst.kind != "spath" or graph.topological_order is None:
         return False
-    position = graph.topological_order[1]
+    order = graph.topological_order[0]
+    start, end = segment_ends(inst, forced_in, arc)
+    start, end = order[start], order[end]
     tail, head = graph.arcs[arc]
-    start, end = inst.source, inst.target
-    for f in forced_in:
-        f_tail, f_head = graph.arcs[f]
-        if position[start] < position[f_head] <= position[tail]:
-            start = f_head
-        elif position[head] <= position[f_tail] < position[end]:
-            end = f_tail
     to_end = graph.paths_to(end)
     return to_end[start] == graph.paths_to(tail)[start] * to_end[head]
 

@@ -37,6 +37,7 @@ from .instances import (
     must_use,
     nominal_solve,
     nominal_values,
+    segment_ends,
 )
 from .uncertainty import Mixture
 
@@ -333,13 +334,24 @@ def solve_bnb(
     summed and checked once per mixture; each best-response sum is
     checked once (`check_costs`), and the chosen sum's `OracleCosts`
     goes to every exclude child.  Branching picks the undecided item
-    with the largest `branch_spread`, also kept per mixture.  Heap
-    entries carry their completion's sorted item tuple, taken once when
-    the completion is pushed, so a node never scans x.  An exclude child
-    that path counts prove infeasible (`must_use`: every path through
-    the forced arcs uses the item) is skipped without an oracle call;
-    on selection and on graphs with a directed cycle every exclude
-    child is solved.
+    with the largest `branch_spread`, also kept per mixture, then the
+    smallest index.  Heap entries carry their completion's sorted item
+    tuple, taken once when the completion is pushed, so a node never
+    scans x; its branching order is sorted once, at the completion's
+    first expansion, and the include children that inherit the
+    completion share it.  An exclude child that path counts prove
+    infeasible (`must_use`: every path through the forced arcs uses the
+    item) is skipped without an oracle call; on selection and on graphs
+    with a directed cycle every exclude child is solved.
+
+    On an acyclic graph an exclude child is solved with the parent
+    completion's arcs outside the item's segment forced in
+    (`segment_ends`, the ends `must_use` finds too).  The forced arcs cut
+    every path into independent segments and only this one's
+    restrictions changed, so the child's optimum, tie-break and value
+    bits (folded in path order from 0.0) stay the same, and the oracle
+    passes over that segment alone.  The child node keeps its own forced
+    sets.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
@@ -366,10 +378,14 @@ def solve_bnb(
             bcosts, root = costs, sol
 
     counter = itertools.count()
-    # (bound, tie counter, forced in, forced out, completion's item set)
-    heap = [(root.value, next(counter), frozenset(), frozenset(), root.items)]
+    # (bound, tie counter, forced in, forced out, completion), where the
+    # completion is [its sorted item set, its branching order or None]
+    heap = [(root.value, next(counter), frozenset(), frozenset(), [root.items, None])]
     nodes = 0
     complete = True
+    segmented = inst.kind == "spath" and inst.graph.topological_order is not None
+    if segmented:
+        tails = inst.graph.arc_positions[0]
 
     while heap:
         if max_nodes is not None and nodes >= max_nodes:
@@ -378,23 +394,33 @@ def solve_bnb(
         if time_limit is not None and time.monotonic() - start > time_limit:
             complete = False
             break
-        bound, _, fin, fout, items = heapq.heappop(heap)
+        bound, _, fin, fout, completion = heapq.heappop(heap)
         if bound >= search.obj - TOL:
             continue
         nodes += 1
 
-        undecided = [i for i in items if i not in fin]
-        if not undecided:
+        items, order = completion
+        if order is None:  # largest spread first, then the smaller index
+            order = completion[1] = sorted(items, key=lambda i: (-spread[i], i))
+        for item in order:
+            if item not in fin:
+                break
+        else:
             continue  # completion is the unique member of this subspace
-        item = max(undecided, key=lambda i: (spread[i], -i))
 
         # include child: completion stays optimal for the subspace
-        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, items))
+        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, completion))
         # exclude child: re-complete without the item, unless no path can
         if must_use(inst, fin, item):
             continue
+        kept, out = fin, fout | {item}
+        if segmented:
+            # re-solve only the segment that holds the item: force the
+            # completion's arcs outside it, fin among them
+            first, last = segment_ends(inst, fin, item)
+            kept = frozenset(a for a in items if not first <= tails[a] < last)
         try:
-            child = search.solve(bcosts, forced_in=fin, forced_out=fout | {item})
+            child = search.solve(bcosts, forced_in=kept, forced_out=out)
         except InfeasibleError:
             continue
         if child.value > search.obj + TOL * max(1.0, abs(search.obj)):
@@ -402,7 +428,7 @@ def solve_bnb(
         search.offer(child.x)
         if child.value < search.obj - TOL:
             heapq.heappush(
-                heap, (child.value, next(counter), fin, fout | {item}, child.items)
+                heap, (child.value, next(counter), fin, out, [child.items, None])
             )
     return search.report("bnb", complete, nodes_explored=nodes)
 

@@ -647,6 +647,113 @@ class TestMustUse:
         assert not instances.must_use(Instance.spath(CYCLIC, 0, 4), (), 5)
 
 
+def path_order(graph, items):
+    """A path's arcs in the order the path takes them."""
+    return sorted(items, key=graph.arc_positions[0].__getitem__)
+
+
+class TestSegmentResolve:
+    """An exclude child re-solved with its parent completion's arcs outside
+    the excluded arc's segment forced in, as branch-and-bound does, against
+    the same child with only its own forced arcs."""
+
+    COSTS = {
+        "float": lambda rng, n: rng.uniform(0.0, 10.0, n),
+        "ties": lambda rng, n: rng.integers(0, 3, n).astype(float),
+        "signed": lambda rng, n: rng.uniform(-5.0, 5.0, n),
+        "signed ties": lambda rng, n: rng.integers(-2, 3, n).astype(float),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COSTS))
+    def test_children_of_real_completions_match(self, rng, kind):
+        feasible = infeasible = 0
+        for _ in range(200):
+            inst, _ = random_grid_case(rng)
+            costs = check_costs(self.COSTS[kind](rng, inst.n), inst.n)
+            n_out = int(rng.integers(0, 3))
+            fout = frozenset(int(a) for a in rng.choice(inst.n, n_out, replace=False))
+            try:
+                parent = nominal_solve(inst, costs, (), fout).items
+            except InfeasibleError:
+                continue
+            fin = frozenset(a for a in parent if rng.random() < 0.4)
+            parent = nominal_solve(inst, costs, fin, fout).items  # a real completion
+            tails = inst.graph.arc_positions[0]
+            for item in parent:
+                if item in fin:
+                    continue
+                first, last = instances.segment_ends(inst, fin, item)
+                kept = {a for a in parent if not first <= tails[a] < last}
+                assert fin <= kept and item not in kept
+                child = solve_outcome(inst, costs, fin, fout | {item})
+                assert solve_outcome(inst, costs, fin | kept, fout | {item}) == child
+                feasible += child is not None
+                infeasible += child is None
+        assert feasible > 80 and infeasible > 150
+
+    def test_long_forced_chains_match_exhaustive_search(self, rng):
+        """Adjacent forced arcs: a chain from the source, one into the
+        target, one in the middle, both ends, or the whole path."""
+        shapes = dict.fromkeys(("source", "target", "middle", "ends", "whole"), 0)
+        for _ in range(400):
+            inst, costs = random_grid_case(rng)
+            graph, s, t = inst.graph, inst.source, inst.target
+            paths = list(enumerate_feasible(inst))
+            if not paths:
+                continue
+            path = path_order(graph, item_set(paths[rng.integers(len(paths))]))
+            k = int(rng.integers(1, len(path) + 1))
+            shape = list(shapes)[rng.integers(len(shapes))]
+            i = int(rng.integers(0, len(path) - k + 1))
+            fin = frozenset({
+                "source": path[:k],
+                "target": path[-k:],
+                "middle": path[i : i + k],
+                "ends": path[:i] + path[i + k :],
+                "whole": path,
+            }[shape])
+            rest = [a for a in range(graph.n) if a not in fin]
+            n_out = min(int(rng.integers(0, 3)), len(rest))
+            fout = frozenset(int(a) for a in rng.choice(rest, n_out, replace=False))
+            expected = _spath_branching(graph, costs, s, t, fin, fout)
+            got = _spath_acyclic(graph, costs, s, t, fin, fout)
+            if expected is None:
+                assert got is None
+            else:
+                assert got[0].hex() == expected[0].hex()
+                assert sorted(got[1]) == sorted(expected[1])
+                assert got[1] == path_order(graph, got[1])
+            shapes[shape] += 1
+        assert min(shapes.values()) > 50
+
+    def test_chain_with_an_arc_out_of_order_has_no_path(self, rng):
+        """A forced chain from the source to u plus an arc leaving a node
+        before u that the chain does not use: no path takes both."""
+        cases = 0
+        for _ in range(300):
+            inst, costs = random_grid_case(rng)
+            graph, s, t = inst.graph, inst.source, inst.target
+            paths = list(enumerate_feasible(inst))
+            if not paths:
+                continue
+            path = path_order(graph, item_set(paths[rng.integers(len(paths))]))
+            run = path[: int(rng.integers(1, len(path) + 1))]
+            tails, heads = graph.arc_positions
+            early = [
+                a for a in range(graph.n)
+                if a not in run and tails[a] < heads[run[-1]]
+            ]
+            if not early:
+                continue
+            fin = frozenset(run) | {early[rng.integers(len(early))]}
+            assert _spath_branching(graph, costs, s, t, fin, frozenset()) is None
+            assert _spath_acyclic(graph, costs, s, t, fin, frozenset()) is None
+            with pytest.raises(InfeasibleError):
+                nominal_solve(inst, costs, fin)
+            cases += 1
+        assert cases > 100
+
+
 class TestEnumerateFeasible:
     def test_selection_count(self):
         xs = list(enumerate_feasible(Instance.selection(4, 2)))

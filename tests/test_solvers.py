@@ -615,10 +615,21 @@ class TestBnb:
         assert evaluations < children
         assert report.objective == solve_brute_force(inst, mix).objective
 
+    def test_paper_scale_corner_search_is_pinned(self):
+        """The 23x23 corner proof, about 0.4 s on a 2-core Xeon: nodes,
+        oracle calls and the objective's bits."""
+        inst, mix = corner_to_corner(23, README_MIX)
+        report = solve_bnb(inst, mix)
+        assert report.optimal
+        assert (report.nodes_explored, report.oracle_calls) == (10519, 5124)
+        assert report.objective == 486.39358951480006
+
     def test_time_limit_at_paper_scale(self):
-        inst, mix = corner_to_corner(23, README_MIX)  # proven in about 3 s
+        # the pinned proof above takes about 0.4 s; 0.05 s cuts it at
+        # roughly 700 of its 10,519 nodes
+        inst, mix = corner_to_corner(23, README_MIX)
         start = time.monotonic()
-        report = solve_bnb(inst, mix, time_limit=0.5)
+        report = solve_bnb(inst, mix, time_limit=0.05)
         assert not report.optimal
         assert time.monotonic() - start < 5.5
 
