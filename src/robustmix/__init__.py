@@ -57,7 +57,6 @@ from .mip_emit import ModelStats, check_emitted, emit_model, parse_lp
 from .evaluation import (
     Metrics,
     Split,
-    export_tradeoffs,
     scalarize,
     score,
     split_scenarios,

@@ -1,17 +1,20 @@
 """Batch command-line front end.
 
 Every subcommand reads and writes plain files and prints a short
-summary.  Each `_cmd_*` returns its exit code and output paths; `main`
+summary.  The library takes and returns text (graphs, scenario CSVs,
+mixture JSON, LP models); this module is the only one that opens a
+file.  Each `_cmd_*` returns its exit code and output paths; `main`
 then writes the run manifest, so runs can be reproduced exactly, at
 `--manifest PATH` or else at `<first output>.manifest.json` (a run with
-neither writes none).  Every file goes through `_write`: UTF-8, LF line
-ends, one write.  Exit codes: 0 success, 1 a `verify` suite failed, 2
-invalid input, 3 infeasible, 4 budget or timeout with partial output:
-an enumeration cap was exceeded, any `tune` run did not evaluate a
-configuration on every pair, or a `solve` record comes from a
-branch-and-bound search that stopped before a proof (the solutions file
-is still written).  The heuristic methods `midpoint` and `local` never
-prove optimality and exit 0.
+neither writes none).  Every file is read through `_read` and written
+through `_write`: UTF-8, LF line ends, one write.  Exit codes: 0
+success, 1 a `verify` suite failed, 2 invalid input, 3 infeasible, 4
+budget or timeout with partial output: an enumeration cap was
+exceeded, any `tune` run did not evaluate a configuration on every
+pair, or a `solve` record comes from a branch-and-bound search whose
+node cap left a node that could still improve the incumbent (the
+solutions file is still written).  The heuristic methods `midpoint`
+and `local` never prove optimality and exit 0.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple
 
 from . import __version__
 from .errors import (
@@ -31,12 +35,7 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
-from .evaluation import (
-    export_tradeoffs,
-    score,
-    split_scenarios,
-    weight_grid,
-)
+from .evaluation import score, split_scenarios, weight_grid
 from .instances import (
     NOISE_MODELS,
     Instance,
@@ -276,11 +275,13 @@ def _cmd_baseline(args):
     pairs = _load_pairs(args.pairs)
     split = split_scenarios(scenarios.K, args.ratio, args.seed)
     grid = baseline_grid(args.type, graph, pairs, scenarios, split)
-    records = [
-        (f"{args.type}_lambda_{lam:.6f}", m_in, m_out) for lam, m_in, m_out in grid
+    rows = [
+        [f"{args.type}_lambda_{lam:.6f}", sample, *(f"{v:.6f}" for v in astuple(m))]
+        for lam, m_in, m_out in grid
+        for sample, m in (("in", m_in), ("out", m_out))
     ]
-    count = export_tradeoffs(records, args.out)
-    print(f"rows={2 * count}")
+    _write_csv(args.out, ["label", "sample", "avg", "max", "cvar"], rows)
+    print(f"rows={len(rows)}")
     return EXIT_OK, [args.out]
 
 
@@ -337,7 +338,8 @@ def _cmd_emit_mip(args):
         _check_columns(scenarios, args.select_n, "selection", "items")
         inst = Instance.selection(args.select_n, args.select_p)
     mix = build_mixture(mixture_spec_from_json(_read(args.mixture)), scenarios)
-    stats = emit_model(inst, mix, args.out)
+    text, stats = emit_model(inst, mix)
+    _write(args.out, text)
     print(
         f"binary={stats.num_binary} continuous={stats.num_continuous} "
         f"rows={stats.num_constraints}"

@@ -1,5 +1,6 @@
-"""Scenario-based scoring: splits, Avg/Max/CVaR metrics, scalarization,
-weight grids and trade-off exports.
+"""Scenario-based scoring: splits, Avg/Max/CVaR metrics, scalarization
+and weight grids.  The module computes values and opens no file; `cli`
+formats and writes the trade-off CSV.
 
 Per solution (one per origin-destination pair), the cost under each
 scenario forms a pool; Avg averages the pool, Max takes its worst value
@@ -10,8 +11,6 @@ uses ceiling rounding so the tail is never empty.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -120,32 +119,3 @@ def weight_grid(step: float = 0.1) -> list[tuple[float, float, float]]:
             grid.append((a / m, b / m, c / m))
     return grid
 
-
-def export_tradeoffs(
-    records: list[tuple[str, Metrics, Metrics]], out_path: str
-) -> int:
-    """CSV export of (label, in-sample, out-sample) metric records; two
-    rows per record, fixed 6-decimal formatting.  Returns record count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "sample", "avg", "max", "cvar"])
-    for label, m_in, m_out in records:
-        for sample, m in (("in", m_in), ("out", m_out)):
-            writer.writerow(
-                [label, sample, f"{m.avg:.6f}", f"{m.max:.6f}", f"{m.cvar:.6f}"]
-            )
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
-    return len(records)
-
-
-def parse_tradeoffs(text: str) -> list[tuple[str, str, Metrics]]:
-    """Round-trip reader for the trade-off CSV."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != ["label", "sample", "avg", "max", "cvar"]:
-        raise ValueError("bad trade-off CSV header")
-    out = []
-    for label, sample, avg, mx, cvar in rows[1:]:
-        out.append((label, sample, Metrics(float(avg), float(mx), float(cvar))))
-    return out

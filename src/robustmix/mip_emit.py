@@ -1,10 +1,11 @@
-"""Emission of the dualized mixture models as CPLEX-LP files.
+"""Emission of the dualized mixture models as CPLEX-LP text.
 
 Budgeted components are dualized with threshold/overflow variables,
 hull components get one epigraph variable and one row per point,
 polyhedral components are dualized with one multiplier per row, and
 interval components fold into the linear objective.  Ellipsoids are
-conic and rejected.  Variable naming is stable for diffing:
+conic and rejected.  The module builds and parses LP text and opens no
+file; `cli` writes it.  Variable naming is stable for diffing:
 x_<i>, pi_<j>, rho_<j>_<i>, alpha_<j>_<r>, y_<j> with j the mixture
 component index.
 """
@@ -169,9 +170,9 @@ def _expr(terms: list[tuple[float, str]]) -> str:
     return " ".join(parts)
 
 
-def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
-    """Write the weighted model as an LP file; returns the binary,
-    continuous and row counts of what it wrote."""
+def emit_model(inst: Instance, mix: Mixture) -> tuple[str, ModelStats]:
+    """The weighted model as LP-file text, with the binary, continuous
+    and row counts of what it built."""
     n = inst.n
     model = _Model(np.zeros(n))
     for j, (weight, uset) in enumerate(mix.components):
@@ -212,9 +213,8 @@ def emit_model(inst: Instance, mix: Mixture, out_path: str) -> ModelStats:
         lines.append(f" x_{i}")
     lines.append("End")
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return ModelStats(n, len(model.cont_vars), len(rows))
+    text = "\n".join(lines) + "\n"
+    return text, ModelStats(n, len(model.cont_vars), len(rows))
 
 
 @dataclass
@@ -334,18 +334,17 @@ class EmitCheck:
 
 
 def check_emitted(
-    inst: Instance, mix: Mixture, solution: Solution, path: str
+    inst: Instance, mix: Mixture, solution: Solution, text: str
 ) -> EmitCheck:
     """Round-trip validation of an emitted model without an external solver.
 
-    Re-parses the file, fixes x to the given solution, completes the
+    Parses the LP text, fixes x to the given solution, completes the
     continuous variables in closed form (duals for budgeted rows,
     row-max for epigraph rows), checks constraint feasibility, and
-    compares the file objective against the in-process objective.
+    compares the text's objective against the in-process objective.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            model = parse_lp(fh.read())
+        model = parse_lp(text)
     except ParseError as exc:
         return EmitCheck(False, False, f"parse-back failure: {exc}")
 
@@ -353,7 +352,7 @@ def check_emitted(
     n_bin = len(model.general)
     found = ModelStats(n_bin, len(model.bounds) - n_bin, len(model.constraints))
     if found != stats:
-        message = f"structure mismatch: file has {found}, expected {stats}"
+        message = f"structure mismatch: text has {found}, expected {stats}"
         return EmitCheck(False, False, message)
 
     point = {f"x_{i}": float(xi) for i, xi in enumerate(solution.x)}
@@ -372,8 +371,8 @@ def check_emitted(
         if not sat:
             return EmitCheck(False, False, f"constraint {name} violated at point")
 
-    file_obj = sum(coef * point.get(var, 0.0) for var, coef in model.objective.items())
+    text_obj = sum(coef * point.get(var, 0.0) for var, coef in model.objective.items())
     true_obj = evaluate_wrp(mix, solution.x)
-    match = abs(file_obj - true_obj) <= 1e-6
-    msg = "" if match else f"objective {file_obj} != {true_obj}"
+    match = abs(text_obj - true_obj) <= 1e-6
+    msg = "" if match else f"objective {text_obj} != {true_obj}"
     return EmitCheck(True, match, msg)

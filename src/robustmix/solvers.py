@@ -327,8 +327,10 @@ def solve_bnb(
     never exceeds the completion's objective by more than rounding, so
     a child above that margin would lose anyway, and is not pushed
     either.
-    Returns optimal=True iff the search ran to completion within the
-    budgets.
+    The budgets are checked only before a node is expanded, so
+    optimal=False means a cap left a node whose bound could still
+    improve the incumbent; a search the root already proves is optimal
+    even with max_nodes=0.
 
     The fixed members' sum is the mixture's `checked_bound_costs`,
     summed and checked once per mixture; each best-response sum is
@@ -388,15 +390,15 @@ def solve_bnb(
         tails = inst.graph.arc_positions[0]
 
     while heap:
+        bound, _, fin, fout, completion = heapq.heappop(heap)
+        if bound >= search.obj - TOL:
+            break  # best-first: every node left is pruned too
         if max_nodes is not None and nodes >= max_nodes:
             complete = False
             break
         if time_limit is not None and time.monotonic() - start > time_limit:
             complete = False
             break
-        bound, _, fin, fout, completion = heapq.heappop(heap)
-        if bound >= search.obj - TOL:
-            continue
         nodes += 1
 
         items, order = completion

@@ -212,7 +212,7 @@ def test_criterion_5_metrics(capsys):
     )
 
 
-def test_criterion_6_mip_emission(capsys, tmp_path):
+def test_criterion_6_mip_emission(capsys):
     from lp_grammar import check_lp_grammar
 
     started = time.monotonic()
@@ -223,13 +223,12 @@ def test_criterion_6_mip_emission(capsys, tmp_path):
             mix = random_budgeted_mixture(rng, inst.n)
         else:
             mix = random_hull_mixture(rng, inst.n)
-        path = str(tmp_path / f"model_{trial}.lp")
-        stats = emit_model(inst, mix, path)
+        text, stats = emit_model(inst, mix)
         assert stats == expected_stats(inst, mix)
-        grammar = check_lp_grammar(Path(path).read_text())
+        grammar = check_lp_grammar(text)
         assert grammar == [], grammar
         best = solve_brute_force(inst, mix)
-        check = check_emitted(inst, mix, best.solution, path)
+        check = check_emitted(inst, mix, best.solution, text)
         assert check.ok and check.objective_match, check.message
     elapsed = time.monotonic() - started
     report(

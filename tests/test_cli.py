@@ -1,13 +1,17 @@
 import argparse
+import csv
+import io
 import json
 import os
 import warnings
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
 
-from robustmix import cli, tuning, verify
+from robustmix import ScenarioMatrix, cli, parse_graph, split_scenarios, tuning, verify
 from robustmix.cli import main
+from robustmix.tuning import baseline_grid
 
 
 @pytest.fixture
@@ -53,6 +57,32 @@ def write_mixture(tmp_path, components):
 
 
 INTERVAL_MIX = [{"weight": 1.0, "type": "interval", "lambda": 0.5}]
+HULL_MIX = [{"weight": 1.0, "type": "hull", "lambda": 0.5}]
+
+
+@pytest.fixture
+def two_diamonds(tmp_path):
+    """Files for two disjoint diamonds 0->3 and 4->7, each with two
+    2-arc routes that the two scenarios price 2/10 and 10/2: the root
+    bound of either pair does not prove its optimum, so a zero node cap
+    cuts the search."""
+    arcs = [(0, 1), (1, 3), (0, 2), (2, 3), (4, 5), (5, 7), (4, 6), (6, 7)]
+    paths = {
+        "graph": str(tmp_path / "diamonds.txt"),
+        "scenarios": str(tmp_path / "diamonds.csv"),
+        "pairs": str(tmp_path / "diamond_pairs.csv"),
+        "dir": tmp_path,
+    }
+    texts = {
+        "graph": "nodes 8\narcs 8\n"
+        + "".join(f"arc {i} {tail} {head}\n" for i, (tail, head) in enumerate(arcs)),
+        "scenarios": ",".join(f"arc_{i}" for i in range(8))
+        + "\n1,1,5,5,1,1,5,5\n5,5,1,1,5,5,1,1\n",
+        "pairs": "source,target\n0,3\n4,7\n",
+    }
+    for name, text in texts.items():
+        Path(paths[name]).write_text(text)
+    return paths
 
 
 class TestSolve:
@@ -147,20 +177,20 @@ class TestSolve:
             ("local", [], 0),
         ],
     )
-    def test_unproven_search_exits_4(self, workdir, capsys, method, extra, expected):
+    def test_unproven_search_exits_4(
+        self, two_diamonds, capsys, method, extra, expected
+    ):
         """A search cut short before a proof exits 4 and still writes its
         output; the heuristics never prove optimality and exit 0."""
-        mixture = write_mixture(
-            workdir["dir"], [{"weight": 1.0, "type": "hull", "lambda": 0.5}]
-        )
-        out = str(workdir["dir"] / "sol.json")
+        mixture = write_mixture(two_diamonds["dir"], HULL_MIX)
+        out = str(two_diamonds["dir"] / "sol.json")
         code = main(
             [
                 "solve",
-                "--graph", workdir["graph"],
-                "--scenarios", workdir["scenarios"],
+                "--graph", two_diamonds["graph"],
+                "--scenarios", two_diamonds["scenarios"],
                 "--mixture", mixture,
-                "--pairs", workdir["pairs"],
+                "--pairs", two_diamonds["pairs"],
                 "--method", method,
                 "--out", out,
                 *extra,
@@ -172,6 +202,31 @@ class TestSolve:
         assert len(records) == 2
         assert not any(rec["optimal"] for rec in records)
         assert os.path.exists(out + ".manifest.json")
+
+    @pytest.mark.parametrize("method", ["bnb", "auto"])
+    def test_root_proven_search_exits_0_at_zero_node_cap(
+        self, workdir, capsys, method
+    ):
+        """A zero node cap cuts nothing when the root bound already
+        proves both pairs: every record is optimal and the exit is 0."""
+        mixture = write_mixture(workdir["dir"], HULL_MIX)
+        out = str(workdir["dir"] / "sol.json")
+        code = main(
+            [
+                "solve",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--pairs", workdir["pairs"],
+                "--method", method,
+                "--max-nodes", "0",
+                "--out", out,
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("optimal=true") == 2
+        records = json.loads(Path(out).read_text())["solutions"]
+        assert [rec["optimal"] for rec in records] == [True, True]
 
     @pytest.mark.parametrize("method", sorted(cli.METHODS))
     def test_negative_max_nodes_invalid(self, workdir, capsys, monkeypatch, method):
@@ -565,7 +620,29 @@ class TestBaselineAndTune:
         )
         assert code == 0
         assert "rows=82" in capsys.readouterr().out
-        assert len(Path(out).read_text().splitlines()) == 83
+        text = Path(out).read_text()
+        lines = text.split("\n")
+        assert lines[:3] == [
+            "label,sample,avg,max,cvar",
+            "interval_lambda_0.000000,in,11.723632,13.451113,13.451113",
+            "interval_lambda_0.000000,out,10.424892,12.515437,12.515437",
+        ]
+        assert len(lines) == 84 and lines[-1] == ""  # header, 82 rows, final LF
+        # the metrics read back match the in-process grid to 6 decimals
+        graph = parse_graph(Path(workdir["graph"]).read_text())
+        scenarios = ScenarioMatrix.from_csv(Path(workdir["scenarios"]).read_text())
+        pairs = cli._load_pairs(workdir["pairs"])
+        split = split_scenarios(scenarios.K, 0.75, seed=4)
+        grid = baseline_grid("interval", graph, pairs, scenarios, split)
+        expected = [
+            [f"interval_lambda_{lam:.6f}", sample, *astuple(m)]
+            for lam, m_in, m_out in grid
+            for sample, m in (("in", m_in), ("out", m_out))
+        ]
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[:2] for row in rows] == [row[:2] for row in expected]
+        for row, want in zip(rows, expected):
+            assert [float(v) for v in row[2:]] == pytest.approx(want[2:], abs=1e-6)
 
     def test_tune_requires_weights(self, workdir, capsys):
         code = main(

@@ -1,5 +1,6 @@
+import csv
+import io
 from dataclasses import astuple
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ import pytest
 from robustmix import (
     Metrics,
     ScenarioMatrix,
-    export_tradeoffs,
+    cli,
     scalarize,
     score,
     split_scenarios,
     weight_grid,
 )
-from robustmix.evaluation import pair_metrics, parse_tradeoffs, tail_count
+from robustmix.cli import main
+from robustmix.evaluation import pair_metrics, tail_count
 from robustmix.instances import Solution
 
 
@@ -162,32 +164,42 @@ class TestWeightGrid:
             weight_grid(0.3)
 
 
+
 class TestExportTradeoffs:
-    def test_row_counts(self, tmp_path):
-        records = [
-            (f"lam_{i}", Metrics(1.0, 2.0, 1.5), Metrics(1.1, 2.1, 1.6))
-            for i in range(41)
-        ]
-        path = str(tmp_path / "tradeoffs.csv")
-        assert export_tradeoffs(records, path) == 41
-        lines = Path(path).read_text().splitlines()
+    """The trade-off CSV that `baseline` writes, fed a fixed grid."""
+
+    @pytest.fixture
+    def export(self, tmp_path, monkeypatch):
+        files = {
+            "graph": "nodes 2\narcs 1\narc 0 0 1\n",
+            "scenarios": "arc_0\n1\n2\n3\n4\n",
+            "pairs": "source,target\n0,1\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+
+        def run(grid):
+            monkeypatch.setattr(cli, "baseline_grid", lambda *args: grid)
+            out = tmp_path / "tradeoffs.csv"
+            argv = ["baseline", "--type", "interval", "--out", str(out)]
+            for name in files:
+                argv += [f"--{name}", str(tmp_path / name)]
+            assert main(argv) == 0
+            return out.read_text()
+
+        return run
+
+    def test_row_counts(self, export):
+        records = (Metrics(1.0, 2.0, 1.5), Metrics(1.1, 2.1, 1.6))
+        grid = [(i / 40, *records) for i in range(41)]
+        lines = export(grid).splitlines()
         assert lines[0] == "label,sample,avg,max,cvar"
         assert len(lines) == 83
 
-    def test_empty_records(self, tmp_path):
-        path = str(tmp_path / "empty.csv")
-        assert export_tradeoffs([], path) == 0
-        assert Path(path).read_text().splitlines() == ["label,sample,avg,max,cvar"]
-
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, export):
         m_in, m_out = Metrics(1.234567, 5.0, 2.5), Metrics(2.0, 6.0, 3.0)
-        path = str(tmp_path / "rt.csv")
-        export_tradeoffs([("a", m_in, m_out)], path)
-        rows = parse_tradeoffs(Path(path).read_text())
-        assert rows[0][0] == "a" and rows[0][1] == "in"
-        assert rows[0][2].avg == pytest.approx(m_in.avg, abs=1e-6)
-        assert rows[1][2].max == pytest.approx(m_out.max, abs=1e-6)
-
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_tradeoffs("x,y\n1,2\n")
+        rows = list(csv.reader(io.StringIO(export([(0.5, m_in, m_out)]))))[1:]
+        assert rows[0][:2] == ["interval_lambda_0.500000", "in"]
+        assert rows[1][:2] == ["interval_lambda_0.500000", "out"]
+        assert [float(v) for v in rows[0][2:]] == pytest.approx(astuple(m_in), abs=1e-6)
+        assert [float(v) for v in rows[1][2:]] == pytest.approx(astuple(m_out), abs=1e-6)

@@ -1,6 +1,7 @@
 """Every name a robustmix module imports is used in that module, every
-module-level private name is used somewhere in the package, and only
-`uncertainty.py` tests a value against an uncertainty-set class.
+module-level private name is used somewhere in the package, only
+`uncertainty.py` tests a value against an uncertainty-set class, and
+only `cli.py` opens a file.
 
 Stdlib `ast` checks, so they need no linter.  The package `__init__`
 imports names only to re-export them and is skipped by the import
@@ -176,3 +177,41 @@ def test_set_family_behaviour_stays_in_uncertainty(path):
     """Each family's class owns its behaviour: other modules dispatch on
     `uset.name` or call the class's methods, never test its type."""
     assert set_family_isinstance(path.read_text(encoding="utf-8")) == []
+
+
+def open_calls(source: str) -> list[str]:
+    """Calls in `source` to `open`, bare or as an attribute such as
+    `io.open` or `path.open`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            found.append((node.lineno, ast.unparse(func)))
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+def test_checker_finds_open_calls():
+    source = (
+        "import io\n"
+        "def read(path):\n"
+        "    with open(path) as fh:\n"
+        "        return fh.read()\n"
+        "def write(path, text):\n"
+        "    io.open(path, 'w').write(text)  # open\n"
+        "    path.open('a').close()\n"
+        "def open_text(opener=open):\n"
+        "    return 'open(path)'\n"
+    )
+    assert open_calls(source) == ["line 3: open", "line 6: io.open", "line 7: path.open"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_only_cli_opens_files(path):
+    """The library takes and returns text; `cli` reads and writes every
+    file, so the rule for its encoding and line ends lives in one place."""
+    assert open_calls(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,3 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -62,24 +60,21 @@ class TestExpectedStats:
 
 
 class TestEmitAndParse:
-    def test_budgeted_file_well_formed(self, tmp_path):
+    def test_budgeted_file_well_formed(self):
         inst, mix = budgeted_selection()
-        path = str(tmp_path / "model.lp")
-        stats = emit_model(inst, mix, path)
-        text = Path(path).read_text()
+        text, stats = emit_model(inst, mix)
         assert check_lp_grammar(text) == []
         model = parse_lp(text)
         assert len(model.general) == stats.num_binary
         assert len(model.constraints) == stats.num_constraints
 
-    def test_hull_file_well_formed(self, tmp_path, diamond):
+    def test_hull_file_well_formed(self, diamond):
         inst, mix = hull_diamond(diamond)
-        path = str(tmp_path / "model.lp")
-        emit_model(inst, mix, path)
-        assert check_lp_grammar(Path(path).read_text()) == []
+        text, _ = emit_model(inst, mix)
+        assert check_lp_grammar(text) == []
 
-    def test_returns_the_counts_it_wrote(self, tmp_path, monkeypatch):
-        """The returned stats count the file, not the closed form: a block
+    def test_returns_the_counts_it_wrote(self, monkeypatch):
+        """The returned stats count the text, not the closed form: a block
         that emits an extra row shows up in them."""
         family = mip_emit._FAMILIES["budgeted"]
 
@@ -91,21 +86,17 @@ class TestEmitAndParse:
             mip_emit._FAMILIES, "budgeted", family._replace(block=block_with_extra_row)
         )
         inst, mix = budgeted_selection()
-        path = str(tmp_path / "model.lp")
-        stats = emit_model(inst, mix, path)
-        model = parse_lp(Path(path).read_text())
+        text, stats = emit_model(inst, mix)
+        model = parse_lp(text)
         n_bin = len(model.general)
         assert stats == ModelStats(
             n_bin, len(model.bounds) - n_bin, len(model.constraints)
         )
         assert stats.num_constraints == expected_stats(inst, mix).num_constraints + 1
 
-    def test_emission_deterministic(self, tmp_path, diamond):
+    def test_emission_deterministic(self, diamond):
         inst, mix = hull_diamond(diamond)
-        a, b = str(tmp_path / "a.lp"), str(tmp_path / "b.lp")
-        emit_model(inst, mix, a)
-        emit_model(inst, mix, b)
-        assert Path(a).read_text() == Path(b).read_text()
+        assert emit_model(inst, mix) == emit_model(inst, mix)
 
     @staticmethod
     def old_flow_lines(inst):
@@ -133,13 +124,12 @@ class TestEmitAndParse:
             Graph(5, ((0, 1), (1, 1), (0, 1), (1, 3), (3, 3), (0, 3), (1, 3))),
         ],
     )
-    def test_flow_rows_match_per_node_scan(self, tmp_path, graph):
+    def test_flow_rows_match_per_node_scan(self, graph):
         inst = Instance.spath(graph, 0, 3)
         lo = np.arange(graph.n, dtype=float)
         mix = Mixture(((1.0, BudgetedSet(lo, lo + 1.0, 2)),))
-        path = tmp_path / "model.lp"
-        emit_model(inst, mix, str(path))
-        lines = path.read_text().split("\n")
+        text, _ = emit_model(inst, mix)
+        lines = text.split("\n")
         flow = [ln for ln in lines if ln.startswith(" flow_")]
         assert flow == self.old_flow_lines(inst)
         bounds = lines.index("Bounds")
@@ -167,49 +157,43 @@ class TestEmitAndParse:
 
 
 class TestCheckEmitted:
-    def test_budgeted_round_trip(self, tmp_path):
+    def test_budgeted_round_trip(self):
         inst, mix = budgeted_selection()
-        path = str(tmp_path / "model.lp")
-        emit_model(inst, mix, path)
+        text, _ = emit_model(inst, mix)
         best = solve_brute_force(inst, mix)
-        check = check_emitted(inst, mix, best.solution, path)
+        check = check_emitted(inst, mix, best.solution, text)
         assert check.ok and check.objective_match, check.message
 
-    def test_hull_round_trip(self, tmp_path, diamond):
+    def test_hull_round_trip(self, diamond):
         inst, mix = hull_diamond(diamond)
-        path = str(tmp_path / "model.lp")
-        emit_model(inst, mix, path)
+        text, _ = emit_model(inst, mix)
         best = solve_brute_force(inst, mix)
-        check = check_emitted(inst, mix, best.solution, path)
+        check = check_emitted(inst, mix, best.solution, text)
         assert check.ok and check.objective_match, check.message
 
-    def test_corrupted_file_detected(self, tmp_path):
+    def test_corrupted_file_detected(self):
         inst, mix = budgeted_selection()
-        path = str(tmp_path / "model.lp")
-        emit_model(inst, mix, path)
-        lines = Path(path).read_text().splitlines()
+        text, _ = emit_model(inst, mix)
+        lines = text.splitlines()
         # drop the first dual row
         del lines[next(i for i, ln in enumerate(lines) if ln.startswith(" bud_"))]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
         best = solve_brute_force(inst, mix)
-        check = check_emitted(inst, mix, best.solution, path)
+        check = check_emitted(inst, mix, best.solution, "\n".join(lines) + "\n")
         assert not check.ok
         assert "mismatch" in check.message
 
-    def test_polyhedral_completion_skipped(self, tmp_path):
+    def test_polyhedral_completion_skipped(self):
         inst = Instance.selection(2, 1)
         mix = Mixture(((1.0, PolyhedronSet(np.eye(2), np.array([3.0, 4.0]))),))
-        path = str(tmp_path / "model.lp")
-        emit_model(inst, mix, path)
-        assert check_lp_grammar(Path(path).read_text()) == []
+        text, _ = emit_model(inst, mix)
+        assert check_lp_grammar(text) == []
         from robustmix import Solution
 
-        check = check_emitted(inst, mix, Solution((1, 0), 0.0), path)
+        check = check_emitted(inst, mix, Solution((1, 0), 0.0), text)
         assert check.ok and not check.objective_match
         assert "skipped" in check.message
 
-    def test_random_models_round_trip(self, rng, tmp_path):
+    def test_random_models_round_trip(self, rng):
         for trial in range(30):
             inst = random_instance(rng, max_sel_n=6)
             if trial % 3 == 0:
@@ -219,10 +203,9 @@ class TestCheckEmitted:
             else:
                 families = rng.permutation(["interval", "budgeted", "hull"])
                 mix = random_mixture(rng, inst.n, families)
-            path = str(tmp_path / f"m{trial}.lp")
-            stats = emit_model(inst, mix, path)
+            text, stats = emit_model(inst, mix)
             assert stats == expected_stats(inst, mix)
-            assert check_lp_grammar(Path(path).read_text()) == []
+            assert check_lp_grammar(text) == []
             best = solve_brute_force(inst, mix)
-            check = check_emitted(inst, mix, best.solution, path)
+            check = check_emitted(inst, mix, best.solution, text)
             assert check.ok and check.objective_match, check.message

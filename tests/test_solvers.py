@@ -575,6 +575,19 @@ class TestBnb:
         # the root incumbent is still feasible
         assert sum(report.solution.x) > 0
 
+    @pytest.mark.parametrize("kind", ["hull", "interval"])
+    def test_zero_budgets_keep_a_root_proof(self, kind):
+        """A budget cuts nothing when the root bound already proves the
+        optimum: with no node or no time allowed the search is optimal."""
+        graph, data = gen_synthetic(4, 4, 10, seed=1)
+        inst = Instance.spath(graph, 0, 15)
+        mix = build_mixture([{"weight": 1.0, "type": kind, "lambda": 0.5}], data)
+        full = solve_bnb(inst, mix)
+        assert full.optimal and full.nodes_explored == 0
+        for capped in (solve_bnb(inst, mix, max_nodes=0), solve_bnb(inst, mix, time_limit=0)):
+            assert capped.optimal and capped.nodes_explored == 0
+            assert capped.solution == full.solution
+
     @pytest.mark.parametrize("width", [10, 12])
     def test_hull_grid_proven_optimal(self, width):
         inst, mix = corner_to_corner(width, HULL_MIX)
