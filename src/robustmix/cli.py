@@ -8,12 +8,13 @@ then writes the run manifest, so runs can be reproduced exactly, at
 `--manifest PATH` or else at `<first output>.manifest.json` (a run with
 neither writes none).  Every file is read through `_read` and written
 through `_write`: UTF-8, LF line ends, one write.  Exit codes: 0
-success, 1 a `verify` suite failed, 2 invalid input, 3 infeasible, 4
-budget or timeout with partial output: an enumeration cap was
-exceeded, any `tune` run did not evaluate a configuration on every
-pair, or a `solve` record comes from a branch-and-bound search whose
-node cap left a node that could still improve the incumbent (the
-solutions file is still written).  The heuristic methods `midpoint`
+success, 1 a `verify` suite failed, 2 invalid input or an unreadable
+or unwritable file, 3 infeasible, 4 budget or timeout: an enumeration
+cap was exceeded (nothing is written, no manifest either), any `tune`
+run did not evaluate a configuration on every pair, or a `solve`
+record comes from a branch-and-bound search whose node cap left a node
+that could still improve the incumbent (in the last two cases the
+output files are still written).  The heuristic methods `midpoint`
 and `local` never prove optimality and exit 0.
 """
 
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
-from .evaluation import score, split_scenarios, weight_grid
+from .evaluation import ALPHA, score, split_scenarios, weight_grid
 from .instances import (
     NOISE_MODELS,
     Instance,
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score solutions against scenarios")
     p.add_argument("--solutions", required=True)
     p.add_argument("--scenarios", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=ALPHA)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=_cmd_evaluate)

@@ -19,6 +19,8 @@ import numpy as np
 from .instances import Solution
 from .uncertainty import ScenarioMatrix
 
+ALPHA = 0.05  # default CVaR tail fraction
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -80,7 +82,7 @@ def mean_metrics(triples) -> Metrics:
 def score(
     solutions: list[Solution],
     scenarios: ScenarioMatrix,
-    alpha: float = 0.05,
+    alpha: float = ALPHA,
 ) -> Metrics:
     """Aggregate Avg/Max/CVaR over per-pair scenario cost pools."""
     if not solutions:

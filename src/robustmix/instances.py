@@ -467,10 +467,10 @@ def nominal_solve(
     forced_in arcs, sorted by tail: a run of adjacent forced arcs costs
     one addition per arc and no pass, so a call that forces a path's
     arcs outside one segment, as branch-and-bound's exclude children
-    do, passes over that segment alone.  Only a graph with a directed
-    cycle uses Dijkstra without forced_in items, or exhaustive
-    simple-path search with them, which is exponential in the graph
-    size.  On a 6x6 grid, checking and converting an array-like costs
+    do (`exclude_forcing`), passes over that segment alone.  Only a
+    graph with a directed cycle uses Dijkstra without forced_in items,
+    or exhaustive simple-path search with them, which is exponential in
+    the graph size.  On a 6x6 grid, checking and converting an array-like costs
     about as much as the rest of a forced call, so branch-and-bound and
     local search price under the mixture's bound costs, checked once
     per mixture, and pass that `OracleCosts` to every node or detour: a
@@ -523,45 +523,38 @@ def nominal_solve(
     return Solution(_incidence(inst.n, arcs), value)
 
 
-def segment_ends(inst: Instance, forced_in, arc: int) -> tuple[int, int]:
-    """Topological positions of the ends of the segment that holds `arc`
-    on every source-target path through `forced_in`: the previous forced
-    head (or the source) and the next forced tail (or the target).
-    Acyclic path instances only, with `arc` on such a path and not in
-    `forced_in`; O(|forced_in|)."""
-    tails, heads = inst.graph.arc_positions
-    position = inst.graph.topological_order[1]
-    start, end = position[inst.source], position[inst.target]
-    tail, head = tails[arc], heads[arc]
-    for f in forced_in:
-        if start < heads[f] <= tail:
-            start = heads[f]
-        elif head <= tails[f] < end:
-            end = tails[f]
-    return start, end
+def exclude_forcing(inst: Instance, forced_in, completion, arc: int):
+    """The forced_in set that solves the exclude child of `completion`
+    (an item set through `forced_in` holding `arc`, not in `forced_in`)
+    without `arc`, or None when every source-target path through
+    `forced_in` uses `arc`, so the child has no path.
 
-
-def must_use(inst: Instance, forced_in, arc: int) -> bool:
-    """Does every source-target path through `forced_in` use `arc`?
-
-    `arc` must lie on some such path and not be in `forced_in`; when
-    this is true, `nominal_solve` with `forced_in` and `arc` forced out
-    raises InfeasibleError, whatever else is forced out.  On an acyclic
-    graph the answer is whether the segment holding `arc`
-    (`segment_ends`) has no path around it: paths(start -> end) equals
-    paths(start -> tail) * paths(head -> end), in exact path counts
-    (`Graph.paths_to`).  O(|forced_in|) once those counts are cached.
-    Selection and graphs with a directed cycle always answer False.
+    On an acyclic graph `arc` lies in one segment of every such path,
+    from the previous forced head (or the source) to the next forced
+    tail (or the target).  None when paths(start -> end) equals
+    paths(start -> tail) * paths(head -> end) (`Graph.paths_to`);
+    otherwise the completion's arcs outside the segment, `forced_in`
+    among them, so the oracle passes over that segment alone with the
+    same optimum and value bits.  Selection and graphs with a directed
+    cycle return `forced_in`.
     """
     graph = inst.graph
     if inst.kind != "spath" or graph.topological_order is None:
-        return False
-    order = graph.topological_order[0]
-    start, end = segment_ends(inst, forced_in, arc)
-    start, end = order[start], order[end]
+        return forced_in
+    order, position = graph.topological_order
+    tails, heads = graph.arc_positions
+    first, last = position[inst.source], position[inst.target]
+    for f in forced_in:
+        if first < heads[f] <= tails[arc]:
+            first = heads[f]
+        elif heads[arc] <= tails[f] < last:
+            last = tails[f]
+    start, end = order[first], order[last]
     tail, head = graph.arcs[arc]
     to_end = graph.paths_to(end)
-    return to_end[start] == graph.paths_to(tail)[start] * to_end[head]
+    if to_end[start] == graph.paths_to(tail)[start] * to_end[head]:
+        return None
+    return frozenset(a for a in completion if not first <= tails[a] < last)
 
 
 def nominal_values(inst: Instance, block) -> np.ndarray:

@@ -307,9 +307,6 @@ def parse_lp(text: str) -> LpModel:
                 bounds[tokens[2]] = (float(tokens[0]), float(tokens[4]))
             elif len(tokens) == 3 and tokens[1] == ">=":
                 bounds[tokens[0]] = (float(tokens[2]), float("inf"))
-            elif len(tokens) == 3 and tokens[1] == "=":
-                v = float(tokens[2])
-                bounds[tokens[0]] = (v, v)
             else:
                 raise ParseError(f"bad bounds line {ln!r}")
         elif section == "general":

@@ -32,12 +32,11 @@ from .instances import (
     can_price,
     check_costs,
     enumerate_feasible,
+    exclude_forcing,
     float_vector,
     item_set,
-    must_use,
     nominal_solve,
     nominal_values,
-    segment_ends,
 )
 from .uncertainty import Mixture
 
@@ -54,9 +53,9 @@ class SolveReport:
     skipped ones not: the one `nominal_solve` of interval and midpoint,
     one per scalarization in parametric (the variance minimum too), the
     root search's solves plus each exclude child not skipped by
-    `must_use` in bnb, one per start and per detour priced in local, the
-    threshold columns priced plus each path rebuilt in budgeted-enum,
-    and the feasible points enumerated in brute.
+    `exclude_forcing` in bnb, one per start and per detour priced in
+    local, the threshold columns priced plus each path rebuilt in
+    budgeted-enum, and the feasible points enumerated in brute.
     """
 
     solution: Solution
@@ -341,19 +340,15 @@ def solve_bnb(
     tuple, taken once when the completion is pushed, so a node never
     scans x; its branching order is sorted once, at the completion's
     first expansion, and the include children that inherit the
-    completion share it.  An exclude child that path counts prove
-    infeasible (`must_use`: every path through the forced arcs uses the
-    item) is skipped without an oracle call; on selection and on graphs
-    with a directed cycle every exclude child is solved.
-
-    On an acyclic graph an exclude child is solved with the parent
-    completion's arcs outside the item's segment forced in
-    (`segment_ends`, the ends `must_use` finds too).  The forced arcs cut
-    every path into independent segments and only this one's
-    restrictions changed, so the child's optimum, tie-break and value
-    bits (folded in path order from 0.0) stay the same, and the oracle
-    passes over that segment alone.  The child node keeps its own forced
-    sets.
+    completion share it.  An exclude child is solved with the forced_in
+    set `exclude_forcing` returns: on an acyclic graph the parent
+    completion's arcs outside the segment that holds the item, so the
+    oracle passes over that segment alone with the same optimum and
+    value bits.  When path counts prove that every path through the
+    forced arcs uses the item, the child is skipped without an oracle
+    call; on selection and on graphs with a directed cycle every
+    exclude child is solved with its own forced_in.  The child node
+    keeps its own forced sets.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
@@ -385,9 +380,6 @@ def solve_bnb(
     heap = [(root.value, next(counter), frozenset(), frozenset(), [root.items, None])]
     nodes = 0
     complete = True
-    segmented = inst.kind == "spath" and inst.graph.topological_order is not None
-    if segmented:
-        tails = inst.graph.arc_positions[0]
 
     while heap:
         bound, _, fin, fout, completion = heapq.heappop(heap)
@@ -413,14 +405,10 @@ def solve_bnb(
         # include child: completion stays optimal for the subspace
         heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, completion))
         # exclude child: re-complete without the item, unless no path can
-        if must_use(inst, fin, item):
+        kept = exclude_forcing(inst, fin, items, item)
+        if kept is None:
             continue
-        kept, out = fin, fout | {item}
-        if segmented:
-            # re-solve only the segment that holds the item: force the
-            # completion's arcs outside it, fin among them
-            first, last = segment_ends(inst, fin, item)
-            kept = frozenset(a for a in items if not first <= tails[a] < last)
+        out = fout | {item}
         try:
             child = search.solve(bcosts, forced_in=kept, forced_out=out)
         except InfeasibleError:

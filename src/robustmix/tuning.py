@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluation import Metrics, Split, mean_metrics, pair_metrics, scalarize, tail_count
+from .evaluation import (
+    ALPHA,
+    Metrics,
+    Split,
+    mean_metrics,
+    pair_metrics,
+    scalarize,
+    tail_count,
+)
 from .instances import Graph, Instance, float_vector
 from .solvers import SolveReport, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
@@ -27,7 +35,6 @@ ELIMINATION_MARGIN = 0.01  # relative cost gap to the incumbent that eliminates
 MIN_SHARED_PAIRS = 5  # pairs a configuration needs before it can be eliminated
 TUNE_NODE_CAP = 150  # branch-and-bound nodes per tuner pair-solve
 BASELINE_NODE_CAP = 20_000  # branch-and-bound nodes per baseline pair-solve
-ALPHA = 0.05  # CVaR tail fraction of the per-pair metrics
 TUNABLE_TYPES = ("interval", "hull", "ellipsoid")  # built from type and lambda alone
 
 

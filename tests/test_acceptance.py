@@ -10,12 +10,10 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from robustmix import (
     EllipsoidSet,
     IntervalSet,
-    Instance,
     Metrics,
     Mixture,
     ScenarioMatrix,

@@ -9,8 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from robustmix import ScenarioMatrix, cli, parse_graph, split_scenarios, tuning, verify
+from robustmix import (
+    Instance,
+    ScenarioMatrix,
+    build_mixture,
+    check_emitted,
+    cli,
+    parse_graph,
+    solve_bnb,
+    solvers,
+    split_scenarios,
+    tuning,
+    verify,
+)
 from robustmix.cli import main
+from robustmix.mip_emit import expected_stats
 from robustmix.tuning import baseline_grid
 
 
@@ -253,6 +266,62 @@ class TestSolve:
         assert code == 2
         assert "--max-nodes must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestExitCodes:
+    """Exit 4 when an enumeration cap stops a solve, exit 2 on a file
+    that cannot be read."""
+
+    @pytest.mark.parametrize(
+        "method, cap, value",
+        [("budgeted-enum", "THRESHOLD_CAP", 5), ("brute", "BRUTE_FORCE_CAP", 3)],
+    )
+    def test_enumeration_cap_exits_4_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, method, cap, value
+    ):
+        graph, scenarios = str(tmp_path / "g.txt"), str(tmp_path / "s.csv")
+        assert main(
+            [
+                "gen",
+                "--width", "4", "--height", "4", "--scenarios", "10", "--seed", "1",
+                "--out-graph", graph, "--out-scenarios", scenarios,
+            ]
+        ) == 0
+        mixture = write_mixture(
+            tmp_path, [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 2}]
+        )
+        monkeypatch.setattr(solvers, cap, value)
+        out = tmp_path / "sol.json"
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--graph", graph,
+                "--scenarios", scenarios,
+                "--mixture", mixture,
+                "--source", "0", "--target", "15",
+                "--method", method,
+                "--out", str(out),
+            ]
+        )
+        assert code == 4
+        assert capsys.readouterr().err.startswith("budget exceeded:")
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
+    def test_missing_graph_file_exits_2(self, workdir, capsys):
+        mixture = write_mixture(workdir["dir"], HULL_MIX)
+        code = main(
+            [
+                "solve",
+                "--graph", str(workdir["dir"] / "missing.txt"),
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--source", "0", "--target", "8",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("io error:")
 
 
 class TestMalformedMixture:
@@ -715,6 +784,39 @@ class TestEmitMip:
         )
         assert code == 0
         assert "binary=12" in capsys.readouterr().out
+
+    def test_graph_model(self, workdir, capsys):
+        """A path model on the workdir grid: the printed counts are the
+        closed-form ones, and the written text checks out at the
+        branch-and-bound optimum."""
+        specs = [
+            {"weight": 0.5, "type": "budgeted", "lambda": 0.5, "gamma": 2},
+            {"weight": 1.0, "type": "hull", "lambda": 0.5},
+        ]
+        mixture = write_mixture(workdir["dir"], specs)
+        out = workdir["dir"] / "model.lp"
+        code = main(
+            [
+                "emit-mip",
+                "--graph", workdir["graph"],
+                "--scenarios", workdir["scenarios"],
+                "--mixture", mixture,
+                "--source", "0", "--target", "8",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        graph = parse_graph(Path(workdir["graph"]).read_text())
+        inst = Instance.spath(graph, 0, 8)
+        scenarios = ScenarioMatrix.from_csv(Path(workdir["scenarios"]).read_text())
+        mix = build_mixture(specs, scenarios)
+        stats = expected_stats(inst, mix)
+        assert capsys.readouterr().out == (
+            f"binary={stats.num_binary} continuous={stats.num_continuous} "
+            f"rows={stats.num_constraints}\n"
+        )
+        check = check_emitted(inst, mix, solve_bnb(inst, mix).solution, out.read_text())
+        assert check.ok and check.objective_match, check.message
 
     def test_ellipsoid_rejected(self, workdir, capsys):
         mixture = write_mixture(

@@ -1,5 +1,5 @@
-"""Every name a robustmix module imports is used in that module, every
-module-level private name is used somewhere in the package, only
+"""Every name a robustmix module or a test file imports is used in that
+file, every module-level private name is used somewhere in the package, only
 `uncertainty.py` tests a value against an uncertainty-set class, and
 only `cli.py` opens a file.
 
@@ -20,6 +20,7 @@ from robustmix import uncertainty
 MODULES = sorted(
     p for p in Path(robustmix.__file__).parent.glob("*.py") if p.name != "__init__.py"
 )
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,6 +59,11 @@ def test_checker_finds_unused_names():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 

@@ -615,47 +615,15 @@ def extra_arcs_grid(rng):
     return Graph(graph.num_nodes, tuple(arcs[i] for i in rng.permutation(len(arcs))))
 
 
-class TestMustUse:
-    def test_matches_enumeration_on_forced_chains(self, rng):
-        skips = keeps = 0
-        for _ in range(300):
-            graph = extra_arcs_grid(rng)
-            order, _ = graph.topological_order
-            if rng.random() < 0.5:
-                s, t = order[0], order[-1]
-            else:
-                s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
-            inst = Instance.spath(graph, s, t)
-            paths = [{a for a, used in enumerate(x) if used} for x in enumerate_feasible(inst)]
-            if not paths:
-                continue
-            path = sorted(paths[int(rng.integers(len(paths)))])
-            fin = {a for a in path if rng.random() < 0.4}
-            through = [p for p in paths if fin <= p]
-            for arc in path:
-                if arc in fin:
-                    continue
-                expected = all(arc in p for p in through)
-                assert instances.must_use(inst, fin, arc) is expected
-                skips += expected
-                keeps += not expected
-        assert skips > 100 and keeps > 100
-
-    def test_selection_and_cyclic_graph_answer_false(self):
-        assert not instances.must_use(Instance.selection(3, 3), {0, 1}, 2)
-        # arc 5 (3 -> 4) is on every 0 -> 4 path of CYCLIC but has no counts
-        assert not instances.must_use(Instance.spath(CYCLIC, 0, 4), (), 5)
-
-
 def path_order(graph, items):
     """A path's arcs in the order the path takes them."""
     return sorted(items, key=graph.arc_positions[0].__getitem__)
 
 
 class TestSegmentResolve:
-    """An exclude child re-solved with its parent completion's arcs outside
-    the excluded arc's segment forced in, as branch-and-bound does, against
-    the same child with only its own forced arcs."""
+    """An exclude child re-solved with `exclude_forcing`'s forced set, as
+    branch-and-bound does, against the same child with only its own
+    forced arcs."""
 
     COSTS = {
         "float": lambda rng, n: rng.uniform(0.0, 10.0, n),
@@ -666,9 +634,19 @@ class TestSegmentResolve:
 
     @pytest.mark.parametrize("kind", sorted(COSTS))
     def test_children_of_real_completions_match(self, rng, kind):
-        feasible = infeasible = 0
-        for _ in range(200):
-            inst, _ = random_grid_case(rng)
+        """None exactly when every path through fin uses the item (checked
+        by enumeration); otherwise the returned set holds fin, not the
+        item, and gives the child's outcome, x and value bits or no path,
+        that fin alone gives.  Skipped and solved children count apart."""
+        skipped = feasible = infeasible = 0
+        for _ in range(300):
+            graph = extra_arcs_grid(rng)
+            order, _ = graph.topological_order
+            if rng.random() < 0.5:
+                s, t = order[0], order[-1]
+            else:
+                s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+            inst = Instance.spath(graph, s, t)
             costs = check_costs(self.COSTS[kind](rng, inst.n), inst.n)
             n_out = int(rng.integers(0, 3))
             fout = frozenset(int(a) for a in rng.choice(inst.n, n_out, replace=False))
@@ -678,18 +656,31 @@ class TestSegmentResolve:
                 continue
             fin = frozenset(a for a in parent if rng.random() < 0.4)
             parent = nominal_solve(inst, costs, fin, fout).items  # a real completion
-            tails = inst.graph.arc_positions[0]
+            paths = [set(item_set(x)) for x in enumerate_feasible(inst)]
+            through = [p for p in paths if fin <= p]
             for item in parent:
                 if item in fin:
                     continue
-                first, last = instances.segment_ends(inst, fin, item)
-                kept = {a for a in parent if not first <= tails[a] < last}
+                kept = instances.exclude_forcing(inst, fin, parent, item)
+                assert (kept is None) == all(item in p for p in through)
+                if kept is None:
+                    skipped += 1
+                    continue
                 assert fin <= kept and item not in kept
                 child = solve_outcome(inst, costs, fin, fout | {item})
-                assert solve_outcome(inst, costs, fin | kept, fout | {item}) == child
+                assert solve_outcome(inst, costs, kept, fout | {item}) == child
                 feasible += child is not None
                 infeasible += child is None
-        assert feasible > 80 and infeasible > 150
+        assert skipped > 100 and feasible > 150 and infeasible > 20
+
+    def test_selection_and_cyclic_graph_return_forced_in(self):
+        fin = frozenset({0, 1})
+        selection = Instance.selection(3, 3)
+        assert instances.exclude_forcing(selection, fin, (0, 1, 2), 2) is fin
+        # a graph with a directed cycle has no path counts: 0 -> 1 -> 3 -> 4
+        fin = frozenset({0})
+        cyclic = Instance.spath(CYCLIC, 0, 4)
+        assert instances.exclude_forcing(cyclic, fin, (0, 3, 5), 3) is fin
 
     def test_long_forced_chains_match_exhaustive_search(self, rng):
         """Adjacent forced arcs: a chain from the source, one into the

@@ -155,6 +155,16 @@ class TestEmitAndParse:
         with pytest.raises(ParseError, match="after End"):
             parse_lp(text)
 
+    def test_parse_rejects_a_fixed_bound(self):
+        """`emit_model` writes no `x = v` bound; both parsers reject one."""
+        text = (
+            "Minimize\n obj: 1 x_0\nSubject To\n r: 1 x_0 >= 0\n"
+            "Bounds\n x_0 = 1\nGeneral\n x_0\nEnd\n"
+        )
+        assert check_lp_grammar(text) == ["line 6: bad bound ' x_0 = 1'"]
+        with pytest.raises(ParseError, match="bad bounds line"):
+            parse_lp(text)
+
 
 class TestCheckEmitted:
     def test_budgeted_round_trip(self):

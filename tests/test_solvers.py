@@ -34,7 +34,7 @@ from robustmix import (
 from robustmix import instances, solvers
 from robustmix.instances import (
     enumerate_feasible,
-    must_use,
+    exclude_forcing,
     nominal_solve,
     sample_st_pairs,
 )
@@ -768,7 +768,7 @@ SWEEP_CALLS = [
     12, 4, 5, 42, 8, 7, 4, 6, 4, 6, 2, 5, 4, 8, 8, 5, 3, 4, 2, 8,
     4, 10, 9, 10, 6, 6, 5, 16, 4, 2, 8, 3, 5, 8, 7, 2, 7, 2, 2, 2,
 ]
-# oracle_calls when every exclude child is solved, none skipped by must_use
+# oracle_calls when every exclude child is solved, none skipped by exclude_forcing
 SWEEP_CALLS_UNSKIPPED = [
     7, 2, 2, 5, 11, 2, 2, 9, 13, 2, 6, 25, 10, 6, 4, 4, 26, 1, 15, 2,
     12, 4, 11, 42, 16, 17, 6, 11, 6, 6, 2, 10, 4, 8, 12, 7, 5, 10, 2, 12,
@@ -807,26 +807,31 @@ class TestBnbNodeLoop:
         assert [r.oracle_calls for r in reports] == FIXED_MEMBER_CALLS
 
     def test_sweep_without_skips_solves_every_exclude_child(self, monkeypatch):
-        monkeypatch.setattr(solvers, "must_use", lambda *args: False)
+        def never_skip(inst, forced_in, completion, arc):
+            kept = exclude_forcing(inst, forced_in, completion, arc)
+            return forced_in if kept is None else kept
+
+        monkeypatch.setattr(solvers, "exclude_forcing", never_skip)
         cases = bnb_sweep_cases(np.random.default_rng(20261018), 60)
         reports = [solve_bnb(inst, mix) for inst, mix in cases]
         assert [r.nodes_explored for r in reports] == SWEEP_NODES
         assert [r.oracle_calls for r in reports] == SWEEP_CALLS_UNSKIPPED
 
     def test_every_skipped_child_is_infeasible(self, monkeypatch):
-        """Each exclude child that must_use skips raises InfeasibleError."""
+        """Each exclude child that exclude_forcing skips raises
+        InfeasibleError."""
         skipped = []
 
-        def checked_must_use(inst, forced_in, arc):
-            if not must_use(inst, forced_in, arc):
-                return False
-            skipped.append(arc)
-            # infeasible even with nothing else forced out
-            with pytest.raises(InfeasibleError):
-                nominal_solve(inst, np.ones(inst.n), forced_in, {arc})
-            return True
+        def checked_skip(inst, forced_in, completion, arc):
+            kept = exclude_forcing(inst, forced_in, completion, arc)
+            if kept is None:
+                skipped.append(arc)
+                # infeasible even with nothing else forced out
+                with pytest.raises(InfeasibleError):
+                    nominal_solve(inst, np.ones(inst.n), forced_in, {arc})
+            return kept
 
-        monkeypatch.setattr(solvers, "must_use", checked_must_use)
+        monkeypatch.setattr(solvers, "exclude_forcing", checked_skip)
         cases = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))
         cases.append(corner_to_corner(6, README_MIX))
         for inst, mix in cases:

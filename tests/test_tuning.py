@@ -10,10 +10,9 @@ import pytest
 
 from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
 from robustmix import tuning
-from robustmix.evaluation import Metrics, pair_metrics, score, split_scenarios
+from robustmix.evaluation import ALPHA, Metrics, pair_metrics, score, split_scenarios
 from robustmix.solvers import evaluate_wrp
 from robustmix.tuning import (
-    ALPHA,
     BASELINE_NODE_CAP,
     TUNABLE_TYPES,
     baseline_lambdas,
