@@ -335,27 +335,34 @@ def solve_bnb(
     summed and checked once per mixture; each best-response sum is
     checked once (`check_costs`), and the chosen sum's `OracleCosts`
     goes to every exclude child.  Branching picks the undecided item
-    with the largest `branch_spread`, also kept per mixture, then the
-    smallest index.  Heap entries carry their completion's sorted item
-    tuple, taken once when the completion is pushed, so a node never
-    scans x; its branching order is sorted once, at the completion's
-    first expansion, and the include children that inherit the
-    completion share it.  An exclude child is solved with the forced_in
-    set `exclude_forcing` returns: on an acyclic graph the parent
-    completion's arcs outside the segment that holds the item, so the
-    oracle passes over that segment alone with the same optimum and
-    value bits.  When path counts prove that every path through the
-    forced arcs uses the item, the child is skipped without an oracle
-    call; on selection and on graphs with a directed cycle every
-    exclude child is solved with its own forced_in.  The child node
-    keeps its own forced sets.
+    with the largest `branch_spread`, then the smallest index: the
+    mixture's `branch_rank`, also kept per mixture.  Each node carries
+    its completion's path, the arcs in path order as the oracle
+    returned them (`Solution.path`), so no node scans or builds x; its
+    branching order is sorted once by rank, at the completion's first
+    expansion, and the include children that inherit the completion
+    share it.  An exclude child is solved with the forced_in
+    `exclude_forcing` returns: on an acyclic graph the parent path's
+    arcs before and after the segment that holds the item, found by
+    walking out from the item and passed in path order, so the oracle
+    walks that chain unsorted and passes over the segment alone with
+    the same optimum and value bits.  When path counts prove that every
+    path through the forced arcs uses the item, the child is skipped
+    without an oracle call; on selection and on graphs with a directed
+    cycle every exclude child is solved with its own forced_in.  The
+    child node keeps its own forced sets.  The include child is
+    expanded next in place, without a heap round trip, when it would be
+    the next node popped anyway: the heap is empty or its first entry's
+    (bound, counter) is larger.  Otherwise it is pushed.  Either way
+    the nodes are expanded in best-first order, ties broken by the
+    order in which they were made, and the budget and prune checks run
+    before each expansion.
 
     The objective returned is optimal when proven, but on an exact
     objective tie the item set need not be the lexicographically
     smallest optimum: a subtree whose bound equals the incumbent's
     objective is pruned, and it may hold a smaller optimal item set.
     """
-    spread = mix.branch_spread
     start = time.monotonic()
     search = _Search(inst, mix)
     bcosts = mix.checked_bound_costs
@@ -374,15 +381,23 @@ def solve_bnb(
         if sol.value > root.value:
             bcosts, root = costs, sol
 
+    rank = mix.branch_rank.__getitem__
     counter = itertools.count()
     # (bound, tie counter, forced in, forced out, completion), where the
-    # completion is [its sorted item set, its branching order or None]
-    heap = [(root.value, next(counter), frozenset(), frozenset(), [root.items, None])]
+    # completion is [its path, its branching order or None]; counters
+    # are unique, so entries compare by bound and counter alone
+    heap = []
+    pending = (root.value, next(counter), frozenset(), frozenset(), [root.path, None])
     nodes = 0
     complete = True
 
-    while heap:
-        bound, _, fin, fout, completion = heapq.heappop(heap)
+    while pending or heap:
+        # the pending node (the root, then each include child) is expanded
+        # in place unless a queued node comes first: heappushpop returns
+        # it without touching the heap
+        node = heapq.heappushpop(heap, pending) if pending else heapq.heappop(heap)
+        bound, _, fin, fout, completion = node
+        pending = None
         if bound >= search.obj - TOL:
             break  # best-first: every node left is pruned too
         if max_nodes is not None and nodes >= max_nodes:
@@ -393,9 +408,9 @@ def solve_bnb(
             break
         nodes += 1
 
-        items, order = completion
+        path, order = completion
         if order is None:  # largest spread first, then the smaller index
-            order = completion[1] = sorted(items, key=lambda i: (-spread[i], i))
+            order = completion[1] = sorted(path, key=rank)
         for item in order:
             if item not in fin:
                 break
@@ -403,9 +418,9 @@ def solve_bnb(
             continue  # completion is the unique member of this subspace
 
         # include child: completion stays optimal for the subspace
-        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, completion))
+        pending = (bound, next(counter), fin | {item}, fout, completion)
         # exclude child: re-complete without the item, unless no path can
-        kept = exclude_forcing(inst, fin, items, item)
+        kept = exclude_forcing(inst, fin, path, item)
         if kept is None:
             continue
         out = fout | {item}
@@ -418,7 +433,7 @@ def solve_bnb(
         search.offer(child.x)
         if child.value < search.obj - TOL:
             heapq.heappush(
-                heap, (child.value, next(counter), fin, out, [child.items, None])
+                heap, (child.value, next(counter), fin, out, [child.path, None])
             )
     return search.report("bnb", complete, nodes_explored=nodes)
 

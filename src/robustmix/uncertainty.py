@@ -580,6 +580,14 @@ class Mixture:
         worst case and bound member; branch-and-bound branches on it."""
         return _sealed(self.weighted_sum("spread"))
 
+    @cached_property
+    def branch_rank(self) -> tuple[int, ...]:
+        """Each item's place in branch-and-bound's branching order: the
+        largest `branch_spread` first, then the smaller index."""
+        rank = np.empty(self.n, dtype=np.intp)
+        rank[np.argsort(-self.branch_spread, kind="stable")] = np.arange(self.n)
+        return tuple(rank.tolist())
+
 
 # the component keys beyond weight, type and lambda that a set type reads
 _EXTRA_KEYS = {"budgeted": ("gamma",), "ellipsoid": ("ridge",)}

@@ -215,6 +215,47 @@ class TestForcedArcOracle:
             infeasible += expected is None
         assert 50 < infeasible < 350
 
+    def test_forced_in_order_and_repeats_do_not_matter(self, rng):
+        """forced_in as a set, a tuple or list in path order, reversed,
+        shuffled, with repeats, or as an iterator: the exhaustive
+        search's value bits and arcs, in path order, or no path."""
+        shapes = {
+            "set": frozenset,
+            "path order": tuple,
+            "reversed": lambda arcs: list(reversed(arcs)),
+            "shuffled": lambda arcs: tuple(rng.permutation(arcs).tolist()),
+            "repeats": lambda arcs: [a for a in arcs for _ in range(2)],
+            "repeats apart": lambda arcs: list(arcs) + list(arcs[:1]),
+            "iterator": iter,
+        }
+        infeasible = 0
+        for _ in range(300):
+            inst, costs = random_grid_case(rng)
+            graph = inst.graph
+            paths = list(enumerate_feasible(inst))
+            pool = np.arange(graph.n)
+            if paths and rng.random() < 0.7:  # mostly arcs of one feasible path
+                pool = np.flatnonzero(paths[rng.integers(len(paths))])
+            k = min(int(rng.integers(1, 5)), len(pool))
+            fin = path_order(graph, rng.choice(pool, k, replace=False).tolist())
+            rest = [a for a in range(graph.n) if a not in fin]
+            n_out = min(int(rng.integers(0, 3)), len(rest))
+            fout = {int(a) for a in rng.choice(rest, n_out, replace=False)}
+            expected = _spath_branching(
+                graph, costs, inst.source, inst.target, frozenset(fin), fout
+            )
+            infeasible += expected is None
+            for shape, make in shapes.items():
+                try:
+                    sol = nominal_solve(inst, costs, make(fin), fout)
+                except InfeasibleError:
+                    assert expected is None, shape
+                    continue
+                assert sol.value.hex() == expected[0].hex(), shape
+                assert sorted(sol.path) == sorted(expected[1]), shape
+                assert list(sol.path) == path_order(graph, sol.path), shape
+        assert 50 < infeasible < 250
+
     def test_plain_calls_match_exhaustive_search_on_relabelled_grids(self, rng):
         infeasible = 0
         for _ in range(400):
@@ -235,7 +276,7 @@ class TestForcedArcOracle:
             inst, costs = random_grid_case(rng)
             graph, s, t = inst.graph, inst.source, inst.target
             expected = _spath_branching(graph, costs, s, t, frozenset(), frozenset())
-            bare = _spath_acyclic(graph, costs, s, t, frozenset(), frozenset())
+            bare = _spath_acyclic(graph, costs, s, t, (), frozenset())
             if expected is None:
                 assert bare is None
                 with pytest.raises(InfeasibleError):
@@ -635,9 +676,10 @@ class TestSegmentResolve:
     @pytest.mark.parametrize("kind", sorted(COSTS))
     def test_children_of_real_completions_match(self, rng, kind):
         """None exactly when every path through fin uses the item (checked
-        by enumeration); otherwise the returned set holds fin, not the
-        item, and gives the child's outcome, x and value bits or no path,
-        that fin alone gives.  Skipped and solved children count apart."""
+        by enumeration); otherwise the returned arcs, in path order, hold
+        fin, not the item, and give the child's outcome, x and value bits
+        or no path, that fin alone gives.  Skipped and solved children
+        count apart."""
         skipped = feasible = infeasible = 0
         for _ in range(300):
             graph = extra_arcs_grid(rng)
@@ -658,15 +700,17 @@ class TestSegmentResolve:
             parent = nominal_solve(inst, costs, fin, fout).items  # a real completion
             paths = [set(item_set(x)) for x in enumerate_feasible(inst)]
             through = [p for p in paths if fin <= p]
+            path = path_order(graph, parent)
             for item in parent:
                 if item in fin:
                     continue
-                kept = instances.exclude_forcing(inst, fin, parent, item)
+                kept = instances.exclude_forcing(inst, fin, path, item)
                 assert (kept is None) == all(item in p for p in through)
                 if kept is None:
                     skipped += 1
                     continue
-                assert fin <= kept and item not in kept
+                assert fin <= set(kept) and item not in kept
+                assert kept == path_order(graph, kept)
                 child = solve_outcome(inst, costs, fin, fout | {item})
                 assert solve_outcome(inst, costs, kept, fout | {item}) == child
                 feasible += child is not None
@@ -696,7 +740,7 @@ class TestSegmentResolve:
             k = int(rng.integers(1, len(path) + 1))
             shape = list(shapes)[rng.integers(len(shapes))]
             i = int(rng.integers(0, len(path) - k + 1))
-            fin = frozenset({
+            fin = tuple({
                 "source": path[:k],
                 "target": path[-k:],
                 "middle": path[i : i + k],
@@ -736,7 +780,7 @@ class TestSegmentResolve:
             ]
             if not early:
                 continue
-            fin = frozenset(run) | {early[rng.integers(len(early))]}
+            fin = (*run, early[rng.integers(len(early))])  # the last arc steps back
             assert _spath_branching(graph, costs, s, t, fin, frozenset()) is None
             assert _spath_acyclic(graph, costs, s, t, fin, frozenset()) is None
             with pytest.raises(InfeasibleError):
@@ -770,6 +814,51 @@ class TestFloatVector:
                 assert got.dtype == reference.dtype and got.shape == reference.shape
                 assert got.tobytes() == reference.tobytes()
                 assert got.flags.writeable
+
+
+class TestSolution:
+    def test_oracle_solution_equals_one_built_from_x(self, rng):
+        """`nominal_solve` keeps the items it chose in `path`, path order
+        for a path and ascending for a selection; its x, items, equality
+        and hash are those of `Solution(x, value)`."""
+        for _ in range(100):
+            inst, costs = random_grid_case(rng)
+            if rng.random() < 0.3:
+                inst = Instance.selection(inst.n, int(rng.integers(1, inst.n + 1)))
+            try:
+                sol = nominal_solve(inst, costs)
+            except InfeasibleError:
+                continue
+            same = Solution(sol.x, sol.value)
+            assert same.path is None
+            assert (sol.items, sol.x) == (same.items, same.x)
+            assert sol == same and hash(sol) == hash(same)
+            assert repr(sol) == repr(same)
+            assert sol.items == tuple(sorted(sol.path))
+            if inst.kind == "selection":
+                assert sol.path == sol.items
+            else:
+                assert list(sol.path) == path_order(inst.graph, sol.path)
+        assert Solution((1, 0), 1.0) != Solution((0, 1), 1.0)
+        assert Solution((1, 0), 1.0) != Solution((1, 0), 2.0)
+
+    def test_x_is_built_when_first_read(self):
+        sol = Solution(None, 2.0, (3, 1), 5)
+        assert sol._x is None
+        assert (sol.value, sol.path) == (2.0, (3, 1))
+        assert sol._x is None
+        assert sol.x == (0, 1, 0, 1, 0)
+        assert sol.x is sol.x
+        assert sol.items == (1, 3)
+
+    def test_is_immutable(self):
+        for sol in (Solution((0, 1), 1.0), Solution(None, 1.0, (1,), 2)):
+            for name in ("x", "value", "path", "_x"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(sol, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(sol, name)
+            assert (sol.x, sol.value) == ((0, 1), 1.0)
 
 
 class TestSampleStPairs:

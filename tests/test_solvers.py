@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import time
@@ -637,6 +638,54 @@ class TestBnb:
         assert (report.nodes_explored, report.oracle_calls) == (10519, 5124)
         assert report.objective == 486.39358951480006
 
+    def test_benchmark_corner_search_is_pinned(self):
+        """The 8x8 corner that perfbench's bnb-prove workload proves:
+        nodes, oracle calls and the objective's bits."""
+        inst, mix = corner_to_corner(8, README_MIX)
+        report = solve_bnb(inst, mix)
+        assert report.optimal
+        assert (report.nodes_explored, report.oracle_calls) == (277, 113)
+        assert report.objective == 175.29909979668906
+
+    def test_caps_stop_every_expansion(self):
+        """A node cap stops the 8x8 corner proof after exactly that many
+        expansions, popped or expanded in place; no time stops it right
+        after the root."""
+        inst, mix = corner_to_corner(8, README_MIX)
+        for k in range(0, 277, 7):
+            report = solve_bnb(inst, mix, max_nodes=k)
+            assert (report.nodes_explored, report.optimal) == (k, False)
+        report = solve_bnb(inst, mix, time_limit=0)
+        assert (report.nodes_explored, report.optimal) == (0, False)
+
+    def test_exclude_children_reach_the_oracle_with_forced_arcs(
+        self, monkeypatch
+    ):
+        """Each exclude child asks `solvers.exclude_forcing`, and a solved
+        one reaches `solvers.nominal_solve` with forced_in holding its
+        node's forced arcs, so a node with any forced arc makes a forced
+        call: 108 of the 8x8 corner's 111 exclude children (the other
+        three have none)."""
+        asked, exclude_calls = [], []
+
+        def asking(inst, forced_in, completion, arc):
+            asked.append(forced_in)
+            return exclude_forcing(inst, forced_in, completion, arc)
+
+        def recording(inst, costs, forced_in=(), forced_out=()):
+            if forced_out:
+                exclude_calls.append((asked[-1], forced_in))
+            return nominal_solve(inst, costs, forced_in, forced_out)
+
+        monkeypatch.setattr(solvers, "exclude_forcing", asking)
+        monkeypatch.setattr(solvers, "nominal_solve", recording)
+        inst, mix = corner_to_corner(8, README_MIX)
+        solve_bnb(inst, mix)
+        assert len(asked) == 254 and len(exclude_calls) == 111
+        assert all(fin <= set(kept) for fin, kept in exclude_calls)
+        assert sum(bool(kept) for _, kept in exclude_calls) == 108
+        assert all(kept for fin, kept in exclude_calls if fin)
+
     def test_time_limit_at_paper_scale(self):
         # the pinned proof above takes about 0.4 s; 0.05 s cuts it at
         # roughly 700 of its 10,519 nodes
@@ -837,6 +886,56 @@ class TestBnbNodeLoop:
         for inst, mix in cases:
             solve_bnb(inst, mix)
         assert len(skipped) > 100
+
+    # sweep case: (nodes, oracle calls, items, item branched on at each
+    # expansion), all as the node loop gave them before include children
+    # were expanded in place
+    ORDER_RULE_CASES = {
+        23: (57, 42, (0, 1, 3, 4), [
+            2, 0, 0, 1, 1, 1, 3, 3, 3, 3, 4, 4, 4, 5, 5, 5, 4, 5, 5, 5,
+            1, 6, 3, 6, 3, 6, 6, 6, 6, 3, 1, 4, 3, 4, 3, 4, 3, 4, 4, 4,
+        ]),
+        43: (22, 10, (2, 5, 6, 11, 13, 17), [
+            2, 13, 15, 5, 13, 6, 5, 11, 11, 17, 17, 19, 18, 22, 3, 4, 11, 22,
+        ]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ORDER_RULE_CASES))
+    def test_include_child_behind_an_equal_bound_node_is_queued(
+        self, monkeypatch, case
+    ):
+        """An include child is expanded next without a heap round trip
+        only when no queued node comes first.  In these tie-heavy cases
+        a node with the same bound and a smaller tie counter is queued
+        when some include child is made, so that child is pushed; the
+        expansions keep their order, and nodes, calls and x are
+        unchanged."""
+        nodes, calls, items, branched = self.ORDER_RULE_CASES[case]
+        outcomes = []
+
+        def recording(heap, entry):
+            node = heapq_pushpop(heap, entry)
+            outcomes.append(
+                "in place" if node is entry
+                else "queued" if node[:2] < entry[:2] and node[0] == entry[0]
+                else "behind a smaller bound"
+            )
+            return node
+
+        def asking(inst, forced_in, completion, arc):
+            order.append(arc)
+            return exclude_forcing(inst, forced_in, completion, arc)
+
+        order = []
+        heapq_pushpop = heapq.heappushpop
+        monkeypatch.setattr(heapq, "heappushpop", recording)
+        monkeypatch.setattr(solvers, "exclude_forcing", asking)
+        inst, mix = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))[case]
+        report = solve_bnb(inst, mix)
+        assert "queued" in outcomes and "in place" in outcomes
+        assert (report.nodes_explored, report.oracle_calls) == (nodes, calls)
+        assert report.solution.items == items
+        assert order == branched
 
     @staticmethod
     def recording_oracle(monkeypatch):

@@ -709,7 +709,15 @@ class TestMemos:
         assert np.array_equal(mix.bound_costs, bound)
         assert mix.checked_bound_costs.values == tuple(bound.tolist())
         assert np.array_equal(mix.branch_spread, spread)
+        order = sorted(range(4), key=lambda i: (-spread[i], i))
+        assert mix.branch_rank == tuple(order.index(i) for i in range(4))
         assert mix.types == {"interval", "budgeted", "hull", "ellipsoid"}
+
+    def test_branch_rank_breaks_spread_ties_by_index(self):
+        budgeted = BudgetedSet(np.zeros(5), np.array([1.0, 3.0, 3.0, 0.0, 1.0]), 1)
+        interval = IntervalSet(np.zeros(5), np.ones(5))  # spread 0 everywhere
+        assert Mixture(((1.0, budgeted),)).branch_rank == (2, 0, 1, 4, 3)
+        assert Mixture(((1.0, interval),)).branch_rank == (0, 1, 2, 3, 4)
 
     def test_caller_writes_do_not_reach_a_matrix(self, rng):
         costs = rng.uniform(1, 5, (6, 3))
