@@ -16,18 +16,18 @@ from .uncertainty import (
     HullSet,
     IntervalSet,
     Mixture,
+    OracleCosts,
     PolyhedronSet,
     ScenarioMatrix,
     build_mixture,
     build_set,
+    check_costs,
     worst_case,
 )
 from .instances import (
     Graph,
     Instance,
-    OracleCosts,
     Solution,
-    check_costs,
     gen_synthetic,
     graph_to_text,
     nominal_solve,
@@ -47,12 +47,7 @@ from .solvers import (
     solve_local_search,
     solve_midpoint_approx,
 )
-from .analysis import (
-    DualCertificate,
-    check_ratio,
-    check_submodular,
-    dual_certificate,
-)
+from .verify import DualCertificate, check_ratio, check_submodular, dual_certificate
 from .mip_emit import ModelStats, check_emitted, emit_model, parse_lp
 from .evaluation import (
     Metrics,

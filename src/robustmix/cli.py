@@ -117,8 +117,10 @@ def _read(path: str) -> str:
 
 
 def _load_pairs(path: str) -> list[tuple[int, int]]:
+    """The pairs CSV: header source,target, then one row of two integers
+    per pair; empty lines are skipped anywhere, as in a scenario CSV."""
     pairs = []
-    rows = list(csv.reader(io.StringIO(_read(path))))
+    rows = [row for row in csv.reader(io.StringIO(_read(path))) if row]
     if not rows or rows[0] != ["source", "target"]:
         raise ParseError("pairs CSV must start with header source,target")
     if len(rows) == 1:

@@ -4,7 +4,8 @@ Two instance kinds are supported: s-t path systems on a directed graph
 (items are arcs, feasible solutions are simple source-target paths) and
 cardinality selection (choose exactly p of n items).  Both expose the
 same nominal oracle `nominal_solve`, which every reduction in the solver
-module is built on.
+module is built on; it takes costs as they are or checked once by
+`uncertainty.check_costs`, and `can_price` is its sign rule.
 
 Ties are broken towards the lexicographically smallest chosen
 item-index set, which makes every downstream method deterministic.  The
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapExceededError, InfeasibleError, ParseError
-from .uncertainty import ScenarioMatrix
+from .uncertainty import OracleCosts, ScenarioMatrix, _check_finite, check_costs
 
 
 @dataclass(frozen=True)
@@ -276,46 +277,6 @@ class Solution:
 
     def __repr__(self):
         return f"Solution(x={self.x!r}, value={self.value!r})"
-
-
-@dataclass(frozen=True)
-class OracleCosts:
-    """A cost vector checked once for `nominal_solve`.
-
-    Built by `check_costs`: `values` holds the n finite costs as Python
-    floats, and `nonnegative` records whether none is negative, which
-    the oracle's sign rule reads (`can_price`).  A solver that calls the
-    oracle many times with one vector checks it once and passes this
-    object to every call.
-    """
-
-    n: int
-    values: tuple[float, ...]
-    nonnegative: bool
-
-
-def _check_finite(costs: np.ndarray) -> bool:
-    """Raise unless every cost is finite; return whether none is negative.
-
-    One min and one max reduction decide both: a NaN anywhere makes
-    both NaN, which fails the range test like an infinity does."""
-    if costs.size == 0:
-        return True
-    lo, hi = float(costs.min()), float(costs.max())
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError("costs must be finite")
-    return lo >= 0
-
-
-def check_costs(costs, n: int) -> OracleCosts:
-    """Check a length-n cost vector as `nominal_solve` does and keep a
-    copy of it as Python floats; later changes to `costs` do not reach
-    the copy.  Negative costs are recorded, not rejected: `can_price`
-    decides whether the oracle takes them when it is called."""
-    costs = np.asarray(costs, dtype=float)
-    if costs.shape != (n,):
-        raise ValueError(f"costs length {costs.shape} does not match n={n}")
-    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
 
 
 def can_price(inst: Instance, costs: OracleCosts) -> bool:

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import dual_certificate
 from .errors import ParseError, UnsupportedError
 from .instances import Instance, Solution
 from .solvers import evaluate_wrp
@@ -99,24 +98,32 @@ def _polyhedron_block(model: _Model, j: int, weight: float, uset, n: int):
         model.rows.append((f"poly_{j}_{i}", terms, ">=", 0.0))
 
 
-def _budgeted_completion(point: dict, j: int, uset, x, lp: LpModel) -> None:
-    cert = dual_certificate(Mixture(((1.0, uset),)), x)
-    point[f"pi_{j}"] = cert.pi[0]
-    for i, rho in enumerate(cert.rho[0]):
-        point[f"rho_{j}_{i}"] = rho
+def _row_loads(point: dict, lp: LpModel, prefix: str) -> dict[str, float]:
+    """Suffix k -> load of each row named `<prefix><k>`: minus its terms
+    at `point`, which the variables not yet completed must cover."""
+    return {
+        name[len(prefix):]: -sum(c * point.get(var, 0.0) for var, c in terms.items())
+        for name, terms, _, _ in lp.constraints
+        if name.startswith(prefix)
+    }
 
 
-def _hull_completion(point: dict, j: int, uset, x, lp: LpModel) -> None:
-    best = 0.0
-    for name, terms, sense, rhs in lp.constraints:
-        if name.startswith(f"hull_{j}_"):
-            load = -sum(
-                coef * point.get(var, 0.0)
-                for var, coef in terms.items()
-                if var != f"y_{j}"
-            )
-            best = max(best, load)
-    point[f"y_{j}"] = best
+def _budgeted_completion(point: dict, j: int, lp: LpModel) -> None:
+    """pi_j minimizes the text's pi_j and rho_j_i objective terms over 0
+    and the bud_j_i loads, the smallest on a tie; rho_j_i covers the rest."""
+    loads = _row_loads(point, lp, f"bud_{j}_")
+    load = np.array(list(loads.values()))
+    rates = np.array([lp.objective.get(f"rho_{j}_{i}", 0.0) for i in loads])
+    pis = np.unique(np.append(load, 0.0))
+    excess = np.maximum(load - pis[:, None], 0.0)
+    cost = lp.objective.get(f"pi_{j}", 0.0) * pis + excess.dot(rates)
+    pi = point[f"pi_{j}"] = float(pis[np.argmin(cost)])
+    for i, row_load in loads.items():
+        point[f"rho_{j}_{i}"] = max(0.0, row_load - pi)
+
+
+def _hull_completion(point: dict, j: int, lp: LpModel) -> None:
+    point[f"y_{j}"] = max([0.0, *_row_loads(point, lp, f"hull_{j}_").values()])
 
 
 class _Family(NamedTuple):
@@ -124,7 +131,7 @@ class _Family(NamedTuple):
 
     counts: Callable  # (uset, n) -> (continuous variables, rows)
     block: Callable  # (model, j, weight, uset, n) adds its part to the model
-    completion: Callable  # (point, j, uset, x, lp) sets its variables; a message skips
+    completion: Callable  # (point, j, lp) sets its variables; a message skips
 
 
 _POLYHEDRON_SKIP = "polyhedral completion skipped (needs an LP solver)"
@@ -336,9 +343,11 @@ def check_emitted(
     """Round-trip validation of an emitted model without an external solver.
 
     Parses the LP text, fixes x to the given solution, completes the
-    continuous variables in closed form (duals for budgeted rows,
-    row-max for epigraph rows), checks constraint feasibility, and
-    compares the text's objective against the in-process objective.
+    continuous variables in closed form from the text alone (each
+    budgeted threshold minimizes its objective terms over its rows'
+    loads, each epigraph variable is its rows' largest load), checks
+    constraint feasibility, and compares the text's objective against
+    the in-process objective.
     """
     try:
         model = parse_lp(text)
@@ -354,7 +363,7 @@ def check_emitted(
 
     point = {f"x_{i}": float(xi) for i, xi in enumerate(solution.x)}
     for j, (_, uset) in enumerate(mix.components):
-        skipped = _family(uset).completion(point, j, uset, solution.x, model)
+        skipped = _family(uset).completion(point, j, model)
         if skipped:
             return EmitCheck(True, False, skipped)
 

@@ -30,7 +30,6 @@ from .instances import (
     Instance,
     Solution,
     can_price,
-    check_costs,
     enumerate_feasible,
     exclude_forcing,
     float_vector,
@@ -38,7 +37,7 @@ from .instances import (
     nominal_solve,
     nominal_values,
 )
-from .uncertainty import Mixture
+from .uncertainty import Mixture, check_costs
 
 TOL = 1e-9
 THRESHOLD_CAP = 10_000_000  # threshold tuples solve_budgeted_mix enumerates at most

@@ -37,6 +37,10 @@ up to rounding) is formed only when read.  The ellipsoid's
 nonnegativity side constraint is deliberately dropped in its support,
 which makes it a slightly conservative upper bound whose members may
 have negative entries (`instances.can_price` says where they price).
+
+The nominal oracle's cost check (`check_costs`) lives here, beside the
+`Mixture` that memoizes it, so this module imports nothing from the
+package but `errors`, and `instances` imports it, never the reverse.
 """
 
 from __future__ import annotations
@@ -513,6 +517,46 @@ def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class OracleCosts:
+    """A cost vector checked once for `instances.nominal_solve`.
+
+    Built by `check_costs`: `values` holds the n finite costs as Python
+    floats, and `nonnegative` records whether none is negative, which
+    the oracle's sign rule reads (`instances.can_price`).  A solver that calls the
+    oracle many times with one vector checks it once and passes this
+    object to every call.
+    """
+
+    n: int
+    values: tuple[float, ...]
+    nonnegative: bool
+
+
+def _check_finite(costs: np.ndarray) -> bool:
+    """Raise unless every cost is finite; return whether none is negative.
+
+    One min and one max reduction decide both: a NaN anywhere makes
+    both NaN, which fails the range test like an infinity does."""
+    if costs.size == 0:
+        return True
+    lo, hi = float(costs.min()), float(costs.max())
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("costs must be finite")
+    return lo >= 0
+
+
+def check_costs(costs, n: int) -> OracleCosts:
+    """Check a length-n cost vector as `instances.nominal_solve` does and
+    keep a copy of it as Python floats; later changes to `costs` do not
+    reach the copy.  Negative costs are recorded, not rejected:
+    `instances.can_price` decides whether the oracle takes them when it is called."""
+    costs = np.asarray(costs, dtype=float)
+    if costs.shape != (n,):
+        raise ValueError(f"costs length {costs.shape} does not match n={n}")
+    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
+
+
+@dataclass(frozen=True)
 class Mixture:
     """Weighted list of uncertainty sets: the objective is
     sum_j p_j max_{c in U_j} c . x.
@@ -567,11 +611,9 @@ class Mixture:
         return _sealed(self.weighted_sum("bound_member"))
 
     @cached_property
-    def checked_bound_costs(self):
-        """`bound_costs` checked once for `nominal_solve` (`OracleCosts`);
+    def checked_bound_costs(self) -> OracleCosts:
+        """`bound_costs` checked once for `instances.nominal_solve`;
         a solve on an instance of another n raises ValueError."""
-        from .instances import check_costs  # instances imports this module
-
         return check_costs(self.bound_costs, self.n)
 
     @cached_property

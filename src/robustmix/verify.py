@@ -1,17 +1,109 @@
-"""Randomized verification suites behind the `verify` subcommand.
-
-Also hosts the seeded random generators shared with the test suite, so
-the acceptance checks and the CLI exercise identical distributions.
+"""Empirical checks of the structural guarantees and the randomized
+suites that the `verify` subcommand runs on them: exhaustive
+submodularity testing of a set function on 0/1 incidence tuples,
+closed-form dual certificates for budgeted worst cases, and an audit of
+the midpoint approximation factor against the brute-force optimum.
+The seeded random generators are shared with the test suite, so the
+acceptance checks and the CLI exercise identical distributions.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .analysis import check_ratio, check_submodular, dual_certificate
-from .instances import Instance
-from .solvers import evaluate_wrp
+from .instances import Instance, gen_synthetic
+from .solvers import evaluate_wrp, solve_brute_force, solve_midpoint_approx
 from .uncertainty import BudgetedSet, HullSet, Mixture
+
+TOL = 1e-9
+
+
+def _mask_to_x(mask: int, n: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(n))
+
+
+def _mask_to_set(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if (mask >> i) & 1)
+
+
+def check_submodular(n: int, f: Callable[[tuple[int, ...]], float]) -> dict:
+    """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) over the
+    subsets of n <= 16 items.
+
+    `f` maps the 0/1 incidence tuple of S to a value.  Returns
+    {"ok": True} or {"ok": False, "violation": (S, T)} with the lowest
+    lexicographic violating pair, S and T as item tuples.
+    """
+    if n > 16:
+        raise ValueError("exhaustive checking is capped at n=16")
+    values = np.array([f(_mask_to_x(mask, n)) for mask in range(1 << n)])
+
+    masks = np.arange(1 << n)
+    for s in range(1 << n):
+        t = masks[s:]  # unordered pairs once, via t >= s
+        lhs = values[s] + values[t]
+        rhs = values[s | t] + values[s & t]
+        bad = np.nonzero(lhs < rhs - TOL)[0]
+        if bad.size:
+            t_mask = int(t[bad[0]])
+            return {
+                "ok": False,
+                "violation": (_mask_to_set(s, n), _mask_to_set(t_mask, n)),
+            }
+    return {"ok": True}
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Feasible dual solution certifying the budgeted worst-case value."""
+
+    pi: tuple[float, ...]  # one threshold per component
+    rho: tuple[tuple[float, ...], ...]  # one n-vector per component
+    objective: float
+
+
+def dual_certificate(mix: Mixture, x) -> DualCertificate:
+    """Closed-form optimal duals: per component, pi is the (Gamma+1)-th
+    largest chosen deviation and rho_i = [d_i x_i - pi]_+."""
+    mix.require("budgeted", "dual_certificate needs budgeted components")
+    x = np.asarray(x, dtype=float)
+    pis = []
+    rhos = []
+    objective = 0.0
+    for weight, uset in mix.components:
+        dev = uset.deviations * x
+        chosen = np.sort(dev[x > 0.5])[::-1]
+        if uset.gamma < chosen.size:
+            pi = float(chosen[uset.gamma])
+        else:
+            pi = 0.0
+        rho = np.maximum(dev - pi, 0.0)
+        pis.append(pi)
+        rhos.append(tuple(float(v) for v in rho))
+        objective += weight * (
+            float(uset.lo @ x) + uset.gamma * pi + float(rho.sum())
+        )
+    return DualCertificate(tuple(pis), tuple(rhos), objective)
+
+
+def check_ratio(inst: Instance, mix: Mixture) -> dict:
+    """Midpoint-approximation audit on an all-hull mixture; any other
+    mixture raises UnsupportedError from `solve_midpoint_approx`.
+
+    Returns {"ratio", "bound", "ok"}; ok iff 1 - tol <= ratio <= bound + tol.
+    """
+    mid = solve_midpoint_approx(inst, mix)
+    opt = solve_brute_force(inst, mix)
+    if opt.objective <= TOL:
+        ratio = 1.0 if mid.objective <= TOL else float("inf")
+    else:
+        ratio = mid.objective / opt.objective
+    bound = mid.guarantee
+    ok = (1.0 - TOL) <= ratio <= bound + TOL
+    return {"ratio": ratio, "bound": bound, "ok": ok}
 
 
 def random_budgeted_mixture(
@@ -43,8 +135,6 @@ def random_hull_mixture(
 
 def random_instance(rng: np.random.Generator, max_sel_n: int = 10) -> Instance:
     """A small selection instance or a grid path instance."""
-    from .instances import gen_synthetic
-
     if rng.integers(2) == 0:
         n = int(rng.integers(2, max_sel_n + 1))
         p = int(rng.integers(1, n + 1))
@@ -81,7 +171,7 @@ def suite_ratio(seed: int = 0, trials: int = 100) -> bool:
         if not result["ok"]:
             print(f"ratio: FAIL ratio={result['ratio']} bound={result['bound']}")
             return False
-        if result["ratio"] > 1.0 + 1e-9:
+        if result["ratio"] > 1.0 + TOL:
             nontrivial += 1
     print(f"ratio: ok ({trials} instances, {nontrivial} with ratio > 1)")
     return True
@@ -95,12 +185,18 @@ def suite_dual(seed: int = 0, trials: int = 100) -> bool:
         x = tuple(int(v) for v in rng.integers(0, 2, n))
         cert = dual_certificate(mix, x)
         target = evaluate_wrp(mix, x)
-        if abs(cert.objective - target) > 1e-9:
+        if abs(cert.objective - target) > TOL:
             print(f"dual: FAIL gap={cert.objective - target}")
             return False
         for (_, uset), pi, rho in zip(mix.components, cert.pi, cert.rho):
+            if pi < 0:
+                print(f"dual: FAIL negative threshold pi={pi}")
+                return False
             dev = uset.deviations
             for i, xi in enumerate(x):
+                if rho[i] < -1e-12:
+                    print(f"dual: FAIL negative overflow at item {i}")
+                    return False
                 if pi + rho[i] < dev[i] * xi - 1e-12:
                     print(f"dual: FAIL infeasible certificate at item {i}")
                     return False

@@ -34,7 +34,7 @@ from robustmix import (
     split_scenarios,
     weight_grid,
 )
-from robustmix.analysis import check_ratio
+from robustmix.verify import check_ratio
 from robustmix.cli import main as cli_main
 from robustmix.evaluation import pair_metrics
 from robustmix.instances import Solution

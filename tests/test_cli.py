@@ -181,6 +181,25 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out.count("objective=") == 2
 
+    @pytest.mark.parametrize("blank_after", [1, 2], ids=["middle", "trailing"])
+    def test_pairs_file_empty_lines_skipped(self, workdir, capsys, blank_after):
+        """A blank line in the pairs CSV is skipped, as in a scenario CSV:
+        the solutions match those of the file without it."""
+        mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
+        lines = Path(workdir["pairs"]).read_text().splitlines()
+        assert len(lines) == 3
+        blanked = workdir["dir"] / "blanked.csv"
+        lines.insert(blank_after + 1, "")
+        blanked.write_text("\n".join(lines) + "\n")
+        outs = []
+        for pairs in (workdir["pairs"], blanked):
+            outs.append(workdir["dir"] / f"sol_{len(outs)}.json")
+            argv = ["solve", "--graph", workdir["graph"], "--scenarios", workdir["scenarios"],
+                    "--mixture", mixture, "--pairs", str(pairs), "--out", str(outs[-1])]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(json.loads(outs[1].read_text())["solutions"]) == 2
+
     @pytest.mark.parametrize(
         "method, extra, expected",
         [
@@ -461,6 +480,52 @@ class TestInvalidValues:
 
 # the --method choices that take no node cap
 UNCAPPED_METHODS = sorted(set(cli.METHODS) - {"auto", "bnb"})
+
+
+class TestInvalidInputWritesNothing:
+    """Malformed input files and missing options exit 2 naming the fault,
+    and leave neither an output file nor a manifest behind."""
+
+    @pytest.mark.parametrize(
+        "argv, files, named",
+        [
+            (["solve", "--mixture", "{mixture}", "--pairs", "{bad}", "--out", "{out}",
+              "--graph", "{graph}", "--scenarios", "{scenarios}"],
+             {"bad": "0,8\n1,7\n"}, "pairs CSV must start with header source,target"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{bad}", "--out", "{out}",
+              "--graph", "{graph}", "--scenarios", "{scenarios}"],
+             {"bad": "source,target\n0,8,1\n"}, "bad pairs row ['0', '8', '1']"),
+            (["solve", "--mixture", "{mixture}", "--pairs", "{bad}", "--out", "{out}",
+              "--graph", "{graph}", "--scenarios", "{scenarios}"],
+             {"bad": "source,target\n\n"}, EMPTY_PAIRS),
+            (["tune", "--weights", "0.5,0.5", "--pairs", "{pairs}", "--out-config", "{out}",
+              "--graph", "{graph}", "--scenarios", "{scenarios}"],
+             {}, "--weights needs three comma-separated values"),
+            (["evaluate", "--solutions", "{bad}", "--scenarios", "{scenarios}", "--out", "{out}"],
+             {"bad": "{\"solutions\": [\n"}, "invalid solutions JSON"),
+            (["evaluate", "--solutions", "{bad}", "--scenarios", "{scenarios}", "--out", "{out}"],
+             {"bad": '{"solutions": []}\n'}, "need at least one solution to score"),
+            (["emit-mip", "--graph", "{graph}", "--scenarios", "{scenarios}",
+              "--mixture", "{mixture}", "--out", "{out}"],
+             {}, "emit-mip with --graph needs --source/--target"),
+            (["emit-mip", "--scenarios", "{scenarios}", "--mixture", "{mixture}",
+              "--out", "{out}"],
+             {}, "emit-mip needs --graph or --select-n/--select-p"),
+        ],
+        ids=["pairs-no-header", "pairs-three-fields", "pairs-blank-only",
+             "tune-two-weights", "solutions-not-json", "solutions-empty",
+             "emit-mip-graph-no-endpoints", "emit-mip-no-mode"],
+    )
+    def test_exits_2(self, workdir, capsys, argv, files, named):
+        for name, text in files.items():
+            (workdir["dir"] / name).write_text(text)
+        mixture = write_mixture(workdir["dir"], INTERVAL_MIX)
+        before = sorted(workdir["dir"].iterdir())
+        names = {**workdir, "mixture": mixture, "bad": workdir["dir"] / "bad",
+                 "out": workdir["dir"] / "out"}
+        assert main([a.format(**names) for a in argv]) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(workdir["dir"].iterdir()) == before
 
 
 class TestUnreadFlags:
@@ -920,6 +985,30 @@ class TestVerify:
         doc = json.loads(manifest.read_text())
         assert doc["command"] == "verify" and doc["argv"] == argv
         assert doc["outputs"] == []
+
+    @pytest.mark.parametrize(
+        "shift, named",
+        [(-1.0, "dual: FAIL negative threshold"), (1.0, "dual: FAIL negative overflow")],
+        ids=["pi", "rho"],
+    )
+    def test_dual_suite_checks_signs(self, capsys, monkeypatch, shift, named):
+        """A certificate that is exact and covers every deviation, but
+        moves one unit between pi and rho, fails on the sign it breaks:
+        pi = -1 below zero, or pi + 1 with some rho_i - 1 below zero."""
+        exact = verify.dual_certificate
+
+        def shifted(mix, x):
+            cert = exact(mix, x)
+            pis = tuple(-1.0 if shift < 0 else pi + shift for pi in cert.pi)
+            rhos = tuple(
+                tuple(r + pi - new_pi for r in rho)
+                for pi, new_pi, rho in zip(cert.pi, pis, cert.rho)
+            )
+            return verify.DualCertificate(pis, rhos, cert.objective)
+
+        monkeypatch.setattr(verify, "dual_certificate", shifted)
+        assert main(["verify", "--suite", "dual", "--trials", "3"]) == 1
+        assert capsys.readouterr().out.startswith(named)
 
     def test_all_suites_run_in_order(self, capsys):
         assert main(["verify", "--suite", "all", "--trials", "3"]) == 0

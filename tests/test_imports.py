@@ -1,7 +1,8 @@
 """Every name a robustmix module or a test file imports is used in that
 file, every module-level private name is used somewhere in the package, only
-`uncertainty.py` tests a value against an uncertainty-set class, and
-only `cli.py` opens a file.
+`uncertainty.py` tests a value against an uncertainty-set class, only
+`cli.py` opens a file, and the package's modules import one another at
+module level only and in one direction.
 
 Stdlib `ast` checks, so they need no linter.  The package `__init__`
 imports names only to re-export them and is skipped by the import
@@ -65,6 +66,93 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_test_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> list[tuple[int, str, bool]]:
+    """(line, module, inside a function) for each robustmix module that
+    `source` imports, relatively or by its absolute name.  In `from .
+    import name` and `from robustmix import name` the module is `name`."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend(
+                    (child.lineno, alias.name.partition(".")[2] or alias.name, in_function)
+                    for alias in child.names
+                    if alias.name.partition(".")[0] == "robustmix"
+                )
+            elif isinstance(child, ast.ImportFrom) and (
+                child.level or (child.module or "").partition(".")[0] == "robustmix"
+            ):
+                module = child.module if child.level else child.module.partition(".")[2]
+                names = [module] if module else [alias.name for alias in child.names]
+                found.extend((child.lineno, name, in_function) for name in names)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, in_function or is_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def function_level_imports(source: str) -> list[str]:
+    """Package imports in `source` made inside a function body."""
+    return [f"line {line}: {module}" for line, module, inner in package_imports(source) if inner]
+
+
+def import_cycles(sources: dict[str, str]) -> list[str]:
+    """Each group of modules in `sources` that import one another in a
+    cycle through module-level package imports, as its sorted names."""
+    edges = {
+        module: {target for _, target, inner in package_imports(text) if not inner}
+        & sources.keys()
+        for module, text in sources.items()
+    }
+
+    def reached(start):
+        seen, stack = set(), [start]
+        while stack:
+            for nxt in edges[stack.pop()] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return seen
+
+    reach = {module: reached(module) for module in edges}
+    groups = {
+        tuple(sorted(other for other in reach[module] if module in reach[other]))
+        for module in edges
+        if module in reach[module]
+    }
+    return sorted(", ".join(group) for group in groups)
+
+
+def test_checker_finds_function_imports_and_cycles():
+    sources = {
+        "a": "import json\nfrom .b import f\nfrom .errors import E\n",
+        "b": "from . import c\ndef g():\n    import os\n    from .a import h\n",
+        "c": "import robustmix.a\nfrom robustmix import d\n",
+        "d": "from robustmix.e import k\n",
+        "e": "from .d import m\nclass K:\n    def f(self):\n        import robustmix.f, robustmix\n",
+        "f": "from .f import n\n",
+    }
+    assert function_level_imports(sources["b"]) == ["line 4: a"]
+    assert function_level_imports(sources["e"]) == ["line 4: f", "line 4: robustmix"]
+    assert function_level_imports(sources["a"]) == []
+    assert import_cycles(sources) == ["a, b, c", "d, e", "f"]
+    assert import_cycles({k: sources[k] for k in "abd"}) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    """Every module imports the package modules it needs at the top."""
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_package_import_cycles():
+    """Module-level package imports form no cycle: `uncertainty` imports
+    nothing from `instances`, which imports `uncertainty`."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert import_cycles(sources) == []
 
 
 def _private_definitions(tree: ast.Module):

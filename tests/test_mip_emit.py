@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from robustmix import (
     ModelStats,
     ParseError,
     PolyhedronSet,
+    Solution,
     UnsupportedError,
     check_emitted,
     emit_model,
@@ -192,13 +195,36 @@ class TestCheckEmitted:
         assert not check.ok
         assert "mismatch" in check.message
 
+    @pytest.mark.parametrize("prefix", [" bud_0_", " hull_0_"], ids=["budgeted", "hull"])
+    def test_halved_x_coefficients_detected(self, prefix):
+        """Halving every x coefficient of one family's rows leaves a
+        model that the text-completed variables expose: its objective no
+        longer matches the in-process one."""
+        inst = Instance.selection(5, 2)
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(0.0, 5.0, 5)
+        uset = BudgetedSet(lo, lo + rng.uniform(0.0, 5.0, 5), 1)
+        if prefix == " hull_0_":
+            uset = HullSet(rng.uniform(0.0, 10.0, (3, 5)))
+        mix = Mixture(((1.0, uset),))
+        text, _ = emit_model(inst, mix)
+        best = solve_brute_force(inst, mix).solution
+        assert check_emitted(inst, mix, best, text).objective_match
+        lines = []
+        for line in text.splitlines():
+            if line.startswith(prefix):
+                line = re.sub(r"(\d[\d.e+-]*) x_", lambda m: f"{float(m[1]) / 2:.12g} x_", line)
+            lines.append(line)
+        corrupted = "\n".join(lines) + "\n"
+        assert corrupted != text
+        check = check_emitted(inst, mix, best, corrupted)
+        assert not (check.ok and check.objective_match), check
+
     def test_polyhedral_completion_skipped(self):
         inst = Instance.selection(2, 1)
         mix = Mixture(((1.0, PolyhedronSet(np.eye(2), np.array([3.0, 4.0]))),))
         text, _ = emit_model(inst, mix)
         assert check_lp_grammar(text) == []
-        from robustmix import Solution
-
         check = check_emitted(inst, mix, Solution((1, 0), 0.0), text)
         assert check.ok and not check.objective_match
         assert "skipped" in check.message

@@ -32,7 +32,7 @@ from robustmix import (
     solve_midpoint_approx,
     split_scenarios,
 )
-from robustmix import instances, solvers
+from robustmix import solvers, uncertainty
 from robustmix.instances import (
     enumerate_feasible,
     exclude_forcing,
@@ -225,9 +225,9 @@ class TestIntervalMix:
         graph, data = gen_synthetic(4, 4, 10, seed=2)
         mix = build_mixture([{"weight": 1.0, "type": "interval", "lambda": 0.5}], data)
         checks = []
-        check = instances.check_costs
+        check = uncertainty.check_costs
         monkeypatch.setattr(
-            instances, "check_costs", lambda *args: checks.append(args) or check(*args)
+            uncertainty, "check_costs", lambda *args: checks.append(args) or check(*args)
         )
         pairs = sample_st_pairs(graph, 6, min_hops=2, seed=2)
         reports = [solve_auto(Instance.spath(graph, s, t), mix) for s, t in pairs]
