@@ -346,8 +346,9 @@ def check_emitted(
     continuous variables in closed form from the text alone (each
     budgeted threshold minimizes its objective terms over its rows'
     loads, each epigraph variable is its rows' largest load), checks
-    constraint feasibility, and compares the text's objective against
-    the in-process objective.
+    constraint feasibility, requires every x_i bound to read 0 <= x_i
+    <= 1 and every bound to hold at the completed point, and compares
+    the text's objective against the in-process objective.
     """
     try:
         model = parse_lp(text)
@@ -376,6 +377,14 @@ def check_emitted(
         }[sense]
         if not sat:
             return EmitCheck(False, False, f"constraint {name} violated at point")
+
+    for i in range(inst.n):
+        bound = model.bounds.get(f"x_{i}")
+        if bound != (0.0, 1.0):
+            return EmitCheck(False, False, f"x_{i} bounds {bound} are not (0, 1)")
+    for var, (lo, hi) in model.bounds.items():
+        if not lo - 1e-6 <= point.get(var, 0.0) <= hi + 1e-6:
+            return EmitCheck(False, False, f"bound of {var} violated at point")
 
     text_obj = sum(coef * point.get(var, 0.0) for var, coef in model.objective.items())
     true_obj = evaluate_wrp(mix, solution.x)

@@ -248,22 +248,62 @@ def baseline_grid(
     data: ScenarioMatrix,
     split: Split,
 ) -> list[tuple[float, Metrics, Metrics]]:
-    """Evaluate the pure single-set model over the 41-point lambda grid."""
+    """Evaluate the pure single-set model over the 41-point lambda grid.
+
+    Each pair's grid is bisected over its indices.  The first and last
+    lambdas are solved; where the two solves that bound a stretch of
+    the grid are both proven optimal and return the same x, every
+    lambda strictly between them takes that x unsolved, else the
+    middle lambda is solved and both halves are bisected again.  This
+    is exact within the solver's tolerance: for each tunable family
+    the worst case of a fixed x is a(x) + t b(x), with t = lambda for
+    interval and hull and t = sqrt(lambda) for the ellipsoid (its ridge
+    does not depend on lambda), so the optimum is concave in t and a
+    path within tolerance of it at two values of t stays within it
+    between them.  On an exact tie the solvers' fixed tie-breaking,
+    which picked the same x at both ends, picks it between them too.
+    A solve that is not proven (node cap hit, local-search fallback)
+    bounds no fill: the lambdas next to it are solved, as on a
+    lambda-by-lambda sweep.  The bisection runs level by level across
+    the pairs, so each lambda's mixture is built at most once, only if
+    some pair solves it, and released before the next is built.
+    """
+    if set_type not in TUNABLE_TYPES:
+        raise ValueError(f"baseline grids sweep {TUNABLE_TYPES}, not {set_type!r}")
     if not pairs:
         raise ValueError("empty pair list")
     train = data.subset(split.train_idx)
     test = data.subset(split.test_idx)
     metric_in = _metric_memo(train.costs)
     metric_out = _metric_memo(test.costs)
-    results = []
-    for lam in baseline_lambdas(set_type):
-        mix = build_mixture(
-            [{"weight": 1.0, "type": set_type, "lambda": lam}], train
+    lams = baseline_lambdas(set_type)
+    last = len(lams) - 1
+    # xs[p][k], proven[p][k]: pair p's x at lambda k, once solved or filled
+    xs: list[list] = [[None] * len(lams) for _ in pairs]
+    proven = [[False] * len(lams) for _ in pairs]
+    todo = {0: range(len(pairs)), last: range(len(pairs))}  # lambda -> pairs
+    spans = [(p, 0, last) for p in range(len(pairs))]  # ends solved, inside not
+    while todo:
+        for k, who in sorted(todo.items()):
+            spec = {"weight": 1.0, "type": set_type, "lambda": lams[k]}
+            mix = build_mixture([spec], train)
+            for p in who:
+                report = solve_for_pair(graph, pairs[p], mix, BASELINE_NODE_CAP)
+                xs[p][k], proven[p][k] = report.solution.x, report.optimal
+        todo, next_spans = {}, []
+        for p, lo, hi in spans:
+            if proven[p][lo] and proven[p][hi] and xs[p][lo] == xs[p][hi]:
+                xs[p][lo + 1 : hi] = [xs[p][lo]] * (hi - lo - 1)
+            elif hi - lo > 1:
+                mid = (lo + hi) // 2
+                todo.setdefault(mid, []).append(p)
+                next_spans += [(p, lo, mid), (p, mid, hi)]
+        spans = next_spans
+    return [
+        (
+            lam,
+            mean_metrics([metric_in(x) for x in column]),
+            mean_metrics([metric_out(x) for x in column]),
         )
-        triples_in, triples_out = [], []
-        for pair in pairs:
-            x = solve_for_pair(graph, pair, mix, BASELINE_NODE_CAP).solution.x
-            triples_in.append(metric_in(x))
-            triples_out.append(metric_out(x))
-        results.append((lam, mean_metrics(triples_in), mean_metrics(triples_out)))
-    return results
+        for lam, column in zip(lams, zip(*xs))
+    ]

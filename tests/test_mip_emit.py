@@ -220,6 +220,29 @@ class TestCheckEmitted:
         check = check_emitted(inst, mix, best, corrupted)
         assert not (check.ok and check.objective_match), check
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (" rho_0_1 >= 0", " rho_0_1 >= 100", "bound of rho_0_1 violated at point"),
+            (" 0 <= x_0 <= 1", " 0 <= x_0 <= 0", "x_0 bounds (0.0, 0.0) are not (0, 1)"),
+            (" 0 <= x_1 <= 1", " 5 <= x_1 <= 9", "x_1 bounds (5.0, 9.0) are not (0, 1)"),
+        ],
+        ids=["rho_lower", "x_upper", "x_range"],
+    )
+    def test_edited_bounds_detected(self, old, new, message):
+        """Each edit leaves the rows and the objective intact at the
+        optimum; only the Bounds section is wrong."""
+        inst = Instance.selection(5, 2)
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(0.0, 5.0, 5)
+        mix = Mixture(((1.0, BudgetedSet(lo, lo + rng.uniform(0.0, 5.0, 5), 1)),))
+        text, _ = emit_model(inst, mix)
+        best = solve_brute_force(inst, mix).solution
+        assert best.x == (1, 0, 0, 0, 1)
+        assert text.count(f"{old}\n") == 1
+        check = check_emitted(inst, mix, best, text.replace(f"{old}\n", f"{new}\n"))
+        assert not check.ok and check.message == message
+
     def test_polyhedral_completion_skipped(self):
         inst = Instance.selection(2, 1)
         mix = Mixture(((1.0, PolyhedronSet(np.eye(2), np.array([3.0, 4.0]))),))

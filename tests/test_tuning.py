@@ -10,7 +10,15 @@ import pytest
 
 from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
 from robustmix import tuning
-from robustmix.evaluation import ALPHA, Metrics, pair_metrics, score, split_scenarios
+from robustmix.evaluation import (
+    ALPHA,
+    Metrics,
+    mean_metrics,
+    pair_metrics,
+    score,
+    split_scenarios,
+    tail_count,
+)
 from robustmix.solvers import evaluate_wrp
 from robustmix.tuning import (
     BASELINE_NODE_CAP,
@@ -203,6 +211,69 @@ class TestSolveForPair:
         assert 0 < proven < len(pairs)
 
 
+def reference_grid(set_type, graph, pairs, data, split):
+    """The lambda-by-lambda sweep: every pair solved at every lambda
+    under the current `tuning.BASELINE_NODE_CAP`.  Returns the grid's
+    rows and, per lambda, each pair's proof flag."""
+    train, test = data.subset(split.train_idx), data.subset(split.test_idx)
+    rows, proven = [], []
+    for lam in baseline_lambdas(set_type):
+        mix = build_mixture([{"weight": 1.0, "type": set_type, "lambda": lam}], train)
+        reports = [
+            solve_for_pair(graph, pair, mix, tuning.BASELINE_NODE_CAP) for pair in pairs
+        ]
+        xs = [np.asarray(r.solution.x, float) for r in reports]
+        metrics = []
+        for pool in (train, test):
+            tail = tail_count(ALPHA, pool.K)
+            metrics.append(mean_metrics([pair_metrics(x, pool.costs, tail) for x in xs]))
+        rows.append((lam, *metrics))
+        proven.append([r.optimal for r in reports])
+    return rows, proven
+
+
+def record_solves(monkeypatch):
+    """Patch `tuning` so that `baseline_grid` records what it does: the
+    lambda of each mixture it builds, and per solve the (pair, lambda)
+    solved and the (x, proven) it got, in order.  Returns both lists."""
+    built, solves, lam_of = [], [], {}
+
+    def building(specs, train):
+        mix = build_mixture(specs, train)
+        built.append(specs[0]["lambda"])
+        lam_of[id(mix)] = (mix, specs[0]["lambda"])  # the mix keeps its id
+        return mix
+
+    def solving(graph, pair, mix, *args):
+        report = solve_for_pair(graph, pair, mix, *args)
+        solves.append(((pair, lam_of[id(mix)][1]), (report.solution.x, report.optimal)))
+        return report
+
+    monkeypatch.setattr(tuning, "build_mixture", building)
+    monkeypatch.setattr(tuning, "solve_for_pair", solving)
+    return built, solves
+
+
+def random_problems(count):
+    """Small random grids under both noise models.  Two trials in three
+    replace the costs with skewed draws whose spread varies per arc, so
+    that the mean and the worst scenarios favour different paths, and
+    trials 2, 3, 6, 7, ... round them to integers, so that ties are
+    common."""
+    for trial in range(count):
+        rng = np.random.default_rng(trial)
+        width, height = (int(v) for v in rng.integers(4, 6, 2))
+        noise = ("mult", "two_block")[trial % 2]
+        graph, data = gen_synthetic(width, height, int(rng.integers(8, 30)), noise, trial)
+        if trial % 3:
+            base, spread = rng.uniform(1.0, 10.0, (2, data.n))
+            data = ScenarioMatrix(base + spread * rng.random((data.K, data.n)) ** 4)
+        if trial // 2 % 2:
+            data = ScenarioMatrix(np.round(data.costs))
+        pairs = sample_st_pairs(graph, int(rng.integers(2, 5)), min_hops=3, seed=trial)
+        yield graph, data, pairs, split_scenarios(data.K, 0.75, seed=trial)
+
+
 class TestBaselines:
     def test_grid_values(self):
         ell = baseline_lambdas("ellipsoid")
@@ -227,6 +298,65 @@ class TestBaselines:
         base = astuple(first["interval"][0])
         assert astuple(first["hull"][0]) == pytest.approx(base, abs=1e-9)
         assert astuple(first["ellipsoid"][0]) == pytest.approx(base, abs=1e-9)
+
+    def test_untunable_type_rejected_before_any_solve(self, monkeypatch, small_problem):
+        """The bisection is exact only for the tunable families, whose
+        worst case is linear in a nondecreasing function of lambda."""
+        graph, data, pairs, split = small_problem
+        built, solves = record_solves(monkeypatch)
+        with pytest.raises(ValueError, match="budgeted"):
+            baseline_grid("budgeted", graph, pairs, data, split)
+        assert built == [] and solves == []
+
+    @pytest.mark.parametrize("set_type", TUNABLE_TYPES)
+    def test_bisection_equals_lambda_by_lambda_sweep(self, monkeypatch, set_type):
+        """Rows equal the lambda-by-lambda sweep bit for bit, and every
+        lambda a pair did not solve lies strictly between two proven
+        solves of that pair with the same x."""
+        lams = baseline_lambdas(set_type)
+        filled = changed = 0
+        for graph, data, pairs, split in random_problems(12):
+            reference, _ = reference_grid(set_type, graph, pairs, data, split)
+            with monkeypatch.context() as patch:
+                built, solves = record_solves(patch)
+                rows = baseline_grid(set_type, graph, pairs, data, split)
+            assert rows == reference
+            assert len(built) == len(set(built))
+            result = dict(solves)
+            assert len(result) == len(solves)  # each lambda solved once per pair
+            for pair in pairs:
+                done = sorted(lams.index(lam) for p, lam in result if p == pair)
+                assert done[0] == 0 and done[-1] == 40
+                for lo, hi in zip(done, done[1:]):
+                    changed += result[pair, lams[lo]][0] != result[pair, lams[hi]][0]
+                    if hi - lo > 1:
+                        x_lo, proven_lo = result[pair, lams[lo]]
+                        x_hi, proven_hi = result[pair, lams[hi]]
+                        assert proven_lo and proven_hi and x_lo == x_hi
+                        filled += hi - lo - 1
+        assert filled > 0 and changed > 0
+
+    def test_unproven_solves_fill_nothing(self, monkeypatch):
+        """Under a node cap that leaves solves unproven, the rows still
+        equal the sweep under that cap, and every lambda whose own solve
+        is unproven there is solved, not filled."""
+        graph, data = gen_synthetic(5, 5, 30, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 4, min_hops=3, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        monkeypatch.setattr(tuning, "BASELINE_NODE_CAP", 0)
+        reference, proven = reference_grid("ellipsoid", graph, pairs, data, split)
+        _, solves = record_solves(monkeypatch)
+        rows = baseline_grid("ellipsoid", graph, pairs, data, split)
+        assert rows == reference
+        lams = baseline_lambdas("ellipsoid")
+        unproven = {
+            (pair, lam)
+            for lam, flags in zip(lams, proven)
+            for pair, flag in zip(pairs, flags)
+            if not flag
+        }
+        solved = {key for key, _ in solves}
+        assert unproven and unproven <= solved < {(p, lam) for p in pairs for lam in lams}
 
 
 class TestPairMetricMemo:
@@ -262,7 +392,8 @@ class TestPairMetricMemo:
         graph, data, pairs, split = small_problem
         calls, solved = self.counted(monkeypatch)
         baseline_grid("hull", graph, pairs, data, split)
-        assert len(solved) == 41 * len(pairs)
+        # each pair proves the same path at both ends, so only they are solved
+        assert len(solved) == 2 * len(pairs)
         assert len(calls) == len(set(calls)) == 2 * len(set(solved))
 
     def test_baseline_in_sample_metrics_equal_score(self):
