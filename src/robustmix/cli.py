@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 from dataclasses import astuple
@@ -36,7 +35,7 @@ from .errors import (
     ParseError,
     UnsupportedError,
 )
-from .evaluation import ALPHA, score, split_scenarios, weight_grid
+from .evaluation import ALPHA, check_weights, score, split_scenarios, weight_grid
 from .instances import (
     NOISE_MODELS,
     Instance,
@@ -167,8 +166,10 @@ def _parse_weights(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ParseError("--weights needs three comma-separated values")
     w = tuple(float(p) for p in parts)
-    if not all(math.isfinite(v) and v >= 0 for v in w):
-        raise ParseError(f"weights must be finite and nonnegative, got {text}")
+    try:
+        check_weights(w)
+    except ValueError:
+        raise ParseError(f"weights must be finite and nonnegative, got {text}") from None
     return w
 
 

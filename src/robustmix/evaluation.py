@@ -74,9 +74,26 @@ def pair_metrics(x: np.ndarray, costs: np.ndarray, tail: int) -> tuple[float, fl
 
 
 def mean_metrics(triples) -> Metrics:
-    """The mean over pairs of (avg, max, cvar) triples, summed in pair
-    order: scoring, tuning and baselines all average through it."""
-    return Metrics(*np.array(triples).mean(axis=0).tolist())
+    """The mean over pairs of (avg, max, cvar) float triples: scoring,
+    tuning and baselines all average through it.
+
+    Each column is summed in pair order from 0.0, one addition at a
+    time, and divided once by the pair count: bit for bit
+    `np.array(triples).mean(axis=0)`, whose reduction over the rows is
+    the same left fold, without building an array for a few pairs.  The
+    fold is written out, as builtin `sum()` of floats is compensated
+    from Python 3.12 and would round differently.  Raises ValueError on
+    no triples."""
+    avg = worst = cvar = 0.0
+    count = 0
+    for a, m, c in triples:
+        avg += a
+        worst += m
+        cvar += c
+        count += 1
+    if not count:
+        raise ValueError("need at least one (avg, max, cvar) triple")
+    return Metrics(float(avg / count), float(worst / count), float(cvar / count))
 
 
 def score(
@@ -100,10 +117,22 @@ def score(
 
 
 def scalarize(m: Metrics, w: tuple[float, float, float]) -> float:
-    """Weighted sum w_avg avg + w_max max + w_cvar cvar."""
-    if any(v < 0 for v in w):
+    """Weighted sum w_avg avg + w_max max + w_cvar cvar.  A negative or
+    NaN weight raises ValueError."""
+    if not all(v >= 0 for v in w):  # NaN fails too
         raise ValueError("weights must be nonnegative")
     return w[0] * m.avg + w[1] * m.max + w[2] * m.cvar
+
+
+def check_weights(w) -> None:
+    """Raise ValueError unless w is three finite, nonnegative numbers,
+    the scalarization weights a race or a trade-off can rank by."""
+    try:
+        ok = len(w) == 3 and all(math.isfinite(v) and v >= 0 for v in w)
+    except TypeError:  # no length, or an entry that is not a number
+        ok = False
+    if not ok:
+        raise ValueError(f"weights must be three finite, nonnegative numbers: {w!r}")
 
 
 def weight_grid(step: float = 0.1) -> list[tuple[float, float, float]]:

@@ -118,6 +118,11 @@ class Graph:
     def _path_counts(self) -> dict[int, tuple[int, ...]]:
         return {}
 
+    @cached_property
+    def _instances(self) -> dict[tuple[int, int], "Instance"]:
+        """`Instance.spath`'s instances on this graph, by (source, target)."""
+        return {}
+
     def hop_distances(self, source: int) -> list[float]:
         """Unweighted BFS distance from `source` to every node, inf where
         it is not reached."""
@@ -196,18 +201,44 @@ class Instance:
 
     @staticmethod
     def spath(graph: Graph, source: int, target: int) -> "Instance":
-        if source == target:
-            raise ValueError("source and target must differ")
-        for node in (source, target):
-            if not (0 <= node < graph.num_nodes):
-                raise ValueError(f"node {node} out of range")
-        return Instance("spath", graph.n, graph=graph, source=source, target=target)
+        """The s-t path instance on `graph`.  The graph keeps the first
+        instance made for each (source, target) and returns it again, so
+        a solver that is called per pair, as the tuner's is, checks and
+        builds each pair's instance once."""
+        inst = graph._instances.get((source, target))
+        if inst is None:
+            if source == target:
+                raise ValueError("source and target must differ")
+            for node in (source, target):
+                if not (0 <= node < graph.num_nodes):
+                    raise ValueError(f"node {node} out of range")
+            inst = Instance("spath", graph.n, graph=graph, source=source, target=target)
+            graph._instances[source, target] = inst
+        return inst
 
     @staticmethod
     def selection(n: int, p: int) -> "Instance":
         if not (0 < p <= n):
             raise ValueError("selection requires 0 < p <= n")
         return Instance("selection", n, p=p)
+
+    def vectors(self, items: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
+        """The 0/1 vector x with ones at `items`, an oracle solution's
+        `path`, and x's read-only `float_vector`.  Both are made once per
+        distinct tuple and kept on the instance, so it holds two n-vectors
+        for each path it was asked for: the tuner's interval solves find
+        a few paths per pair, each again and again."""
+        pair = self._vectors.get(items)
+        if pair is None:
+            x = _incidence(self.n, items)
+            vector = float_vector(x)
+            vector.setflags(write=False)
+            pair = self._vectors[items] = (x, vector)
+        return pair
+
+    @cached_property
+    def _vectors(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]]:
+        return {}
 
 
 def item_set(x) -> tuple[int, ...]:
@@ -464,11 +495,14 @@ def _spath_branching(graph, costs, source, target, forced_in, forced_out):
     return best[0][0], best[0][2]
 
 
+_NO_ITEMS = frozenset()
+
+
 def nominal_solve(
     inst: Instance,
     costs,
     forced_in=(),
-    forced_out=(),
+    forced_out=_NO_ITEMS,
 ) -> Solution:
     """Minimize costs . x over the feasible set with forcing constraints.
 
@@ -512,7 +546,7 @@ def nominal_solve(
     c = costs.values
     if not isinstance(forced_in, (tuple, list)):
         forced_in = tuple(forced_in)
-    fout = frozenset(forced_out)
+    fout = forced_out if type(forced_out) is frozenset else frozenset(forced_out)
     if forced_in or fout:  # both checks are vacuous on empty forced sets
         if not fout.isdisjoint(forced_in):
             raise ValueError("forced_in and forced_out overlap")

@@ -1,7 +1,7 @@
 """Emission of the dualized mixture models as CPLEX-LP text.
 
 Budgeted components are dualized with threshold/overflow variables,
-hull components get one epigraph variable and one row per point,
+hull components get one free epigraph variable and one row per point,
 polyhedral components are dualized with one multiplier per row, and
 interval components fold into the linear objective.  Ellipsoids are
 conic and rejected.  The module builds and parses LP text and opens no
@@ -12,6 +12,7 @@ component index.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -44,6 +45,7 @@ class _Model:
     obj_terms: list = field(default_factory=list)  # (coef, variable)
     rows: list = field(default_factory=list)  # (name, terms, sense, rhs)
     cont_vars: list = field(default_factory=list)
+    free_vars: set = field(default_factory=set)  # cont_vars with no lower bound
 
 
 def _interval_block(model: _Model, j: int, weight: float, uset, n: int):
@@ -70,8 +72,9 @@ def _budgeted_block(model: _Model, j: int, weight: float, uset, n: int):
 
 
 def _hull_block(model: _Model, j: int, weight: float, uset, n: int):
-    y = f"y_{j}"
+    y = f"y_{j}"  # free: a point's load at x may be negative
     model.cont_vars.append(y)
+    model.free_vars.add(y)
     model.obj_terms.append((weight, y))
     for k in range(uset.num_points):
         terms = [(1.0, y)]
@@ -123,7 +126,9 @@ def _budgeted_completion(point: dict, j: int, lp: LpModel) -> None:
 
 
 def _hull_completion(point: dict, j: int, lp: LpModel) -> None:
-    point[f"y_{j}"] = max([0.0, *_row_loads(point, lp, f"hull_{j}_").values()])
+    """y_j is free: its rows' largest load, minus infinity with none."""
+    loads = _row_loads(point, lp, f"hull_{j}_").values()
+    point[f"y_{j}"] = max(loads, default=-math.inf)
 
 
 class _Family(NamedTuple):
@@ -214,7 +219,7 @@ def emit_model(inst: Instance, mix: Mixture) -> tuple[str, ModelStats]:
     for i in range(n):
         lines.append(f" 0 <= x_{i} <= 1")
     for var in model.cont_vars:
-        lines.append(f" {var} >= 0")
+        lines.append(f" {var} free" if var in model.free_vars else f" {var} >= 0")
     lines.append("General")
     for i in range(n):
         lines.append(f" x_{i}")
@@ -313,7 +318,9 @@ def parse_lp(text: str) -> LpModel:
             if len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
                 bounds[tokens[2]] = (float(tokens[0]), float(tokens[4]))
             elif len(tokens) == 3 and tokens[1] == ">=":
-                bounds[tokens[0]] = (float(tokens[2]), float("inf"))
+                bounds[tokens[0]] = (float(tokens[2]), math.inf)
+            elif len(tokens) == 2 and tokens[1] == "free" and _NAME.match(tokens[0]):
+                bounds[tokens[0]] = (-math.inf, math.inf)
             else:
                 raise ParseError(f"bad bounds line {ln!r}")
         elif section == "general":

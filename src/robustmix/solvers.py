@@ -84,8 +84,10 @@ def evaluate_wrp(mix: Mixture, x) -> float:
 class _Search:
     """One solve's incumbent and its count of nominal-oracle calls.
 
-    `offer` applies the incumbent rule, `solve` is the solvers' one way
-    to call `nominal_solve`, and `report` builds the solve's result.
+    `offer` applies the incumbent rule, `solve` is the way every solver
+    with more than one candidate calls `nominal_solve`, and `report`
+    builds the solve's result.  The one-solve methods (`_solve_once`)
+    need none of it.
     """
 
     def __init__(self, inst: Instance, mix: Mixture):
@@ -114,14 +116,26 @@ class _Search:
         return SolveReport(solution, method, optimal, nodes_explored, self.calls, guarantee)
 
 
+def _solve_once(
+    inst: Instance, mix: Mixture, method: str, optimal: bool, guarantee=None
+) -> SolveReport:
+    """The report of a method that is one nominal solve under the
+    mixture's bound costs: the oracle's solution at its objective, one
+    oracle call.  A single candidate needs no incumbent rule, so no
+    `_Search` is made; the objective is `evaluate_wrp` at x's
+    `float_vector`, the value `_Search.offer` would give it, and the
+    instance keeps both vectors per path (`Instance.vectors`)."""
+    x, vector = inst.vectors(nominal_solve(inst, mix.checked_bound_costs).path)
+    solution = Solution(x, evaluate_wrp(mix, vector))
+    return SolveReport(solution, method, optimal, oracle_calls=1, guarantee=guarantee)
+
+
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     """All-interval mixtures reduce to a single nominal problem with
     reduced costs sum_j p_j hi^j, the intervals' bound members; the
     mixture sums and checks them once for all its solves."""
     mix.require("interval", "solve_interval_mix needs interval components")
-    search = _Search(inst, mix)
-    search.offer(search.solve(mix.checked_bound_costs).x)
-    return search.report("interval", True)
+    return _solve_once(inst, mix, "interval", True)
 
 
 THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
@@ -191,9 +205,7 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     K^max is the largest point count."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
-    search = _Search(inst, mix)
-    search.offer(search.solve(mix.checked_bound_costs).x)
-    return search.report("midpoint", False, guarantee=float(kmax))
+    return _solve_once(inst, mix, "midpoint", False, guarantee=float(kmax))
 
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:

@@ -122,6 +122,16 @@ class ScenarioMatrix:
         return _sealed(self.costs.max(axis=0))
 
     @cached_property
+    def spread_down(self) -> np.ndarray:
+        """mean - col_min: how far each column reaches below its mean."""
+        return _sealed(self.mean - self.col_min)
+
+    @cached_property
+    def spread_up(self) -> np.ndarray:
+        """col_max - mean: how far each column reaches above its mean."""
+        return _sealed(self.col_max - self.mean)
+
+    @cached_property
     def factor(self) -> np.ndarray:
         """(costs - mean) / sqrt(K - 1): the K x n factor F whose F' F is
         the sample covariance.  Every ellipsoid built from this matrix
@@ -201,7 +211,14 @@ class ScenarioMatrix:
 
 @dataclass(frozen=True)
 class _Box:
-    """lo <= hi bounds, shared by the interval and budgeted families."""
+    """lo <= hi bounds, shared by the interval and budgeted families.
+
+    `IntervalSet(lo, hi)` and `BudgetedSet(lo, hi, gamma)` copy what
+    they are given unless they may keep it (`_owned`) and check that it
+    is two 1-D vectors of one length with lo <= hi.  `from_data` (what
+    `build_set` calls) makes the lambda-scaled box of a scenario matrix
+    with neither pass: its bounds are fresh arrays, sealed, and lo <= hi
+    holds by construction."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -215,6 +232,30 @@ class _Box:
             raise ValueError(f"{self.name} set requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def from_data(cls, data: ScenarioMatrix, lam: float, **fields):
+        """[mu - lam (mu - colmin), mu + lam (colmax - mu)] around the
+        data's column means mu, from the matrix's kept spreads; `fields`
+        gives the class's fields beyond lo and hi (a budgeted gamma).
+
+        lo <= hi needs no check: for lam >= 0 each bound moves away from
+        mu by a rounded product of lam and a spread, and rounding is
+        monotone, so mu - colmin >= mu - colmax keeps lo <= hi even
+        where the computed mean falls outside its column's range."""
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lambda {lam} must be finite and nonnegative")
+        mu = data.mean
+        self = cls.__new__(cls)
+        object.__setattr__(self, "lo", _sealed(mu - lam * data.spread_down))
+        object.__setattr__(self, "hi", _sealed(mu + lam * data.spread_up))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        self._check_fields()
+        return self
+
+    def _check_fields(self) -> None:
+        """Check the fields beyond lo and hi; a plain box has none."""
 
     @property
     def n(self) -> int:
@@ -245,6 +286,9 @@ class BudgetedSet(_Box):
 
     def __post_init__(self):
         super().__post_init__()
+        self._check_fields()
+
+    def _check_fields(self) -> None:
         if not (0 <= self.gamma <= self.n):
             raise ValueError("gamma must lie in [0, n]")
 
@@ -468,8 +512,11 @@ def build_set(
     ellipsoid: mean/covariance with a ridge for degenerate data
 
     Cost on K scenarios over n items: the column mean, min and max take
-    O(K n) once per matrix (`ScenarioMatrix` keeps them), after which an
-    interval or budgeted set takes O(n).  The hull keeps the first
+    O(K n) once per matrix, and `ScenarioMatrix` keeps them and the
+    spreads mean - colmin and colmax - mean.  After that an interval or
+    budgeted set takes two scaled vector sums, O(n), and no copy or
+    lo <= hi pass (`_Box.from_data`); a budgeted gamma is still checked.
+    The hull keeps the first
     occurrence of each distinct point, in scenario order, by hashing
     each row's bytes: O(K n) expected.  The ellipsoid's centred factor
     takes O(K n) once per matrix, and every ellipsoid built from it
@@ -487,17 +534,14 @@ def build_set(
         raise ValueError(
             f"lambda {lam} out of range [{lo_l}, {hi_l}] for {set_type}"
         )
-    mu = data.mean
-
-    if set_type in ("interval", "budgeted"):
-        lo = mu - lam * (mu - data.col_min)
-        hi = mu + lam * (data.col_max - mu)
-        if set_type == "interval":
-            return IntervalSet(_sealed(lo), _sealed(hi))
+    if set_type == "interval":
+        return IntervalSet.from_data(data, lam)
+    if set_type == "budgeted":
         if gamma is None:
             raise ValueError("budgeted set requires gamma")
-        return BudgetedSet(_sealed(lo), _sealed(hi), int(gamma))
+        return BudgetedSet.from_data(data, lam, gamma=int(gamma))
 
+    mu = data.mean
     if set_type == "hull":
         points = mu[None, :] + lam * (data.costs - mu[None, :])
         first: dict[bytes, int] = {}
@@ -576,7 +620,7 @@ class Mixture:
         comps = []
         for weight, uset in self.components:
             w = float(weight)
-            if not np.isfinite(w) or w < 0:
+            if not (math.isfinite(w) and w >= 0):
                 raise ValueError("weights must be finite and nonnegative")
             comps.append((w, uset))
         if len({uset.n for _, uset in comps}) > 1:

@@ -16,6 +16,7 @@ _OBJ = re.compile(rf"^ {_NAME}: {_EXPR}$")
 _ROW = re.compile(rf"^ {_NAME}: {_EXPR} (<=|>=|=) -?{_NUM}$")
 _RANGE_BOUND = re.compile(rf"^ {_NUM} <= {_NAME} <= {_NUM}$")
 _LOWER_BOUND = re.compile(rf"^ {_NAME} >= {_NUM}$")
+_FREE_BOUND = re.compile(rf"^ {_NAME} free$")
 _GENERAL = re.compile(rf"^ {_NAME}$")
 
 _SECTIONS = ["Minimize", "Subject To", "Bounds", "General", "End"]
@@ -42,7 +43,7 @@ def check_lp_grammar(text: str) -> list[str]:
                 errors.append(f"line {lineno}: bad constraint {ln!r}")
             counts["rows"] += 1
         elif section == "Bounds":
-            if not (_RANGE_BOUND.match(ln) or _LOWER_BOUND.match(ln)):
+            if not any(b.match(ln) for b in (_RANGE_BOUND, _LOWER_BOUND, _FREE_BOUND)):
                 errors.append(f"line {lineno}: bad bound {ln!r}")
             counts["bounds"] += 1
         elif section == "General":

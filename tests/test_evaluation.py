@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -15,7 +16,7 @@ from robustmix import (
     weight_grid,
 )
 from robustmix.cli import main
-from robustmix.evaluation import pair_metrics, tail_count
+from robustmix.evaluation import check_weights, mean_metrics, pair_metrics, tail_count
 from robustmix.instances import Solution
 
 
@@ -134,8 +135,80 @@ class TestScalarize:
         assert scalarize(Metrics(10, 20, 15), (0, 0, 0)) == 0
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             scalarize(Metrics(1, 2, 3), (-1, 0, 0))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            scalarize(Metrics(1, 2, 3), (0, math.nan, 0))
+
+    @pytest.mark.parametrize(
+        "w",
+        [(-1, 0, 0), (math.nan, 0, 0), (0, math.inf, 0), (1, 0), (1, 0, 0, 0),
+         ("1", 0, 0), 1.0],
+        ids=["negative", "nan", "inf", "two", "four", "string", "scalar"],
+    )
+    def test_check_weights_rejects(self, w):
+        with pytest.raises(ValueError, match="three finite, nonnegative numbers"):
+            check_weights(w)
+
+    def test_check_weights_accepts(self):
+        for w in [(0, 0, 0), (0.4, 0.3, 0.3), [1, 2, 3], np.array([0.0, 1.0, 0.5])]:
+            check_weights(w)
+
+
+def numpy_mean(triples):
+    """The pair mean as numpy computes it, as Python floats."""
+    return Metrics(*np.array(triples).mean(axis=0).tolist())
+
+
+def same_bits(a: Metrics, b: Metrics) -> bool:
+    return [v.hex() for v in astuple(a)] == [v.hex() for v in astuple(b)]
+
+
+class TestMeanMetrics:
+    """`mean_metrics` is numpy's axis-0 mean bit for bit, without numpy."""
+
+    def test_random_triples_match_numpy(self):
+        rng = np.random.default_rng(29)
+        for rows in range(1, 65):
+            for _ in range(5):
+                scale = 10.0 ** rng.integers(-6, 17, size=3)
+                values = rng.standard_normal((rows, 3)) * scale
+                triples = [tuple(r) for r in values.tolist()]
+                got = mean_metrics(triples)
+                assert same_bits(got, numpy_mean(triples)), (rows, triples)
+                assert all(type(v) is float for v in astuple(got))
+
+    @pytest.mark.parametrize(
+        "column",
+        [[0.1] * 10, [1e16, 1.0, -1e16], [1.0, 1e100, 1.0, -1e100]],
+        ids=["ten_tenths", "absorbed_one", "absorbed_ones"],
+    )
+    def test_columns_where_compensated_sums_differ(self, column):
+        """On these columns a compensated sum (builtin `sum()` of floats
+        from Python 3.12, or `math.fsum`) rounds differently from the
+        left fold numpy makes."""
+        triples = [(v, 2.0 * v, -v) for v in column]
+        got = mean_metrics(triples)
+        assert same_bits(got, numpy_mean(triples))
+        assert got.avg.hex() != (math.fsum(column) / len(column)).hex()
+
+    def test_sums_start_from_zero(self):
+        """numpy's sum starts from 0.0, so negative zeros average to 0.0."""
+        triples = [(-0.0, -0.0, -0.0)] * 2
+        assert same_bits(mean_metrics(triples), numpy_mean(triples))
+        assert mean_metrics(triples).avg.hex() == "0x0.0p+0"
+
+    def test_array_rows_give_python_floats(self):
+        triples = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 4.0]])
+        got = mean_metrics(triples)
+        assert got == Metrics(1.5, 3.5, 3.5)
+        assert all(type(v) is float for v in astuple(got))
+
+    def test_no_triples_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            mean_metrics([])
 
 
 class TestWeightGrid:

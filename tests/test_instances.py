@@ -84,6 +84,42 @@ def solve_or_none(inst, costs, forced_in, forced_out):
         return None
 
 
+class TestInstanceMemos:
+    def test_one_instance_per_pair(self, diamond):
+        """The graph keeps each pair's instance; a new graph starts afresh."""
+        inst = Instance.spath(diamond, 0, 3)
+        assert Instance.spath(diamond, 0, 3) is inst
+        assert Instance.spath(diamond, 1, 3) is not inst
+        assert (inst.kind, inst.n, inst.graph, inst.source, inst.target) == (
+            "spath", diamond.n, diamond, 0, 3,
+        )
+        copy = Graph(diamond.num_nodes, diamond.arcs)
+        assert Instance.spath(copy, 0, 3) is not inst
+        assert Instance.spath(copy, 0, 3) == inst
+
+    @pytest.mark.parametrize("pair", [(1, 1), (0, 4), (-1, 3)])
+    def test_bad_pairs_rejected_every_time(self, diamond, pair):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                Instance.spath(diamond, *pair)
+        assert pair not in diamond._instances
+
+    @pytest.mark.parametrize("selection", [False, True], ids=["spath", "selection"])
+    def test_vectors_made_once_per_path(self, diamond, selection):
+        inst = Instance.selection(5, 2) if selection else Instance.spath(diamond, 0, 3)
+        costs = np.arange(1.0, inst.n + 1.0)
+        path = nominal_solve(inst, costs).path
+        x, vector = inst.vectors(path)
+        assert x == nominal_solve(inst, costs).x
+        assert vector.tobytes() == np.asarray(x, dtype=float).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
+        again = inst.vectors(tuple(path))
+        assert again[0] is x and again[1] is vector
+        other = nominal_solve(inst, costs[::-1].copy()).path
+        assert other != path and inst.vectors(other)[0] != x
+
+
 class TestParseGraph:
     def test_smallest_valid_file(self):
         g = parse_graph("nodes 2\narcs 1\narc 0 0 1")

@@ -168,6 +168,30 @@ class TestEmitAndParse:
         with pytest.raises(ParseError, match="bad bounds line"):
             parse_lp(text)
 
+    def test_hull_epigraph_variables_are_free(self, diamond):
+        """A hull's y_j is free, in the text and in the parsed bounds,
+        and the grammar accepts the line; other variables keep >= 0."""
+        inst, hull = hull_diamond(diamond)
+        mix = Mixture(hull.components + ((1.0, BudgetedSet(np.zeros(4), np.ones(4), 1)),))
+        text, stats = emit_model(inst, mix)
+        lines = text.splitlines()
+        assert " y_0 free" in lines and " pi_1 >= 0" in lines
+        assert check_lp_grammar(text) == []
+        bounds = parse_lp(text).bounds
+        assert bounds["y_0"] == (-float("inf"), float("inf"))
+        assert bounds["pi_1"] == (0.0, float("inf"))
+        assert len(bounds) == stats.num_binary + stats.num_continuous
+
+    @pytest.mark.parametrize("line", [" y_0 free 1", " free y_0", " 1y free"])
+    def test_parse_rejects_bad_free_bound(self, line):
+        text = (
+            "Minimize\n obj: 1 y_0\nSubject To\n r: 1 y_0 >= 0\n"
+            f"Bounds\n{line}\nGeneral\n x_0\nEnd\n"
+        )
+        assert check_lp_grammar(text) == [f"line 6: bad bound {line!r}"]
+        with pytest.raises(ParseError, match="bad bounds line"):
+            parse_lp(text)
+
 
 class TestCheckEmitted:
     def test_budgeted_round_trip(self):
@@ -183,6 +207,21 @@ class TestCheckEmitted:
         best = solve_brute_force(inst, mix)
         check = check_emitted(inst, mix, best.solution, text)
         assert check.ok and check.objective_match, check.message
+
+    def test_negative_hull_loads_round_trip(self):
+        """Every point's load at the optimum is negative: the free y_0
+        takes the largest, -1, where a y_0 >= 0 bound made the text's
+        objective 0."""
+        inst = Instance.selection(3, 1)
+        mix = Mixture(((1.0, HullSet(np.array([[-1.0, -2.0, 3.0], [-3.0, 2.0, 1.0]]))),))
+        best = solve_brute_force(inst, mix).solution
+        assert best.x == (1, 0, 0) and best.value == -1.0
+        text, _ = emit_model(inst, mix)
+        check = check_emitted(inst, mix, best, text)
+        assert check.ok and check.objective_match, check.message
+        bounded = text.replace(" y_0 free", " y_0 >= 0")
+        check = check_emitted(inst, mix, best, bounded)
+        assert not (check.ok and check.objective_match), check
 
     def test_corrupted_file_detected(self):
         inst, mix = budgeted_selection()

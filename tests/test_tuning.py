@@ -53,6 +53,26 @@ class TestSampleConfig:
                 assert lo <= parent.lam <= hi
                 assert 0.0 <= parent.weight <= 1.0
 
+    def test_perturb_draws_one_normal_per_step(self):
+        """Bit for bit and draw for draw, each parent's lambda then weight
+        step is `rng.normal(0.0, sigma)`, as if drawn one call at a time."""
+        space, draws = ConfigSpace(), np.random.default_rng(11)
+        for trial in range(200):
+            cfg = sample_config(space, draws)
+            rng, ref_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = perturb_config(cfg, rng)
+            parents = []
+            for parent in cfg.parents:
+                lo, hi = LAMBDA_RANGES[parent.set_type]
+                lam = parent.lam + ref_rng.normal(0.0, 0.1 * (hi - lo))
+                weight = parent.weight + ref_rng.normal(0.0, 0.1)
+                parents.append((min(max(lam, lo), hi), min(max(weight, 0.0), 1.0)))
+            assert [(p.lam.hex(), p.weight.hex()) for p in got.parents] == [
+                (lam.hex(), weight.hex()) for lam, weight in parents
+            ]
+            assert [p.set_type for p in got.parents] == [p.set_type for p in cfg.parents]
+            assert rng.random() == ref_rng.random()  # the same draws were used
+
     def test_perturb_stays_in_range(self, rng):
         space = ConfigSpace()
         cfg = sample_config(space, rng)
@@ -122,6 +142,24 @@ class TestTune:
         graph, data, _, split = small_problem
         with pytest.raises(ValueError, match="empty pair"):
             tune(ConfigSpace(budget=5), graph, [], data, split, (1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "w",
+        [(-1, 0, 0), (math.nan, 0, 0), (0, math.inf, 0), (1, 0), (1, 0, 0, 0), None],
+        ids=["negative", "nan", "inf", "two", "four", "none"],
+    )
+    def test_bad_weights_rejected_before_any_build_or_solve(self, monkeypatch, w):
+        """Each of these raised only after the whole budget was solved, or
+        (NaN) returned best_cost=nan."""
+        graph, data = gen_synthetic(5, 5, 30, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 9, min_hops=3, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        calls = []
+        monkeypatch.setattr(tuning, "build_mixture", lambda *a: calls.append("build"))
+        monkeypatch.setattr(tuning, "solve_for_pair", lambda *a: calls.append("solve"))
+        with pytest.raises(ValueError, match="three finite, nonnegative numbers"):
+            tune(ConfigSpace(budget=50), graph, pairs, data, split, w, seed=2)
+        assert calls == []
 
 
 class TestRaceTrajectory:

@@ -183,6 +183,80 @@ class TestBuildSet:
             assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
 
 
+class TestBuiltBoxes:
+    """`build_set` makes interval and budgeted boxes without the checks
+    and copies of direct construction; they are the same boxes."""
+
+    @staticmethod
+    def box_data(rng):
+        costs = rng.uniform(0.0, 10.0, (9, 6))
+        costs[:, 1] = 0.1  # a constant column whose computed mean rounds above it
+        data = ScenarioMatrix(costs)
+        assert data.spread_down[1] < 0 < data.spread_up[1]
+        return data
+
+    @pytest.mark.parametrize("lam", [0.0, 0.025, 0.5, 0.999, 1.0])
+    def test_equal_direct_construction_bit_for_bit(self, rng, lam):
+        data = self.box_data(rng)
+        for gamma in (None, 0, 3, 6):
+            kind = "interval" if gamma is None else "budgeted"
+            built = build_set(data, kind, lam, gamma=gamma)
+            if gamma is None:
+                direct = IntervalSet(built.lo, built.hi)
+            else:
+                direct = BudgetedSet(built.lo, built.hi, gamma)
+            lo, hi = fresh_interval_bounds(data.costs, lam)
+            for box in (built, direct):
+                assert box.lo.tobytes() == lo.tobytes()
+                assert box.hi.tobytes() == hi.tobytes()
+                assert np.all(box.lo <= box.hi)
+            assert type(built) is type(direct) and built.n == direct.n == data.n
+            if gamma is not None:
+                assert built.gamma == direct.gamma == gamma
+                assert built.deviations.tobytes() == direct.deviations.tobytes()
+
+    def test_read_only_and_shared_spreads(self, rng):
+        data = self.box_data(rng)
+        first = build_set(data, "interval", 0.5)
+        second = build_set(data, "budgeted", 0.25, gamma=2)
+        assert data.spread_down is data.spread_down and data.spread_up is data.spread_up
+        assert np.array_equal(data.spread_down, data.mean - data.col_min)
+        assert np.array_equal(data.spread_up, data.col_max - data.mean)
+        for arr in (first.lo, first.hi, second.lo, second.hi, second.deviations,
+                    data.spread_down, data.spread_up):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    def test_built_gamma_still_checked(self):
+        for gamma in (-1, 3):
+            with pytest.raises(ValueError, match="gamma must lie"):
+                build_set(TWO_ROWS, "budgeted", 0.5, gamma=gamma)
+
+    @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
+    def test_from_data_rejects_bad_lambda(self, lam):
+        for cls, extra in ((IntervalSet, {}), (BudgetedSet, {"gamma": 1})):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                cls.from_data(TWO_ROWS, lam, **extra)
+
+    def test_direct_construction_keeps_every_check(self):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            IntervalSet(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="lo <= hi"):
+            BudgetedSet(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 1)
+        with pytest.raises(ValueError, match="1-D"):
+            IntervalSet(np.zeros((2, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="1-D"):
+            BudgetedSet(np.zeros(2), np.ones(3), 1)
+        for gamma in (-1, 3):
+            with pytest.raises(ValueError, match="gamma must lie"):
+                BudgetedSet(np.zeros(2), np.ones(2), gamma)
+        lo, hi = np.zeros(2), np.ones(2)
+        box = IntervalSet(lo, hi)
+        assert box.lo is not lo and box.hi is not hi  # writable inputs are copied
+        lo[0] = 5.0
+        assert box.lo[0] == 0.0
+
+
 def _sigma_with_spectrum(eigenvalues, seed=0):
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(5, 5)))
     sigma = q @ np.diag(eigenvalues) @ q.T
@@ -514,8 +588,9 @@ class TestCenter:
 class TestMixture:
     def test_weights_validated(self):
         uset = IntervalSet(np.zeros(1), np.ones(1))
-        with pytest.raises(ValueError):
-            Mixture(((-0.1, uset),))
+        for weight in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Mixture(((weight, uset),))
         with pytest.raises(ValueError):
             Mixture(())
 
