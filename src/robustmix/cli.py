@@ -196,6 +196,10 @@ def _cmd_gen(args):
 
 
 def _cmd_pairs(args):
+    if args.count < 1:
+        raise ParseError(f"--count must be at least 1, got {args.count}")
+    if args.min_hops < 0:
+        raise ParseError(f"--min-hops must be nonnegative, got {args.min_hops}")
     graph = parse_graph(_read(args.graph))
     pairs = sample_st_pairs(graph, args.count, args.min_hops, args.seed)
     _write_csv(args.out, ["source", "target"], pairs)

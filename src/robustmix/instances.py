@@ -125,7 +125,11 @@ class Graph:
 
     def hop_distances(self, source: int) -> list[float]:
         """Unweighted BFS distance from `source` to every node, inf where
-        it is not reached."""
+        it is not reached.
+
+        The pair sampler calls this only on graphs with a directed cycle;
+        on an acyclic graph it takes every node's hop counts in one
+        reverse topological sweep instead."""
         inf = math.inf
         dist = [inf] * self.num_nodes
         dist[source] = 0
@@ -704,27 +708,67 @@ def _simple_paths(inst: Instance):
                 stack.append((head, used | {head}, arcs + (arc_idx,)))
 
 
+def _hop_counts(g: Graph) -> np.ndarray:
+    """Hop distance from every node (rows) to every node (columns), as an
+    N x N int32 array; an entry of N or more means no path.
+
+    On an acyclic graph this is one sweep in reverse topological order:
+    a node's row is one more than the elementwise minimum of its heads'
+    rows, with 0 on the diagonal, which is exact BFS hop distance there.
+    That is N short Python steps and O(N * E) numpy work.  A graph with a
+    directed cycle takes a `Graph.hop_distances` BFS from every node.
+    """
+    n = g.num_nodes
+    hops = np.full((n, n), n, dtype=np.int32)
+    if g.topological_order is None:
+        for u in range(n):
+            hops[u] = [min(d, n) for d in g.hop_distances(u)]
+        return hops
+    out = g.out_arcs
+    for u in reversed(g.topological_order[0]):
+        row = hops[u]
+        arcs = out[u]
+        if arcs:
+            row[:] = hops[arcs[0][1]]
+            for _, head in arcs[1:]:
+                np.minimum(row, hops[head], out=row)
+            row += 1
+        row[u] = 0
+    return hops
+
+
 def sample_st_pairs(
     g: Graph, count: int, min_hops: int = 0, seed: int = 0
 ) -> list[tuple[int, int]]:
-    """Sample distinct (source, target) pairs with BFS hop distance >= min_hops."""
+    """Sample distinct (source, target) pairs with BFS hop distance >= min_hops.
+
+    The qualifying pairs are numbered in (source, target) order and
+    `count` of those numbers are drawn without replacement.  Cost: one
+    `_hop_counts` matrix, so N**2 int32 entries of memory (about 1 MB for
+    a 23x23 grid, 10 MB for 40x40) and, on an acyclic graph, N numpy row
+    operations; a cyclic graph pays a Python BFS from every node.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    qualifying = []
-    for u in range(g.num_nodes):
-        dist = g.hop_distances(u)
-        qualifying.extend(
-            (u, v) for v, d in enumerate(dist) if v != u and min_hops <= d < math.inf
-        )
-    if len(qualifying) < count:
-        raise ValueError(
-            f"only {len(qualifying)} pairs satisfy min_hops={min_hops}"
-        )
+    n = g.num_nodes
+    # Off-diagonal hop counts are whole numbers from 1 to n - 1, so
+    # min_hops becomes a bound in that range (n when none can qualify,
+    # nan included) before it meets the int32 array.
+    if min_hops <= 1:
+        lowest = 1
+    elif min_hops <= n - 1:
+        lowest = math.ceil(min_hops)
+    else:
+        lowest = n
+    hops = _hop_counts(g)
+    sources, targets = np.nonzero((hops >= lowest) & (hops < n))
+    if len(sources) < count:
+        raise ValueError(f"only {len(sources)} pairs satisfy min_hops={min_hops}")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(qualifying), size=count, replace=False)
-    return [qualifying[i] for i in idx]
+    idx = rng.choice(len(sources), size=count, replace=False)
+    return list(zip(sources[idx].tolist(), targets[idx].tolist()))
 
 
 NOISE_MODELS = ("mult", "two_block")

@@ -449,6 +449,27 @@ class TestInvalidValues:
         assert named in capsys.readouterr().err
         assert not names["out"].exists()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--count", "0"], "--count must be at least 1, got 0"),
+            (["--count", "-2"], "--count must be at least 1, got -2"),
+            (["--count", "3", "--min-hops", "-1"], "--min-hops must be nonnegative, got -1"),
+        ],
+        ids=["count-zero", "count-negative", "min-hops-negative"],
+    )
+    def test_pairs_exits_2_before_reading(self, tmp_path, capsys, monkeypatch, flags, named):
+        """A pairs file with no rows is rejected by every command that
+        reads one, so `pairs` refuses to write it."""
+
+        def no_read(path):
+            raise AssertionError(f"read {path} despite an invalid value")
+
+        monkeypatch.setattr(cli, "_read", no_read)
+        assert main(["pairs", "--graph", "g.txt", *flags, "--out", str(tmp_path / "p.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_integral_float_gamma_accepted(self, workdir):
         mixture = write_mixture(
             workdir["dir"],

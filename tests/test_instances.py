@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -897,6 +899,49 @@ class TestSolution:
             assert (sol.x, sol.value) == ((0, 1), 1.0)
 
 
+def bfs_hops(g, u):
+    """Hop distance from u to every node it reaches, by a BFS."""
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        v = queue.popleft()
+        for tail, head in g.arcs:
+            if tail == v and head not in dist:
+                dist[head] = dist[v] + 1
+                queue.append(head)
+    return dist
+
+
+def bfs_qualifying(g, min_hops):
+    """Every (u, v) at hop distance >= min_hops, in (u, v) order."""
+    return [
+        (u, v) for u in range(g.num_nodes)
+        for v, d in sorted(bfs_hops(g, u).items()) if v != u and d >= min_hops
+    ]
+
+
+def bfs_pairs(g, count, min_hops, seed):
+    """The sampler's contract, spelled out: `count` positions of the
+    qualifying list drawn without replacement."""
+    qualifying = bfs_qualifying(g, min_hops)
+    if len(qualifying) < count:
+        raise ValueError(f"only {len(qualifying)} pairs satisfy min_hops={min_hops}")
+    idx = np.random.default_rng(seed).choice(len(qualifying), size=count, replace=False)
+    return [qualifying[i] for i in idx]
+
+
+def sampled_or_error(sampler, *args):
+    try:
+        return sampler(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Isolated node 6, nodes 4 and 5 unreachable from the rest, and two
+# parallel 0 -> 1 arcs.
+SPARSE = Graph(7, ((0, 1), (1, 2), (0, 1), (2, 3), (0, 2), (5, 4), (1, 3)))
+
+
 class TestSampleStPairs:
     def test_paper_scale_pairs_pinned(self):
         graph, _ = gen_synthetic(23, 23, 271, "two_block", seed=1)
@@ -904,6 +949,50 @@ class TestSampleStPairs:
             (186, 482), (48, 459), (0, 515), (186, 480),
             (119, 481), (4, 497), (97, 526), (50, 503),
         ]
+
+    def test_acceptance_pairs_pinned(self):
+        graph, _ = gen_synthetic(6, 6, 40, "two_block", seed=1)
+        assert sample_st_pairs(graph, 6, min_hops=4, seed=1) == [
+            (13, 17), (7, 17), (24, 28), (6, 30), (1, 11), (0, 15),
+        ]
+
+    def test_bnb_prove_pairs_pinned(self):
+        graph, _ = gen_synthetic(8, 8, 40, "two_block", seed=1)
+        assert sample_st_pairs(graph, 12, min_hops=6, seed=1) == [
+            (0, 36), (11, 31), (32, 39), (25, 60), (40, 53), (10, 31),
+            (3, 54), (1, 52), (9, 44), (21, 55), (6, 47), (36, 63),
+        ]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            relabelled_grid(np.random.default_rng(3), 5, 4)[0],
+            relabelled_grid(np.random.default_rng(4), 3, 6)[0],
+            SPARSE,
+            CYCLIC,
+            Graph(6, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 3), (5, 5))),
+        ],
+        ids=["grid-5x4", "grid-3x6", "sparse", "cyclic", "cyclic-self-loop"],
+    )
+    def test_matches_bfs_reference(self, graph):
+        longest = max(max(bfs_hops(graph, u).values()) for u in range(graph.num_nodes))
+        for min_hops in (-math.inf, -3, 0, 1, 2.5, longest, longest + 1, 2**70, math.nan):
+            total = len(bfs_qualifying(graph, min_hops))
+            for count in sorted({1, 3, total, total + 1}):
+                for seed in (0, 7):
+                    args = (graph, count, min_hops, seed)
+                    assert sampled_or_error(sample_st_pairs, *args) == sampled_or_error(
+                        bfs_pairs, *args
+                    ), args
+            message = f"only {total} pairs satisfy min_hops={min_hops}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sample_st_pairs(graph, total + 1, min_hops)
+
+    def test_relabelled_grid_is_not_in_node_order(self):
+        # The differential test's grids sweep in an order that is not
+        # node order, so row labels are not simply filled back to front.
+        order = relabelled_grid(np.random.default_rng(3), 5, 4)[0].topological_order[0]
+        assert list(order) != sorted(order)
 
     def test_single_qualifying_pair(self):
         g = Graph(2, ((0, 1),))
