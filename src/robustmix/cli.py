@@ -1,21 +1,14 @@
-"""Batch command-line front end.
+"""Batch command-line front end, the only module that opens a file.
 
-Every subcommand reads and writes plain files and prints a short
-summary.  The library takes and returns text (graphs, scenario CSVs,
-mixture JSON, LP models); this module is the only one that opens a
-file.  Each `_cmd_*` returns its exit code and output paths; `main`
-then writes the run manifest, so runs can be reproduced exactly, at
-`--manifest PATH` or else at `<first output>.manifest.json` (a run with
-neither writes none).  Every file is read through `_read` and written
-through `_write`: UTF-8, LF line ends, one write.  Exit codes: 0
-success, 1 a `verify` suite failed, 2 invalid input or an unreadable
-or unwritable file, 3 infeasible, 4 budget or timeout: an enumeration
-cap was exceeded (nothing is written, no manifest either), any `tune`
-run did not evaluate a configuration on every pair, or a `solve`
-record comes from a branch-and-bound search whose node cap left a node
-that could still improve the incumbent (in the last two cases the
-output files are still written).  The heuristic methods `midpoint`
-and `local` never prove optimality and exit 0.
+Subcommands read and write plain files, UTF-8 with LF line ends.  Each
+run's manifest goes to `--manifest PATH`, else to `<first
+output>.manifest.json`.  Exit codes: 0 success, 1 a `verify` suite
+failed, 2 invalid input or an unreadable or unwritable file, 3
+infeasible, 4 budget exceeded: an enumeration cap (nothing is written),
+a `tune` run that did not evaluate a configuration on every pair, or a
+`solve` record from a branch-and-bound search whose `--max-nodes` cap
+left a node that could still improve the incumbent (outputs written).
+The heuristic methods `midpoint` and `local` exit 0.
 """
 
 from __future__ import annotations
@@ -95,9 +88,7 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, doc) -> None:
-    """`doc` as sorted, 2-space indented JSON plus a newline: the bytes
-    of `json.dump` into the file, without its one write per encoder
-    chunk (about 8,000 for 8 paths of 1012 arcs)."""
+    """`doc` as sorted, 2-space indented JSON plus a newline, in one write."""
     _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -361,6 +352,7 @@ def _cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `robustmix` argument parser, one subparser per subcommand."""
     parser = argparse.ArgumentParser(
         prog="robustmix",
         description="Robust combinatorial optimization under mixtures of "
@@ -458,6 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand on `argv` (default: `sys.argv[1:]`) and return
+    its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     started = time.monotonic()

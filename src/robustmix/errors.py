@@ -1,8 +1,5 @@
-"""Shared exception types.
-
-The CLI maps these onto exit codes: parse / validation problems exit
-with 2, infeasibility with 3, exhausted budgets with 4.
-"""
+"""Shared exception types.  The CLI exits with 2 on ParseError and
+UnsupportedError, 3 on InfeasibleError and 4 on CapExceededError."""
 
 
 class RobustmixError(Exception):

@@ -1,13 +1,7 @@
 """Scenario-based scoring: splits, Avg/Max/CVaR metrics, scalarization
-and weight grids.  The module computes values and opens no file; `cli`
-formats and writes the trade-off CSV.
-
-Per solution (one per origin-destination pair), the cost under each
-scenario forms a pool; Avg averages the pool, Max takes its worst value
-and CVaR averages the worst ceil(alpha K) values.  All three are then
-averaged over pairs (`mean_metrics`).  The tail count (`tail_count`)
-uses ceiling rounding so the tail is never empty.
-"""
+and weight grids.  A solution's costs under K scenarios form its pool:
+Avg averages it, Max takes its worst value and CVaR averages its worst
+ceil(alpha K) values; each is then averaged over pairs."""
 
 from __future__ import annotations
 
@@ -39,7 +33,9 @@ class Split:
 
 
 def split_scenarios(K: int, ratio: float, seed: int = 0) -> Split:
-    """Random train/test split with |train| = floor(ratio K) >= 1."""
+    """Random train/test split with |train| = floor(ratio K), fixed by
+    `seed`.  Raises ValueError on K < 2, a ratio outside (0, 1), or an
+    empty train side."""
     if K < 2:
         raise ValueError("need at least 2 scenarios to split")
     if not (0.0 < ratio < 1.0):
@@ -74,16 +70,10 @@ def pair_metrics(x: np.ndarray, costs: np.ndarray, tail: int) -> tuple[float, fl
 
 
 def mean_metrics(triples) -> Metrics:
-    """The mean over pairs of (avg, max, cvar) float triples: scoring,
-    tuning and baselines all average through it.
-
-    Each column is summed in pair order from 0.0, one addition at a
-    time, and divided once by the pair count: bit for bit
-    `np.array(triples).mean(axis=0)`, whose reduction over the rows is
-    the same left fold, without building an array for a few pairs.  The
-    fold is written out, as builtin `sum()` of floats is compensated
-    from Python 3.12 and would round differently.  Raises ValueError on
-    no triples."""
+    """The mean over pairs of (avg, max, cvar) float triples, bit for bit
+    `np.array(triples).mean(axis=0)`.  Raises ValueError on no triples."""
+    # A left fold, not sum(): builtin sum() of floats is compensated from
+    # Python 3.12 and would round differently from numpy's mean.
     avg = worst = cvar = 0.0
     count = 0
     for a, m, c in triples:
@@ -101,7 +91,9 @@ def score(
     scenarios: ScenarioMatrix,
     alpha: float = ALPHA,
 ) -> Metrics:
-    """Aggregate Avg/Max/CVaR over per-pair scenario cost pools."""
+    """Avg/Max/CVaR averaged over the solutions' scenario cost pools.
+    Raises ValueError on no solutions, no scenarios, a solution of
+    another length or an alpha outside (0, 1]."""
     if not solutions:
         raise ValueError("need at least one solution to score")
     if scenarios.K < 1:

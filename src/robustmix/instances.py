@@ -1,17 +1,11 @@
-"""Combinatorial ground sets, feasible sets and nominal minimization oracles.
+"""Feasible sets and the nominal minimization oracle `nominal_solve`.
 
-Two instance kinds are supported: s-t path systems on a directed graph
-(items are arcs, feasible solutions are simple source-target paths) and
-cardinality selection (choose exactly p of n items).  Both expose the
-same nominal oracle `nominal_solve`, which every reduction in the solver
-module is built on; it takes costs as they are or checked once by
-`uncertainty.check_costs`, and `can_price` is its sign rule.
-
-Ties are broken towards the lexicographically smallest chosen
-item-index set, which makes every downstream method deterministic.  The
-rule is exact for selection, and for paths on an acyclic graph or with
-strictly positive costs; on a graph with a directed cycle, a zero-cost
-tie may break to another equal-cost path.
+Two instance kinds: s-t paths on a directed graph (items are arcs) and
+cardinality selection (exactly p of n items).  Oracle ties break towards
+the lexicographically smallest item-index set: exactly for selection,
+and for paths on an acyclic graph or with strictly positive costs.  On
+a graph with a directed cycle, a zero-cost tie may break to another
+equal-cost path.
 """
 
 from __future__ import annotations
@@ -31,12 +25,9 @@ from .uncertainty import OracleCosts, ScenarioMatrix, _check_finite, check_costs
 
 @dataclass(frozen=True)
 class Graph:
-    """Directed graph whose arc list order defines the item universe.
-
-    Arc index i is the item index of cost component i; the arc list
-    order is canonical and must match the column order of any scenario
-    data used with the graph.
-    """
+    """Directed graph whose arc i is item i, so the arc order must match
+    the column order of any scenario data used with it.  Raises
+    ValueError on an arc endpoint out of range."""
 
     num_nodes: int
     arcs: tuple[tuple[int, int], ...]
@@ -93,14 +84,9 @@ class Graph:
         )
 
     def paths_to(self, end: int) -> tuple[int, ...]:
-        """Exact number of directed paths from every node to `end`.
-
-        Acyclic graphs only; raises ValueError on a directed cycle.  The
-        counts are Python ints, so they stay exact past 2**63 (a 35x35
-        grid has comb(68, 34) corner-to-corner paths).  Each end node
-        costs one reverse topological pass the first time it is asked
-        for; the result is cached on the graph.
-        """
+        """Exact number of directed paths from every node to `end`, as
+        Python ints, cached per end node.  Raises ValueError on a graph
+        with a directed cycle."""
         counts = self._path_counts.get(end)
         if counts is None:
             if self.topological_order is None:
@@ -125,11 +111,7 @@ class Graph:
 
     def hop_distances(self, source: int) -> list[float]:
         """Unweighted BFS distance from `source` to every node, inf where
-        it is not reached.
-
-        The pair sampler calls this only on graphs with a directed cycle;
-        on an acyclic graph it takes every node's hop counts in one
-        reverse topological sweep instead."""
+        it is not reached."""
         inf = math.inf
         dist = [inf] * self.num_nodes
         dist[source] = 0
@@ -145,11 +127,9 @@ class Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the graph file format.
-
-    Line 1 is `nodes <N>`, line 2 `arcs <M>`, followed by M lines
-    `arc <index> <tail> <head>` with indices 0..M-1 in order.
-    """
+    """Parse the graph file format: `nodes <N>`, `arcs <M>`, then M lines
+    `arc <index> <tail> <head>` with indices 0..M-1 in order; blank
+    lines are skipped.  Raises ParseError on any other text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ParseError("graph file needs at least a nodes and an arcs line")
@@ -205,10 +185,9 @@ class Instance:
 
     @staticmethod
     def spath(graph: Graph, source: int, target: int) -> "Instance":
-        """The s-t path instance on `graph`.  The graph keeps the first
-        instance made for each (source, target) and returns it again, so
-        a solver that is called per pair, as the tuner's is, checks and
-        builds each pair's instance once."""
+        """The s-t path instance on `graph`, the same object for each
+        (source, target).  Raises ValueError when source == target or a
+        node is out of range."""
         inst = graph._instances.get((source, target))
         if inst is None:
             if source == target:
@@ -222,16 +201,14 @@ class Instance:
 
     @staticmethod
     def selection(n: int, p: int) -> "Instance":
+        """Choose exactly p of n items; raises ValueError unless 0 < p <= n."""
         if not (0 < p <= n):
             raise ValueError("selection requires 0 < p <= n")
         return Instance("selection", n, p=p)
 
     def vectors(self, items: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-        """The 0/1 vector x with ones at `items`, an oracle solution's
-        `path`, and x's read-only `float_vector`.  Both are made once per
-        distinct tuple and kept on the instance, so it holds two n-vectors
-        for each path it was asked for: the tuner's interval solves find
-        a few paths per pair, each again and again."""
+        """The 0/1 tuple x with ones at `items` (an oracle solution's
+        `path`) and x's read-only `float_vector`, cached per tuple."""
         pair = self._vectors.get(items)
         if pair is None:
             x = _incidence(self.n, items)
@@ -251,11 +228,9 @@ def item_set(x) -> tuple[int, ...]:
 
 
 def float_vector(x) -> np.ndarray:
-    """0/1 vector x as floats, bit for bit `np.asarray(x, dtype=float)`.
-
-    One byte string read as uint8 and cast, where `np.asarray` converts
-    entry by entry: on 60 items 1.9 us against 3.6 us (2-core Xeon,
-    numpy 2.4), which a solver pays on every objective evaluation."""
+    """0/1 vector x as a new float array."""
+    # Bit for bit np.asarray(x, dtype=float), but one buffer cast instead of
+    # a conversion entry by entry: solvers pay it on every objective value.
     return np.frombuffer(bytes(x), np.uint8).astype(float)
 
 
@@ -263,18 +238,10 @@ _assign = object.__setattr__  # Solution's own writes, past its guard
 
 
 class Solution:
-    """A member of the feasible set with its objective value.
-
-    `Solution(x, value)` takes the 0/1 vector x.  The oracle passes
-    `Solution(None, value, path, n)`: the items it picked out of n, in
-    the order found, which `path` keeps (a path's arcs in path order, a
-    selection's items ascending; None when built from x), and x is
-    built from them when first read.  Branch-and-bound prunes most
-    solved exclude children by value alone and never reads their x: 83
-    of 105 on the 8x8 corner-to-corner proof, 4,554 of 4,926 on the
-    23x23 one.  Immutable, equal and hashed by x and value, as a frozen
-    dataclass of (x, value) would be.
-    """
+    """A feasible solution: its 0/1 vector x and its objective value.
+    `Solution(None, value, path, n)` takes the chosen items out of n in
+    the order found, kept as `path`, and builds x on first read.
+    Immutable, equal and hashed by (x, value)."""
 
     __slots__ = ("value", "path", "_n", "_x")
 
@@ -315,9 +282,9 @@ class Solution:
 
 
 def can_price(inst: Instance, costs: OracleCosts) -> bool:
-    """The sign rule: does `nominal_solve` take `costs` on `inst`?  Any
-    sign is exact for selection and an acyclic graph's topological pass;
-    Dijkstra and the exhaustive search on a cyclic graph prune on cost."""
+    """Whether `nominal_solve` takes `costs` on `inst`: costs of any sign
+    on selection and acyclic graphs, nonnegative ones on a graph with a
+    directed cycle."""
     signed = inst.kind == "selection" or inst.graph.topological_order is not None
     return signed or costs.nonnegative
 
@@ -335,9 +302,9 @@ def _lexkey(arcs) -> tuple[int, ...]:
 
 
 def _dijkstra(graph: Graph, costs, source: int, target: int, banned: frozenset):
-    """Label-setting shortest path, used on graphs with a directed cycle;
-    ties towards the lexicographically smallest arc-index set, which is
-    exact for strictly positive costs.  Returns (cost, arcs) or None."""
+    """Label-setting shortest path avoiding `banned`, ties towards the
+    smallest sorted arc set (exact for strictly positive costs).  Returns
+    (cost, arcs) or None."""
     out = graph.out_arcs
     done = set()
     heap = [(0.0, (), source, ())]
@@ -360,20 +327,9 @@ def _dijkstra(graph: Graph, costs, source: int, target: int, banned: frozenset):
 
 def _forced_chain(graph, source, target, forced_in, ordered=False):
     """The pieces (forced run into start, start, end) of every path
-    through forced_in, a tuple or list, or None when no path takes all
-    its arcs.
-
-    A path visits nodes in topological order, so it takes the forced
-    arcs in the order of their tails and, between two of them, stays
-    inside the segment of the order from one forced head to the next
-    forced tail.  Each piece is a run of adjacent forced arcs followed
-    by the segment after it, empty when start == end; without forced
-    arcs the only piece is source -> target.  forced_in is walked as
-    given while its tails rise, as along a path, and its runs are
-    sliced from it, so a chain already in path order is not sorted.  At
-    the first step back it is sorted by tail once, repeats dropped, and
-    walked again as `ordered`, where a step back means no path.
-    """
+    through the arcs of forced_in, a tuple or list, or None when no path
+    takes them all; a piece's free segment is empty when start == end.
+    `ordered` says forced_in is sorted by tail without repeats."""
     order, position = graph.topological_order
     tails, heads = graph.arc_positions
     pieces, begin, at = [], 0, position[source]  # at: the walk's position
@@ -395,19 +351,9 @@ def _forced_chain(graph, source, target, forced_in, ordered=False):
 
 
 def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
-    """Shortest path on an acyclic graph in one topological pass.
-
-    The pass covers the segments of `_forced_chain`'s pieces alone
-    (forced_in is a tuple or list).  Costs are folded in path order from
-    0.0: a run arc by arc, a segment by relaxing it node by node from
-    its start into a fresh distance list, so labels that land past its
-    end are never read.  A node's label is final before its out-arcs are
-    relaxed, so on an exact cost tie both candidate paths are rebuilt
-    back to the segment's start and the smaller sorted arc set wins;
-    this is exact because the two share all arcs before that start, and
-    two distinct paths with the same endpoints are never subsets of each
-    other.  Returns (cost, arcs in path order) or None.
-    """
+    """Shortest path on an acyclic graph through the arcs of forced_in (a
+    tuple or list) and avoiding forced_out, ties towards the smaller
+    sorted arc set.  Returns (cost, arcs in path order) or None."""
     order, position = graph.topological_order
     arcs = graph.arcs
     if forced_in:
@@ -448,6 +394,11 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
                     continue
                 nd = dv + costs[arc_idx]
                 od = dist[head]
+                # v's label is final, so on an exact tie both paths are
+                # rebuilt back to the segment's start.  Comparing them from
+                # there is exact: they share every arc before the start, and
+                # two distinct paths with the same ends are never subsets of
+                # each other.
                 if nd < od or (
                     nd == od
                     and sorted(path_to(v, start) + [arc_idx])
@@ -463,18 +414,15 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
 
 
 def _spath_branching(graph, costs, source, target, forced_in, forced_out):
-    """Exhaustive simple-path search honoring forced arcs.
-
-    Exponential in the graph size: `nominal_solve` uses it only on graphs
-    with a directed cycle, and tests use it as the reference for
-    `_spath_acyclic`.  Prunes on cost, keeps equal cost paths alive so
-    lexicographic tie-breaking stays exact.
-    """
+    """Exhaustive simple-path search through forced_in and avoiding
+    forced_out, ties towards the smallest sorted arc set; exponential in
+    the graph size.  Tests use it as `_spath_acyclic`'s reference.
+    Returns (cost, arcs) or None."""
     out = graph.out_arcs
     best: list = [None]  # (cost, lexkey, arcs)
 
     def dfs(v, used_nodes, arcs, cost, fin_left):
-        if best[0] is not None and cost > best[0][0]:
+        if best[0] is not None and cost > best[0][0]:  # ties stay alive
             return
         if v == target:
             if not fin_left:
@@ -508,40 +456,15 @@ def nominal_solve(
     forced_in=(),
     forced_out=_NO_ITEMS,
 ) -> Solution:
-    """Minimize costs . x over the feasible set with forcing constraints.
+    """Minimize costs . x with every forced_in item chosen and no
+    forced_out item; ties break as the module docstring states.
 
-    `costs` is an `OracleCosts` from `check_costs`, or any length-n
-    array-like, which is checked and converted the same way on every
-    call.  forced_in items must appear in the solution, forced_out must
-    not.  Raises InfeasibleError when no feasible solution remains.
-    The result's `path` holds the items in the order found, and its x
-    is built when first read (`Solution`).
-
-    A negative cost raises ValueError only on a graph with a directed
-    cycle (`can_price`).  Ties break towards the lexicographically
-    smallest item set: exactly for selection, and for paths on an
-    acyclic graph or with strictly positive costs.
-
-    Cost per call: selection sorts the items once.  A path on an acyclic
-    graph takes one topological pass over the segments between its
-    forced_in arcs (`_forced_chain`): a run of adjacent forced arcs
-    costs one addition per arc and no pass, so a call that forces a
-    path's arcs outside one segment, as branch-and-bound's exclude
-    children do (`exclude_forcing`), passes over that segment alone.
-    A forced_in tuple or list already in path order, as those children
-    pass, is walked once and not sorted.  Only a graph with a directed
-    cycle uses Dijkstra without forced_in items, or exhaustive
-    simple-path search with them, which is exponential in the graph
-    size.  On a 6x6 grid, checking and converting an array-like costs
-    about as much as the rest of a forced call, so branch-and-bound and
-    local search price under the mixture's bound costs, checked once
-    per mixture, and pass that `OracleCosts` to every node or detour: a
-    node then costs its forced-set checks (one disjointness test, and
-    one min and max over both sets), the chain walk and the pass.  The
-    checks run only when a forced set is nonempty, and an unforced pass
-    is one source -> target segment: no forced-arc chain is built and
-    no arc is tested against forced_out, so a plain call with checked
-    costs pays little beyond its pass.
+    `costs` is an `OracleCosts` or a length-n array-like, checked alike
+    (`check_costs`).  Returns a `Solution` whose `path` holds the items
+    in the order found.  Raises InfeasibleError when no feasible
+    solution remains, and ValueError on unfit costs, overlapping or
+    out-of-range forced sets, or a negative cost on a graph with a
+    directed cycle, where forced_in takes time exponential in its size.
     """
     if not isinstance(costs, OracleCosts):
         costs = check_costs(costs, inst.n)
@@ -588,25 +511,14 @@ def nominal_solve(
 
 
 def exclude_forcing(inst: Instance, forced_in, completion, arc: int):
-    """The forced_in set that solves the exclude child of `completion`
-    without `arc`, or None when every source-target path through
-    `forced_in` uses `arc`, so the child has no path.  `completion` is
-    a path through `forced_in` that holds `arc`, not in `forced_in`,
-    given as its arcs in path order (a tuple or list).
-
-    On an acyclic graph `arc` lies in one segment of every such path,
-    from the previous forced head (or the source) to the next forced
-    tail (or the target).  The segment's ends are found by walking the
-    completion out from `arc` to its nearest forced arcs, so the cost
-    is the segment's length, not the path's.  None when
-    paths(start -> end) equals paths(start -> tail) * paths(head -> end)
-    (`Graph.paths_to`); otherwise the completion's arcs before and
-    after the segment, `forced_in` among them, in path order and of the
-    completion's type, so the oracle walks that chain without sorting
-    it and passes over the segment alone, with the same optimum and
-    value bits.  Selection and graphs with a directed cycle return
-    `forced_in`.
-    """
+    """The forced_in set to solve the exclude child of `completion`
+    without `arc` under, or None when every path through `forced_in`
+    uses `arc`.  `completion` is an optimal path through `forced_in`
+    holding `arc`, as its arcs in path order (a tuple or list).  On an
+    acyclic graph the result is its arcs outside the segment between the
+    forced arcs nearest `arc`, in path order, which under the costs the
+    completion was found with gives the child's optimum and value bits.
+    Selection and graphs with a directed cycle return `forced_in`."""
     graph = inst.graph
     if inst.kind != "spath" or graph.topological_order is None:
         return forced_in
@@ -627,23 +539,11 @@ def exclude_forcing(inst: Instance, forced_in, completion, arc: int):
 
 
 def nominal_values(inst: Instance, block) -> np.ndarray:
-    """Optimal nominal value of every column of an (n, B) cost block.
-
-    Column j of the result equals `nominal_solve(inst, block[:, j]).value`
-    bit for bit, negative costs included; no solution is built.  The
-    block is checked as `nominal_solve` checks one cost vector, and a
-    target that no path reaches raises InfeasibleError with its message.
-
-    Cost: on an acyclic path instance, one topological pass from the
-    source to the target whose node labels are length-B vectors, so the
-    B columns share every Python step: each relaxed arc is one vector
-    addition and one in-place minimum, and a label is dropped once its
-    node's out-arcs are relaxed, so at most the open frontier of labels
-    is held.  Each column's value is the minimum over the same sums, in
-    the same order, as `_spath_acyclic`, hence the same bits.  Selection
-    and graphs with a directed cycle call `nominal_solve` once per
-    column.
-    """
+    """Optimal nominal value of every column of an (n, B) cost block:
+    column j equals `nominal_solve(inst, block[:, j]).value` bit for bit,
+    and the block raises what `nominal_solve` would raise on a column.
+    No solution is built.  Raises ValueError on a block of another
+    shape."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
@@ -658,6 +558,7 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     out = graph.out_arcs
     label: list[np.ndarray | None] = [None] * graph.num_nodes
     label[s] = np.zeros(block.shape[1])
+    # the same sums in the same order as _spath_acyclic: the same bits
     for v in order[position[s] : position[t]]:
         dv = label[v]
         if dv is None:
@@ -678,12 +579,9 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
 
 
 def enumerate_feasible(inst: Instance, cap: int | None = None):
-    """Yield every feasible incidence vector (tuples of 0/1).
-
-    SPath enumerates simple source-target paths by DFS; Selection yields
-    all p-subsets.  Order is deterministic.  Raises CapExceededError
-    before yielding a vector past the first `cap`.
-    """
+    """Yield every feasible 0/1 tuple in a fixed order: simple paths
+    depth first, p-subsets in lexicographic order.  Raises
+    CapExceededError before yielding a vector past the first `cap`."""
     if inst.kind == "selection":
         item_sets = itertools.combinations(range(inst.n), inst.p)
     else:
@@ -710,14 +608,7 @@ def _simple_paths(inst: Instance):
 
 def _hop_counts(g: Graph) -> np.ndarray:
     """Hop distance from every node (rows) to every node (columns), as an
-    N x N int32 array; an entry of N or more means no path.
-
-    On an acyclic graph this is one sweep in reverse topological order:
-    a node's row is one more than the elementwise minimum of its heads'
-    rows, with 0 on the diagonal, which is exact BFS hop distance there.
-    That is N short Python steps and O(N * E) numpy work.  A graph with a
-    directed cycle takes a `Graph.hop_distances` BFS from every node.
-    """
+    N x N int32 array; an entry of N or more means no path."""
     n = g.num_nodes
     hops = np.full((n, n), n, dtype=np.int32)
     if g.topological_order is None:
@@ -740,14 +631,10 @@ def _hop_counts(g: Graph) -> np.ndarray:
 def sample_st_pairs(
     g: Graph, count: int, min_hops: int = 0, seed: int = 0
 ) -> list[tuple[int, int]]:
-    """Sample distinct (source, target) pairs with BFS hop distance >= min_hops.
-
-    The qualifying pairs are numbered in (source, target) order and
-    `count` of those numbers are drawn without replacement.  Cost: one
-    `_hop_counts` matrix, so N**2 int32 entries of memory (about 1 MB for
-    a 23x23 grid, 10 MB for 40x40) and, on an acyclic graph, N numpy row
-    operations; a cyclic graph pays a Python BFS from every node.
-    """
+    """`count` distinct (source, target) pairs with hop distance at least
+    min_hops, drawn by `seed` without replacement from the qualifying
+    pairs in (source, target) order.  Holds an N x N int32 array.
+    Raises ValueError on a negative count or when fewer pairs qualify."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
@@ -781,14 +668,12 @@ def gen_synthetic(
     noise: str = "mult",
     seed: int = 0,
 ) -> tuple[Graph, ScenarioMatrix]:
-    """Generate a grid digraph with right/down arcs and scenario costs.
-
-    Noise models: "mult" draws a per-scenario global factor times
-    per-entry jitter; "two_block" splits arcs into a left and a right
-    block by tail column and inflates one block in the first half of the
-    scenarios and the other block in the second half.  All costs are
-    strictly positive and deterministic per seed.
-    """
+    """A width x height grid digraph with right and down arcs, and its
+    scenario costs, strictly positive and fixed by `seed`.  "mult" noise
+    is a per-scenario factor times per-entry jitter; "two_block"
+    inflates the left half's arcs in the first half of the scenarios and
+    the others in the second.  Raises ValueError on a side below 2,
+    fewer than 2 scenarios or an unknown noise model."""
     if width < 2 or height < 2:
         raise ValueError("width and height must be >= 2")
     if num_scenarios < 2:

@@ -1,13 +1,10 @@
-"""Emission of the dualized mixture models as CPLEX-LP text.
+"""The dualized mixture model as CPLEX-LP text, and its parse-back check.
 
-Budgeted components are dualized with threshold/overflow variables,
-hull components get one free epigraph variable and one row per point,
-polyhedral components are dualized with one multiplier per row, and
-interval components fold into the linear objective.  Ellipsoids are
-conic and rejected.  The module builds and parses LP text and opens no
-file; `cli` writes it.  Variable naming is stable for diffing:
-x_<i>, pi_<j>, rho_<j>_<i>, alpha_<j>_<r>, y_<j> with j the mixture
-component index.
+Budgeted components are dualized with threshold and overflow variables,
+hull components get a free epigraph variable and one row per point,
+polyhedra one multiplier per row, and intervals fold into the objective;
+ellipsoids are conic and rejected.  Variable names are stable: x_<i>,
+pi_<j>, rho_<j>_<i>, alpha_<j>_<r>, y_<j> for mixture component j.
 """
 
 from __future__ import annotations
@@ -184,7 +181,8 @@ def _expr(terms: list[tuple[float, str]]) -> str:
 
 def emit_model(inst: Instance, mix: Mixture) -> tuple[str, ModelStats]:
     """The weighted model as LP-file text, with the binary, continuous
-    and row counts of what it built."""
+    and row counts of what it built.  Raises UnsupportedError on an
+    ellipsoid component."""
     n = inst.n
     model = _Model(np.zeros(n))
     for j, (weight, uset) in enumerate(mix.components):
@@ -267,7 +265,8 @@ def _parse_terms(tokens: list[str]) -> dict[str, float]:
 
 
 def parse_lp(text: str) -> LpModel:
-    """Strict parser for the subset of LP format this package emits."""
+    """Parse the subset of LP format this package emits; raises
+    ParseError on anything else."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -347,16 +346,12 @@ class EmitCheck:
 def check_emitted(
     inst: Instance, mix: Mixture, solution: Solution, text: str
 ) -> EmitCheck:
-    """Round-trip validation of an emitted model without an external solver.
-
-    Parses the LP text, fixes x to the given solution, completes the
-    continuous variables in closed form from the text alone (each
-    budgeted threshold minimizes its objective terms over its rows'
-    loads, each epigraph variable is its rows' largest load), checks
-    constraint feasibility, requires every x_i bound to read 0 <= x_i
-    <= 1 and every bound to hold at the completed point, and compares
-    the text's objective against the in-process objective.
-    """
+    """Check emitted LP text against `inst`, `mix` and `solution` with no
+    external solver.  `ok` says the text parses, has the expected counts,
+    bounds each x_i by 0 and 1, and, at x = solution with the continuous
+    variables completed from the text alone, meets every row and bound;
+    `objective_match` that its objective is `evaluate_wrp` within 1e-6.
+    A polyhedral component skips the completion, with a message."""
     try:
         model = parse_lp(text)
     except ParseError as exc:

@@ -1,18 +1,9 @@
-"""Solution methods for the weighted robust problem.
+"""Solvers for min over x in X of sum_j p_j max_{c in U_j} c . x.
 
-min over x in X of sum_j p_j max_{c in U_j} c . x
-
-Exact reductions exist for all-interval mixtures (weighted upper bounds
-are nominal costs), all-budgeted mixtures (enumeration over the dual
-threshold candidates) and mixtures with a single diagonal ellipsoid plus
-intervals (dichotomic scan over mean-variance scalarizations).  A
-generic best-first branch-and-bound, a brute-force oracle and a local
-search cover everything else.
-
-Every solver keeps its best candidate, the incumbent, by one rule in
-`_Search.offer`: a candidate replaces it when its objective is lower by
-more than 1e-12, or within 1e-12 and its item set is lexicographically
-smaller.
+Exact reductions for all-interval mixtures, all-budgeted mixtures and
+one diagonal ellipsoid plus intervals; best-first branch-and-bound, a
+brute-force oracle and a local search cover the rest.  Every solver
+keeps its best candidate, the incumbent, by `_Search.offer`'s rule.
 """
 
 from __future__ import annotations
@@ -46,16 +37,11 @@ BRUTE_FORCE_CAP = 1_000_000  # feasible points solve_brute_force enumerates at m
 
 @dataclass
 class SolveReport:
-    """Result of one solver run.
-
-    `oracle_calls` counts nominal-oracle calls, failed ones included and
-    skipped ones not: the one `nominal_solve` of interval and midpoint,
-    one per scalarization in parametric (the variance minimum too), the
-    root search's solves plus each exclude child not skipped by
-    `exclude_forcing` in bnb, one per start and per detour priced in
-    local, the threshold columns priced plus each path rebuilt in
-    budgeted-enum, and the feasible points enumerated in brute.
-    """
+    """Result of one solver run.  `oracle_calls` counts nominal-oracle
+    calls, failed ones included: one in interval and midpoint, one per
+    scalarization in parametric, each root-search and exclude-child
+    solve in bnb, each start and detour in local, each threshold column
+    and path rebuilt in budgeted-enum, each feasible point in brute."""
 
     solution: Solution
     method: str
@@ -70,10 +56,9 @@ class SolveReport:
 
 
 def evaluate_wrp(mix: Mixture, x) -> float:
-    """Weighted sum of per-component worst-case values, each set's
-    `support`, summed in index order; no member is built.  `x` may be
-    any array-like; a float array, as `_Search.offer` passes, is used
-    without a conversion."""
+    """The objective at x, a length-n array-like: the weighted sum of each
+    set's `support(x)`, in component order.  Raises UnsupportedError on a
+    polyhedral component."""
     x = np.asarray(x, dtype=float)
     total = 0.0
     for weight, uset in mix.components:
@@ -82,13 +67,8 @@ def evaluate_wrp(mix: Mixture, x) -> float:
 
 
 class _Search:
-    """One solve's incumbent and its count of nominal-oracle calls.
-
-    `offer` applies the incumbent rule, `solve` is the way every solver
-    with more than one candidate calls `nominal_solve`, and `report`
-    builds the solve's result.  The one-solve methods (`_solve_once`)
-    need none of it.
-    """
+    """One solve's incumbent (x, its objective `obj`) and its count of
+    nominal-oracle calls."""
 
     def __init__(self, inst: Instance, mix: Mixture):
         self.inst, self.mix = inst, mix
@@ -96,9 +76,9 @@ class _Search:
         self.calls = 0
 
     def offer(self, x: tuple[int, ...]) -> None:
-        """Offer x as incumbent; item sets are compared only on a tie.
-        The mixture's objective is evaluated here, on every offer, at
-        x's `float_vector`."""
+        """Make 0/1 tuple x the incumbent if its objective is lower by more
+        than 1e-12, or within 1e-12 with a lexicographically smaller item
+        set."""
         obj = evaluate_wrp(self.mix, float_vector(x))
         if obj < self.obj - 1e-12 or (
             obj <= self.obj + 1e-12 and item_set(x) < item_set(self.x)
@@ -119,21 +99,17 @@ class _Search:
 def _solve_once(
     inst: Instance, mix: Mixture, method: str, optimal: bool, guarantee=None
 ) -> SolveReport:
-    """The report of a method that is one nominal solve under the
-    mixture's bound costs: the oracle's solution at its objective, one
-    oracle call.  A single candidate needs no incumbent rule, so no
-    `_Search` is made; the objective is `evaluate_wrp` at x's
-    `float_vector`, the value `_Search.offer` would give it, and the
-    instance keeps both vectors per path (`Instance.vectors`)."""
+    """The report of one nominal solve under the mixture's bound costs:
+    its solution at its true objective, one oracle call."""
     x, vector = inst.vectors(nominal_solve(inst, mix.checked_bound_costs).path)
     solution = Solution(x, evaluate_wrp(mix, vector))
     return SolveReport(solution, method, optimal, oracle_calls=1, guarantee=guarantee)
 
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
-    """All-interval mixtures reduce to a single nominal problem with
-    reduced costs sum_j p_j hi^j, the intervals' bound members; the
-    mixture sums and checks them once for all its solves."""
+    """Exact optimum of an all-interval mixture: one nominal solve under
+    the weighted upper bounds sum_j p_j hi_j.  Raises UnsupportedError
+    on any other component."""
     mix.require("interval", "solve_interval_mix needs interval components")
     return _solve_once(inst, mix, "interval", True)
 
@@ -142,22 +118,10 @@ THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
 
 
 def solve_budgeted_mix(inst: Instance, mix: Mixture) -> SolveReport:
-    """Exact optimum for all-budgeted mixtures by enumerating the dual
-    threshold candidates {0} union {deviations} per component.  More
-    than THRESHOLD_CAP threshold tuples raise CapExceededError before
-    any is priced.
-
-    Each threshold tuple pi gives the nominal costs
-    sum_j p_j (lo_j + max(dev_j - pi_j, 0)) plus the constant
-    sum_j p_j gamma_j pi_j.  The tuples are streamed in blocks of
-    THRESHOLD_BLOCK columns, never materialised whole, and each block is
-    priced by one `nominal_values` call: on an acyclic graph one
-    vector-label topological pass per block, elsewhere one oracle call
-    per column.  A column is solved only where the incumbent rule needs
-    it: both sides of a tie within 1e-12 are offered to it, and at the
-    end the best column, if still unsolved.  A column's solution has a
-    true objective no larger than the column's value.
-    """
+    """Exact optimum of an all-budgeted mixture over the tuples of dual
+    thresholds, {0} union the deviations per component; both sides of a
+    tie between tuples are offered.  Raises UnsupportedError on any other
+    component, and CapExceededError, before pricing, past THRESHOLD_CAP."""
     mix.require("budgeted", "solve_budgeted_mix needs budgeted components")
     candidate_lists = [
         sorted(set([0.0] + u.deviations.tolist())) for _, u in mix.components
@@ -199,33 +163,21 @@ def solve_budgeted_mix(inst: Instance, mix: Mixture) -> SolveReport:
 
 
 def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
-    """Optimize the weighted per-hull scenario average, the mixture's
-    bound costs (each hull's bound member is its centre), summed and
-    checked once per mixture; the result is a K^max-approximation where
-    K^max is the largest point count."""
+    """One nominal solve under the weighted hull centres, a
+    K^max-approximation with K^max the largest point count (the report's
+    `guarantee`).  Raises UnsupportedError on any other component."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
     return _solve_once(inst, mix, "midpoint", False, guarantee=float(kmax))
 
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
-    """Exact solver for one diagonal ellipsoid plus interval components;
-    a mixture without an ellipsoid raises UnsupportedError naming
-    `solve_interval_mix`, which solves it.
-
-    The objective is linear(x) + w sqrt(S(x)) with S linear in binary x,
-    so the optimum sits on the lower-left hull of the (linear, S)
-    projection; a recursive dichotomic scan over scalarization slopes
-    collects all supported solutions and picks the true best.  The
-    report says optimal=False when the 200-step theta push or the
-    depth-60 scan cap cut the search.  Direct calls only: a built
-    ellipsoid's sample covariance is not diagonal, so `solve_auto` sends
-    ellipsoid mixtures to `solve_bnb`.  The diagonal is read from the
-    ellipsoid's `sigma`, its factor's F' F plus the ridge on the
-    diagonal, formed as an n x n array on first read.  The linear term
-    is the mixture's `bound_costs` (interval `hi` and ellipsoid `mu`,
-    weighted), and every candidate is offered under its true objective.
-    """
+    """Exact optimum of one diagonal-covariance ellipsoid plus intervals
+    by a dichotomic scan over mean-variance scalarizations; optimal=False
+    when the 200-step theta push or the depth-60 scan cap cut it.  Raises
+    UnsupportedError on a non-diagonal or second ellipsoid, another set
+    type, or no ellipsoid (`solve_interval_mix` solves that).  Not used
+    by `solve_auto`: a built ellipsoid's covariance is not diagonal."""
     ell = None
     for _, uset in mix.components:
         if uset.name == "ellipsoid":
@@ -302,9 +254,7 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
 
 
 def _search_steps(n: int) -> int:
-    """Best-response steps of `solve_bnb`'s root member search: one per
-    128 items, so small grids pay one extra plain solve and the 1012-arc
-    grid eight."""
+    """Best-response steps of `solve_bnb`'s root search: one per 128 items."""
     return math.ceil(n / 128)
 
 
@@ -314,65 +264,19 @@ def solve_bnb(
     max_nodes: int | None = None,
     time_limit: float | None = None,
 ) -> SolveReport:
-    """Best-first branch-and-bound on item inclusion/exclusion.
+    """Best-first branch-and-bound on item inclusion and exclusion.
 
-    Node bounds are nominal completions under one member c_j of every
-    component: sum_j p_j c_j . x never exceeds the objective, so each
-    completion value is a valid bound (the Lagrangian bound for min-max
-    problems, Kouvelis & Yu 1997).  A root search picks the members by
-    best responses: it first prices each set's fixed `bound_member()`,
-    then, at each step, the best-response members `member(xbar)`
-    at the running average xbar of the completions found so far, with
-    one plain `nominal_solve` per step.  The sets answer that average,
-    but the path side prices only the latest member sum, not the
-    average of the sums so far.  The search keeps the member sum with
-    the largest value, whose completion becomes the root, and stops
-    once that value reaches the incumbent minus TOL or after
-    `_search_steps(n)` steps (one per 128 items), or at a member sum
-    the oracle cannot price (`can_price`: a negative cost on a graph
-    with a directed cycle).  Every root-search completion is offered as
-    incumbent, its true objective evaluated.  An exclude child's
-    completion is offered only when its value is within
-    TOL * max(1, |incumbent|) above the incumbent's objective: the value
-    never exceeds the completion's objective by more than rounding, so
-    a child above that margin would lose anyway, and is not pushed
-    either.
-    The budgets are checked only before a node is expanded, so
-    optimal=False means a cap left a node whose bound could still
-    improve the incumbent; a search the root already proves is optimal
-    even with max_nodes=0.
-
-    The fixed members' sum is the mixture's `checked_bound_costs`,
-    summed and checked once per mixture; each best-response sum is
-    checked once (`check_costs`), and the chosen sum's `OracleCosts`
-    goes to every exclude child.  Branching picks the undecided item
-    with the largest `branch_spread`, then the smallest index: the
-    mixture's `branch_rank`, also kept per mixture.  Each node carries
-    its completion's path, the arcs in path order as the oracle
-    returned them (`Solution.path`), so no node scans or builds x; its
-    branching order is sorted once by rank, at the completion's first
-    expansion, and the include children that inherit the completion
-    share it.  An exclude child is solved with the forced_in
-    `exclude_forcing` returns: on an acyclic graph the parent path's
-    arcs before and after the segment that holds the item, found by
-    walking out from the item and passed in path order, so the oracle
-    walks that chain unsorted and passes over the segment alone with
-    the same optimum and value bits.  When path counts prove that every
-    path through the forced arcs uses the item, the child is skipped
-    without an oracle call; on selection and on graphs with a directed
-    cycle every exclude child is solved with its own forced_in.  The
-    child node keeps its own forced sets.  The include child is
-    expanded next in place, without a heap round trip, when it would be
-    the next node popped anyway: the heap is empty or its first entry's
-    (bound, counter) is larger.  Otherwise it is pushed.  Either way
-    the nodes are expanded in best-first order, ties broken by the
-    order in which they were made, and the budget and prune checks run
-    before each expansion.
-
-    The objective returned is optimal when proven, but on an exact
-    objective tie the item set need not be the lexicographically
-    smallest optimum: a subtree whose bound equals the incumbent's
-    objective is pruned, and it may hold a smaller optimal item set.
+    A node's bound is a nominal completion under one member of every
+    set, weighted by the mixture (the Lagrangian bound for min-max
+    problems, Kouvelis & Yu 1997); a root search picks the members by at
+    most `_search_steps(n)` best-response steps.  `max_nodes` and
+    `time_limit` (seconds) are checked before each expansion, and
+    optimal=False means one of them left a node whose bound could still
+    improve the incumbent; a root proof is optimal even at max_nodes=0.
+    On an exact objective tie the item set need not be the
+    lexicographically smallest optimum, since a subtree whose bound
+    equals the incumbent's objective is pruned.  Raises InfeasibleError
+    when the instance has no feasible solution.
     """
     start = time.monotonic()
     search = _Search(inst, mix)
@@ -436,11 +340,15 @@ def solve_bnb(
             continue
         out = fout | {item}
         try:
+            # the costs the parent's completion was found with, which
+            # keeps exclude_forcing's reuse of its other arcs exact
             child = search.solve(bcosts, forced_in=kept, forced_out=out)
         except InfeasibleError:
             continue
+        # a completion value exceeds its objective by rounding at most, so
+        # above this margin the child's objective loses to the incumbent
         if child.value > search.obj + TOL * max(1.0, abs(search.obj)):
-            continue  # its objective is above the incumbent's too
+            continue
         search.offer(child.x)
         if child.value < search.obj - TOL:
             heapq.heappush(
@@ -450,8 +358,8 @@ def solve_bnb(
 
 
 def solve_brute_force(inst: Instance, mix: Mixture) -> SolveReport:
-    """Exact minimum of the objective by full enumeration of X; more than
-    BRUTE_FORCE_CAP feasible points raise CapExceededError."""
+    """Exact optimum by enumerating X.  Raises CapExceededError past
+    BRUTE_FORCE_CAP feasible points and InfeasibleError when X is empty."""
     search = _Search(inst, mix)
     for x in enumerate_feasible(inst, cap=BRUTE_FORCE_CAP):
         search.calls += 1  # a feasible point stands for an oracle call
@@ -462,10 +370,8 @@ def solve_brute_force(inst: Instance, mix: Mixture) -> SolveReport:
 
 
 def _neighbors(search: _Search, x: tuple[int, ...], costs):
-    """Deterministic neighborhood: single swap for selection, single-arc
-    detour (cheapest re-route through one excluded arc, priced under
-    `costs`) for paths.  On an acyclic graph an arc that no source-target
-    path uses is skipped by its path counts, without an oracle call."""
+    """x's neighbours in a fixed order: single swaps for selection, and
+    for paths the cheapest path under `costs` through each unused arc."""
     inst = search.inst
     chosen = set(item_set(x))
     if inst.kind == "selection":
@@ -497,14 +403,10 @@ def _neighbors(search: _Search, x: tuple[int, ...], costs):
 def solve_local_search(
     inst: Instance, mix: Mixture, restarts: int = 3, seed: int = 0
 ) -> SolveReport:
-    """Steepest-descent local search from perturbed nominal starts.
-
-    Every detour prices under the mixture's bound costs, checked once
-    per mixture (`checked_bound_costs`); each restart's start is checked
-    on its own call.  On an acyclic graph a detour through an arc that
-    lies on no source-target path is skipped without an oracle call.
-    Each descent step moves to the best neighbour, picked by the
-    incumbent rule, if it improves by more than TOL."""
+    """Steepest-descent local search from the nominal start under the
+    bound costs and from `restarts` starts perturbed by `seed`.  Each
+    step moves to the best neighbour, by the incumbent rule, if it
+    improves by more than TOL.  Never reports optimal."""
     bcosts = mix.bound_costs
     checked = mix.checked_bound_costs
     rng = np.random.default_rng(seed)
@@ -525,9 +427,9 @@ def solve_local_search(
 
 
 def solve_auto(inst: Instance, mix: Mixture, max_nodes: int | None = None) -> SolveReport:
-    """Dispatch to the cheapest exact method: the nominal reduction for
-    all-interval mixtures, the threshold enumeration for all-budgeted
-    ones within its cap, and `solve_bnb` for everything else."""
+    """The cheapest exact method: `solve_interval_mix` for all-interval
+    mixtures, `solve_budgeted_mix` for all-budgeted ones within its cap,
+    and `solve_bnb` with `max_nodes` for everything else."""
     types = mix.types
     if types == {"interval"}:
         return solve_interval_mix(inst, mix)

@@ -1,12 +1,9 @@
-"""Racing auto-tuner for mixture hyperparameters.
+"""Racing auto-tuner for mixture hyperparameters, and baseline grids.
 
-Configurations are up to `max_parents` (type, lambda, weight) triples.
-Each generation evaluates surviving configurations on a growing prefix
-of the origin-destination pairs, scores them on the training scenarios,
-scalarizes with user-fixed weights, and eliminates configurations whose
-cost trails the incumbent by more than a margin once enough pairs are
-shared.  Survivors seed the next generation through clamped Gaussian
-perturbation.  The scalarization weights themselves are never tuned.
+A configuration is up to `max_parents` (type, lambda, weight) triples.
+Each generation solves the survivors on a growing prefix of the pairs,
+scalarizes their training metrics by fixed weights, eliminates those
+that trail the best by a margin, and perturbs survivors into new ones.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ class Config:
 @dataclass
 class ConfigSpace:
     """How many parents `tune` may draw, and its budget of pair-solves;
-    the module constants above fix the rest of the race, the set types
-    (`TUNABLE_TYPES`) and their lambda ranges (`LAMBDA_RANGES`) too."""
+    the module constants fix the rest of the race.  Raises ValueError
+    when either is below 1."""
 
     max_parents: int = 3
     budget: int = 10_000
@@ -87,13 +84,11 @@ def sample_config(space: ConfigSpace, rng: np.random.Generator) -> Config:
 
 
 def perturb_config(config: Config, rng: np.random.Generator) -> Config:
-    """Gaussian perturbation, sigma = 10% of each range, clamped.
-
-    The steps are drawn in one call, each parent's lambda step then its
-    weight step, and scaled here: `0.0 + sigma * z` is, bit for bit and
-    draw for draw, what one `rng.normal(0.0, sigma)` call per step
-    gives, without its per-call cost."""
+    """Gaussian perturbation, sigma = 10% of each range, clamped."""
     wlo, whi = WEIGHT_RANGE
+    # One draw for all steps, each parent's lambda step then its weight
+    # step: 0.0 + sigma * z is, bit for bit and draw for draw, what one
+    # rng.normal(0.0, sigma) call per step gives.
     steps = iter(rng.standard_normal(2 * len(config.parents)).tolist())
     parents = []
     for parent in config.parents:
@@ -123,11 +118,8 @@ class TuneResult:
 
 
 def _metric_memo(costs: np.ndarray):
-    """`pair_metrics` on `costs`, computed once per distinct solution x.
-
-    Keyed by x alone: the metric depends on nothing else, and a path's
-    arcs also fix its pair, so this hits exactly when (pair, x) would.
-    """
+    """`pair_metrics` on `costs`, cached per solution x: a path's arcs fix
+    its pair, so x alone is the key."""
     tail = tail_count(ALPHA, costs.shape[0])
 
     @functools.cache
@@ -143,9 +135,8 @@ def solve_for_pair(
     mix: Mixture,
     node_cap: int | None = None,
 ) -> SolveReport:
-    """Solver used inside tuning: capped exact search with a local
-    search fallback, one descent from the nominal start, when the cap
-    is hit (only branch-and-bound stops unproven)."""
+    """`solve_auto` on the pair's instance with `node_cap`; when that is
+    not proven, the better of it and one local-search descent."""
     inst = Instance.spath(graph, pair[0], pair[1])
     report = solve_auto(inst, mix, max_nodes=node_cap)
     if not report.optimal:
@@ -164,12 +155,11 @@ def tune(
     w: tuple[float, float, float],
     seed: int = 0,
 ) -> TuneResult:
-    """Race configurations against in-sample scalarized metrics: the
-    cheapest solved on all pairs, else (`completed_full_eval` false) on
-    the pairs each was solved on, within `space.budget` pair-solves.
-    Raises ValueError, before any mixture is built or pair solved, on
-    an empty pair list or unless `w` is three finite, nonnegative
-    numbers (`check_weights`)."""
+    """The configuration with the lowest in-sample scalarized cost within
+    `space.budget` pair-solves: among those solved on all pairs, else
+    (`completed_full_eval` false) on the pairs each was solved on.
+    Raises ValueError, before any solve, on an empty pair list or
+    weights that `check_weights` rejects."""
     if not pairs:
         raise ValueError("empty pair list")
     check_weights(w)
@@ -259,25 +249,11 @@ def baseline_grid(
     data: ScenarioMatrix,
     split: Split,
 ) -> list[tuple[float, Metrics, Metrics]]:
-    """Evaluate the pure single-set model over the 41-point lambda grid.
-
-    Each pair's grid is bisected over its indices.  The first and last
-    lambdas are solved; where the two solves that bound a stretch of
-    the grid are both proven optimal and return the same x, every
-    lambda strictly between them takes that x unsolved, else the
-    middle lambda is solved and both halves are bisected again.  This
-    is exact within the solver's tolerance: for each tunable family
-    the worst case of a fixed x is a(x) + t b(x), with t = lambda for
-    interval and hull and t = sqrt(lambda) for the ellipsoid (its ridge
-    does not depend on lambda), so the optimum is concave in t and a
-    path within tolerance of it at two values of t stays within it
-    between them.  On an exact tie the solvers' fixed tie-breaking,
-    which picked the same x at both ends, picks it between them too.
-    A solve that is not proven (node cap hit, local-search fallback)
-    bounds no fill: the lambdas next to it are solved, as on a
-    lambda-by-lambda sweep.  The bisection runs level by level across
-    the pairs, so each lambda's mixture is built at most once, only if
-    some pair solves it, and released before the next is built.
+    """In- and out-of-sample metrics of the pure single-set model at each
+    of the 41 `baseline_lambdas`, each pair solved by `solve_for_pair`
+    with BASELINE_NODE_CAP.  The rows equal, within the solvers'
+    tolerance, those of a lambda-by-lambda sweep.  Raises ValueError on
+    a type outside TUNABLE_TYPES or an empty pair list.
     """
     if set_type not in TUNABLE_TYPES:
         raise ValueError(f"baseline grids sweep {TUNABLE_TYPES}, not {set_type!r}")
@@ -303,6 +279,11 @@ def baseline_grid(
                 xs[p][k], proven[p][k] = report.solution.x, report.optimal
         todo, next_spans = {}, []
         for p, lo, hi in spans:
+            # Exact: a fixed x's worst case is a(x) + t b(x), t = lambda for
+            # interval and hull, sqrt(lambda) for the ellipsoid, so the
+            # optimum is concave in t and a path optimal within tolerance at
+            # both ends stays so between them, where the solvers' fixed
+            # tie rule picks it too.  An unproven end fills nothing.
             if proven[p][lo] and proven[p][hi] and xs[p][lo] == xs[p][hi]:
                 xs[p][lo + 1 : hi] = [xs[p][lo]] * (hi - lo - 1)
             elif hi - lo > 1:

@@ -1,46 +1,15 @@
-"""Uncertainty set representations, data-driven builders and worst cases.
+"""Uncertainty sets, their data-driven builders and the oracle's cost check.
 
-Five set families are supported: interval boxes, budgeted (Gamma) sets,
-convex hulls of discrete scenario points, ellipsoids, and polyhedra in
-H-representation.  Polyhedra are carried only so they can be emitted as
-mixed-integer models; in-process worst-case evaluation rejects them.
-
-Every array these classes hold is read-only and their own: a builder's
-fresh array is sealed and kept, and anything else is copied once.  So
-the values they compute once and keep (a matrix's column statistics
-and scenario factor, a hull's centre, a mixture's bound costs) can
-never go stale.
-
-Each family's class is the one place that defines its behaviour, in
-four methods besides its `name`: the support function `support(x)`
-(max over the set of c . x), a maximizing member `member(x)`, the
-fixed member `bound_member()` that branch-and-bound bounds with, and
-the per-item `spread()` it branches on.  `worst_case(uset, x)` is the
-one place that pairs a value with its member.  A member may be a
-read-only array the set holds (an interval's `hi`, a hull's point row,
-an ellipsoid's `mu`); no caller writes to one.  A new family touches
-its class, `build_set` and, if it can be emitted as an LP, one entry of
-`mip_emit._FAMILIES`.  Evaluations call `ndarray.dot`, not `@`: the
-same result, about 0.8 us sooner per call on vectors of tens of items.
-
-The lambda-scaled builders reconstruct standard data-driven
-constructions around the columnwise scenario mean: lambda interpolates
-between the point set at the mean (lambda = 0) and, for interval and
-hull sets, the observed scenario range (lambda = 1).  For ellipsoids
-lambda is the squared-radius bound of (c - mu)' Sigma^-1 (c - mu) <=
-lambda, hence the sqrt(lambda) factor in the support function.  The
-ellipsoid's covariance is its factor, Sigma = F'F + ridge I, whether
-the covariance was given or built: every evaluation goes through F, a
-built one shares its matrix's K x n centred F, and `sigma` (F'F plus
-the ridge on its diagonal: the given matrix, or the sample covariance,
-up to rounding) is formed only when read.  The ellipsoid's
-nonnegativity side constraint is deliberately dropped in its support,
-which makes it a slightly conservative upper bound whose members may
-have negative entries (`instances.can_price` says where they price).
-
-The nominal oracle's cost check (`check_costs`) lives here, beside the
-`Mixture` that memoizes it, so this module imports nothing from the
-package but `errors`, and `instances` imports it, never the reverse.
+Five families: interval, budgeted (Gamma), convex hull, ellipsoid, and
+H-representation polyhedra, which are emission-only.  Each class defines
+`support(x)` (max over the set of c . x), a maximizing `member(x)`, the
+fixed `bound_member()` and the per-item `spread()`.  Every array a
+matrix, set or mixture holds is read-only and its own.  Builders scale
+around the scenario mean: lambda = 0 is the mean point, lambda = 1 the
+observed range for interval and hull sets, and an ellipsoid's lambda
+bounds (c - mu)' Sigma^-1 (c - mu).  Its support drops the side
+constraint c >= 0, so it is slightly conservative and its members may
+have negative entries.
 """
 
 from __future__ import annotations
@@ -71,13 +40,9 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
 
 
 def _owned(values) -> np.ndarray:
-    """`values` as a read-only float array that no caller can write to.
-
-    A sealed array that owns its data (a memo, or a builder's fresh
-    array) is kept as it is, and so is the fresh array that converting
-    a list or another dtype makes; anything else, such as the caller's
-    writable array or a view of one, is copied once.
-    """
+    """`values` as a read-only float array that no caller can write to:
+    a sealed array that owns its data is kept, anything else a caller
+    could write to is copied."""
     arr = np.asarray(values, dtype=float)
     if not arr.flags.owndata or (arr is values and arr.flags.writeable):
         arr = arr.copy()
@@ -86,10 +51,8 @@ def _owned(values) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScenarioMatrix:
-    """K observed cost vectors over n items (K rows, n columns).
-
-    The columnwise statistics that `build_set` reads are computed once
-    per matrix, on first use, and kept read-only."""
+    """K observed cost vectors over n items (K rows, n columns).  Raises
+    ValueError unless the costs are 2-D, finite and nonnegative."""
 
     costs: np.ndarray
 
@@ -134,8 +97,7 @@ class ScenarioMatrix:
     @cached_property
     def factor(self) -> np.ndarray:
         """(costs - mean) / sqrt(K - 1): the K x n factor F whose F' F is
-        the sample covariance.  Every ellipsoid built from this matrix
-        shares it.  Needs K >= 2."""
+        the sample covariance.  Needs K >= 2."""
         return _sealed((self.costs - self.mean) / np.sqrt(self.K - 1))
 
     @cached_property
@@ -149,23 +111,13 @@ class ScenarioMatrix:
 
     @staticmethod
     def from_csv(text: str) -> "ScenarioMatrix":
-        """Parse the scenario CSV: header arc_0,...,arc_{n-1}, then rows.
-
-        Accepted format: comma-separated, `"`-quoted fields allowed, LF
-        or CRLF line ends, empty lines skipped anywhere.  Every row has n
-        entries, each a decimal float as `float()` reads it (surrounding
-        whitespace, nan and inf included; digit-group underscores and
-        non-ASCII digits are not).  An empty file, a wrong header, a
-        header with no rows, a row of another length and a non-numeric
-        or empty entry raise ParseError.
-
-        Cost: the header goes through `csv.reader`; the body is one
-        `np.loadtxt` call over its list of lines (an `io.StringIO` copy
-        would hold it at 4 bytes a character), which parses in C with
-        the same string-to-double routine as `float()`, so the values
-        are bit-identical to a per-entry `float()` parse and a K x n
-        file costs O(K n) with no Python work per entry.
-        """
+        """Parse the scenario CSV: header arc_0,...,arc_{n-1}, then rows of
+        n comma-separated entries, each `"`-quoted or not and read bit for
+        bit as `float()` reads it (no digit-group underscores or non-ASCII
+        digits).  Lines end in LF or CRLF; empty ones are skipped.  Raises
+        ParseError on an empty file, a wrong header, no rows, a row of
+        another length or a bad entry, and ValueError on a non-finite or
+        negative cost."""
         head, _, body = text.lstrip("\r\n").partition("\n")
         if not head:
             raise ParseError("empty scenario CSV")
@@ -177,7 +129,7 @@ class ScenarioMatrix:
             raise ParseError("scenario CSV header must be arc_0,...,arc_{n-1}")
         if not body.strip("\r\n"):
             raise ParseError("scenario CSV has a header but no rows")
-        try:
+        try:  # a list of lines: an io.StringIO copy takes 4 bytes a character
             data = np.loadtxt(
                 body.split("\n"), delimiter=",", quotechar='"', comments=None, ndmin=2
             )
@@ -191,14 +143,8 @@ class ScenarioMatrix:
         return ScenarioMatrix(_sealed(data))
 
     def to_csv(self) -> str:
-        """The header and one line per scenario, each cost as `f"{v:.6f}"`.
-
-        A formatted finite float never holds a comma, quote or line end,
-        so joining the fields gives the bytes `csv.writer` would write,
-        without its per-field quoting checks over numpy scalars.  Each
-        row is one `%` format of its Python floats (`"%.6f" % v` is the
-        same string as `f"{v:.6f}"`), and rows are written one at a time,
-        so no float list of the whole matrix is held at once."""
+        """The CSV `from_csv` reads: the header, then one line per scenario
+        with each cost as `f"{v:.6f}"`."""
         buf = io.StringIO()
         buf.write(",".join(f"arc_{i}" for i in range(self.n)))
         row_format = ",".join(["%.6f"] * self.n)
@@ -211,14 +157,9 @@ class ScenarioMatrix:
 
 @dataclass(frozen=True)
 class _Box:
-    """lo <= hi bounds, shared by the interval and budgeted families.
-
-    `IntervalSet(lo, hi)` and `BudgetedSet(lo, hi, gamma)` copy what
-    they are given unless they may keep it (`_owned`) and check that it
-    is two 1-D vectors of one length with lo <= hi.  `from_data` (what
-    `build_set` calls) makes the lambda-scaled box of a scenario matrix
-    with neither pass: its bounds are fresh arrays, sealed, and lo <= hi
-    holds by construction."""
+    """Componentwise bounds lo <= hi, shared by the interval and budgeted
+    families.  Raises ValueError unless lo and hi are 1-D vectors of one
+    length with lo <= hi + 1e-12."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -235,18 +176,17 @@ class _Box:
 
     @classmethod
     def from_data(cls, data: ScenarioMatrix, lam: float, **fields):
-        """[mu - lam (mu - colmin), mu + lam (colmax - mu)] around the
-        data's column means mu, from the matrix's kept spreads; `fields`
-        gives the class's fields beyond lo and hi (a budgeted gamma).
-
-        lo <= hi needs no check: for lam >= 0 each bound moves away from
-        mu by a rounded product of lam and a spread, and rounding is
-        monotone, so mu - colmin >= mu - colmax keeps lo <= hi even
-        where the computed mean falls outside its column's range."""
+        """The box [mu - lam (mu - colmin), mu + lam (colmax - mu)] around
+        the data's column means mu; `fields` sets the fields beyond lo and
+        hi (a budgeted gamma).  Raises ValueError unless lam is finite and
+        nonnegative, or on an invalid field."""
         if not (math.isfinite(lam) and lam >= 0):
             raise ValueError(f"lambda {lam} must be finite and nonnegative")
         mu = data.mean
         self = cls.__new__(cls)
+        # No lo <= hi check: rounding is monotone, so mu - colmin >=
+        # mu - colmax holds as computed, and scaling by lam >= 0 and adding
+        # mu keep the order, even where the mean is rounded out of range.
         object.__setattr__(self, "lo", _sealed(mu - lam * data.spread_down))
         object.__setattr__(self, "hi", _sealed(mu + lam * data.spread_up))
         for name, value in fields.items():
@@ -267,6 +207,7 @@ class IntervalSet(_Box):
     name = "interval"
 
     def support(self, x: np.ndarray) -> float:
+        # ndarray.dot here and below: @ is the same, with more call overhead
         return float(self.hi.dot(x))
 
     def member(self, x: np.ndarray) -> np.ndarray:
@@ -367,20 +308,10 @@ def _check_psd(smallest: float) -> None:
 
 @dataclass(frozen=True)
 class EllipsoidSet:
-    """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, with Sigma held as a
-    factor: Sigma = F' F + ridge I for a read-only array F, K x n for a
-    built ellipsoid and n x n for a given covariance.
-
-    Every evaluation goes through F, in O(K n): the support at x is
-    mu . x + sqrt(lam (|F x|^2 + ridge x . x)).  `EllipsoidSet(mu,
-    sigma, lam)` checks a given covariance for symmetry (within 1e-9)
-    and PSD (smallest eigenvalue at least -1e-9) and factors it with
-    the one eigendecomposition that also gives the PSD verdict; the
-    matrix itself is not kept.  `from_data` (what `build_set` calls)
-    takes the matrix's shared K x n centred factor instead, so no n x n
-    array is formed.  Either way `sigma`, built only when read, is
-    F' F plus `ridge` on the diagonal.
-    """
+    """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, Sigma = F' F + ridge I
+    for a read-only factor F.  `EllipsoidSet(mu, sigma, lam)` raises
+    ValueError unless sigma is an n x n finite matrix, symmetric within
+    1e-9 and PSD (smallest eigenvalue at least -1e-9), or when lam < 0."""
 
     mu: np.ndarray
     lam: float
@@ -408,15 +339,14 @@ class EllipsoidSet:
     ) -> "EllipsoidSet":
         """The ellipsoid at the data's mean with its sample covariance
         plus `ridge` times the identity (by default 1e-6 times the mean
-        variance).  A negative ridge must leave that sum PSD: the data
-        rank bounds its smallest eigenvalue, so only K >= n takes an
-        O(K n^2) singular value decomposition.  Needs K >= 2."""
+        variance).  Needs K >= 2.  Raises ValueError on a non-finite
+        ridge, a negative one that leaves the sum not PSD, or lam < 0."""
         if ridge is not None and not np.isfinite(ridge):
             raise ValueError(f"ridge {ridge!r} must be finite")
         factor = data.factor
         shift = data._default_ridge if ridge is None else float(ridge)
         if shift < 0:
-            smallest = 0.0
+            smallest = 0.0  # the sample covariance is singular when K < n
             if data.K >= data.n:
                 smallest = float(np.linalg.svd(factor, compute_uv=False).min()) ** 2
             _check_psd(smallest + shift)
@@ -432,7 +362,7 @@ class EllipsoidSet:
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        """F' F + ridge I, built on first read."""
+        """Sigma as an n x n array, built on first read."""
         sigma = self.factor.T.dot(self.factor)
         sigma.flat[:: self.n + 1] += self.ridge
         return _sealed(sigma)
@@ -470,7 +400,8 @@ class EllipsoidSet:
 
 @dataclass(frozen=True)
 class PolyhedronSet:
-    """{c >= 0 : V c <= d} in H-representation; emission-only."""
+    """{c >= 0 : V c <= d} in H-representation.  Emission-only: its set
+    methods raise UnsupportedError."""
 
     V: np.ndarray
     d: np.ndarray
@@ -504,29 +435,16 @@ def build_set(
     gamma: int | None = None,
     ridge: float | None = None,
 ) -> UncertaintySet:
-    """Construct a lambda-scaled uncertainty set from scenario data.
+    """A lambda-scaled uncertainty set from scenario data.
 
-    interval: [mu - lam (mu - colmin), mu + lam (colmax - mu)]
-    hull:     {mu + lam (c^k - mu)} with duplicate points removed
-    budgeted: interval bounds plus a deviation budget `gamma`
-    ellipsoid: mean/covariance with a ridge for degenerate data
+    interval:  [mu - lam (mu - colmin), mu + lam (colmax - mu)]
+    hull:      {mu + lam (c^k - mu)}, each distinct point once, in order
+    budgeted:  interval bounds plus a deviation budget `gamma`
+    ellipsoid: `EllipsoidSet.from_data` with `ridge`
 
-    Cost on K scenarios over n items: the column mean, min and max take
-    O(K n) once per matrix, and `ScenarioMatrix` keeps them and the
-    spreads mean - colmin and colmax - mean.  After that an interval or
-    budgeted set takes two scaled vector sums, O(n), and no copy or
-    lo <= hi pass (`_Box.from_data`); a budgeted gamma is still checked.
-    The hull keeps the first
-    occurrence of each distinct point, in scenario order, by hashing
-    each row's bytes: O(K n) expected.  The ellipsoid's centred factor
-    takes O(K n) once per matrix, and every ellipsoid built from it
-    shares that one read-only K x n array, whatever its ridge; it
-    evaluates in O(K n) and is PSD by construction.  A negative `ridge`
-    is checked against the smallest eigenvalue of the sample
-    covariance, which costs an O(K n^2) singular value decomposition
-    when K >= n and nothing when K < n (the rank bound makes it 0); a
-    non-finite one is rejected.
-    """
+    Raises UnsupportedError on an unknown type, and ValueError on a
+    lambda outside `LAMBDA_RANGES`, a budgeted set without a valid
+    gamma, an ellipsoid from fewer than 2 scenarios or a bad ridge."""
     if set_type not in LAMBDA_RANGES:
         raise UnsupportedError(f"unknown set type {set_type!r}")
     lo_l, hi_l = LAMBDA_RANGES[set_type]
@@ -545,7 +463,8 @@ def build_set(
     if set_type == "hull":
         points = mu[None, :] + lam * (data.costs - mu[None, :])
         first: dict[bytes, int] = {}
-        for k, row in enumerate(points + 0.0):  # + 0.0 maps -0.0 to 0.0
+        # + 0.0 maps -0.0 to 0.0, so points equal in value hash equal
+        for k, row in enumerate(points + 0.0):
             first.setdefault(row.tobytes(), k)
         return HullSet(_sealed(points[list(first.values())]))
 
@@ -562,14 +481,8 @@ def worst_case(uset: UncertaintySet, x) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class OracleCosts:
-    """A cost vector checked once for `instances.nominal_solve`.
-
-    Built by `check_costs`: `values` holds the n finite costs as Python
-    floats, and `nonnegative` records whether none is negative, which
-    the oracle's sign rule reads (`instances.can_price`).  A solver that calls the
-    oracle many times with one vector checks it once and passes this
-    object to every call.
-    """
+    """A cost vector checked once by `check_costs` for the nominal oracle:
+    its n finite costs as Python floats, and whether none is negative."""
 
     n: int
     values: tuple[float, ...]
@@ -577,23 +490,20 @@ class OracleCosts:
 
 
 def _check_finite(costs: np.ndarray) -> bool:
-    """Raise unless every cost is finite; return whether none is negative.
-
-    One min and one max reduction decide both: a NaN anywhere makes
-    both NaN, which fails the range test like an infinity does."""
+    """Raise ValueError unless every cost is finite; return whether none
+    is negative."""
     if costs.size == 0:
         return True
-    lo, hi = float(costs.min()), float(costs.max())
+    lo, hi = float(costs.min()), float(costs.max())  # a NaN makes both NaN
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError("costs must be finite")
     return lo >= 0
 
 
 def check_costs(costs, n: int) -> OracleCosts:
-    """Check a length-n cost vector as `instances.nominal_solve` does and
-    keep a copy of it as Python floats; later changes to `costs` do not
-    reach the copy.  Negative costs are recorded, not rejected:
-    `instances.can_price` decides whether the oracle takes them when it is called."""
+    """A copy of the length-n cost vector `costs`, checked for the nominal
+    oracle.  Raises ValueError on another length or a non-finite cost;
+    negative costs are recorded, not rejected."""
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise ValueError(f"costs length {costs.shape} does not match n={n}")
@@ -602,15 +512,10 @@ def check_costs(costs, n: int) -> OracleCosts:
 
 @dataclass(frozen=True)
 class Mixture:
-    """Weighted list of uncertainty sets: the objective is
-    sum_j p_j max_{c in U_j} c . x.
-
-    Weights are nonnegative but not required to sum to one.  All
-    components have the same item count n.  The solver inputs that do
-    not depend on the instance (the bound costs, checked once for the
-    nominal oracle, the branching spread and the set types) are
-    computed once per mixture, on first use, and shared by every solve.
-    """
+    """Weighted uncertainty sets; the objective is
+    sum_j p_j max_{c in U_j} c . x.  Raises ValueError on no component,
+    a weight that is negative or not finite (weights need not sum to
+    one), or components of different n."""
 
     components: tuple[tuple[float, UncertaintySet], ...]
 
@@ -656,8 +561,7 @@ class Mixture:
 
     @cached_property
     def checked_bound_costs(self) -> OracleCosts:
-        """`bound_costs` checked once for `instances.nominal_solve`;
-        a solve on an instance of another n raises ValueError."""
+        """`bound_costs` checked for the nominal oracle."""
         return check_costs(self.bound_costs, self.n)
 
     @cached_property
@@ -680,11 +584,10 @@ _EXTRA_KEYS = {"budgeted": ("gamma",), "ellipsoid": ("ridge",)}
 
 
 def mixture_spec_from_json(text: str) -> list[dict]:
-    """Parse the mixture JSON file into a list of component specs.
-
-    A component may hold only `weight`, `type` and `lambda`, plus
-    `gamma` when budgeted and `ridge` when an ellipsoid; any other key,
-    a misspelt one included, raises ParseError naming it."""
+    """The component specs of a mixture JSON file.  A component may hold
+    only `weight`, `type` and `lambda`, plus `gamma` when budgeted and
+    `ridge` when an ellipsoid.  Raises ParseError on invalid JSON, any
+    other key, a missing weight or type, or a value of the wrong kind."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -726,11 +629,12 @@ def mixture_spec_from_json(text: str) -> list[dict]:
 
 
 def mixture_spec_to_json(specs: list[dict]) -> str:
+    """The mixture JSON file that `mixture_spec_from_json` reads."""
     return json.dumps({"components": specs}, indent=2) + "\n"
 
 
 def build_mixture(specs: list[dict], data: ScenarioMatrix) -> Mixture:
-    """Realize mixture component specs against scenario data."""
+    """The `Mixture` of component specs built on `data` (`build_set`)."""
     components = []
     for spec in specs:
         uset = build_set(

@@ -1,10 +1,5 @@
-"""Empirical checks of the structural guarantees and the randomized
-suites that the `verify` subcommand runs on them: exhaustive
-submodularity testing of a set function on 0/1 incidence tuples,
-closed-form dual certificates for budgeted worst cases, and an audit of
-the midpoint approximation factor against the brute-force optimum.
-The seeded random generators are shared with the test suite, so the
-acceptance checks and the CLI exercise identical distributions.
+"""Checks of the structural guarantees, and the seeded randomized suites
+that `robustmix verify` runs on them; the tests share the generators.
 """
 
 from __future__ import annotations
@@ -19,6 +14,8 @@ from .solvers import evaluate_wrp, solve_brute_force, solve_midpoint_approx
 from .uncertainty import BudgetedSet, HullSet, Mixture
 
 TOL = 1e-9
+SUBMODULAR_N = 8  # items of each random budgeted mixture suite_submodular checks
+HULL_MAX_POINTS = 4  # points of each hull random_hull_mixture draws, at most
 
 
 def _mask_to_x(mask: int, n: int) -> tuple[int, ...]:
@@ -30,13 +27,10 @@ def _mask_to_set(mask: int, n: int) -> tuple[int, ...]:
 
 
 def check_submodular(n: int, f: Callable[[tuple[int, ...]], float]) -> dict:
-    """Exhaustively test f(S) + f(T) >= f(S u T) + f(S n T) over the
-    subsets of n <= 16 items.
-
-    `f` maps the 0/1 incidence tuple of S to a value.  Returns
-    {"ok": True} or {"ok": False, "violation": (S, T)} with the lowest
-    lexicographic violating pair, S and T as item tuples.
-    """
+    """Test f(S) + f(T) >= f(S u T) + f(S n T) over all subsets of n
+    items, f taking S's 0/1 tuple.  Returns {"ok": True} or {"ok": False,
+    "violation": (S, T)}, the lexicographically first violating pair as
+    item tuples.  Raises ValueError when n > 16."""
     if n > 16:
         raise ValueError("exhaustive checking is capped at n=16")
     values = np.array([f(_mask_to_x(mask, n)) for mask in range(1 << n)])
@@ -67,7 +61,8 @@ class DualCertificate:
 
 def dual_certificate(mix: Mixture, x) -> DualCertificate:
     """Closed-form optimal duals: per component, pi is the (Gamma+1)-th
-    largest chosen deviation and rho_i = [d_i x_i - pi]_+."""
+    largest chosen deviation and rho_i = [d_i x_i - pi]_+.  Raises
+    UnsupportedError unless every component is budgeted."""
     mix.require("budgeted", "dual_certificate needs budgeted components")
     x = np.asarray(x, dtype=float)
     pis = []
@@ -90,11 +85,9 @@ def dual_certificate(mix: Mixture, x) -> DualCertificate:
 
 
 def check_ratio(inst: Instance, mix: Mixture) -> dict:
-    """Midpoint-approximation audit on an all-hull mixture; any other
-    mixture raises UnsupportedError from `solve_midpoint_approx`.
-
-    Returns {"ratio", "bound", "ok"}; ok iff 1 - tol <= ratio <= bound + tol.
-    """
+    """Midpoint-approximation audit on an all-hull mixture: {"ratio",
+    "bound", "ok"}, ok iff 1 - TOL <= ratio <= bound + TOL.  Raises
+    UnsupportedError on any other mixture."""
     mid = solve_midpoint_approx(inst, mix)
     opt = solve_brute_force(inst, mix)
     if opt.objective <= TOL:
@@ -109,6 +102,7 @@ def check_ratio(inst: Instance, mix: Mixture) -> dict:
 def random_budgeted_mixture(
     rng: np.random.Generator, n: int, max_components: int = 2
 ) -> Mixture:
+    """1 to `max_components` random budgeted sets over n items."""
     count = int(rng.integers(1, max_components + 1))
     comps = []
     for _ in range(count):
@@ -121,12 +115,13 @@ def random_budgeted_mixture(
 
 
 def random_hull_mixture(
-    rng: np.random.Generator, n: int, max_components: int = 3, max_points: int = 4
+    rng: np.random.Generator, n: int, max_components: int = 3
 ) -> Mixture:
+    """1 to `max_components` random hulls of 1 to HULL_MAX_POINTS points."""
     count = int(rng.integers(1, max_components + 1))
     comps = []
     for _ in range(count):
-        k = int(rng.integers(1, max_points + 1))
+        k = int(rng.integers(1, HULL_MAX_POINTS + 1))
         points = rng.uniform(0.0, 10.0, (k, n))
         weight = float(rng.uniform(0.1, 1.0))
         comps.append((weight, HullSet(points)))
@@ -145,11 +140,11 @@ def random_instance(rng: np.random.Generator, max_sel_n: int = 10) -> Instance:
     return Instance.spath(graph, 0, graph.num_nodes - 1)
 
 
-def suite_submodular(seed: int = 0, trials: int = 100, n: int = 8) -> bool:
+def suite_submodular(seed: int = 0, trials: int = 100) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        mix = random_budgeted_mixture(rng, n)
-        result = check_submodular(n, lambda x: evaluate_wrp(mix, x))
+        mix = random_budgeted_mixture(rng, SUBMODULAR_N)
+        result = check_submodular(SUBMODULAR_N, lambda x: evaluate_wrp(mix, x))
         if not result["ok"]:
             print(f"submodular: FAIL violation={result['violation']}")
             return False
@@ -157,7 +152,7 @@ def suite_submodular(seed: int = 0, trials: int = 100, n: int = 8) -> bool:
     if squared["ok"]:
         print("submodular: FAIL self-test did not flag a supermodular function")
         return False
-    print(f"submodular: ok ({trials} mixtures at n={n}; self-test flagged)")
+    print(f"submodular: ok ({trials} mixtures at n={SUBMODULAR_N}; self-test flagged)")
     return True
 
 
@@ -209,6 +204,8 @@ SUITES = {"submodular": suite_submodular, "ratio": suite_ratio, "dual": suite_du
 
 
 def run_suites(suite: str, seed: int = 0, trials: int = 100) -> bool:
+    """Run one suite of SUITES, or "all" in order, each printing one line;
+    True when all pass.  Raises ValueError when trials < 1."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     ok = True
