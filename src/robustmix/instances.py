@@ -5,7 +5,8 @@ cardinality selection (exactly p of n items).  Oracle ties break towards
 the lexicographically smallest item-index set: exactly for selection,
 and for paths on an acyclic graph or with strictly positive costs.  On
 a graph with a directed cycle, a zero-cost tie may break to another
-equal-cost path.
+equal-cost path; an exact break there is NP-hard, as it decides the
+directed two-disjoint-paths problem (Fortune, Hopcroft & Wyllie 1980).
 """
 
 from __future__ import annotations

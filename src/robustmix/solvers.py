@@ -33,6 +33,7 @@ from .uncertainty import Mixture, check_costs
 TOL = 1e-9
 THRESHOLD_CAP = 10_000_000  # threshold tuples solve_budgeted_mix enumerates at most
 BRUTE_FORCE_CAP = 1_000_000  # feasible points solve_brute_force enumerates at most
+SCAN_DEPTH_CAP = 60  # recursion depth of solve_ellipsoid_parametric's scan, at most
 
 
 @dataclass
@@ -173,8 +174,8 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     """Exact optimum of one diagonal-covariance ellipsoid plus intervals
-    by a dichotomic scan over mean-variance scalarizations; optimal=False
-    when the 200-step theta push or the depth-60 scan cap cut it.  Raises
+    by a dichotomic scan over mean-variance scalarizations, each answer
+    offered as found; optimal=False when SCAN_DEPTH_CAP cuts it.  Raises
     UnsupportedError on a non-diagonal or second ellipsoid, another set
     type, or no ellipsoid (`solve_interval_mix` solves that).  Not used
     by `solve_auto`: a built ellipsoid's covariance is not diagonal."""
@@ -197,59 +198,41 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     spread = ell.lam * np.diag(ell.sigma)  # S(x) = spread . x
     search = _Search(inst, mix)
 
-    def oracle(theta: float) -> Solution:
-        return search.solve(linear + theta * spread)
+    def oracle(costs) -> Solution:
+        sol = search.solve(costs)
+        search.offer(sol.x)
+        return sol
 
     def pair(sol: Solution):
         x = sol.as_array()
         return float(linear @ x), float(spread @ x)
 
-    sol_l = oracle(0.0)
-    sol_v = search.solve(np.maximum(spread, 0.0))
-    candidates = {sol.x: sol for sol in (sol_l, sol_v)}
-    v_min = pair(sol_v)[1]
-
-    # Push theta up until variance minimization dominates, so the
-    # (min-variance, min-linear) corner itself is collected.  Either cap
-    # cutting the search leaves the result unproven.
     proved = True
-    theta = 1.0
-    sol_r = sol_l
-    for _ in range(200):
-        sol_r = oracle(theta)
-        candidates[sol_r.x] = sol_r
-        if pair(sol_r)[1] <= v_min + 1e-12:
-            break
-        theta *= 4.0
-    else:
-        proved = False
 
     def scan(left: Solution, right: Solution, depth: int = 0):
         nonlocal proved
-        if depth > 60:
+        if depth > SCAN_DEPTH_CAP:
             proved = False
             return
         l_l, s_l = pair(left)
         l_r, s_r = pair(right)
-        if s_l <= s_r + 1e-15:
+        if s_l <= s_r + 1e-12:  # ends tied in variance up to rounding
             return
         theta = (l_r - l_l) / (s_l - s_r)
         if theta <= 0:
             return
-        mid = oracle(theta)
+        mid = oracle(linear + theta * spread)
         l_m, s_m = pair(mid)
         if (abs(l_m - l_l) < 1e-12 and abs(s_m - s_l) < 1e-12) or (
             abs(l_m - l_r) < 1e-12 and abs(s_m - s_r) < 1e-12
         ):
             return
-        candidates[mid.x] = mid
         scan(left, mid, depth + 1)
         scan(mid, right, depth + 1)
 
-    scan(sol_l, sol_r)
-
-    for x in sorted(candidates):
-        search.offer(x)
+    # a variance minimum that is not the linear-cheapest one still ends the
+    # scan exactly: that corner lies strictly below every segment to it
+    scan(oracle(linear), oracle(np.maximum(spread, 0.0)))
     return search.report("parametric", proved)
 
 

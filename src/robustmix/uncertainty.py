@@ -339,8 +339,11 @@ class EllipsoidSet:
     ) -> "EllipsoidSet":
         """The ellipsoid at the data's mean with its sample covariance
         plus `ridge` times the identity (by default 1e-6 times the mean
-        variance).  Needs K >= 2.  Raises ValueError on a non-finite
-        ridge, a negative one that leaves the sum not PSD, or lam < 0."""
+        variance).  Raises ValueError on fewer than 2 scenarios, a
+        non-finite ridge, a negative one that leaves the sum not PSD, or
+        lam < 0."""
+        if data.K < 2:
+            raise ValueError("ellipsoid requires at least 2 scenarios")
         if ridge is not None and not np.isfinite(ridge):
             raise ValueError(f"ridge {ridge!r} must be finite")
         factor = data.factor
@@ -468,8 +471,6 @@ def build_set(
             first.setdefault(row.tobytes(), k)
         return HullSet(_sealed(points[list(first.values())]))
 
-    if data.K < 2:
-        raise ValueError("ellipsoid requires at least 2 scenarios")
     return EllipsoidSet.from_data(data, lam, ridge)
 
 

@@ -119,6 +119,10 @@ class TestScore:
         with pytest.raises(ValueError, match="length"):
             score([Solution((1,), 0.0)], data)
 
+    def test_empty_scenario_pool_rejected(self):
+        with pytest.raises(ValueError, match="empty scenario pool"):
+            score([Solution((1,), 0.0)], ScenarioMatrix(np.zeros((0, 1))))
+
     def test_format_line(self):
         m = Metrics(1.0, 2.0, 1.5)
         assert m.format_line() == "avg=1.000000 max=2.000000 cvar=1.500000"

@@ -106,6 +106,11 @@ class TestInstanceMemos:
                 Instance.spath(diamond, *pair)
         assert pair not in diamond._instances
 
+    @pytest.mark.parametrize("n, p", [(3, 0), (3, 4), (3, -1)])
+    def test_selection_needs_p_in_range(self, n, p):
+        with pytest.raises(ValueError, match="0 < p <= n"):
+            Instance.selection(n, p)
+
     @pytest.mark.parametrize("selection", [False, True], ids=["spath", "selection"])
     def test_vectors_made_once_per_path(self, diamond, selection):
         inst = Instance.selection(5, 2) if selection else Instance.spath(diamond, 0, 3)
@@ -153,6 +158,24 @@ class TestParseGraph:
     def test_non_integer_field(self):
         with pytest.raises(ParseError, match="non-integer"):
             parse_graph("nodes 2\narcs 1\narc 0 0 x")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "graph file needs at least a nodes and an arcs line"),
+            ("nodes 2\n\n", "graph file needs at least a nodes and an arcs line"),
+            ("nodes x\narcs 0", "line 1: expected 'nodes <count>'"),
+            ("nodes 2 2\narcs 0", "line 1: expected 'nodes <count>'"),
+            ("nodes 2\nedges 1\narc 0 0 1", "line 2: expected 'arcs <count>'"),
+            ("nodes 2\narcs 1\nedge 0 0 1", "line 3: expected 'arc <index> <tail> <head>'"),
+            ("nodes 2\narcs 1\narc 0 0", "line 3: expected 'arc <index> <tail> <head>'"),
+        ],
+        ids=["empty", "one-line", "nodes-count", "nodes-fields", "arcs-keyword",
+             "arc-keyword", "arc-fields"],
+    )
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
 
     def test_round_trip(self, diamond):
         assert parse_graph(graph_to_text(diamond)) == diamond
@@ -350,7 +373,8 @@ class TestForcedArcOracle:
     @pytest.mark.xfail(
         strict=True,
         reason="Dijkstra's per-node lexicographic label is exact only for "
-        "strictly positive costs",
+        "strictly positive costs, and an exact zero-cost break on a cyclic "
+        "graph is NP-hard (it decides the directed two-disjoint-paths problem)",
     )
     def test_zero_cost_tie_on_cyclic_graph(self):
         graph = Graph(5, ZERO_TIE_ARCS + ((3, 4), (4, 3)))
@@ -652,6 +676,12 @@ class TestGraphStructure:
         for tail, head in diamond.arcs:
             assert position[tail] < position[head]
         assert all(order[position[v]] == v for v in range(4))
+
+    @pytest.mark.parametrize("arcs", [((0, 1), (1, 2)), ((-1, 0), (0, 1))])
+    def test_arc_endpoint_out_of_range(self, arcs):
+        bad = next(i for i, arc in enumerate(arcs) if not all(0 <= v < 2 for v in arc))
+        with pytest.raises(ValueError, match=f"arc {bad} endpoint out of range"):
+            Graph(2, arcs)
 
     def test_self_loop_is_a_cycle(self):
         assert Graph(2, ((0, 1), (1, 1))).topological_order is None
@@ -1005,6 +1035,10 @@ class TestSampleStPairs:
     def test_empty_request(self, diamond):
         assert sample_st_pairs(diamond, 0) == []
 
+    def test_negative_count_rejected(self, diamond):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_st_pairs(diamond, -1)
+
     def test_deterministic_and_distinct(self, diamond):
         a = sample_st_pairs(diamond, 3, seed=5)
         b = sample_st_pairs(diamond, 3, seed=5)
@@ -1034,6 +1068,8 @@ class TestGenSynthetic:
     def test_size_validation(self):
         with pytest.raises(ValueError, match="width and height must be >= 2"):
             gen_synthetic(1, 2, 3)
+        with pytest.raises(ValueError, match="need at least 2 scenarios"):
+            gen_synthetic(2, 2, 1)
 
     def test_unknown_noise_rejected(self):
         with pytest.raises(ValueError, match="unknown noise model"):

@@ -9,6 +9,7 @@ from robustmix import (
     Graph,
     HullSet,
     Instance,
+    IntervalSet,
     Mixture,
     ModelStats,
     ParseError,
@@ -138,6 +139,32 @@ class TestEmitAndParse:
         bounds = lines.index("Bounds")
         assert lines[bounds - len(flow) : bounds] == flow
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (" obj: 1 x_0", " obj: 1 2 x_0", "two consecutive numbers near '2'"),
+            (" obj: 1 x_0", " obj: 1 x.0", "bad variable name 'x.0'"),
+            (" obj: 1 x_0", " obj: 1 x_0 + 2", "dangling coefficient in expression"),
+            (" obj: 1 x_0", " 1 x_0", "objective line missing label"),
+            (" r: 1 x_0 >= 0", " 1r: 1 x_0 >= 0", "bad constraint name '1r'"),
+            (" r: 1 x_0 >= 0", " r: 1 x_0 >= 0 1", "constraint needs '<terms> <sense> <rhs>'"),
+            (" r: 1 x_0 >= 0", " r: 1 x_0 >= a", "bad rhs in"),
+            ("General\n x_0", "General\n x.0", "bad general entry 'x.0'"),
+            ("Minimize", "junk\nMinimize", "content before Minimize: 'junk'"),
+        ],
+        ids=["two-numbers", "variable-name", "dangling", "objective-label",
+             "constraint-name", "constraint-shape", "rhs", "general", "preamble"],
+    )
+    def test_parse_rejects(self, old, new, message):
+        text = (
+            "Minimize\n obj: 1 x_0\nSubject To\n r: 1 x_0 >= 0\n"
+            "Bounds\n 0 <= x_0 <= 1\nGeneral\n x_0\nEnd\n"
+        )
+        parse_lp(text)
+        assert text.count(old) == 1
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_lp(text.replace(old, new))
+
     def test_parse_rejects_bad_section_order(self):
         with pytest.raises(ParseError, match="section"):
             parse_lp("Minimize\n obj: 1 x_0\nBounds\n 0 <= x_0 <= 1\nEnd\n")
@@ -223,6 +250,16 @@ class TestCheckEmitted:
         check = check_emitted(inst, mix, best, bounded)
         assert not (check.ok and check.objective_match), check
 
+    def test_all_zero_objective_is_one_zero_term(self):
+        inst = Instance.selection(2, 1)
+        mix = Mixture(((1.0, IntervalSet(np.zeros(2), np.zeros(2))),))
+        text, _ = emit_model(inst, mix)
+        assert " obj: 0 x_0" in text.splitlines()
+        assert check_lp_grammar(text) == []
+        assert parse_lp(text).objective == {"x_0": 0.0}
+        check = check_emitted(inst, mix, Solution((1, 0), 0.0), text)
+        assert check.ok and check.objective_match, check.message
+
     def test_corrupted_file_detected(self):
         inst, mix = budgeted_selection()
         text, _ = emit_model(inst, mix)
@@ -265,12 +302,18 @@ class TestCheckEmitted:
             (" rho_0_1 >= 0", " rho_0_1 >= 100", "bound of rho_0_1 violated at point"),
             (" 0 <= x_0 <= 1", " 0 <= x_0 <= 0", "x_0 bounds (0.0, 0.0) are not (0, 1)"),
             (" 0 <= x_1 <= 1", " 5 <= x_1 <= 9", "x_1 bounds (5.0, 9.0) are not (0, 1)"),
+            (
+                " card: 1 x_0 + 1 x_1 + 1 x_2 + 1 x_3 + 1 x_4 = 2",
+                " card: 1 x_0 + 1 x_1 + 1 x_2 + 1 x_3 + 1 x_4 = 3",
+                "constraint card violated at point",
+            ),
+            ("Minimize", "Minimize\n junk", "parse-back failure: objective line missing label"),
         ],
-        ids=["rho_lower", "x_upper", "x_range"],
+        ids=["rho_lower", "x_upper", "x_range", "row", "parse"],
     )
     def test_edited_bounds_detected(self, old, new, message):
-        """Each edit leaves the rows and the objective intact at the
-        optimum; only the Bounds section is wrong."""
+        """Each edit leaves the objective intact at the optimum; only one
+        bound or row is wrong, or the text no longer parses."""
         inst = Instance.selection(5, 2)
         rng = np.random.default_rng(3)
         lo = rng.uniform(0.0, 5.0, 5)

@@ -462,24 +462,21 @@ class TestEllipsoidParametric:
         order = np.argsort(mu, kind="stable")
         assert report.solution.items == tuple(sorted(int(i) for i in order[:2]))
 
-    def test_theta_push_cap_is_not_a_proof(self, monkeypatch):
-        mu = np.array([1.0, 2.0])
-        mix = Mixture(((1.0, EllipsoidSet(mu, np.diag([9.0, 0.0]), 1.0)),))
-        inst = Instance.selection(2, 1)
-        assert solve_ellipsoid_parametric(inst, mix).optimal
-        calls = []
-
-        def stuck(inst_, costs, *args, **kwargs):
-            # theta = 0 and the variance minimum are answered; every
-            # theta of the push gets the high-variance item 0 back
-            calls.append(costs)
-            return nominal_solve(inst_, costs if len(calls) <= 2 else mu)
-
-        monkeypatch.setattr(solvers, "nominal_solve", stuck)
+    def test_depth_cap_is_not_a_proof(self, monkeypatch):
+        """Item 1 lies below the segment from the linear corner (item 0)
+        to the variance corner (item 2): one scan step finds it, and a
+        cap of 0 stops the scan from proving there is nothing more."""
+        ell = EllipsoidSet(np.array([0.0, 0.5, 3.0]), np.diag([4.0, 1.0, 0.0]), 1.0)
+        mix = Mixture(((1.0, ell),))
+        inst = Instance.selection(3, 1)
+        full = solve_ellipsoid_parametric(inst, mix)
+        assert full.optimal and full.solution.x == (0, 1, 0)
+        monkeypatch.setattr(solvers, "SCAN_DEPTH_CAP", 0)
         report = solve_ellipsoid_parametric(inst, mix)
-        assert len(calls) == 202
         assert not report.optimal
-        assert report.solution.x == (0, 1)
+        assert report.oracle_calls == 3
+        assert report.solution.x in set(enumerate_feasible(inst))
+        assert report.objective == evaluate_wrp(mix, report.solution.x)
 
     def test_rejects_non_diagonal(self):
         sigma = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -496,6 +493,11 @@ class TestEllipsoidParametric:
         e = EllipsoidSet(np.ones(2), np.eye(2), 1.0)
         with pytest.raises(UnsupportedError, match="at most one"):
             solve_ellipsoid_parametric(Instance.selection(2, 1), Mixture(((1.0, e), (1.0, e))))
+
+    def test_rejects_other_set_types(self):
+        mix = Mixture(((1.0, EllipsoidSet(np.ones(2), np.eye(2), 1.0)), (1.0, HullSet(np.eye(2)))))
+        with pytest.raises(UnsupportedError, match="only interval and ellipsoid"):
+            solve_ellipsoid_parametric(Instance.selection(2, 1), mix)
 
     def test_exact_tie_picks_smaller_item_set(self, diamond_inst):
         """Route (2, 3) is the linear minimum, route (0, 1) the variance
@@ -630,8 +632,8 @@ class TestBnb:
         assert report.objective == solve_brute_force(inst, mix).objective
 
     def test_paper_scale_corner_search_is_pinned(self):
-        """The 23x23 corner proof, about 0.4 s on a 2-core Xeon: nodes,
-        oracle calls and the objective's bits."""
+        """The 23x23 corner proof: nodes, oracle calls and the
+        objective's bits."""
         inst, mix = corner_to_corner(23, README_MIX)
         report = solve_bnb(inst, mix)
         assert report.optimal
@@ -687,8 +689,8 @@ class TestBnb:
         assert all(kept for fin, kept in exclude_calls if fin)
 
     def test_time_limit_at_paper_scale(self):
-        # the pinned proof above takes about 0.4 s; 0.05 s cuts it at
-        # roughly 700 of its 10,519 nodes
+        # the pinned proof above expands 10,519 nodes; the limit stops it
+        # before it finishes them
         inst, mix = corner_to_corner(23, README_MIX)
         start = time.monotonic()
         report = solve_bnb(inst, mix, time_limit=0.05)
@@ -1021,6 +1023,11 @@ class TestBruteForce:
         with pytest.raises(CapExceededError, match="enumeration exceeds cap 19"):
             solve_brute_force(inst, mix)
 
+    def test_no_path_is_infeasible(self, diamond):
+        mix = Mixture(((1.0, interval([1.0, 1.0, 1.0, 1.0])),))
+        with pytest.raises(InfeasibleError, match="empty feasible set"):
+            solve_brute_force(Instance.spath(diamond, 3, 0), mix)
+
 
 class TestLocalSearch:
     def test_diamond_matches_brute(self, diamond_inst, rng):
@@ -1171,6 +1178,31 @@ class TestTieHeavyDifferential:
             values = [evaluate_wrp(mix, x) for x in enumerate_feasible(inst)]
             ties += values.count(brute.objective) > 1
         assert ties > 20  # the data is tie-heavy
+
+    def test_parametric_same_x_as_brute_force(self, rng):
+        """The scan on a diagonal ellipsoid with integer means and
+        variances, plus an integer interval in about 70% of the cases."""
+        ties = 0
+        for inst, _ in tie_heavy_cases(rng, 150):
+            ell = EllipsoidSet(
+                rng.integers(0, 4, inst.n).astype(float),
+                np.diag(rng.choice([0.0, 1.0, 4.0], inst.n)),
+                float(rng.choice([0.0, 1.0, 4.0])),
+            )
+            comps = [(float(rng.choice([0.25, 0.5, 1.0])), ell)]
+            if rng.random() < 0.7:
+                lo = rng.integers(0, 4, inst.n).astype(float)
+                box = IntervalSet(lo, lo + rng.integers(0, 4, inst.n))
+                comps.append((float(rng.choice([0.25, 0.5, 1.0])), box))
+            mix = Mixture(tuple(comps))
+            report = solve_ellipsoid_parametric(inst, mix)
+            brute = solve_brute_force(inst, mix)
+            assert report.optimal
+            assert report.solution.x == brute.solution.x
+            assert report.objective == brute.objective
+            values = [evaluate_wrp(mix, x) for x in enumerate_feasible(inst)]
+            ties += values.count(brute.objective) > 1
+        assert ties > 10  # the data is tie-heavy
 
     def test_bnb_proves_brute_force_objective(self, rng):
         cases = [

@@ -337,6 +337,11 @@ class TestBaselines:
         assert astuple(first["hull"][0]) == pytest.approx(base, abs=1e-9)
         assert astuple(first["ellipsoid"][0]) == pytest.approx(base, abs=1e-9)
 
+    def test_empty_pairs_rejected(self, small_problem):
+        graph, data, _, split = small_problem
+        with pytest.raises(ValueError, match="empty pair list"):
+            baseline_grid("interval", graph, [], data, split)
+
     def test_untunable_type_rejected_before_any_solve(self, monkeypatch, small_problem):
         """The bisection is exact only for the tunable families, whose
         worst case is linear in a nondecreasing function of lambda."""

@@ -60,6 +60,7 @@ class TestScenarioMatrix:
             "arc_0,arc_1\n1,2\n  \n",
             "arc_0,arc_1\n1,2\n#3,4\n",
             "arc_0,arc_1\n1,2\r3,4\n",
+            "arc_0,arc_1\n1,2,3\n4,5,6\n",
         ],
     )
     def test_malformed_rejected(self, text):
@@ -160,6 +161,14 @@ class TestBuildSet:
         assert np.allclose(uset.mu, data.costs.mean(axis=0))
         assert np.linalg.eigvalsh(uset.sigma).min() > 0
 
+    def test_ellipsoid_needs_two_scenarios(self):
+        """Checked before the sample covariance divides by K - 1 = 0."""
+        one_row = ScenarioMatrix(np.ones((1, 3)))
+        with pytest.raises(ValueError, match="at least 2 scenarios"):
+            EllipsoidSet.from_data(one_row, 1.0)
+        with pytest.raises(ValueError, match="at least 2 scenarios"):
+            build_set(one_row, "ellipsoid", 1.0)
+
     def test_lambda_range_enforced(self):
         with pytest.raises(ValueError, match="out of range"):
             build_set(TWO_ROWS, "interval", 1.5)
@@ -255,6 +264,25 @@ class TestBuiltBoxes:
         assert box.lo is not lo and box.hi is not hi  # writable inputs are copied
         lo[0] = 5.0
         assert box.lo[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ScenarioMatrix(np.ones(3)), "scenario matrix must be 2-D"),
+        (lambda: HullSet(np.zeros((0, 2))), "hull needs at least one point"),
+        (lambda: HullSet(np.ones(2)), "hull needs at least one point"),
+        (lambda: EllipsoidSet(np.ones(2), np.eye(3), 1.0), "sigma must be n x n"),
+        (lambda: EllipsoidSet(np.ones(2), np.eye(2), -1.0), "lambda must be nonnegative"),
+        (lambda: PolyhedronSet(np.eye(2), np.ones(3)), "V must be m x n and d length m"),
+        (lambda: PolyhedronSet(np.ones(2), np.ones(2)), "V must be m x n and d length m"),
+    ],
+    ids=["scenarios-1d", "hull-empty", "hull-1d", "sigma-shape", "negative-lambda", "polyhedron-d",
+         "polyhedron-1d"],
+)
+def test_constructor_checks(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def _sigma_with_spectrum(eigenvalues, seed=0):
@@ -623,6 +651,8 @@ class TestMixture:
             mixture_spec_from_json("not json")
         with pytest.raises(ParseError, match="components"):
             mixture_spec_from_json("{}")
+        with pytest.raises(ParseError, match="nonempty list"):
+            mixture_spec_from_json('{"components": []}')
         with pytest.raises(ParseError, match="weight"):
             mixture_spec_from_json('{"components": [{"type": "hull"}]}')
 
