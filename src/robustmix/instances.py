@@ -105,6 +105,76 @@ class Graph:
     def _path_counts(self) -> dict[int, tuple[int, ...]]:
         return {}
 
+    def segment_plan(self, start: int, end: int) -> tuple:
+        """The rows a label pass from `start` to `end` walks, as (node, its
+        out-arcs) pairs in topological order, `end` excluded.  The first
+        request for a segment gets the whole topological slice; later ones
+        get a cached table of the nodes on some start-end path, each with
+        its arcs into such a node or into `end`.  Both fold the same labels
+        in the same order, so a pass returns the same bits and tie breaks.
+        Acyclic graphs only."""
+        plans = self._segment_plans
+        plan = plans.get((start, end))
+        if plan is None:
+            if (start, end) in plans:
+                plan = plans[start, end] = self._live_rows(start, end)
+            else:  # one pass costs less than a table
+                plans[start, end] = None
+                position = self.topological_order[1]
+                return self._rows[position[start] : position[end]]
+        return plan
+
+    @cached_property
+    def _segment_plans(self) -> dict[tuple[int, int], tuple | None]:
+        """`segment_plan`'s tables by segment, None for a segment seen once."""
+        return {}
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        out = self.out_arcs
+        return tuple((v, out[v]) for v in self.topological_order[0])
+
+    @cached_property
+    def _reach(self) -> tuple[list[int], list[int], list[int]]:
+        """Per topological position p, as bitsets over positions: the
+        positions p reaches and those that reach p (p in both), and the
+        positions of p's heads."""
+        position = self.topological_order[1]
+        heads = [[position[head] for _, head in leaving] for _, leaving in self._rows]
+        size = len(heads)
+        downstream, upstream = [0] * size, [1 << p for p in range(size)]
+        head_bits = [0] * size
+        for p in range(size):
+            for q in heads[p]:
+                upstream[q] |= upstream[p]
+                head_bits[p] |= 1 << q
+        for p in reversed(range(size)):
+            reach = 1 << p
+            for q in heads[p]:
+                reach |= downstream[q]
+            downstream[p] = reach
+        return downstream, upstream, head_bits
+
+    def _live_rows(self, start: int, end: int) -> tuple:
+        """The rows whose node lies on a start-end path, each keeping its
+        arcs into such a node or into `end`."""
+        downstream, upstream, head_bits = self._reach
+        position = self.topological_order[1]
+        p, last = position[start], position[end]
+        live = downstream[p] & upstream[last]  # holds p and last if a path exists
+        if not live:
+            return ()
+        dead, flags = ~live, format(live, "b")[::-1]  # flags[q] == "1": q is live
+        rows, plan = self._rows, []
+        while p < last:
+            row = rows[p]
+            if head_bits[p] & dead:
+                v, leaving = row
+                row = (v, tuple(a for a in leaving if live >> position[a[1]] & 1))
+            plan.append(row)
+            p = flags.find("1", p + 1)
+        return tuple(plan)
+
     @cached_property
     def _instances(self) -> dict[tuple[int, int], "Instance"]:
         """`Instance.spath`'s instances on this graph, by (source, target)."""
@@ -241,21 +311,39 @@ _assign = object.__setattr__  # Solution's own writes, past its guard
 class Solution:
     """A feasible solution: its 0/1 vector x and its objective value.
     `Solution(None, value, path, n)` takes the chosen items out of n in
-    the order found, kept as `path`, and builds x on first read.
-    Immutable, equal and hashed by (x, value)."""
+    the order found, kept as `path`, and builds x on first read;
+    `Solution.priced_on_read(x, price)` computes the value as `price()`
+    on first read, so a value need not be known when the solution is
+    made.  Immutable, equal and hashed by (x, value)."""
 
-    __slots__ = ("value", "path", "_n", "_x")
+    __slots__ = ("_value", "_price", "path", "_n", "_x")
 
     def __init__(self, x: tuple[int, ...] | None, value: float, path=None, n=None):
         _assign(self, "_x", x)
-        _assign(self, "value", value)
+        _assign(self, "_value", value)
+        _assign(self, "_price", None)
         _assign(self, "path", path)
         _assign(self, "_n", n)
+
+    @classmethod
+    def priced_on_read(cls, x: tuple[int, ...], price) -> "Solution":
+        """The solution x whose value is `price()`, called once, on the
+        first read of `value`."""
+        solution = cls(x, None)
+        _assign(solution, "_price", price)
+        return solution
 
     def __setattr__(self, name, *value):
         raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+    @property
+    def value(self) -> float:
+        if self._price is not None:
+            _assign(self, "_value", self._price())
+            _assign(self, "_price", None)
+        return self._value
 
     @property
     def x(self) -> tuple[int, ...]:
@@ -354,8 +442,9 @@ def _forced_chain(graph, source, target, forced_in, ordered=False):
 def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
     """Shortest path on an acyclic graph through the arcs of forced_in (a
     tuple or list) and avoiding forced_out, ties towards the smaller
-    sorted arc set.  Returns (cost, arcs in path order) or None."""
-    order, position = graph.topological_order
+    sorted arc set.  Each free segment is one label pass over
+    `graph.segment_plan`'s rows, so a segment solved before walks only
+    its live nodes.  Returns (cost, arcs in path order) or None."""
     arcs = graph.arcs
     if forced_in:
         pieces = _forced_chain(graph, source, target, forced_in)
@@ -364,8 +453,7 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
     else:  # a target before the source leaves its label unset: no path
         pieces = (((), source, target),)
 
-    out = graph.out_arcs
-    inf = float("inf")
+    inf = math.inf
     pred = [-1] * graph.num_nodes  # arc into each labelled node
 
     def path_to(v, start):
@@ -386,11 +474,11 @@ def _spath_acyclic(graph, costs, source, target, forced_in, forced_out):
             continue
         dist = [inf] * graph.num_nodes
         dist[start] = reached
-        for v in order[position[start] : position[end]]:
+        for v, leaving in graph.segment_plan(start, end):
             dv = dist[v]
             if dv == inf:
                 continue
-            for arc_idx, head in out[v]:
+            for arc_idx, head in leaving:
                 if forced_out and arc_idx in forced_out:
                     continue
                 nd = dv + costs[arc_idx]
@@ -543,8 +631,9 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     """Optimal nominal value of every column of an (n, B) cost block:
     column j equals `nominal_solve(inst, block[:, j]).value` bit for bit,
     and the block raises what `nominal_solve` would raise on a column.
-    No solution is built.  Raises ValueError on a block of another
-    shape."""
+    On an acyclic graph this is one vector-label pass over the rows of
+    `segment_plan(source, target)`, the pass `nominal_solve` makes.  No
+    solution is built.  Raises ValueError on a block of another shape."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
@@ -555,17 +644,15 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
         )
 
     graph, s, t = inst.graph, inst.source, inst.target
-    order, position = graph.topological_order
-    out = graph.out_arcs
     label: list[np.ndarray | None] = [None] * graph.num_nodes
     label[s] = np.zeros(block.shape[1])
-    # the same sums in the same order as _spath_acyclic: the same bits
-    for v in order[position[s] : position[t]]:
+    # the same rows, sums and order as _spath_acyclic: the same bits
+    for v, leaving in graph.segment_plan(s, t):
         dv = label[v]
         if dv is None:
             continue
         label[v] = None
-        for arc_idx, head in out[v]:
+        for arc_idx, head in leaving:
             nd = dv + block[arc_idx]
             od = label[head]
             if od is None:

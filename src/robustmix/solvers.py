@@ -53,6 +53,8 @@ class SolveReport:
 
     @property
     def objective(self) -> float:
+        """The solution's value; interval and midpoint reports compute it
+        on this first read, bit for bit `evaluate_wrp(mix, x)`."""
         return self.solution.value
 
 
@@ -101,9 +103,10 @@ def _solve_once(
     inst: Instance, mix: Mixture, method: str, optimal: bool, guarantee=None
 ) -> SolveReport:
     """The report of one nominal solve under the mixture's bound costs:
-    its solution at its true objective, one oracle call."""
+    one oracle call, and its solution at its true objective, computed by
+    `evaluate_wrp` only when first read."""
     x, vector = inst.vectors(nominal_solve(inst, mix.checked_bound_costs).path)
-    solution = Solution(x, evaluate_wrp(mix, vector))
+    solution = Solution.priced_on_read(x, lambda: evaluate_wrp(mix, vector))
     return SolveReport(solution, method, optimal, oracle_calls=1, guarantee=guarantee)
 
 

@@ -857,6 +857,147 @@ class TestSegmentResolve:
         assert cases > 100
 
 
+class TestSegmentPlan:
+    """Three passes on one new graph object: the first walks the whole
+    topological slice between a segment's ends, the later ones the
+    segment's cached table of live rows."""
+
+    COSTS = {
+        "zero": lambda rng, n: np.zeros(n),
+        "integer": lambda rng, n: rng.integers(0, 4, n).astype(float),
+        "float": lambda rng, n: rng.uniform(0.0, 10.0, n),
+        "signed": lambda rng, n: rng.integers(-2, 3, n).astype(float),
+    }
+
+    @staticmethod
+    def fresh_case(rng):
+        """A relabelled grid or, half the time, one with extra forward and
+        parallel arcs, as a new graph object, corner to corner or between
+        two random nodes, and its s-t paths as sorted arc tuples."""
+        if rng.random() < 0.5:
+            graph = extra_arcs_grid(rng)
+        else:
+            graph, _, _ = relabelled_grid(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+        order = graph.topological_order[0]
+        if rng.random() < 0.5:
+            s, t = order[0], order[-1]
+        else:
+            s, t = (int(v) for v in rng.choice(graph.num_nodes, 2, replace=False))
+        paths = [item_set(x) for x in enumerate_feasible(Instance.spath(graph, s, t))]
+        return graph, s, t, paths
+
+    @staticmethod
+    def exhaustive(graph, costs, s, t, fin, fout, paths, signed):
+        """The reference (value, arcs) or None: `_spath_branching`, or on
+        signed costs, where its prune on partial sums does not hold, the
+        best enumerated path, its costs summed in path order."""
+        if not signed:
+            return _spath_branching(graph, costs, s, t, frozenset(fin), fout)
+        allowed = [
+            (sum(costs[a] for a in path_order(graph, p)), p)
+            for p in paths
+            if set(fin) <= set(p) and fout.isdisjoint(p)
+        ]
+        return min(allowed) if allowed else None
+
+    @pytest.mark.parametrize("kind", sorted(COSTS))
+    def test_spath_passes_agree_cold_and_warm(self, rng, kind):
+        """All three passes give the exhaustive value bits and arc set, and
+        the same arcs in the same order, or all three find no path where
+        it finds none.  forced_in is taken from one s-t path, in path
+        order; forced_out is random or, a quarter of the time, every other
+        arc on an s-t path, which cuts every live arc."""
+        seen = dict.fromkeys(("path", "none", "forced", "cut"), 0)
+        for _ in range(300):
+            graph, s, t, paths = self.fresh_case(rng)
+            costs = self.COSTS[kind](rng, graph.n).tolist()
+            fin = []
+            if paths:
+                path = path_order(graph, paths[rng.integers(len(paths))])
+                fin = [a for a in path if rng.random() < 0.4]
+            if paths and rng.random() < 0.25:
+                fout = frozenset(a for p in paths for a in p) - set(fin)
+                seen["cut"] += 1
+            else:
+                rest = [a for a in range(graph.n) if a not in fin]
+                n_out = min(int(rng.integers(0, 3)), len(rest))
+                fout = frozenset(int(a) for a in rng.choice(rest, n_out, replace=False))
+            expected = self.exhaustive(graph, costs, s, t, fin, fout, paths, kind == "signed")
+            results = [_spath_acyclic(graph, costs, s, t, fin, fout) for _ in range(3)]
+            if expected is None:
+                assert results == [None] * 3
+            else:
+                for value, arcs in results:
+                    assert value.hex() == expected[0].hex()
+                    assert sorted(arcs) == sorted(expected[1])
+                assert results[0] == results[1] == results[2]
+            seen["none" if expected is None else "path"] += 1
+            seen["forced"] += bool(fin)
+        assert min(seen.values()) > 40, seen
+
+    @pytest.mark.parametrize("kind", sorted(COSTS))
+    def test_nominal_values_agree_cold_and_warm(self, rng, kind):
+        """All three batched passes give each column's exhaustive value
+        bits, or all three raise the same InfeasibleError."""
+        infeasible = 0
+        for _ in range(150):
+            graph, s, t, paths = self.fresh_case(rng)
+            inst = Instance.spath(graph, s, t)
+            cols = int(rng.integers(1, 5))
+            block = np.column_stack([self.COSTS[kind](rng, graph.n) for _ in range(cols)])
+            expected = [
+                self.exhaustive(
+                    graph, block[:, j].tolist(), s, t, (), frozenset(), paths, kind == "signed"
+                )
+                for j in range(cols)
+            ]
+            outcomes = []
+            for _ in range(3):
+                try:
+                    outcomes.append(nominal_values(inst, block).tobytes())
+                except InfeasibleError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1] == outcomes[2]
+            if expected[0] is None:
+                assert outcomes[0] == f"no path from {s} to {t} under restrictions"
+                infeasible += 1
+            else:
+                assert outcomes[0] == np.array([e[0] for e in expected]).tobytes()
+        assert 10 < infeasible < 140
+
+    def test_one_pass_builds_no_table(self, monkeypatch):
+        """A segment's first pass walks its topological slice and builds
+        no table; the second builds the table, which later passes reuse.
+        The table holds the rectangle between the corners (1, 1) and
+        (3, 3) of a 5x5 grid, end excluded, without the arcs leaving it."""
+        built = []
+        live_rows = Graph._live_rows
+        monkeypatch.setattr(
+            Graph, "_live_rows", lambda g, *seg: built.append(seg) or live_rows(g, *seg)
+        )
+        s, t = 6, 18
+        rectangle = {r * 5 + c for r in (1, 2, 3) for c in (1, 2, 3)}
+        for passes in (
+            lambda g: _spath_acyclic(g, [1.0] * g.n, s, t, (), frozenset()),
+            lambda g: nominal_values(Instance.spath(g, s, t), np.ones((g.n, 2))),
+        ):
+            graph, _ = gen_synthetic(5, 5, 2, seed=0)
+            built.clear()
+            passes(graph)
+            assert built == []
+            passes(graph)
+            passes(graph)
+            assert built == [(s, t)]
+            order = graph.topological_order[0]
+            rows = graph.segment_plan(s, t)
+            assert [v for v, _ in rows] == [v for v in order if v in rectangle - {t}]
+            for v, leaving in rows:
+                assert leaving == tuple(a for a in graph.out_arcs[v] if a[1] in rectangle)
+            slice_rows = graph.segment_plan(0, 24)  # a segment not seen before
+            assert slice_rows == tuple((v, graph.out_arcs[v]) for v in order[:-1])
+        assert built == [(s, t)]
+
+
 class TestEnumerateFeasible:
     def test_selection_count(self):
         xs = list(enumerate_feasible(Instance.selection(4, 2)))
@@ -919,9 +1060,32 @@ class TestSolution:
         assert sol.x is sol.x
         assert sol.items == (1, 3)
 
+    def test_value_is_priced_when_first_read(self):
+        """`priced_on_read` calls its price once, on the first read of the
+        value, which equality, hash and repr each make; then the solution
+        is equal to, hashed and shown as the eager one."""
+        eager = Solution((0, 1, 1), 2.5)
+        for probe in ("value", "eq", "hash", "repr"):
+            calls = []
+            sol = Solution.priced_on_read((0, 1, 1), lambda: calls.append(1) or 2.5)
+            assert (sol.x, sol.items, sol.path, calls) == ((0, 1, 1), (1, 2), None, [])
+            {
+                "value": lambda: sol.value,
+                "eq": lambda: sol == eager,
+                "hash": lambda: hash(sol),
+                "repr": lambda: repr(sol),
+            }[probe]()
+            assert calls == [1], probe
+            assert sol == eager and hash(sol) == hash(eager) and repr(sol) == repr(eager)
+            assert sol.value == 2.5 and calls == [1]
+
     def test_is_immutable(self):
-        for sol in (Solution((0, 1), 1.0), Solution(None, 1.0, (1,), 2)):
-            for name in ("x", "value", "path", "_x"):
+        for sol in (
+            Solution((0, 1), 1.0),
+            Solution(None, 1.0, (1,), 2),
+            Solution.priced_on_read((0, 1), lambda: 1.0),
+        ):
+            for name in ("x", "value", "path", "_x", "_value", "_price"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(sol, name, None)
                 with pytest.raises(dataclasses.FrozenInstanceError):

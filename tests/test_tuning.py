@@ -8,8 +8,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from robustmix import ConfigSpace, baseline_grid, gen_synthetic, sample_st_pairs, tune
-from robustmix import tuning
+from robustmix import ConfigSpace, Solution, baseline_grid, gen_synthetic, sample_st_pairs, tune
+from robustmix import solvers, tuning
 from robustmix.evaluation import (
     ALPHA,
     Metrics,
@@ -206,6 +206,50 @@ class TestRaceTrajectory:
         tune(ConfigSpace(budget=400), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=2)
         assert len(built) == 45
         assert most_alive <= tuning.GENERATION_SIZE
+
+
+class TestObjectiveOnRead:
+    def test_tune_prices_no_interval_solve(self, monkeypatch):
+        """On the criterion-7 instance the race reads only x from its
+        interval solves, so none evaluates its objective; a later read
+        computes it, bit for bit `evaluate_wrp(mix, x)`, and equality,
+        hash and repr, each read first, match the eager solution."""
+        graph, data = gen_synthetic(6, 6, 40, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 6, min_hops=4, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        evaluations, solves = [], []
+
+        def counting(mix, x):
+            evaluations.append(1)
+            return evaluate_wrp(mix, x)
+
+        def recording(inst, mix):
+            count = len(evaluations)
+            report = interval(inst, mix)
+            assert len(evaluations) == count
+            solves.append((mix, report))
+            return report
+
+        interval = solvers.solve_interval_mix
+        monkeypatch.setattr(solvers, "evaluate_wrp", counting)
+        monkeypatch.setattr(solvers, "solve_interval_mix", recording)
+        tune(ConfigSpace(budget=2000), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=1)
+        assert len(solves) > 1000
+        probes = [
+            lambda sol, eager: sol.value == eager.value,
+            lambda sol, eager: sol == eager,
+            lambda sol, eager: hash(sol) == hash(eager),
+            lambda sol, eager: repr(sol) == repr(eager),
+        ]
+        for i, (mix, report) in enumerate(solves):
+            x = report.solution.x
+            eager = Solution(x, evaluate_wrp(mix, x))
+            count = len(evaluations)
+            assert probes[i % len(probes)](report.solution, eager)
+            assert len(evaluations) == count + 1  # the probe priced it once
+            assert report.objective.hex() == eager.value.hex()
+            assert (report.solution, hash(report.solution)) == (eager, hash(eager))
+            assert len(evaluations) == count + 1
 
 
 class TestSolveForPair:
