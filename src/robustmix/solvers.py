@@ -42,7 +42,8 @@ class SolveReport:
     calls, failed ones included: one in interval and midpoint, one per
     scalarization in parametric, each root-search and exclude-child
     solve in bnb, each start and detour in local, each threshold column
-    and path rebuilt in budgeted-enum, each feasible point in brute."""
+    and path rebuilt in budgeted-enum, each feasible point in brute, and
+    0 for a tuner answer taken from its pair's record."""
 
     solution: Solution
     method: str
@@ -99,15 +100,23 @@ class _Search:
         return SolveReport(solution, method, optimal, nodes_explored, self.calls, guarantee)
 
 
+def priced_report(
+    mix: Mixture, x, vector, method: str, optimal: bool, calls: int, guarantee=None
+) -> SolveReport:
+    """The report of 0/1 tuple x, whose read-only float vector is
+    `vector`, after `calls` oracle calls; its objective is computed by
+    `evaluate_wrp` only when first read."""
+    solution = Solution.priced_on_read(x, lambda: evaluate_wrp(mix, vector))
+    return SolveReport(solution, method, optimal, oracle_calls=calls, guarantee=guarantee)
+
+
 def _solve_once(
     inst: Instance, mix: Mixture, method: str, optimal: bool, guarantee=None
 ) -> SolveReport:
-    """The report of one nominal solve under the mixture's bound costs:
-    one oracle call, and its solution at its true objective, computed by
-    `evaluate_wrp` only when first read."""
+    """The `priced_report` of one nominal solve under the mixture's bound
+    costs: one oracle call."""
     x, vector = inst.vectors(nominal_solve(inst, mix.checked_bound_costs).path)
-    solution = Solution.priced_on_read(x, lambda: evaluate_wrp(mix, vector))
-    return SolveReport(solution, method, optimal, oracle_calls=1, guarantee=guarantee)
+    return priced_report(mix, x, vector, method, optimal, 1, guarantee)
 
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:

@@ -8,6 +8,7 @@ that trail the best by a margin, and perturbs survivors into new ones.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .evaluation import (
     tail_count,
 )
 from .instances import Graph, Instance, float_vector
-from .solvers import SolveReport, solve_auto, solve_local_search
+from .solvers import SolveReport, priced_report, solve_auto, solve_local_search
 from .uncertainty import LAMBDA_RANGES, Mixture, ScenarioMatrix, build_mixture
 
 WEIGHT_RANGE = (0.0, 1.0)  # each parent's mixture weight
@@ -129,20 +130,59 @@ def _metric_memo(costs: np.ndarray):
     return metric
 
 
+def _interval_t(config: Config) -> float | None:
+    """The t of an all-interval configuration whose weights sum to more
+    than 0 (see `solve_for_pair`), else None."""
+    if any(p.set_type != "interval" for p in config.parents):
+        return None
+    total = sum(p.weight for p in config.parents)
+    if total <= 0:
+        return None
+    return sum(p.weight * p.lam for p in config.parents) / total
+
+
 def solve_for_pair(
     graph: Graph,
     pair: tuple[int, int],
     mix: Mixture,
     node_cap: int | None = None,
+    *,
+    bracket: tuple[float, tuple[list, list]] | None = None,
 ) -> SolveReport:
     """`solve_auto` on the pair's instance with `node_cap`; when that is
-    not proven, the better of it and one local-search descent."""
+    not proven, the better of it and one local-search descent.
+
+    `bracket`, which only `tune` passes, is (t, record) for an
+    all-interval `mix` whose weights sum to W > 0, with
+    t = sum_j w_j lambda_j / W: its bound costs are W (mu + t spread_up),
+    so each path's bound cost is W times a function linear in t.
+    `record` holds the pair's interval answers so far: their ts in order
+    and each one's (x, vector).  When t lies strictly between two
+    neighbouring entries with the same x, the answer is that x: it is
+    optimal at both ends and so at t, and a path tied with it at t ties
+    at both ends too, where the tie rule chose x.  The answer has method
+    "interval", optimal True, no oracle call and the objective computed
+    on first read.  Otherwise the mix is solved and (t, x) recorded.  A
+    t equal to a recorded t is solved as well: mixtures of different W
+    round their bound costs differently, and an exact tie there, common
+    at lambda 0 or 1 on integer data, may break either way."""
+    if bracket is not None:
+        t, (ts, answers) = bracket
+        i = bisect.bisect_left(ts, t)
+        if 0 < i < len(ts) and ts[i] != t and answers[i - 1][0] == answers[i][0]:
+            return priced_report(mix, *answers[i], "interval", True, 0)
     inst = Instance.spath(graph, pair[0], pair[1])
     report = solve_auto(inst, mix, max_nodes=node_cap)
     if not report.optimal:
         fallback = solve_local_search(inst, mix, restarts=0)
         if fallback.objective < report.objective - 1e-12:
             report = fallback
+    if bracket is not None:
+        x = report.solution.x
+        vector = float_vector(x)
+        vector.setflags(write=False)
+        ts.insert(i, t)
+        answers.insert(i, (x, vector))
     return report
 
 
@@ -156,10 +196,15 @@ def tune(
     seed: int = 0,
 ) -> TuneResult:
     """The configuration with the lowest in-sample scalarized cost within
-    `space.budget` pair-solves: among those solved on all pairs, else
-    (`completed_full_eval` false) on the pairs each was solved on.
-    Raises ValueError, before any solve, on an empty pair list or
-    weights that `check_weights` rejects."""
+    `space.budget` pair evaluations: among those evaluated on all pairs,
+    else (`completed_full_eval` false) on the pairs each was evaluated
+    on.  Each evaluation is one `solve_for_pair` call.  An all-interval
+    configuration whose weights sum to more than 0 passes its pair's
+    record of this call's interval answers as `bracket`, so it is
+    filled from that record when two entries with the same x bracket
+    its t, and solved and recorded otherwise; the budget counts both
+    alike.  Raises ValueError, before any solve, on an empty pair list
+    or weights that `check_weights` rejects."""
     if not pairs:
         raise ValueError("empty pair list")
     check_weights(w)
@@ -171,7 +216,9 @@ def tune(
     configs = [sample_config(space, rng) for _ in range(GENERATION_SIZE)]
     # triples[c]: configuration c's metrics on pairs[:len(triples[c])]
     triples: list[list[tuple[float, float, float]]] = [[] for _ in configs]
-    mixtures: dict[int, Mixture] = {}  # the alive configurations' mixtures
+    # the alive configurations' mixtures, each with its `_interval_t`
+    mixtures: dict[int, tuple[Mixture, float | None]] = {}
+    records = [([], []) for _ in pairs]  # per pair: `solve_for_pair`'s record
     alive = list(range(len(configs)))
     trace: list[TraceEntry] = []
     evals = 0
@@ -192,9 +239,14 @@ def tune(
             done = triples[cfg_id]
             while len(done) < n_g and evals < space.budget:
                 if not done:
-                    mixtures[cfg_id] = build_mixture(configs[cfg_id].to_specs(), train)
+                    config = configs[cfg_id]
+                    mix = build_mixture(config.to_specs(), train)
+                    mixtures[cfg_id] = mix, _interval_t(config)
+                mix, t = mixtures[cfg_id]
+                k = len(done)
+                bracket = None if t is None else (t, records[k])
                 report = solve_for_pair(
-                    graph, pairs[len(done)], mixtures[cfg_id], TUNE_NODE_CAP
+                    graph, pairs[k], mix, TUNE_NODE_CAP, bracket=bracket
                 )
                 done.append(metric(report.solution.x))
                 evals += 1

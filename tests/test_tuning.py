@@ -23,6 +23,8 @@ from robustmix.solvers import evaluate_wrp
 from robustmix.tuning import (
     BASELINE_NODE_CAP,
     TUNABLE_TYPES,
+    Config,
+    ParentSpec,
     baseline_lambdas,
     perturb_config,
     sample_config,
@@ -211,9 +213,10 @@ class TestRaceTrajectory:
 class TestObjectiveOnRead:
     def test_tune_prices_no_interval_solve(self, monkeypatch):
         """On the criterion-7 instance the race reads only x from its
-        interval solves, so none evaluates its objective; a later read
-        computes it, bit for bit `evaluate_wrp(mix, x)`, and equality,
-        hash and repr, each read first, match the eager solution."""
+        interval answers, solved or filled from a pair's record, so none
+        evaluates its objective; a later read computes it, bit for bit
+        `evaluate_wrp(mix, x)`, and equality, hash and repr, each read
+        first, match the eager solution."""
         graph, data = gen_synthetic(6, 6, 40, "two_block", seed=1)
         pairs = sample_st_pairs(graph, 6, min_hops=4, seed=1)
         split = split_scenarios(data.K, 0.75, seed=1)
@@ -223,18 +226,20 @@ class TestObjectiveOnRead:
             evaluations.append(1)
             return evaluate_wrp(mix, x)
 
-        def recording(inst, mix):
+        def recording(graph, pair, mix, *args, **kwargs):
             count = len(evaluations)
-            report = interval(inst, mix)
-            assert len(evaluations) == count
-            solves.append((mix, report))
+            report = solve_for_pair(graph, pair, mix, *args, **kwargs)
+            if report.method == "interval":
+                assert len(evaluations) == count
+                solves.append((mix, report))
             return report
 
-        interval = solvers.solve_interval_mix
         monkeypatch.setattr(solvers, "evaluate_wrp", counting)
-        monkeypatch.setattr(solvers, "solve_interval_mix", recording)
+        monkeypatch.setattr(tuning, "solve_for_pair", recording)
         tune(ConfigSpace(budget=2000), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=1)
         assert len(solves) > 1000
+        # both filled answers (no oracle call) and solved ones (one) occur
+        assert {report.oracle_calls for _, report in solves} == {0, 1}
         probes = [
             lambda sol, eager: sol.value == eager.value,
             lambda sol, eager: sol == eager,
@@ -250,6 +255,148 @@ class TestObjectiveOnRead:
             assert report.objective.hex() == eager.value.hex()
             assert (report.solution, hash(report.solution)) == (eager, hash(eager))
             assert len(evaluations) == count + 1
+
+
+def interval_answer(graph, data, pair, record, *parents):
+    """`solve_for_pair` with `record` for the all-interval configuration
+    of (weight, lambda) `parents`, as `tune` calls it; returns the mix,
+    the report and the report of a plain solve of the same mix."""
+    config = Config(tuple(ParentSpec("interval", lam, w) for w, lam in parents))
+    mix = build_mixture(config.to_specs(), data)
+    bracket = (tuning._interval_t(config), record)
+    report = solve_for_pair(graph, pair, mix, bracket=bracket)
+    return mix, report, solve_for_pair(graph, pair, mix)
+
+
+class TestPairRecord:
+    """`solve_for_pair`'s fill rule: an all-interval answer is taken from
+    the pair's record strictly between two entries with the same x, and
+    solved and recorded everywhere else."""
+
+    PAIR = (0, 15)  # its path changes once, between lambda 0.2 and 0.3
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        graph, _ = gen_synthetic(4, 4, 20, "mult", 1)
+        rng = np.random.default_rng(0)
+        base, spread = rng.uniform(1.0, 10.0, (2, graph.n))
+        return graph, ScenarioMatrix(base + spread * rng.random((20, graph.n)) ** 4)
+
+    def answer(self, skewed, record, *parents):
+        return interval_answer(*skewed, self.PAIR, record, *parents)
+
+    def test_fills_strictly_between_two_entries_with_the_same_x(self, skewed):
+        record = ([], [])
+        _, low, _ = self.answer(skewed, record, (1.0, 0.0))
+        _, high, _ = self.answer(skewed, record, (1.0, 0.2))
+        assert low.solution.x == high.solution.x and record[0] == [0.0, 0.2]
+        # t near 0.1 from one parent, from two, and from one beside a zero weight
+        for parents in [
+            ((1.0, 0.1),),
+            ((0.5, 0.0), (0.25, 0.3)),
+            ((0.3, 0.1), (0.0, 0.9)),
+        ]:
+            mix, report, solved = self.answer(skewed, record, *parents)
+            assert report.oracle_calls == 0 and record[0] == [0.0, 0.2]
+            assert report.solution.x == solved.solution.x == low.solution.x
+            assert (report.method, report.optimal) == ("interval", True)
+            assert report.objective.hex() == evaluate_wrp(mix, report.solution.x).hex()
+
+    def test_solves_and_records_outside_a_bracket(self, skewed):
+        record = ([], [])
+        for lam, t_after in [
+            (0.1, [0.1]),
+            (0.5, [0.1, 0.5]),
+            (0.3, [0.1, 0.3, 0.5]),  # between two different x
+            (0.05, [0.05, 0.1, 0.3, 0.5]),  # below the smallest t
+            (0.9, [0.05, 0.1, 0.3, 0.5, 0.9]),  # above the largest t
+        ]:
+            _, report, solved = self.answer(skewed, record, (1.0, lam))
+            assert report.oracle_calls == 1 and report.solution.x == solved.solution.x
+            assert record[0] == t_after
+        xs = [x for x, _ in record[1]]
+        assert xs == [
+            self.answer(skewed, ([], []), (1.0, t))[2].solution.x for t in record[0]
+        ]
+        assert xs[1] != xs[3]  # 0.3 lay between two different x
+
+    def test_equal_t_is_solved(self):
+        """At lambda 1 the interval bounds of integer data are integers, so
+        paths tie exactly; weights 1.0 and 0.3 round the tie apart.  An
+        answer at a recorded t is therefore solved, not filled."""
+        graph, data = gen_synthetic(3, 3, 12, "mult", 8)
+        data = ScenarioMatrix(np.round(data.costs))
+        data = data.subset(split_scenarios(data.K, 0.75, seed=8).train_idx)
+        record = ([], [])
+        _, first, _ = interval_answer(graph, data, (0, 5), record, (1.0, 1.0))
+        _, report, solved = interval_answer(graph, data, (0, 5), record, (0.3, 1.0))
+        assert report.oracle_calls == 1 and record[0] == [1.0, 1.0]
+        assert report.solution.x == solved.solution.x != first.solution.x
+
+    def test_tune_records_only_weighted_interval_configs(self, monkeypatch):
+        """On the criterion-7 race a record is passed exactly for the
+        all-interval configurations whose weights sum to more than 0."""
+        graph, data = gen_synthetic(6, 6, 40, "two_block", seed=1)
+        pairs = sample_st_pairs(graph, 6, min_hops=4, seed=1)
+        split = split_scenarios(data.K, 0.75, seed=1)
+        kinds = set()
+
+        def checking(graph, pair, mix, node_cap=None, *, bracket=None):
+            interval = mix.types == {"interval"}
+            weighted = sum(w for w, _ in mix.components) > 0
+            assert (bracket is not None) == (interval and weighted)
+            kinds.add((interval, weighted))
+            return solve_for_pair(graph, pair, mix, node_cap, bracket=bracket)
+
+        monkeypatch.setattr(tuning, "solve_for_pair", checking)
+        tune(ConfigSpace(budget=2000), graph, pairs, data, split, (0.4, 0.3, 0.3), seed=1)
+        # the race has zero-weight interval configurations, and others
+        assert {(True, True), (True, False), (False, True)} <= kinds
+
+
+def tune_problems(count):
+    """Random 3x3 to 6x6 grids under both noise models, each with random
+    scalarization weights.  Three in four replace the costs with the
+    skewed draws of `random_problems`, so that paths change with
+    lambda, and every third one's costs are rounded to integers, which
+    makes exact ties between paths common."""
+    for trial in range(count):
+        rng = np.random.default_rng(trial)
+        width, height = (int(v) for v in rng.integers(3, 7, 2))
+        noise = ("mult", "two_block")[trial % 2]
+        graph, data = gen_synthetic(width, height, int(rng.integers(8, 30)), noise, trial)
+        if trial % 4:
+            base, spread = rng.uniform(1.0, 10.0, (2, data.n))
+            data = ScenarioMatrix(base + spread * rng.random((data.K, data.n)) ** 4)
+        if trial % 3 == 0:
+            data = ScenarioMatrix(np.round(data.costs))
+        pairs = sample_st_pairs(graph, int(rng.integers(2, 7)), min_hops=2, seed=trial)
+        w = tuple(rng.dirichlet(np.ones(3)).tolist())
+        yield graph, data, pairs, split_scenarios(data.K, 0.75, seed=trial), w
+
+
+class TestRecordDifferential:
+    def test_tune_equals_solving_every_evaluation(self, monkeypatch):
+        """The race with its records and the race that solves every
+        evaluation agree on the best configuration, every cost bit, the
+        trace and the evaluation count."""
+
+        def unrecorded(graph, pair, mix, node_cap=None, *, bracket=None):
+            return solve_for_pair(graph, pair, mix, node_cap)
+
+        def outcome(result):
+            trace = [
+                (e.generation, e.config_id, e.pairs_used, e.cost.hex(), e.config)
+                for e in result.trace
+            ]
+            return result.best, result.best_cost.hex(), trace, result.evaluations
+
+        for trial, (graph, data, pairs, split, w) in enumerate(tune_problems(20)):
+            args = (ConfigSpace(budget=400), graph, pairs, data, split, w, trial)
+            filled = outcome(tune(*args))
+            with monkeypatch.context() as patched:
+                patched.setattr(tuning, "solve_for_pair", unrecorded)
+                assert filled == outcome(tune(*args)), trial
 
 
 class TestSolveForPair:
@@ -457,8 +604,8 @@ class TestPairMetricMemo:
             calls.append((id(costs), tuple(x)))
             return pair_metrics(x, costs, tail)
 
-        def recording(graph, pair, mix, *args):
-            report = solve_for_pair(graph, pair, mix, *args)
+        def recording(graph, pair, mix, *args, **kwargs):
+            report = solve_for_pair(graph, pair, mix, *args, **kwargs)
             solved.append(report.solution.x)
             return report
 
