@@ -3,10 +3,13 @@
 Two instance kinds: s-t paths on a directed graph (items are arcs) and
 cardinality selection (exactly p of n items).  Oracle ties break towards
 the lexicographically smallest item-index set: exactly for selection,
-and for paths on an acyclic graph or with strictly positive costs.  On
-a graph with a directed cycle, a zero-cost tie may break to another
-equal-cost path; an exact break there is NP-hard, as it decides the
-directed two-disjoint-paths problem (Fortune, Hopcroft & Wyllie 1980).
+and for paths on an acyclic graph or with strictly positive costs.
+Paths are compared by their sums as accumulated arc by arc, so two
+paths equal in c @ x can differ by rounding, and then the smaller
+accumulated sum wins.  On a graph with a directed cycle, a zero-cost
+tie may break to another equal-cost path; an exact break there is
+NP-hard, as it decides the directed two-disjoint-paths problem
+(Fortune, Hopcroft & Wyllie 1980).
 """
 
 from __future__ import annotations
@@ -276,21 +279,6 @@ class Instance:
         if not (0 < p <= n):
             raise ValueError("selection requires 0 < p <= n")
         return Instance("selection", n, p=p)
-
-    def vectors(self, items: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray]:
-        """The 0/1 tuple x with ones at `items` (an oracle solution's
-        `path`) and x's read-only `float_vector`, cached per tuple."""
-        pair = self._vectors.get(items)
-        if pair is None:
-            x = _incidence(self.n, items)
-            vector = float_vector(x)
-            vector.setflags(write=False)
-            pair = self._vectors[items] = (x, vector)
-        return pair
-
-    @cached_property
-    def _vectors(self) -> dict[tuple[int, ...], tuple[tuple[int, ...], np.ndarray]]:
-        return {}
 
 
 def item_set(x) -> tuple[int, ...]:

@@ -101,22 +101,12 @@ class _Search:
 
 
 def priced_report(
-    mix: Mixture, x, vector, method: str, optimal: bool, calls: int, guarantee=None
+    mix: Mixture, x, method: str, optimal: bool, calls: int, guarantee=None
 ) -> SolveReport:
-    """The report of 0/1 tuple x, whose read-only float vector is
-    `vector`, after `calls` oracle calls; its objective is computed by
-    `evaluate_wrp` only when first read."""
-    solution = Solution.priced_on_read(x, lambda: evaluate_wrp(mix, vector))
+    """The report of 0/1 tuple x after `calls` oracle calls; its objective
+    is computed by `evaluate_wrp` only when first read."""
+    solution = Solution.priced_on_read(x, lambda: evaluate_wrp(mix, float_vector(x)))
     return SolveReport(solution, method, optimal, oracle_calls=calls, guarantee=guarantee)
-
-
-def _solve_once(
-    inst: Instance, mix: Mixture, method: str, optimal: bool, guarantee=None
-) -> SolveReport:
-    """The `priced_report` of one nominal solve under the mixture's bound
-    costs: one oracle call."""
-    x, vector = inst.vectors(nominal_solve(inst, mix.checked_bound_costs).path)
-    return priced_report(mix, x, vector, method, optimal, 1, guarantee)
 
 
 def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
@@ -124,7 +114,8 @@ def solve_interval_mix(inst: Instance, mix: Mixture) -> SolveReport:
     the weighted upper bounds sum_j p_j hi_j.  Raises UnsupportedError
     on any other component."""
     mix.require("interval", "solve_interval_mix needs interval components")
-    return _solve_once(inst, mix, "interval", True)
+    x = nominal_solve(inst, mix.checked_bound_costs).x
+    return priced_report(mix, x, "interval", True, 1)
 
 
 THRESHOLD_BLOCK = 256  # threshold tuples priced per vector-label pass
@@ -181,7 +172,8 @@ def solve_midpoint_approx(inst: Instance, mix: Mixture) -> SolveReport:
     `guarantee`).  Raises UnsupportedError on any other component."""
     mix.require("hull", "solve_midpoint_approx needs hull components")
     kmax = max(uset.num_points for _, uset in mix.components)
-    return _solve_once(inst, mix, "midpoint", False, guarantee=float(kmax))
+    x = nominal_solve(inst, mix.checked_bound_costs).x
+    return priced_report(mix, x, "midpoint", False, 1, guarantee=float(kmax))
 
 
 def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:

@@ -157,20 +157,20 @@ def solve_for_pair(
     t = sum_j w_j lambda_j / W: its bound costs are W (mu + t spread_up),
     so each path's bound cost is W times a function linear in t.
     `record` holds the pair's interval answers so far: their ts in order
-    and each one's (x, vector).  When t lies strictly between two
-    neighbouring entries with the same x, the answer is that x: it is
-    optimal at both ends and so at t, and a path tied with it at t ties
-    at both ends too, where the tie rule chose x.  The answer has method
-    "interval", optimal True, no oracle call and the objective computed
-    on first read.  Otherwise the mix is solved and (t, x) recorded.  A
-    t equal to a recorded t is solved as well: mixtures of different W
-    round their bound costs differently, and an exact tie there, common
-    at lambda 0 or 1 on integer data, may break either way."""
+    and each one's x.  When t lies strictly between two neighbouring
+    entries with the same x, the answer is that x: it is optimal at both
+    ends and so at t, and a path tied with it at t ties at both ends
+    too, where the tie rule chose x.  The answer has method "interval",
+    optimal True, no oracle call and the objective computed on first
+    read.  Otherwise the mix is solved and (t, x) recorded.  A t equal
+    to a recorded t is solved as well: mixtures of different W round
+    their bound costs differently, and an exact tie there, common at
+    lambda 0 or 1 on integer data, may break either way."""
     if bracket is not None:
         t, (ts, answers) = bracket
         i = bisect.bisect_left(ts, t)
-        if 0 < i < len(ts) and ts[i] != t and answers[i - 1][0] == answers[i][0]:
-            return priced_report(mix, *answers[i], "interval", True, 0)
+        if 0 < i < len(ts) and ts[i] != t and answers[i - 1] == answers[i]:
+            return priced_report(mix, answers[i], "interval", True, 0)
     inst = Instance.spath(graph, pair[0], pair[1])
     report = solve_auto(inst, mix, max_nodes=node_cap)
     if not report.optimal:
@@ -178,11 +178,8 @@ def solve_for_pair(
         if fallback.objective < report.objective - 1e-12:
             report = fallback
     if bracket is not None:
-        x = report.solution.x
-        vector = float_vector(x)
-        vector.setflags(write=False)
         ts.insert(i, t)
-        answers.insert(i, (x, vector))
+        answers.insert(i, report.solution.x)
     return report
 
 

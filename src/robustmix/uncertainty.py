@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -222,6 +223,8 @@ class IntervalSet(_Box):
 
 @dataclass(frozen=True)
 class BudgetedSet(_Box):
+    """A box of which at most gamma items leave lo; gamma is an integer in [0, n]."""
+
     gamma: int
     name = "budgeted"
 
@@ -230,6 +233,10 @@ class BudgetedSet(_Box):
         self._check_fields()
 
     def _check_fields(self) -> None:
+        try:
+            operator.index(self.gamma)
+        except TypeError:
+            raise ValueError(f"gamma {self.gamma!r} must be an integer") from None
         if not (0 <= self.gamma <= self.n):
             raise ValueError("gamma must lie in [0, n]")
 
@@ -310,8 +317,9 @@ def _check_psd(smallest: float) -> None:
 class EllipsoidSet:
     """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, Sigma = F' F + ridge I
     for a read-only factor F.  `EllipsoidSet(mu, sigma, lam)` raises
-    ValueError unless sigma is an n x n finite matrix, symmetric within
-    1e-9 and PSD (smallest eigenvalue at least -1e-9), or when lam < 0."""
+    ValueError unless lam >= 0 is finite and sigma is an n x n finite
+    matrix, symmetric within 1e-9 and PSD (smallest eigenvalue at least
+    -1e-9)."""
 
     mu: np.ndarray
     lam: float
@@ -341,7 +349,7 @@ class EllipsoidSet:
         plus `ridge` times the identity (by default 1e-6 times the mean
         variance).  Raises ValueError on fewer than 2 scenarios, a
         non-finite ridge, a negative one that leaves the sum not PSD, or
-        lam < 0."""
+        a lam that is negative or not finite."""
         if data.K < 2:
             raise ValueError("ellipsoid requires at least 2 scenarios")
         if ridge is not None and not np.isfinite(ridge):
@@ -358,8 +366,8 @@ class EllipsoidSet:
         return self
 
     def _init(self, mu, lam: float, factor: np.ndarray, ridge: float) -> None:
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lambda must be nonnegative and finite: {lam!r}")
         for name, value in (("mu", mu), ("lam", lam), ("factor", factor), ("ridge", ridge)):
             object.__setattr__(self, name, value)
 
@@ -460,7 +468,7 @@ def build_set(
     if set_type == "budgeted":
         if gamma is None:
             raise ValueError("budgeted set requires gamma")
-        return BudgetedSet.from_data(data, lam, gamma=int(gamma))
+        return BudgetedSet.from_data(data, lam, gamma=gamma)
 
     mu = data.mean
     if set_type == "hull":

@@ -11,15 +11,21 @@ from robustmix import (
     Graph,
     InfeasibleError,
     Instance,
+    Mixture,
     OracleCosts,
     ParseError,
+    ScenarioMatrix,
+    build_set,
     check_costs,
+    evaluate_wrp,
     gen_synthetic,
     graph_to_text,
     nominal_solve,
     nominal_values,
     parse_graph,
     sample_st_pairs,
+    solve_interval_mix,
+    split_scenarios,
 )
 from robustmix import instances
 from robustmix.instances import (
@@ -110,21 +116,6 @@ class TestInstanceMemos:
     def test_selection_needs_p_in_range(self, n, p):
         with pytest.raises(ValueError, match="0 < p <= n"):
             Instance.selection(n, p)
-
-    @pytest.mark.parametrize("selection", [False, True], ids=["spath", "selection"])
-    def test_vectors_made_once_per_path(self, diamond, selection):
-        inst = Instance.selection(5, 2) if selection else Instance.spath(diamond, 0, 3)
-        costs = np.arange(1.0, inst.n + 1.0)
-        path = nominal_solve(inst, costs).path
-        x, vector = inst.vectors(path)
-        assert x == nominal_solve(inst, costs).x
-        assert vector.tobytes() == np.asarray(x, dtype=float).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            vector[0] = 1.0
-        again = inst.vectors(tuple(path))
-        assert again[0] is x and again[1] is vector
-        other = nominal_solve(inst, costs[::-1].copy()).path
-        assert other != path and inst.vectors(other)[0] != x
 
 
 class TestParseGraph:
@@ -353,6 +344,26 @@ class TestForcedArcOracle:
     def test_zero_cost_tie_on_acyclic_graph(self):
         inst = Instance.spath(Graph(3, ZERO_TIE_ARCS), 0, 2)
         assert nominal_solve(inst, ZERO_TIE_COSTS).items == (0, 2)
+
+    def test_tie_in_dot_product_breaks_by_accumulated_sum(self):
+        """Two paths equal in `c @ x` and in objective, bit for bit, can
+        differ as the oracle sums them arc by arc; the smaller accumulated
+        sum wins, and only an equal one goes to the smaller item set."""
+        graph, data = gen_synthetic(4, 3, 25, "mult", 1188)
+        data = ScenarioMatrix(np.round(data.costs))
+        data = data.subset(split_scenarios(data.K, 0.75, seed=1188).train_idx)
+        inst = Instance.spath(graph, 4, 11)
+        first, second = (7, 9, 11, 13), (7, 10, 15, 16)  # both in path order
+        for weight, chosen in [(0.10744824104005937, second), (1.0, first)]:
+            mix = Mixture([(weight, build_set(data, "interval", 1.0))])
+            costs = mix.bound_costs
+            xs = [np.eye(inst.n)[list(path)].sum(axis=0) for path in (first, second)]
+            assert len({(costs @ x).hex() for x in xs}) == 1
+            assert len({evaluate_wrp(mix, x).hex() for x in xs}) == 1
+            sums = [sum(costs[list(path)].tolist()) for path in (first, second)]
+            assert (sums[1] < sums[0]) == (chosen == second)
+            assert nominal_solve(inst, costs).items == chosen
+            assert solve_interval_mix(inst, mix).solution.items == chosen
 
     def test_dijkstra_only_on_cyclic_graphs(self, monkeypatch, diamond_inst, rng):
         class DijkstraCalled(Exception):

@@ -314,7 +314,7 @@ class TestPairRecord:
             _, report, solved = self.answer(skewed, record, (1.0, lam))
             assert report.oracle_calls == 1 and report.solution.x == solved.solution.x
             assert record[0] == t_after
-        xs = [x for x, _ in record[1]]
+        xs = record[1]
         assert xs == [
             self.answer(skewed, ([], []), (1.0, t))[2].solution.x for t in record[0]
         ]

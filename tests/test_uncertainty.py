@@ -240,6 +240,8 @@ class TestBuiltBoxes:
         for gamma in (-1, 3):
             with pytest.raises(ValueError, match="gamma must lie"):
                 build_set(TWO_ROWS, "budgeted", 0.5, gamma=gamma)
+        with pytest.raises(ValueError, match="must be an integer"):  # not cut to 1
+            build_set(TWO_ROWS, "budgeted", 0.5, gamma=1.5)
 
     @pytest.mark.parametrize("lam", [-0.5, float("nan"), float("inf")])
     def test_from_data_rejects_bad_lambda(self, lam):
@@ -264,6 +266,28 @@ class TestBuiltBoxes:
         assert box.lo is not lo and box.hi is not hi  # writable inputs are copied
         lo[0] = 5.0
         assert box.lo[0] == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.5, 1.0, "1", None])
+    def test_gamma_must_be_an_integer(self, gamma):
+        """A fractional gamma used to pass and then break support/member."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            BudgetedSet(np.zeros(2), np.ones(2), gamma)
+        with pytest.raises(ValueError, match="must be an integer"):
+            BudgetedSet.from_data(TWO_ROWS, 0.5, gamma=gamma)
+
+    def test_numpy_integer_gamma_accepted(self):
+        box = BudgetedSet(np.zeros(2), np.array([1.0, 3.0]), np.int64(1))
+        assert box.support(np.ones(2)) == 3.0
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+def test_ellipsoid_rejects_bad_lambda(lam):
+    """A NaN or infinite lambda used to pass and give a NaN or infinite
+    support."""
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        EllipsoidSet(np.ones(3), np.eye(3), lam)
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        EllipsoidSet.from_data(TWO_ROWS, lam)
 
 
 @pytest.mark.parametrize(
