@@ -92,12 +92,10 @@ def score(
     alpha: float = ALPHA,
 ) -> Metrics:
     """Avg/Max/CVaR averaged over the solutions' scenario cost pools.
-    Raises ValueError on no solutions, no scenarios, a solution of
-    another length or an alpha outside (0, 1]."""
+    Raises ValueError on no solutions, a solution of another length or
+    an alpha outside (0, 1]."""
     if not solutions:
         raise ValueError("need at least one solution to score")
-    if scenarios.K < 1:
-        raise ValueError("empty scenario pool")
     tail = tail_count(alpha, scenarios.K)
     triples = []
     for sol in solutions:

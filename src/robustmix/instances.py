@@ -302,11 +302,18 @@ class Solution:
     the order found, kept as `path`, and builds x on first read;
     `Solution.priced_on_read(x, price)` computes the value as `price()`
     on first read, so a value need not be known when the solution is
-    made.  Immutable, equal and hashed by (x, value)."""
+    made.  An x given as a list or numpy array is kept as the equal tuple
+    of ints, and raises ValueError unless every entry is 0 or 1.
+    Immutable, equal and hashed by (x, value)."""
 
     __slots__ = ("_value", "_price", "path", "_n", "_x")
 
     def __init__(self, x: tuple[int, ...] | None, value: float, path=None, n=None):
+        if x is not None and type(x) is not tuple:
+            entries = np.asarray(x).tolist()
+            if not isinstance(entries, list) or any(v not in (0, 1) for v in entries):
+                raise ValueError(f"solution x must be a vector of 0s and 1s: {x!r}")
+            x = tuple(map(int, entries))
         _assign(self, "_x", x)
         _assign(self, "_value", value)
         _assign(self, "_price", None)

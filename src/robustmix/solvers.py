@@ -285,21 +285,16 @@ def solve_bnb(
 
     rank = mix.branch_rank.__getitem__
     counter = itertools.count()
-    # (bound, tie counter, forced in, forced out, completion), where the
-    # completion is [its path, its branching order or None]; counters
-    # are unique, so entries compare by bound and counter alone
-    heap = []
-    pending = (root.value, next(counter), frozenset(), frozenset(), [root.path, None])
+    # every node, the root first, is popped from the heap: (bound, tie
+    # counter, forced in, forced out, completion), where the completion is
+    # [its path, its branching order or None]; unique counters make
+    # entries compare by bound and counter alone
+    heap = [(root.value, next(counter), frozenset(), frozenset(), [root.path, None])]
     nodes = 0
     complete = True
 
-    while pending or heap:
-        # the pending node (the root, then each include child) is expanded
-        # in place unless a queued node comes first: heappushpop returns
-        # it without touching the heap
-        node = heapq.heappushpop(heap, pending) if pending else heapq.heappop(heap)
-        bound, _, fin, fout, completion = node
-        pending = None
+    while heap:
+        bound, _, fin, fout, completion = heapq.heappop(heap)
         if bound >= search.obj - TOL:
             break  # best-first: every node left is pruned too
         if max_nodes is not None and nodes >= max_nodes:
@@ -320,7 +315,7 @@ def solve_bnb(
             continue  # completion is the unique member of this subspace
 
         # include child: completion stays optimal for the subspace
-        pending = (bound, next(counter), fin | {item}, fout, completion)
+        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, completion))
         # exclude child: re-complete without the item, unless no path can
         kept = exclude_forcing(inst, fin, path, item)
         if kept is None:

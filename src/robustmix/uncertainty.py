@@ -4,12 +4,12 @@ Five families: interval, budgeted (Gamma), convex hull, ellipsoid, and
 H-representation polyhedra, which are emission-only.  Each class defines
 `support(x)` (max over the set of c . x), a maximizing `member(x)`, the
 fixed `bound_member()` and the per-item `spread()`.  Every array a
-matrix, set or mixture holds is read-only and its own.  Builders scale
-around the scenario mean: lambda = 0 is the mean point, lambda = 1 the
-observed range for interval and hull sets, and an ellipsoid's lambda
-bounds (c - mu)' Sigma^-1 (c - mu).  Its support drops the side
-constraint c >= 0, so it is slightly conservative and its members may
-have negative entries.
+matrix, set or mixture holds is finite, read-only and its own.
+Builders scale around the scenario mean: lambda = 0 is the mean point,
+lambda = 1 the observed range for interval and hull sets, and an
+ellipsoid's lambda bounds (c - mu)' Sigma^-1 (c - mu).  Its support
+drops the side constraint c >= 0, so it is slightly conservative and
+its members may have negative entries.
 """
 
 from __future__ import annotations
@@ -40,11 +40,14 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _owned(values) -> np.ndarray:
+def _owned(values, name: str) -> np.ndarray:
     """`values` as a read-only float array that no caller can write to:
     a sealed array that owns its data is kept, anything else a caller
-    could write to is copied."""
+    could write to is copied.  Raises ValueError, naming the array,
+    unless every entry is finite."""
     arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     if not arr.flags.owndata or (arr is values and arr.flags.writeable):
         arr = arr.copy()
     return _sealed(arr)
@@ -53,16 +56,19 @@ def _owned(values) -> np.ndarray:
 @dataclass(frozen=True)
 class ScenarioMatrix:
     """K observed cost vectors over n items (K rows, n columns).  Raises
-    ValueError unless the costs are 2-D, finite and nonnegative."""
+    ValueError unless the costs are 2-D, finite and nonnegative, with
+    at least one row."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        costs = _owned(self.costs)
+        costs = _owned(self.costs, "scenario costs")
         if costs.ndim != 2:
             raise ValueError("scenario matrix must be 2-D")
-        if not np.all(np.isfinite(costs)) or np.any(costs < 0):
-            raise ValueError("scenario costs must be finite and nonnegative")
+        if costs.shape[0] == 0:
+            raise ValueError("empty scenario pool: no scenario rows")
+        if np.any(costs < 0):
+            raise ValueError("scenario costs must be nonnegative")
         object.__setattr__(self, "costs", costs)
 
     @property
@@ -78,22 +84,14 @@ class ScenarioMatrix:
         return _sealed(self.costs.mean(axis=0))
 
     @cached_property
-    def col_min(self) -> np.ndarray:
-        return _sealed(self.costs.min(axis=0))
-
-    @cached_property
-    def col_max(self) -> np.ndarray:
-        return _sealed(self.costs.max(axis=0))
-
-    @cached_property
     def spread_down(self) -> np.ndarray:
-        """mean - col_min: how far each column reaches below its mean."""
-        return _sealed(self.mean - self.col_min)
+        """How far each column's mean lies above its minimum."""
+        return _sealed(self.mean - self.costs.min(axis=0))
 
     @cached_property
     def spread_up(self) -> np.ndarray:
-        """col_max - mean: how far each column reaches above its mean."""
-        return _sealed(self.col_max - self.mean)
+        """How far each column's maximum lies above its mean."""
+        return _sealed(self.costs.max(axis=0) - self.mean)
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -159,21 +157,22 @@ class ScenarioMatrix:
 @dataclass(frozen=True)
 class _Box:
     """Componentwise bounds lo <= hi, shared by the interval and budgeted
-    families.  Raises ValueError unless lo and hi are 1-D vectors of one
-    length with lo <= hi + 1e-12."""
+    families.  Raises ValueError unless lo and hi are finite 1-D vectors
+    of one length with lo <= hi + 1e-12."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _owned(self.lo)
-        hi = _owned(self.hi)
+        lo = _owned(self.lo, "lo")
+        hi = _owned(self.hi, "hi")
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lo/hi must be 1-D vectors of equal length")
         if np.any(lo > hi + 1e-12):
             raise ValueError(f"{self.name} set requires lo <= hi componentwise")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        self._check_fields()
 
     @classmethod
     def from_data(cls, data: ScenarioMatrix, lam: float, **fields):
@@ -228,10 +227,6 @@ class BudgetedSet(_Box):
     gamma: int
     name = "budgeted"
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._check_fields()
-
     def _check_fields(self) -> None:
         try:
             operator.index(self.gamma)
@@ -272,7 +267,7 @@ class HullSet:
     name = "hull"
 
     def __post_init__(self):
-        points = _owned(self.points)
+        points = _owned(self.points, "hull points")
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("hull needs at least one point")
         object.__setattr__(self, "points", points)
@@ -292,13 +287,9 @@ class HullSet:
         # argmax keeps the lowest index on ties
         return self.points[int(np.argmax(self.points.dot(x)))]
 
-    @cached_property
-    def _center(self) -> np.ndarray:
-        return _sealed(self.points.mean(axis=0))
-
     def bound_member(self) -> np.ndarray:
         """The centre: the mean of the points."""
-        return self._center
+        return self.points.mean(axis=0)
 
     def spread(self) -> np.ndarray:
         return _sealed(self.points.max(axis=0) - self.points.min(axis=0))
@@ -317,8 +308,8 @@ def _check_psd(smallest: float) -> None:
 class EllipsoidSet:
     """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, Sigma = F' F + ridge I
     for a read-only factor F.  `EllipsoidSet(mu, sigma, lam)` raises
-    ValueError unless lam >= 0 is finite and sigma is an n x n finite
-    matrix, symmetric within 1e-9 and PSD (smallest eigenvalue at least
+    ValueError unless lam >= 0 and mu are finite and sigma is an n x n
+    finite matrix, symmetric within 1e-9 and PSD (smallest eigenvalue at least
     -1e-9)."""
 
     mu: np.ndarray
@@ -328,7 +319,7 @@ class EllipsoidSet:
     name = "ellipsoid"
 
     def __init__(self, mu, sigma, lam: float):
-        mu = _owned(mu)
+        mu = _owned(mu, "mu")
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("sigma must be n x n")
@@ -419,8 +410,8 @@ class PolyhedronSet:
     name = "polyhedron"
 
     def __post_init__(self):
-        V = _owned(self.V)
-        d = _owned(self.d)
+        V = _owned(self.V, "V")
+        d = _owned(self.d, "d")
         if V.ndim != 2 or d.shape != (V.shape[0],):
             raise ValueError("V must be m x n and d length m")
         object.__setattr__(self, "V", V)
@@ -574,17 +565,13 @@ class Mixture:
         return check_costs(self.bound_costs, self.n)
 
     @cached_property
-    def branch_spread(self) -> np.ndarray:
-        """The weighted sum of each set's per-item `spread()` between
-        worst case and bound member; branch-and-bound branches on it."""
-        return _sealed(self.weighted_sum("spread"))
-
-    @cached_property
     def branch_rank(self) -> tuple[int, ...]:
         """Each item's place in branch-and-bound's branching order: the
-        largest `branch_spread` first, then the smaller index."""
+        largest weighted sum of each set's per-item `spread()` between
+        worst case and bound member first, then the smaller index."""
+        order = np.argsort(-self.weighted_sum("spread"), kind="stable")
         rank = np.empty(self.n, dtype=np.intp)
-        rank[np.argsort(-self.branch_spread, kind="stable")] = np.arange(self.n)
+        rank[order] = np.arange(self.n)
         return tuple(rank.tolist())
 
 

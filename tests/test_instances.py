@@ -24,6 +24,7 @@ from robustmix import (
     nominal_values,
     parse_graph,
     sample_st_pairs,
+    score,
     solve_interval_mix,
     split_scenarios,
 )
@@ -1061,6 +1062,30 @@ class TestSolution:
                 assert list(sol.path) == path_order(inst.graph, sol.path)
         assert Solution((1, 0), 1.0) != Solution((0, 1), 1.0)
         assert Solution((1, 0), 1.0) != Solution((1, 0), 2.0)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[1, 0, 1], np.array([1, 0, 1]), np.array([1, 0, 1], dtype=np.int8),
+         np.array([True, False, True])],
+        ids=["list", "int64", "int8", "bool"],
+    )
+    def test_x_given_as_list_or_array_is_the_equal_tuple(self, x):
+        """A list or numpy array x is kept as the equal tuple of ints; an
+        int64 array used to be read byte by byte, as 24 entries."""
+        sol, same = Solution(x, 2.0), Solution((1, 0, 1), 2.0)
+        assert sol.x == (1, 0, 1) and all(type(v) is int for v in sol.x)
+        assert sol.as_array().tolist() == [1.0, 0.0, 1.0]
+        assert sol.items == (0, 2)
+        assert sol == same and hash(sol) == hash(same)
+        data = ScenarioMatrix(np.arange(12.0).reshape(4, 3))
+        assert score([sol], data) == score([same], data)
+
+    @pytest.mark.parametrize(
+        "x", [[1, 2, 0], np.array([0.5, 0.0, 1.0])], ids=["two", "half"]
+    )
+    def test_x_entries_other_than_0_or_1_rejected(self, x):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            Solution(x, 1.0)
 
     def test_x_is_built_when_first_read(self):
         sol = Solution(None, 2.0, (3, 1), 5)

@@ -1,8 +1,9 @@
 """The README's references to the package resolve, and its command-line
-block runs only subcommands and flags the CLI parser accepts.
+block parses and runs through the CLI.
 
-The CI workflow runs the `## Command line` sh block; these checks catch
-a README edit that would break that step without running it.
+The CI workflow runs the `## Command line` sh block through the
+installed script; these checks run the same block in-process, so a
+README edit that would break that step fails here first.
 """
 
 import re
@@ -68,20 +69,39 @@ def command_line_block(text: str) -> list[str]:
     return lines
 
 
-def robustmix_commands(block: list[str]) -> list[list[str]]:
-    """Each `robustmix ...` command of the block as its argv, with
-    backslash continuations joined."""
-    commands, pending = [], ""
+_HEREDOC = re.compile(r"cat > (\S+) <<'EOF'")
+
+
+def shell_steps(block: list[str]) -> list[tuple]:
+    """The block's steps in order, with backslash continuations joined:
+    ("write", name, text) for each `cat > NAME <<'EOF'` heredoc,
+    ("run", argv) for each `robustmix ...` command, argv without the
+    program name, and ("other", line) for any other line that is not
+    blank or a comment."""
+    steps, pending, heredoc = [], "", None
     for line in block:
+        if heredoc is not None:
+            if line == "EOF":
+                steps.append(("write", heredoc[0], "".join(heredoc[1])))
+                heredoc = None
+            else:
+                heredoc[1].append(line + "\n")
+            continue
         pending += line
         if pending.endswith("\\"):
             pending = pending[:-1]
             continue
-        argv = shlex.split(pending, comments=True)
-        if argv and argv[0] == "robustmix":
-            commands.append(argv[1:])
-        pending = ""
-    return commands
+        line, pending = pending, ""
+        match = _HEREDOC.fullmatch(line)
+        argv = shlex.split(line, comments=True)
+        if match:
+            heredoc = (match.group(1), [])
+        elif argv and argv[0] == "robustmix":
+            steps.append(("run", argv[1:]))
+        elif argv:
+            steps.append(("other", line))
+    assert heredoc is None and not pending, "unterminated heredoc or continuation"
+    return steps
 
 
 def test_readme_package_names_resolve():
@@ -99,7 +119,7 @@ def test_package_names_skip_files_flags_and_keys():
 def test_command_line_block_uses_parser_subcommands():
     block = command_line_block(README)
     assert any(line.strip() for line in block)
-    commands = robustmix_commands(block)
+    commands = [step[1] for step in shell_steps(block) if step[0] == "run"]
     assert commands
     parser = cli.build_parser()
     (sub,) = [action for action in parser._actions if action.dest == "command"]
@@ -109,3 +129,19 @@ def test_command_line_block_uses_parser_subcommands():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    """The block, run in a temporary directory: each heredoc is written
+    to its file and each `robustmix` command must exit 0 through
+    `cli.main`; any other shell line fails the test."""
+    monkeypatch.chdir(tmp_path)
+    steps = shell_steps(command_line_block(README))
+    assert any(step[0] == "run" for step in steps)
+    for step in steps:
+        if step[0] == "write":
+            Path(step[1]).write_text(step[2], encoding="utf-8", newline="\n")
+        elif step[0] == "run":
+            assert cli.main(step[1]) == 0, shlex.join(step[1])
+        else:
+            pytest.fail(f"README shell line not run in-process: {step[1]}")

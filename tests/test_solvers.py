@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import math
 import time
@@ -651,8 +650,7 @@ class TestBnb:
 
     def test_caps_stop_every_expansion(self):
         """A node cap stops the 8x8 corner proof after exactly that many
-        expansions, popped or expanded in place; no time stops it right
-        after the root."""
+        expansions; no time stops it right after the root."""
         inst, mix = corner_to_corner(8, README_MIX)
         for k in range(0, 277, 7):
             report = solve_bnb(inst, mix, max_nodes=k)
@@ -890,8 +888,8 @@ class TestBnbNodeLoop:
         assert len(skipped) > 100
 
     # sweep case: (nodes, oracle calls, items, item branched on at each
-    # expansion), all as the node loop gave them before include children
-    # were expanded in place
+    # expansion), pinned from an earlier node loop that, like this one,
+    # popped every node from its heap
     ORDER_RULE_CASES = {
         23: (57, 42, (0, 1, 3, 4), [
             2, 0, 0, 1, 1, 1, 3, 3, 3, 3, 4, 4, 4, 5, 5, 5, 4, 5, 5, 5,
@@ -906,35 +904,20 @@ class TestBnbNodeLoop:
     def test_include_child_behind_an_equal_bound_node_is_queued(
         self, monkeypatch, case
     ):
-        """An include child is expanded next without a heap round trip
-        only when no queued node comes first.  In these tie-heavy cases
-        a node with the same bound and a smaller tie counter is queued
-        when some include child is made, so that child is pushed; the
-        expansions keep their order, and nodes, calls and x are
-        unchanged."""
+        """An include child goes on the heap like every other node, so
+        in these tie-heavy cases it waits behind queued nodes with the
+        same bound and a smaller tie counter; nodes, calls, items and
+        the order in which items are branched on keep their pins."""
         nodes, calls, items, branched = self.ORDER_RULE_CASES[case]
-        outcomes = []
-
-        def recording(heap, entry):
-            node = heapq_pushpop(heap, entry)
-            outcomes.append(
-                "in place" if node is entry
-                else "queued" if node[:2] < entry[:2] and node[0] == entry[0]
-                else "behind a smaller bound"
-            )
-            return node
 
         def asking(inst, forced_in, completion, arc):
             order.append(arc)
             return exclude_forcing(inst, forced_in, completion, arc)
 
         order = []
-        heapq_pushpop = heapq.heappushpop
-        monkeypatch.setattr(heapq, "heappushpop", recording)
         monkeypatch.setattr(solvers, "exclude_forcing", asking)
         inst, mix = list(bnb_sweep_cases(np.random.default_rng(20261018), 60))[case]
         report = solve_bnb(inst, mix)
-        assert "queued" in outcomes and "in place" in outcomes
         assert (report.nodes_explored, report.oracle_calls) == (nodes, calls)
         assert report.solution.items == items
         assert order == branched

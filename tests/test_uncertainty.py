@@ -110,6 +110,14 @@ class TestScenarioMatrix:
         sub = TWO_ROWS.subset([1])
         assert np.array_equal(sub.costs, [[2.0, 4.0]])
 
+    def test_empty_pool_rejected(self):
+        """A matrix without rows used to build, and `build_set` then
+        failed inside numpy."""
+        with pytest.raises(ValueError, match="empty scenario pool"):
+            ScenarioMatrix(np.empty((0, 3)))
+        with pytest.raises(ValueError, match="empty scenario pool"):
+            TWO_ROWS.subset([])
+
 
 class TestBuildSet:
     def test_interval_full_range(self):
@@ -229,8 +237,8 @@ class TestBuiltBoxes:
         first = build_set(data, "interval", 0.5)
         second = build_set(data, "budgeted", 0.25, gamma=2)
         assert data.spread_down is data.spread_down and data.spread_up is data.spread_up
-        assert np.array_equal(data.spread_down, data.mean - data.col_min)
-        assert np.array_equal(data.spread_up, data.col_max - data.mean)
+        assert np.array_equal(data.spread_down, data.mean - data.costs.min(axis=0))
+        assert np.array_equal(data.spread_up, data.costs.max(axis=0) - data.mean)
         for arr in (first.lo, first.hi, second.lo, second.hi, second.deviations,
                     data.spread_down, data.spread_up):
             with pytest.raises(ValueError, match="read-only"):
@@ -306,6 +314,27 @@ def test_ellipsoid_rejects_bad_lambda(lam):
 )
 def test_constructor_checks(make, message):
     with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: ScenarioMatrix(np.array([[1.0, np.nan]])), "scenario costs"),
+        (lambda: IntervalSet(np.array([np.nan]), np.array([1.0])), "lo"),
+        (lambda: BudgetedSet(np.array([0.0, 0.0]), np.array([1.0, np.inf]), 1), "hi"),
+        (lambda: HullSet(np.array([[np.inf, 1.0]])), "hull points"),
+        (lambda: EllipsoidSet(np.array([np.nan, 0.0]), np.eye(2), 1.0), "mu"),
+        (lambda: PolyhedronSet(np.array([[np.nan]]), np.array([1.0])), "V"),
+        (lambda: PolyhedronSet(np.eye(1), np.array([-np.inf])), "d"),
+    ],
+    ids=["scenarios", "interval", "budgeted", "hull", "ellipsoid", "polyhedron-V",
+         "polyhedron-d"],
+)
+def test_constructors_reject_non_finite_entries(make, name):
+    """Every direct constructor used to accept NaN and infinite entries;
+    a one-hull mixture with an infinite point then priced x at inf."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         make()
 
 
@@ -508,7 +537,7 @@ class TestFactorForm:
         for _, ell in mix.components:
             for evaluate in (ell.support, ell.member):
                 evaluate(x)
-        assert mix.branch_spread.shape == mix.bound_costs.shape == (9,)  # spreads, members
+        assert len(mix.branch_rank) == mix.bound_costs.shape[0] == 9  # spreads, members
         assert all("sigma" not in vars(ell) for _, ell in mix.components)
 
 
@@ -779,8 +808,6 @@ class TestMemos:
                 assert np.array_equal(built.mu, costs.mean(axis=0))
                 sigma = fresh_covariance(costs, kw.get("ridge"))
                 assert_within_1e12(built.sigma, sigma)
-        assert np.array_equal(data.col_min, costs.min(axis=0))
-        assert np.array_equal(data.col_max, costs.max(axis=0))
 
     @pytest.mark.parametrize("ridge", [None, 0.25, 0.0, -0.0, -1e-12])
     def test_covariance_is_bit_identical_to_adding_ridge_times_identity(self, rng, ridge):
@@ -837,7 +864,6 @@ class TestMemos:
             spread += weight * uset.spread()
         assert np.array_equal(mix.bound_costs, bound)
         assert mix.checked_bound_costs.values == tuple(bound.tolist())
-        assert np.array_equal(mix.branch_spread, spread)
         order = sorted(range(4), key=lambda i: (-spread[i], i))
         assert mix.branch_rank == tuple(order.index(i) for i in range(4))
         assert mix.types == {"interval", "budgeted", "hull", "ellipsoid"}
@@ -902,10 +928,9 @@ class TestMemos:
         ell = build_set(data, "ellipsoid", 2.0)
         mix = Mixture(((1.0, hull), (1.0, budgeted), (1.0, ell)))
         arrays = [
-            data.costs, data.mean, data.col_min, data.col_max, data.factor,
-            hull.points, hull.bound_member(), hull.spread(), budgeted.lo,
-            budgeted.deviations, ell.mu, ell.sigma, ell.spread(),
-            mix.bound_costs, mix.branch_spread,
+            data.costs, data.mean, data.spread_down, data.spread_up, data.factor,
+            hull.points, hull.spread(), budgeted.lo, budgeted.deviations,
+            ell.mu, ell.sigma, ell.spread(), mix.bound_costs,
         ]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
