@@ -15,7 +15,6 @@ its members may have negative entries.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import operator
@@ -57,7 +56,7 @@ def _owned(values, name: str) -> np.ndarray:
 class ScenarioMatrix:
     """K observed cost vectors over n items (K rows, n columns).  Raises
     ValueError unless the costs are 2-D, finite and nonnegative, with
-    at least one row."""
+    at least one row and one column."""
 
     costs: np.ndarray
 
@@ -67,6 +66,8 @@ class ScenarioMatrix:
             raise ValueError("scenario matrix must be 2-D")
         if costs.shape[0] == 0:
             raise ValueError("empty scenario pool: no scenario rows")
+        if costs.shape[1] == 0:
+            raise ValueError("scenario matrix has no columns")
         if np.any(costs < 0):
             raise ValueError("scenario costs must be nonnegative")
         object.__setattr__(self, "costs", costs)
@@ -143,15 +144,75 @@ class ScenarioMatrix:
 
     def to_csv(self) -> str:
         """The CSV `from_csv` reads: the header, then one line per scenario
-        with each cost as `f"{v:.6f}"`."""
-        buf = io.StringIO()
-        buf.write(",".join(f"arc_{i}" for i in range(self.n)))
-        row_format = ",".join(["%.6f"] * self.n)
-        for row in self.costs:
-            buf.write("\n")
-            buf.write(row_format % tuple(row.tolist()))
-        buf.write("\n")
-        return buf.getvalue()
+        with each cost as `f"{v:.6f}"`.  Rows go out in blocks of about
+        CSV_BLOCK_ENTRIES costs, each formatted by numpy unless it holds a
+        cost of 2**33 or more or a -0.0; such a block takes `%.6f`."""
+        parts = [",".join(f"arc_{i}" for i in range(self.n)), "\n"]
+        row_format = ",".join(["%.6f"] * self.n) + "\n"
+        step = max(1, CSV_BLOCK_ENTRIES // self.n)
+        for start in range(0, self.K, step):
+            block = self.costs[start:start + step]
+            if (block >= _EXACT_BELOW).any() or np.signbit(block).any():
+                parts.extend(row_format % tuple(row) for row in block.tolist())
+            else:
+                parts.append(_csv_lines(block))
+        return "".join(parts)
+
+
+# ScenarioMatrix.to_csv formats this many costs per numpy block.  Its
+# temporaries grow with the block, so the block size bounds the memory
+# the writer adds to a large matrix.
+CSV_BLOCK_ENTRIES = 16384
+# Below 2**33 a cost times 10**6 stays below 2**53, so `_micros` is exact.
+_EXACT_BELOW = 2.0**33
+_VELTKAMP = 2.0**27 + 1.0
+
+
+def _micros(v: np.ndarray) -> np.ndarray:
+    """round(v * 10**6) of the exact product, half to even, as int64, for
+    0 <= v < 2**33.  The float product p rounds like the exact one except
+    where p is itself half an integer; there the sign of its Dekker
+    two-product error decides (10**6 needs no split: its low part is 0)."""
+    p = v * 1e6
+    units = np.rint(p)
+    ties = np.flatnonzero(np.abs(p - units) == 0.5)
+    if ties.size:
+        t, pt = v[ties], p[ties]
+        c = t * _VELTKAMP
+        hi = c - (c - t)
+        err = (hi * 1e6 - pt) + (t - hi) * 1e6  # the exact v * 10**6 - p
+        units[ties] = np.where(err > 0, np.ceil(pt), np.where(err < 0, np.floor(pt), units[ties]))
+    return units.astype(np.int64)
+
+
+def _put_digits(cols: np.ndarray, values: np.ndarray, keep_zeros: bool):
+    """Write `values` in decimal, right-aligned, into the uint8 columns
+    `cols`, which are wide enough.  Unless `keep_zeros`, a leading zero
+    (any but the last column) becomes a NUL byte."""
+    for j in range(cols.shape[1] - 1, -1, -1):
+        rest = values // 10
+        digit = (values - rest * 10).astype(np.uint8) + ord("0")
+        if not keep_zeros and j < cols.shape[1] - 1:
+            digit[values == 0] = 0
+        cols[:, j] = digit
+        values = rest
+
+
+def _csv_lines(block: np.ndarray) -> str:
+    """The rows of `block` as CSV lines with each cost as `f"{v:.6f}"`,
+    for costs in [0, 2**33) and no -0.0: each cost is written into a
+    fixed-width byte row padded with NUL bytes, which are then dropped."""
+    micros = _micros(block.ravel())
+    whole = micros // 1000000
+    width = len(str(int(whole.max())))
+    text = np.empty((micros.size, width + 8), np.uint8)
+    _put_digits(text[:, :width], whole, False)
+    text[:, width] = ord(".")
+    # uint32 divides by 10 faster than int64.
+    _put_digits(text[:, width + 1:-1], (micros - whole * 1000000).astype(np.uint32), True)
+    text[:, -1] = ord(",")
+    text.reshape(*block.shape, -1)[:, -1, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 @dataclass(frozen=True)

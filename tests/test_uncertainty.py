@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from robustmix import (
     build_set,
     worst_case,
 )
-from robustmix import uncertainty
+from robustmix import cli, uncertainty
 from robustmix.instances import gen_synthetic
 from robustmix.tuning import baseline_lambdas
 from robustmix.uncertainty import mixture_spec_from_json, mixture_spec_to_json
@@ -117,6 +118,12 @@ class TestScenarioMatrix:
             ScenarioMatrix(np.empty((0, 3)))
         with pytest.raises(ValueError, match="empty scenario pool"):
             TWO_ROWS.subset([])
+
+    def test_no_columns_rejected(self):
+        """A matrix without columns used to build; its CSV did not parse
+        back, and an ellipsoid built on it divided by n = 0."""
+        with pytest.raises(ValueError, match="no columns"):
+            ScenarioMatrix(np.empty((3, 0)))
 
 
 class TestBuildSet:
@@ -740,6 +747,30 @@ ROUNDING_BOUNDARIES = np.concatenate([
 ]).reshape(4, -1)
 
 
+# Matrices with every cost in [0, 2**33) and no -0.0, which to_csv
+# formats in numpy blocks: halfway points of the sixth decimal up to
+# 8e9, each in a row with its two float neighbours, odd multiples of
+# powers of two, which include exact ties such as 1/128 = 0.0078125,
+# and integer parts of 1 to 10 digits in one block.
+_K = np.unique(np.concatenate([np.arange(2000), np.geomspace(2e3, 8e15, 3000).astype(np.int64)]))
+_NUMPY_HALVES = (_K + 0.5) / 1e6
+NUMPY_PATH_CASES = {
+    "halves": np.column_stack([
+        _NUMPY_HALVES, np.nextafter(_NUMPY_HALVES, np.inf), np.nextafter(_NUMPY_HALVES, 0),
+    ]),
+    "binary_ties": np.concatenate([
+        np.arange(1, 400, 2)[:, None] * 2.0 ** -np.arange(30),
+        (2.0**33 - np.arange(1, 41, 2))[:, None] * 2.0 ** -np.arange(30),
+    ]),
+    "zeros": np.zeros((3, 4)),
+    "widths": np.array([
+        [3.25, 8589934591.999999, 1234567890.5, 0.0000005],
+        [0.0, 9.9999995, 999999999.9999995, 8589934591.9999995],
+    ]),
+    "one_column": _NUMPY_HALVES[::50, None],
+}
+
+
 class TestToCsv:
     @pytest.mark.parametrize(
         "costs",
@@ -747,6 +778,7 @@ class TestToCsv:
             [[-0.0, 1e-7, 1e300], [0.0, 2.5, 123456.789]],
             [[1e-7], [-0.0], [1e300], [3.25]],
             [[0.1234565, 7.0, 5e-7, 0.0000005]],
+            [[0.5, 8589934591.999999, 9142274164.626755]],
             ROUNDING_BOUNDARIES,
         ],
     )
@@ -754,9 +786,42 @@ class TestToCsv:
         costs = np.array(costs)
         assert ScenarioMatrix(costs).to_csv() == csv_writer_text(costs)
 
+    @pytest.mark.parametrize("name", NUMPY_PATH_CASES)
+    def test_numpy_blocks_equal_csv_writer(self, name):
+        costs = NUMPY_PATH_CASES[name]
+        step = max(1, uncertainty.CSV_BLOCK_ENTRIES // costs.shape[1])
+        with mock.patch.object(uncertainty, "_csv_lines", wraps=uncertainty._csv_lines) as spy:
+            text = ScenarioMatrix(costs).to_csv()
+        assert spy.call_count == -(-costs.shape[0] // step)
+        assert text.split("\n") == csv_writer_text(costs).split("\n")
+
+    def test_late_blocks_fall_back_to_percent_format(self, rng):
+        """Blocks of CSV_BLOCK_ENTRIES // n rows: the first two go through
+        numpy, the third, holding -0.0, and the last, holding 1e300,
+        through `%.6f`."""
+        step = uncertainty.CSV_BLOCK_ENTRIES // 7
+        shape = (3 * step + 2, 7)
+        costs = rng.uniform(0, 100, shape) * 10.0 ** rng.integers(-7, 8, shape)
+        costs[2 * step + 1, 5], costs[-1, 2] = -0.0, 1e300
+        with mock.patch.object(uncertainty, "_csv_lines", wraps=uncertainty._csv_lines) as spy:
+            text = ScenarioMatrix(costs).to_csv()
+        assert spy.call_count == 2
+        assert text.split("\n") == csv_writer_text(costs).split("\n")
+
     def test_generated_matrix(self):
         _, data = gen_synthetic(4, 3, 9, "two_block", seed=3)
         assert data.to_csv() == csv_writer_text(data.costs)
+
+    def test_gen_writes_the_paper_scale_csv(self, tmp_path):
+        """`robustmix gen` at paper scale: 271 scenarios over 1012 arcs."""
+        out = tmp_path / "s.csv"
+        assert cli.main([
+            "gen", "--width", "23", "--height", "23", "--scenarios", "271",
+            "--noise", "two_block", "--seed", "1",
+            "--out-graph", str(tmp_path / "g.txt"), "--out-scenarios", str(out),
+        ]) == 0
+        costs = gen_synthetic(23, 23, 271, "two_block", 1)[1].costs
+        assert out.read_bytes().split(b"\n") == csv_writer_text(costs).encode("ascii").split(b"\n")
 
 
 def fresh_interval_bounds(costs, lam):
