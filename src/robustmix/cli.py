@@ -21,6 +21,8 @@ import sys
 import time
 from dataclasses import astuple
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     CapExceededError,
@@ -460,7 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else 0
     try:
-        code, outputs = args.func(args)
+        # an overflow is reported as the ValueError that rejects its result
+        with np.errstate(over="ignore"):
+            code, outputs = args.func(args)
         _write_manifest(args, argv, outputs, started)
         return code
     except (ParseError, UnsupportedError, ValueError) as exc:

@@ -92,8 +92,8 @@ def score(
     alpha: float = ALPHA,
 ) -> Metrics:
     """Avg/Max/CVaR averaged over the solutions' scenario cost pools.
-    Raises ValueError on no solutions, a solution of another length or
-    an alpha outside (0, 1]."""
+    Raises ValueError on no solutions, a solution of another length, an
+    alpha outside (0, 1] or a metric that overflows."""
     if not solutions:
         raise ValueError("need at least one solution to score")
     tail = tail_count(alpha, scenarios.K)
@@ -103,7 +103,10 @@ def score(
         if x.shape[0] != scenarios.n:
             raise ValueError("solution length does not match scenario columns")
         triples.append(pair_metrics(x, scenarios.costs, tail))
-    return mean_metrics(triples)
+    metrics = mean_metrics(triples)
+    if not all(map(math.isfinite, (metrics.avg, metrics.max, metrics.cvar))):
+        raise ValueError(f"the metrics overflow: {metrics.format_line()}")
+    return metrics
 
 
 def scalarize(m: Metrics, w: tuple[float, float, float]) -> float:

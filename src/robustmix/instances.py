@@ -503,32 +503,37 @@ def _spath_branching(graph, costs, source, target, forced_in, forced_out):
     the graph size.  Tests use it as `_spath_acyclic`'s reference.
     Returns (cost, arcs) or None."""
     out = graph.out_arcs
-    best: list = [None]  # (cost, lexkey, arcs)
+    best = None  # (cost, lexkey, arcs)
+    used = set()  # the nodes of the path being extended
+    # per node of that path: (node, its arcs, cost, forced arcs left, out-arcs untried)
+    stack = []
 
-    def dfs(v, used_nodes, arcs, cost, fin_left):
-        if best[0] is not None and cost > best[0][0]:  # ties stay alive
+    def enter(v, arcs, cost, fin_left):
+        nonlocal best
+        if best is not None and cost > best[0]:  # ties stay alive
             return
         if v == target:
             if not fin_left:
                 cand = (cost, _lexkey(arcs), arcs)
-                if best[0] is None or cand[:2] < best[0][:2]:
-                    best[0] = cand
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
             return
-        for arc_idx, head in out[v]:
-            if arc_idx in forced_out or head in used_nodes:
-                continue
-            dfs(
-                head,
-                used_nodes | {head},
-                arcs + (arc_idx,),
-                cost + costs[arc_idx],
-                fin_left - {arc_idx},
-            )
+        used.add(v)
+        stack.append((v, arcs, cost, fin_left, iter(out[v])))
 
-    dfs(source, {source}, (), 0.0, set(forced_in))
-    if best[0] is None:
+    enter(source, (), 0.0, frozenset(forced_in))
+    while stack:
+        v, arcs, cost, fin_left, untried = stack[-1]
+        for arc_idx, head in untried:
+            if arc_idx not in forced_out and head not in used:
+                enter(head, arcs + (arc_idx,), cost + costs[arc_idx], fin_left - {arc_idx})
+                break
+        else:
+            stack.pop()
+            used.remove(v)
+    if best is None:
         return None
-    return best[0][0], best[0][2]
+    return best[0], best[2]
 
 
 _NO_ITEMS = frozenset()
@@ -632,7 +637,7 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
-    _check_finite(block)
+    _check_finite(block, inst.n)
     if inst.kind == "selection" or inst.graph.topological_order is None:
         return np.array(
             [nominal_solve(inst, block[:, j]).value for j in range(block.shape[1])]

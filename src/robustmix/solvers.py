@@ -62,11 +62,13 @@ class SolveReport:
 def evaluate_wrp(mix: Mixture, x) -> float:
     """The objective at x, a length-n array-like: the weighted sum of each
     set's `support(x)`, in component order.  Raises UnsupportedError on a
-    polyhedral component."""
+    polyhedral component and ValueError on an objective that overflows."""
     x = np.asarray(x, dtype=float)
     total = 0.0
     for weight, uset in mix.components:
         total += weight * uset.support(x)
+    if not math.isfinite(total):
+        raise ValueError(f"the objective {total} is not finite: the costs are too large")
     return total
 
 
@@ -286,15 +288,16 @@ def solve_bnb(
     rank = mix.branch_rank.__getitem__
     counter = itertools.count()
     # every node, the root first, is popped from the heap: (bound, tie
-    # counter, forced in, forced out, completion), where the completion is
-    # [its path, its branching order or None]; unique counters make
-    # entries compare by bound and counter alone
-    heap = [(root.value, next(counter), frozenset(), frozenset(), [root.path, None])]
+    # counter, forced in, forced out, completion path, its branching
+    # order: largest spread first, then the smaller index); unique
+    # counters make entries compare by bound and counter alone
+    order = sorted(root.path, key=rank)
+    heap = [(root.value, next(counter), frozenset(), frozenset(), root.path, order)]
     nodes = 0
     complete = True
 
     while heap:
-        bound, _, fin, fout, completion = heapq.heappop(heap)
+        bound, _, fin, fout, path, order = heapq.heappop(heap)
         if bound >= search.obj - TOL:
             break  # best-first: every node left is pruned too
         if max_nodes is not None and nodes >= max_nodes:
@@ -305,9 +308,6 @@ def solve_bnb(
             break
         nodes += 1
 
-        path, order = completion
-        if order is None:  # largest spread first, then the smaller index
-            order = completion[1] = sorted(path, key=rank)
         for item in order:
             if item not in fin:
                 break
@@ -315,7 +315,7 @@ def solve_bnb(
             continue  # completion is the unique member of this subspace
 
         # include child: completion stays optimal for the subspace
-        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, completion))
+        heapq.heappush(heap, (bound, next(counter), fin | {item}, fout, path, order))
         # exclude child: re-complete without the item, unless no path can
         kept = exclude_forcing(inst, fin, path, item)
         if kept is None:
@@ -333,9 +333,8 @@ def solve_bnb(
             continue
         search.offer(child.x)
         if child.value < search.obj - TOL:
-            heapq.heappush(
-                heap, (child.value, next(counter), fin, out, [child.path, None])
-            )
+            order = sorted(child.path, key=rank)
+            heapq.heappush(heap, (child.value, next(counter), fin, out, child.path, order))
     return search.report("bnb", complete, nodes_explored=nodes)
 
 

@@ -221,13 +221,8 @@ def tune(
     evals = 0
     generation = 0
 
-    @functools.cache
-    def cost_at(cfg_id: int, pairs_done: int) -> float:
-        return scalarize(mean_metrics(triples[cfg_id]), w)
-
     def cost(cfg_id: int) -> float:
-        # triples only grow, so their length names their contents
-        return cost_at(cfg_id, len(triples[cfg_id]))
+        return scalarize(mean_metrics(triples[cfg_id]), w)
 
     while evals < space.budget:
         n_g = min(P, 5 * (2**generation))

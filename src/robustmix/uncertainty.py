@@ -82,7 +82,11 @@ class ScenarioMatrix:
 
     @cached_property
     def mean(self) -> np.ndarray:
-        return _sealed(self.costs.mean(axis=0))
+        """The column means.  Raises ValueError on one that overflows."""
+        mean = self.costs.mean(axis=0)
+        if not np.isfinite(mean).all():
+            raise ValueError("scenario cost means overflow")
+        return _sealed(mean)
 
     @cached_property
     def spread_down(self) -> np.ndarray:
@@ -165,23 +169,17 @@ class ScenarioMatrix:
 CSV_BLOCK_ENTRIES = 16384
 # Below 2**33 a cost times 10**6 stays below 2**53, so `_micros` is exact.
 _EXACT_BELOW = 2.0**33
-_VELTKAMP = 2.0**27 + 1.0
 
 
 def _micros(v: np.ndarray) -> np.ndarray:
-    """round(v * 10**6) of the exact product, half to even, as int64, for
-    0 <= v < 2**33.  The float product p rounds like the exact one except
-    where p is itself half an integer; there the sign of its Dekker
-    two-product error decides (10**6 needs no split: its low part is 0)."""
+    """The digits of each `f"{v:.6f}"` without its point, as int64, for
+    0 <= v < 2**33: round(v * 10**6) of the exact product, half to even.
+    The float product p rounds like the exact one except where p is
+    itself half an integer; there `f"{v:.6f}"` gives the digits."""
     p = v * 1e6
     units = np.rint(p)
-    ties = np.flatnonzero(np.abs(p - units) == 0.5)
-    if ties.size:
-        t, pt = v[ties], p[ties]
-        c = t * _VELTKAMP
-        hi = c - (c - t)
-        err = (hi * 1e6 - pt) + (t - hi) * 1e6  # the exact v * 10**6 - p
-        units[ties] = np.where(err > 0, np.ceil(pt), np.where(err < 0, np.floor(pt), units[ties]))
+    for i in np.flatnonzero(np.abs(p - units) == 0.5).tolist():
+        units[i] = int(f"{v[i]:.6f}".replace(".", ""))
     return units.astype(np.int64)
 
 
@@ -400,14 +398,16 @@ class EllipsoidSet:
         """The ellipsoid at the data's mean with its sample covariance
         plus `ridge` times the identity (by default 1e-6 times the mean
         variance).  Raises ValueError on fewer than 2 scenarios, a
-        non-finite ridge, a negative one that leaves the sum not PSD, or
-        a lam that is negative or not finite."""
+        non-finite ridge (the default one overflows on huge costs), a
+        negative one that leaves the sum not PSD, or a lam that is
+        negative or not finite."""
         if data.K < 2:
             raise ValueError("ellipsoid requires at least 2 scenarios")
-        if ridge is not None and not np.isfinite(ridge):
-            raise ValueError(f"ridge {ridge!r} must be finite")
         factor = data.factor
         shift = data._default_ridge if ridge is None else float(ridge)
+        if not math.isfinite(shift):
+            what = "the default ridge" if ridge is None else f"ridge {ridge!r}"
+            raise ValueError(f"{what} must be finite")
         if shift < 0:
             smallest = 0.0  # the sample covariance is singular when K < n
             if data.K >= data.n:
@@ -550,25 +550,29 @@ class OracleCosts:
     nonnegative: bool
 
 
-def _check_finite(costs: np.ndarray) -> bool:
-    """Raise ValueError unless every cost is finite; return whether none
-    is negative."""
+def _check_finite(costs: np.ndarray, terms: int = 1) -> bool:
+    """Raise ValueError unless every cost is finite and so is `terms`
+    times the largest |cost|, which bounds every sum of that many of
+    them; return whether none is negative."""
     if costs.size == 0:
         return True
     lo, hi = float(costs.min()), float(costs.max())  # a NaN makes both NaN
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError("costs must be finite")
+    if terms * max(hi, -lo) == math.inf:
+        raise ValueError(f"costs overflow: {terms} times the largest |cost| is not finite")
     return lo >= 0
 
 
 def check_costs(costs, n: int) -> OracleCosts:
     """A copy of the length-n cost vector `costs`, checked for the nominal
-    oracle.  Raises ValueError on another length or a non-finite cost;
-    negative costs are recorded, not rejected."""
+    oracle.  Raises ValueError on another length, a non-finite cost or
+    costs whose sum may overflow; negative costs are recorded, not
+    rejected."""
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise ValueError(f"costs length {costs.shape} does not match n={n}")
-    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
+    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs, n))
 
 
 @dataclass(frozen=True)

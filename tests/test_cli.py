@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import warnings
 from dataclasses import astuple
 from pathlib import Path
@@ -393,6 +394,62 @@ class TestNonFiniteRidge:
         )
         assert code == 2
         assert named in capsys.readouterr().err
+
+
+# the one mixture each method accepts on the overflow inputs
+OVERFLOW_MIXES = {
+    "budgeted-enum": [{"weight": 1.0, "type": "budgeted", "lambda": 0.5, "gamma": 1}],
+    "interval": INTERVAL_MIX,
+    "midpoint": HULL_MIX,
+}
+
+
+class TestCostOverflow:
+    """Finite costs whose sums, means or squares overflow are invalid
+    input under every method, on the two-arc path 0 -> 1 -> 2."""
+
+    @pytest.mark.parametrize("method", sorted(cli.METHODS))
+    @pytest.mark.parametrize(
+        "rows, ellipsoid, named",
+        [
+            ("1e308,1e308\n", False, "overflow|objective inf is not finite"),
+            ("1.7e308,1\n1.7e308,2\n", False, "scenario cost means overflow"),
+            ("1e200,2e200\n3e200,1e200\n", True, "the default ridge must be finite"),
+        ],
+        ids=["path-sum", "mean", "ellipsoid"],
+    )
+    def test_exits_2(self, tmp_path, capsys, method, rows, ellipsoid, named):
+        graph, scenarios = tmp_path / "g.txt", tmp_path / "s.csv"
+        graph.write_text("nodes 3\narcs 2\narc 0 0 1\narc 1 1 2\n")
+        scenarios.write_text("arc_0,arc_1\n" + rows)
+        components = OVERFLOW_MIXES.get(method, HULL_MIX)
+        if ellipsoid:
+            components = [{"weight": 1.0, "type": "ellipsoid", "lambda": 1.0}]
+        code = main(
+            [
+                "solve",
+                "--graph", str(graph),
+                "--scenarios", str(scenarios),
+                "--mixture", write_mixture(tmp_path, components),
+                "--source", "0", "--target", "2",
+                "--method", method,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert re.search(named, err)
+
+    def test_evaluate_exits_2(self, tmp_path, capsys):
+        """A solution whose scenario costs sum past the float maximum."""
+        solutions, scenarios = tmp_path / "sol.json", tmp_path / "s.csv"
+        solutions.write_text('{"solutions": [{"x": [1, 1], "objective": 1.0}]}')
+        scenarios.write_text("arc_0,arc_1\n1e308,1e308\n")
+        argv = ["evaluate", "--solutions", str(solutions), "--scenarios", str(scenarios)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the metrics overflow: avg=inf max=inf cvar=inf\n"
+        )
 
 
 EMPTY_PAIRS = "empty pair list: the pairs CSV has a header but no rows"

@@ -418,6 +418,19 @@ class TestForcedArcOracle:
                 )
                 assert solve_or_none(inst, costs, fin, ()) == expected
 
+    @pytest.mark.parametrize("forced", [0, 1200], ids=["long-way", "chord"])
+    def test_long_cyclic_path_needs_no_recursion(self, forced):
+        """The exhaustive search walks a path of 1,100 arcs, past Python's
+        default recursion limit: a 1,200-node cycle with the chord 0 -> 600
+        (arc 1200), from node 0 to node 1100, tries the long way first."""
+        cycle = 1200
+        arcs = tuple((v, (v + 1) % cycle) for v in range(cycle)) + ((0, 600),)
+        inst = Instance.spath(Graph(cycle, arcs), 0, 1100)
+        sol = nominal_solve(inst, np.ones(inst.n), forced_in={forced})
+        long_way, chord = tuple(range(1100)), (1200, *range(600, 1100))
+        assert sol.path == (long_way if forced == 0 else chord)
+        assert sol.value == len(sol.path)
+
     def test_forced_index_out_of_range_rejected(self, diamond_inst):
         with pytest.raises(ValueError, match="out of range"):
             nominal_solve(diamond_inst, (1, 1, 1, 1), forced_in={-1})
@@ -490,6 +503,24 @@ class TestCheckedCosts:
         # the same vector, checked first, fails at the same check
         with pytest.raises(ValueError, match=message):
             nominal_solve(CYCLIC4_INST, check_costs(costs, 4), forced_in, forced_out)
+
+    @pytest.mark.parametrize(
+        "costs, overflows",
+        [([1e308, 1e308], True), ([-1e308, 0.0], True), ([8e307, -8e307], False)],
+    )
+    def test_costs_whose_sum_may_overflow_rejected(self, costs, overflows):
+        """n times the largest |cost| must be finite, in a vector and in
+        each column of a block."""
+        inst = Instance.selection(2, 2)
+        block = np.column_stack([np.zeros(2), costs])
+        if overflows:
+            with pytest.raises(ValueError, match="costs overflow: 2 times"):
+                check_costs(costs, 2)
+            with pytest.raises(ValueError, match="costs overflow: 2 times"):
+                nominal_values(inst, block)
+        else:
+            assert check_costs(costs, 2).values == tuple(costs)
+            assert nominal_values(inst, block).tolist() == [0.0, 0.0]
 
     def test_negative_costs_are_recorded_not_rejected(self, diamond_inst):
         checked = check_costs((0.0, -1.0, 2.0, 3.0), 4)

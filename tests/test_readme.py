@@ -1,19 +1,39 @@
 """The README's references to the package resolve, and its command-line
-block parses and runs through the CLI.
+block parses and runs through the CLI, writing the files it promises.
 
 The CI workflow runs the `## Command line` sh block through the
-installed script; these checks run the same block in-process, so a
-README edit that would break that step fails here first.
+installed script; these checks run the same block in-process once, so
+a README edit that would break that step fails here first, and check
+the files it writes against in-process runs on the same instance.
 """
 
+import json
 import re
 import shlex
+from dataclasses import astuple
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import robustmix
-from robustmix import cli
+from robustmix import (
+    ConfigSpace,
+    Instance,
+    ScenarioMatrix,
+    build_mixture,
+    check_emitted,
+    cli,
+    parse_graph,
+    solve_auto,
+    solve_bnb,
+    tune,
+    tuning,
+)
+from robustmix.evaluation import ALPHA, mean_metrics, pair_metrics, split_scenarios, tail_count
+from robustmix.tuning import BASELINE_NODE_CAP, baseline_lambdas, solve_for_pair
+from robustmix.uncertainty import mixture_spec_from_json, mixture_spec_to_json
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -131,17 +151,131 @@ def test_command_line_block_uses_parser_subcommands():
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
-def test_command_line_block_runs(tmp_path, monkeypatch):
-    """The block, run in a temporary directory: each heredoc is written
-    to its file and each `robustmix` command must exit 0 through
-    `cli.main`; any other shell line fails the test."""
-    monkeypatch.chdir(tmp_path)
-    steps = shell_steps(command_line_block(README))
-    assert any(step[0] == "run" for step in steps)
-    for step in steps:
-        if step[0] == "write":
-            Path(step[1]).write_text(step[2], encoding="utf-8", newline="\n")
-        elif step[0] == "run":
-            assert cli.main(step[1]) == 0, shlex.join(step[1])
-        else:
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The block, run once in a temporary directory: each heredoc is
+    written to its file and each `robustmix` command run through
+    `cli.main`.  Returns the directory and each step with its exit code
+    (None for a step that is not a `robustmix` command)."""
+    where = tmp_path_factory.mktemp("readme")
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(where)
+        for step in shell_steps(command_line_block(README)):
+            if step[0] == "write":
+                Path(step[1]).write_text(step[2], encoding="utf-8", newline="\n")
+            results.append((step, cli.main(step[1]) if step[0] == "run" else None))
+    return where, results
+
+
+def test_command_line_block_runs(readme_run):
+    """Each `robustmix` command of the block exits 0; any other shell
+    line fails the test."""
+    _, results = readme_run
+    assert any(step[0] == "run" for step, _ in results)
+    for step, code in results:
+        if step[0] == "run":
+            assert code == 0, shlex.join(step[1])
+        elif step[0] != "write":
             pytest.fail(f"README shell line not run in-process: {step[1]}")
+
+
+class TestCommandLineOutputs:
+    """The files the block writes, against in-process runs on its instance."""
+
+    @pytest.fixture
+    def out(self, readme_run, monkeypatch):
+        monkeypatch.chdir(readme_run[0])
+        return readme_run[0]
+
+    @staticmethod
+    def instance():
+        """The block's graph, scenarios and pairs, parsed."""
+        graph = parse_graph(Path("g.txt").read_text())
+        data = ScenarioMatrix.from_csv(Path("s.csv").read_text())
+        lines = Path("p.csv").read_text().split()[1:]
+        return graph, data, [tuple(map(int, line.split(","))) for line in lines]
+
+    def test_manifests_and_baseline_csv(self, out):
+        """Each run with an output file leaves a non-empty manifest beside
+        its first output; the trade-off CSV has its header and 83 lines."""
+        for name in ("g.txt", "p.csv", "solutions.json", "baseline.csv", "tuned.json",
+                     "model.lp"):
+            assert Path(f"{name}.manifest.json").stat().st_size > 0, name
+        text = Path("baseline.csv").read_text()
+        assert text.split("\n")[0] == "label,sample,avg,max,cvar"
+        assert text.count("\n") == 83
+
+    def test_lp_model_checks_at_the_bnb_solution(self, out):
+        text = Path("model.lp").read_text()
+        assert text.splitlines()[-1] == "End"
+        specs = mixture_spec_from_json(Path("lpmix.json").read_text())
+        graph, data, _ = self.instance()
+        mix = build_mixture(specs, data)
+        inst = Instance.spath(graph, 0, 35)
+        check = check_emitted(inst, mix, solve_bnb(inst, mix).solution, text)
+        assert check.ok and check.objective_match, check
+
+    def test_solutions_repeat_on_one_graph(self, out):
+        """The CLI solved each pair once on a fresh graph, so every pass
+        walked a whole topological slice; three rounds on one graph
+        object walk its cached tables of live rows, and must write the
+        same solutions file."""
+        graph, data, pairs = self.instance()
+        mix = build_mixture(mixture_spec_from_json(Path("mix.json").read_text()), data)
+        for round in range(3):
+            records = []
+            for s, t in pairs:
+                report = solve_auto(Instance.spath(graph, s, t), mix)
+                records.append({
+                    "source": s, "target": t, "x": list(report.solution.x),
+                    "objective": float(f"{report.objective:.6f}"),
+                    "optimal": report.optimal, "method": report.method,
+                })
+            text = json.dumps({"solutions": records}, indent=2, sort_keys=True) + "\n"
+            assert text == Path("solutions.json").read_text(), f"round {round} differs"
+
+    def test_tune_without_record_fills(self, out):
+        """The CLI's tune answers an interval configuration from a pair's
+        record of earlier interval solves when they bracket it; the same
+        tune with every evaluation solved picks the same configuration,
+        written byte for byte as tuned.json."""
+        solve = tuning.solve_for_pair
+
+        def unrecorded(graph, pair, mix, node_cap=None, *, bracket=None):
+            return solve(graph, pair, mix, node_cap)
+
+        graph, data, pairs = self.instance()
+        split = split_scenarios(data.K, 0.75, 0)  # the CLI's default --ratio and --seed
+        space = ConfigSpace(budget=2000, max_parents=3)  # --budget 2000, default --max-parents
+        with mock.patch.object(tuning, "solve_for_pair", unrecorded):
+            result = tune(space, graph, pairs, data, split, (0.4, 0.3, 0.3), 0)
+        assert mixture_spec_to_json(result.best.to_specs()) == Path("tuned.json").read_text()
+
+    @pytest.mark.parametrize("set_type", ["interval", "hull", "ellipsoid"])
+    def test_baseline_grid_is_the_lambda_sweep(self, out, set_type):
+        """The block's interval grid, and a hull and an ellipsoid grid on
+        its instance, each equal byte for byte their rows recomputed
+        lambda by lambda (on this instance only the ellipsoid's paths
+        change with lambda)."""
+        path = "baseline.csv" if set_type == "interval" else f"{set_type}.csv"
+        if set_type != "interval":
+            argv = ["baseline", "--type", set_type, "--graph", "g.txt", "--scenarios",
+                    "s.csv", "--pairs", "p.csv", "--out", path]
+            assert cli.main(argv) == 0
+        graph, data, pairs = self.instance()
+        split = split_scenarios(data.K, 0.75, 0)  # the CLI's default --ratio and --seed
+        train, test = data.subset(split.train_idx), data.subset(split.test_idx)
+        lines = ["label,sample,avg,max,cvar"]
+        for lam in baseline_lambdas(set_type):
+            mix = build_mixture([{"weight": 1.0, "type": set_type, "lambda": lam}], train)
+            xs = [
+                np.asarray(solve_for_pair(graph, p, mix, BASELINE_NODE_CAP).solution.x, float)
+                for p in pairs
+            ]
+            for sample, pool in (("in", train), ("out", test)):
+                tail = tail_count(ALPHA, pool.K)
+                m = mean_metrics([pair_metrics(x, pool.costs, tail) for x in xs])
+                label = f"{set_type}_lambda_{lam:.6f}"
+                lines.append(",".join([label, sample, *(f"{v:.6f}" for v in astuple(m))]))
+        assert Path(path).read_text() == "\n".join(lines) + "\n"

@@ -194,6 +194,11 @@ class TestEvaluateWrp:
         total = sum(w * float(u.hi @ x) for w, u in comps)
         assert evaluate_wrp(Mixture(tuple(comps)), x) == pytest.approx(total, abs=1e-12)
 
+    def test_overflowing_objective_rejected(self):
+        mix = Mixture(((1.0, interval([1e308, 1e308])),))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            evaluate_wrp(mix, (1, 1))
+
 
 class TestIntervalMix:
     def test_selection_weighted_upper_bounds(self):

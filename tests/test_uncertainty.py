@@ -125,6 +125,20 @@ class TestScenarioMatrix:
         with pytest.raises(ValueError, match="no columns"):
             ScenarioMatrix(np.empty((3, 0)))
 
+    def test_overflowing_mean_rejected_when_read(self):
+        """The matrix builds; its mean, and every box built on it, raises."""
+        data = ScenarioMatrix(np.array([[1.7e308, 1.0], [1.7e308, 2.0]]))
+        with np.errstate(over="ignore"):
+            for build in (lambda: data.mean, lambda: build_set(data, "interval", 0.5)):
+                with pytest.raises(ValueError, match="scenario cost means overflow"):
+                    build()
+
+    def test_overflowing_default_ridge_rejected(self):
+        data = ScenarioMatrix(np.array([[1e200, 2e200], [3e200, 1e200]]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="the default ridge must be finite"):
+                build_set(data, "ellipsoid", 1.0)
+
 
 class TestBuildSet:
     def test_interval_full_range(self):
