@@ -110,10 +110,9 @@ def score(
 
 
 def scalarize(m: Metrics, w: tuple[float, float, float]) -> float:
-    """Weighted sum w_avg avg + w_max max + w_cvar cvar.  A negative or
-    NaN weight raises ValueError."""
-    if not all(v >= 0 for v in w):  # NaN fails too
-        raise ValueError("weights must be nonnegative")
+    """Weighted sum w_avg avg + w_max max + w_cvar cvar.  Raises
+    ValueError on weights that `check_weights` rejects."""
+    check_weights(w)
     return w[0] * m.avg + w[1] * m.max + w[2] * m.cvar
 
 
@@ -121,8 +120,9 @@ def check_weights(w) -> None:
     """Raise ValueError unless w is three finite, nonnegative numbers,
     the scalarization weights a race or a trade-off can rank by."""
     try:
-        ok = len(w) == 3 and all(math.isfinite(v) and v >= 0 for v in w)
-    except TypeError:  # no length, or an entry that is not a number
+        a, b, c = w
+        ok = 0 <= a < math.inf and 0 <= b < math.inf and 0 <= c < math.inf  # NaN fails
+    except (TypeError, ValueError):  # not three entries, or one not a number
         ok = False
     if not ok:
         raise ValueError(f"weights must be three finite, nonnegative numbers: {w!r}")

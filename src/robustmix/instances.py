@@ -18,7 +18,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,11 @@ class Graph:
 
     num_nodes: int
     arcs: tuple[tuple[int, int], ...]
+    # memos: paths_to's counts by end node, segment_plan's tables by segment
+    # (None for a segment seen once) and Instance.spath's instances by pair
+    _path_counts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _segment_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _instances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i, (tail, head) in enumerate(self.arcs):
@@ -104,10 +109,6 @@ class Graph:
             counts = self._path_counts[end] = tuple(paths)
         return counts
 
-    @cached_property
-    def _path_counts(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
     def segment_plan(self, start: int, end: int) -> tuple:
         """The rows a label pass from `start` to `end` walks, as (node, its
         out-arcs) pairs in topological order, `end` excluded.  The first
@@ -126,11 +127,6 @@ class Graph:
                 position = self.topological_order[1]
                 return self._rows[position[start] : position[end]]
         return plan
-
-    @cached_property
-    def _segment_plans(self) -> dict[tuple[int, int], tuple | None]:
-        """`segment_plan`'s tables by segment, None for a segment seen once."""
-        return {}
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
@@ -177,11 +173,6 @@ class Graph:
             plan.append(row)
             p = flags.find("1", p + 1)
         return tuple(plan)
-
-    @cached_property
-    def _instances(self) -> dict[tuple[int, int], "Instance"]:
-        """`Instance.spath`'s instances on this graph, by (source, target)."""
-        return {}
 
     def hop_distances(self, source: int) -> list[float]:
         """Unweighted BFS distance from `source` to every node, inf where
@@ -580,7 +571,10 @@ def nominal_solve(
             raise InfeasibleError("not enough allowed items")
         order = sorted(allowed, key=lambda i: (c[i], i))
         chosen = tuple(sorted(fin | set(order[:need])))
-        return Solution(None, float(sum(c[i] for i in chosen)), chosen, inst.n)
+        value = 0.0  # a left fold: builtin sum() is compensated from Python 3.12
+        for i in chosen:
+            value += c[i]
+        return Solution(None, value, chosen, inst.n)
 
     if not can_price(inst, costs):
         raise ValueError("spath oracle requires nonnegative costs")
@@ -637,7 +631,7 @@ def nominal_values(inst: Instance, block) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != inst.n:
         raise ValueError(f"cost block shape {block.shape} does not match n={inst.n}")
-    _check_finite(block, inst.n)
+    _check_finite(block)
     if inst.kind == "selection" or inst.graph.topological_order is None:
         return np.array(
             [nominal_solve(inst, block[:, j]).value for j in range(block.shape[1])]

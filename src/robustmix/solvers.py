@@ -185,21 +185,18 @@ def solve_ellipsoid_parametric(inst: Instance, mix: Mixture) -> SolveReport:
     UnsupportedError on a non-diagonal or second ellipsoid, another set
     type, or no ellipsoid (`solve_interval_mix` solves that).  Not used
     by `solve_auto`: a built ellipsoid's covariance is not diagonal."""
-    ell = None
-    for _, uset in mix.components:
-        if uset.name == "ellipsoid":
-            if ell is not None:
-                raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
-            sigma = uset.sigma
-            if not np.allclose(sigma, np.diag(np.diag(sigma)), atol=1e-12):
-                raise UnsupportedError("ellipsoid covariance must be diagonal")
-            ell = uset
-        elif uset.name != "interval":
-            raise UnsupportedError(
-                "solve_ellipsoid_parametric allows only interval and ellipsoid components"
-            )
-    if ell is None:
+    if not mix.types <= {"interval", "ellipsoid"}:
+        raise UnsupportedError(
+            "solve_ellipsoid_parametric allows only interval and ellipsoid components"
+        )
+    ells = [uset for _, uset in mix.components if uset.name == "ellipsoid"]
+    if not ells:
         raise UnsupportedError("no ellipsoid component; use solve_interval_mix")
+    if len(ells) > 1:
+        raise UnsupportedError("at most one ellipsoid component; use solve_bnb")
+    ell = ells[0]
+    if not np.allclose(ell.sigma, np.diag(np.diag(ell.sigma)), atol=1e-12):
+        raise UnsupportedError("ellipsoid covariance must be diagonal")
     linear = mix.bound_costs
     spread = ell.lam * np.diag(ell.sigma)  # S(x) = spread . x
     search = _Search(inst, mix)

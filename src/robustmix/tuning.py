@@ -133,12 +133,17 @@ def _metric_memo(costs: np.ndarray):
 def _interval_t(config: Config) -> float | None:
     """The t of an all-interval configuration whose weights sum to more
     than 0 (see `solve_for_pair`), else None."""
-    if any(p.set_type != "interval" for p in config.parents):
-        return None
-    total = sum(p.weight for p in config.parents)
+    # left folds, not sum(): builtin sum() of floats is compensated from
+    # Python 3.12, and t decides which answers the race fills
+    total = weighted = 0.0
+    for p in config.parents:
+        if p.set_type != "interval":
+            return None
+        total += p.weight
+        weighted += p.weight * p.lam
     if total <= 0:
         return None
-    return sum(p.weight * p.lam for p in config.parents) / total
+    return weighted / total
 
 
 def solve_for_pair(

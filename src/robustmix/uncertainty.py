@@ -368,8 +368,9 @@ class EllipsoidSet:
     """{mu + sqrt(lam) Sigma^(1/2) u : |u| <= 1}, Sigma = F' F + ridge I
     for a read-only factor F.  `EllipsoidSet(mu, sigma, lam)` raises
     ValueError unless lam >= 0 and mu are finite and sigma is an n x n
-    finite matrix, symmetric within 1e-9 and PSD (smallest eigenvalue at least
-    -1e-9)."""
+    finite matrix, symmetric as `np.allclose(sigma, sigma.T, atol=1e-9)`
+    judges it (a 1e-5 relative term included; `eigh` reads only the lower
+    triangle) and PSD (smallest eigenvalue at least -1e-9)."""
 
     mu: np.ndarray
     lam: float
@@ -550,17 +551,17 @@ class OracleCosts:
     nonnegative: bool
 
 
-def _check_finite(costs: np.ndarray, terms: int = 1) -> bool:
-    """Raise ValueError unless every cost is finite and so is `terms`
-    times the largest |cost|, which bounds every sum of that many of
-    them; return whether none is negative."""
+def _check_finite(costs: np.ndarray) -> bool:
+    """Raise ValueError unless every cost is finite and so is the first
+    axis's length n times the largest |cost|, which bounds every sum of
+    n of them; return whether none is negative."""
     if costs.size == 0:
         return True
     lo, hi = float(costs.min()), float(costs.max())  # a NaN makes both NaN
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError("costs must be finite")
-    if terms * max(hi, -lo) == math.inf:
-        raise ValueError(f"costs overflow: {terms} times the largest |cost| is not finite")
+    if (n := costs.shape[0]) * max(hi, -lo) == math.inf:
+        raise ValueError(f"costs overflow: {n} times the largest |cost| is not finite")
     return lo >= 0
 
 
@@ -572,7 +573,7 @@ def check_costs(costs, n: int) -> OracleCosts:
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (n,):
         raise ValueError(f"costs length {costs.shape} does not match n={n}")
-    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs, n))
+    return OracleCosts(n, tuple(costs.tolist()), _check_finite(costs))
 
 
 @dataclass(frozen=True)

@@ -9,21 +9,16 @@ from typing import Callable
 
 import numpy as np
 
-from .instances import Instance, gen_synthetic
-from .solvers import evaluate_wrp, solve_brute_force, solve_midpoint_approx
+from .instances import Instance, gen_synthetic, item_set
+from .solvers import TOL, evaluate_wrp, solve_brute_force, solve_midpoint_approx
 from .uncertainty import BudgetedSet, HullSet, Mixture
 
-TOL = 1e-9
 SUBMODULAR_N = 8  # items of each random budgeted mixture suite_submodular checks
 HULL_MAX_POINTS = 4  # points of each hull random_hull_mixture draws, at most
 
 
 def _mask_to_x(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(n))
-
-
-def _mask_to_set(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
 
 
 def check_submodular(n: int, f: Callable[[tuple[int, ...]], float]) -> dict:
@@ -42,11 +37,8 @@ def check_submodular(n: int, f: Callable[[tuple[int, ...]], float]) -> dict:
         rhs = values[s | t] + values[s & t]
         bad = np.nonzero(lhs < rhs - TOL)[0]
         if bad.size:
-            t_mask = int(t[bad[0]])
-            return {
-                "ok": False,
-                "violation": (_mask_to_set(s, n), _mask_to_set(t_mask, n)),
-            }
+            s_x, t_x = _mask_to_x(s, n), _mask_to_x(int(t[bad[0]]), n)
+            return {"ok": False, "violation": (item_set(s_x), item_set(t_x))}
     return {"ok": True}
 
 

@@ -156,6 +156,16 @@ class TestScalarize:
         with pytest.raises(ValueError, match="three finite, nonnegative numbers"):
             check_weights(w)
 
+    @pytest.mark.parametrize(
+        "w",
+        [(-1, 0, 0), (math.nan, 0, 0), (math.inf, 0, 0), (1.0,), (1, 0), (1, 0, 0, 0),
+         ("1", 0, 0), 1.0],
+        ids=["negative", "nan", "inf", "one", "two", "four", "string", "scalar"],
+    )
+    def test_scalarize_rejects_what_check_weights_rejects(self, w):
+        with pytest.raises(ValueError, match="three finite, nonnegative numbers"):
+            scalarize(Metrics(1, 2, 3), w)
+
     def test_check_weights_accepts(self):
         for w in [(0, 0, 0), (0.4, 0.3, 0.3), [1, 2, 3], np.array([0.0, 1.0, 0.5])]:
             check_weights(w)

@@ -180,6 +180,11 @@ class TestNominalSolve:
         assert sol.x == (0, 1, 0)
         assert sol.value == 1.0
 
+    def test_selection_value_is_a_left_fold(self):
+        # sum() of floats is compensated from Python 3.12 and gives 0.6 here
+        value = nominal_solve(Instance.selection(3, 3), (0.1, 0.2, 0.3)).value
+        assert value.hex() == (0.6000000000000001).hex()
+
     def test_diamond_shortest_path(self, diamond_inst):
         sol = nominal_solve(diamond_inst, (1, 1, 5, 5))
         assert sol.items == (0, 1)
@@ -551,9 +556,14 @@ class TestCheckedCosts:
 
     @staticmethod
     def old_check_finite(costs):
-        """The elementwise rule the min/max check replaced."""
+        """The elementwise rule the min/max check replaced, plus the
+        overflow rule: the first axis's length n times the largest |cost|
+        is finite."""
         if not np.all(np.isfinite(costs)):
             raise ValueError("costs must be finite")
+        n = costs.shape[0]
+        if costs.size and n * float(np.abs(costs).max()) == math.inf:
+            raise ValueError(f"costs overflow: {n} times the largest |cost| is not finite")
         return not np.any(costs < 0)
 
     @pytest.mark.parametrize(

@@ -268,6 +268,13 @@ def interval_answer(graph, data, pair, record, *parents):
     return mix, report, solve_for_pair(graph, pair, mix)
 
 
+def test_interval_t_is_a_left_fold():
+    # sum() of floats is compensated from Python 3.12 and gives 0.6 here
+    parents = [(0.1, 0.7), (0.2, 0.1), (0.3, 0.9)]
+    config = Config(tuple(ParentSpec("interval", lam, w) for w, lam in parents))
+    assert tuning._interval_t(config).hex() == (0.5999999999999999).hex()
+
+
 class TestPairRecord:
     """`solve_for_pair`'s fill rule: an all-interval answer is taken from
     the pair's record strictly between two entries with the same x, and
